@@ -276,20 +276,24 @@ pub fn panic_counts(files: &[(String, String)]) -> BTreeMap<String, u64> {
 // #[cfg(test)] exclusion
 // ---------------------------------------------------------------------
 
-/// Mark tokens inside `#[cfg(test)]` / `#[test]`-attributed items.
-/// Works on the code-token view, so braces inside strings or comments
-/// cannot confuse the matcher (the lexer already swallowed them).
+/// Mark tokens inside `#[cfg(test)]` / `#[test]`-attributed items, or
+/// the whole rest of a file under an inner `#![cfg(test)]` (an
+/// out-of-line `tests.rs` module). Works on the code-token view, so
+/// braces inside strings or comments cannot confuse the matcher (the
+/// lexer already swallowed them).
 fn test_excluded(toks: &[Tok<'_>], code: &[usize]) -> Vec<bool> {
     let mut excluded = vec![false; toks.len()];
     let mut p = 0;
     while p < code.len() {
-        let t = &toks[code[p]];
-        if !t.is_punct('#') || p + 1 >= code.len() || !toks[code[p + 1]].is_punct('[') {
+        let punct = |at: usize, c: char| code.get(at).is_some_and(|&i| toks[i].is_punct(c));
+        let inner = punct(p + 1, '!');
+        let open = p + 1 + inner as usize;
+        if !punct(p, '#') || !punct(open, '[') {
             p += 1;
             continue;
         }
         // Scan the attribute body for the ident `test`.
-        let mut q = p + 2;
+        let mut q = open + 1;
         let mut depth = 1usize;
         let mut has_test = false;
         while q < code.len() && depth > 0 {
@@ -308,6 +312,10 @@ fn test_excluded(toks: &[Tok<'_>], code: &[usize]) -> Vec<bool> {
             continue;
         }
         let attr_start = code[p];
+        if inner {
+            excluded[attr_start..].fill(true);
+            break;
+        }
         // Find the item body: `{…}` brace-matched, or a brace-less
         // item ending in `;`. Further attributes in between are fine.
         let mut r = q;

@@ -255,6 +255,9 @@ fn panic_budget_defaults_to_zero_and_pins_exactly() {
 fn panic_budget_ignores_test_code_and_counts_expect() {
     let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n";
     assert!(lint_one("crates/core/src/fixture.rs", src).is_empty());
+    // An out-of-line test module marks itself with the inner form.
+    let src = "//! unit tests\n#![cfg(test)]\n\nfn t() { Some(1).unwrap(); }\n";
+    assert!(lint_one("crates/core/src/fixture.rs", src).is_empty());
     let f = lint_one(
         "crates/core/src/fixture.rs",
         "fn f(v: Option<u8>) -> u8 { v.expect(\"present\") }\n",

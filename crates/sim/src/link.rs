@@ -225,7 +225,7 @@ impl Engine {
         let alive: Vec<NodeId> = (0..self.node_count())
             .map(NodeId)
             .filter(|&n| {
-                let s = self.hot_slot(n);
+                let s = &self.hot[n.0];
                 s.alive && s.join_at <= now
             })
             .collect();

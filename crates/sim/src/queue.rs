@@ -137,6 +137,19 @@ pub(crate) enum Event {
     Kill(NodeId),
 }
 
+impl Event {
+    /// The node whose shard dispatches this event; `None` for the two
+    /// with global effects, which only the engine itself can dispatch.
+    pub(crate) fn owner_node(&self) -> Option<NodeId> {
+        match self {
+            Event::Start(n) => Some(*n),
+            Event::Deliver { to, .. } => Some(*to),
+            Event::Timer { node, .. } | Event::LinkFailure { node, .. } => Some(*node),
+            Event::MobilityTick | Event::Kill(_) => None,
+        }
+    }
+}
+
 struct QueueItem {
     time: SimTime,
     seq: u64,

@@ -30,9 +30,12 @@ impl SimTime {
     /// Time elapsed since `earlier`.
     ///
     /// # Panics
-    /// Panics (debug) if `earlier` is in the future.
+    /// Panics if `earlier` is in the future (the subtraction would wrap).
     pub fn since(self, earlier: SimTime) -> SimDuration {
-        debug_assert!(self >= earlier, "time ran backwards");
+        assert!(
+            self >= earlier,
+            "time ran backwards: {self:?} < {earlier:?}"
+        );
         SimDuration(self.0 - earlier.0)
     }
 }
@@ -133,7 +136,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "backwards")]
-    fn negative_elapsed_panics_in_debug() {
+    fn negative_elapsed_panics() {
         let _ = SimTime(0).since(SimTime(1));
     }
 

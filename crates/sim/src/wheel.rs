@@ -109,16 +109,17 @@ impl TimerWheel {
 
     pub(crate) fn push_seq(&mut self, time: SimTime, seq: u64, event: Event) {
         // The engine never schedules into the past (`time >= now`, and
-        // the cursor only advances to dispatched times); clamp in
-        // release so a violation degrades to "fires now" like the heap
-        // would, instead of waiting a whole wheel rotation.
-        debug_assert!(time.0 >= self.elapsed, "event scheduled into the past");
-        let when = time.0.max(self.elapsed);
-        self.insert(WheelItem {
-            time: SimTime(when),
-            seq,
-            event,
-        });
+        // the cursor only advances to dispatched times). Checked in
+        // every profile: a slot behind the cursor would fire a whole
+        // wheel rotation late, and clamping it to "now" would reorder
+        // the universe just as silently.
+        assert!(
+            time.0 >= self.elapsed,
+            "event scheduled into the past: (time {time:?}, seq {seq}, node {:?}) behind wheel cursor {}",
+            event.owner_node(),
+            self.elapsed
+        );
+        self.insert(WheelItem { time, seq, event });
         self.len += 1;
     }
 
@@ -183,6 +184,13 @@ impl TimerWheel {
         loop {
             if let Some(front) = self.firing.front() {
                 return front.time <= until;
+            }
+            // "Anything else at the cursor's own tick?" (every tick
+            // loop's last question) needs no scan: the tick fired whole,
+            // so only a later push can be due, in its own level-0 slot.
+            let own_slot = 1 << slot_of(self.elapsed, 0);
+            if until.0 == self.elapsed && self.levels[0].occupied & own_slot == 0 {
+                return false;
             }
             let Some((deadline, level)) = self.next_expiration() else {
                 return false;
