@@ -2,7 +2,7 @@
 //!
 //! From-scratch cryptographic substrate for the secure-MANET reproduction:
 //!
-//! * [`uint::Ubig`] — arbitrary-precision unsigned integers (Karatsuba
+//! * [`uint::Ubig`] — arbitrary-precision unsigned integers (schoolbook
 //!   multiplication, Knuth Algorithm-D division);
 //! * [`modular`] — Montgomery-form modular exponentiation and modular
 //!   inverse;

@@ -111,41 +111,6 @@ pub fn mul_schoolbook(out: &mut [u64], a: &[u64], b: &[u64]) {
     }
 }
 
-/// Schoolbook squaring `out = a²`, exploiting the symmetry
-/// `a·a = Σ aᵢ²·B^(2i) + 2·Σ_{i<j} aᵢaⱼ·B^(i+j)`: roughly half the limb
-/// products of a general multiplication. `out` must be zeroed and exactly
-/// `2·a.len()` long.
-pub fn sqr_schoolbook(out: &mut [u64], a: &[u64]) {
-    debug_assert_eq!(out.len(), 2 * a.len());
-    debug_assert!(out.iter().all(|&w| w == 0));
-    if a.is_empty() {
-        return;
-    }
-    // Off-diagonal products a_i * a_j for i < j.
-    for (i, &a_i) in a.iter().enumerate() {
-        let mut carry = 0u64;
-        for (j, &a_j) in a.iter().enumerate().skip(i + 1) {
-            let (lo, hi) = mac(a_i, a_j, out[i + j], carry);
-            out[i + j] = lo;
-            carry = hi;
-        }
-        out[i + a.len()] = carry;
-    }
-    // Double them: out <<= 1.
-    let spill = shl_small(out, 1);
-    debug_assert_eq!(spill, 0, "top limb always has headroom");
-    // Add the diagonal a_i².
-    let mut carry = 0u64;
-    for (i, &a_i) in a.iter().enumerate() {
-        let (lo, hi) = mac(a_i, a_i, out[2 * i], carry);
-        out[2 * i] = lo;
-        let (s, c) = adc(out[2 * i + 1], hi, 0);
-        out[2 * i + 1] = s;
-        carry = c;
-    }
-    debug_assert_eq!(carry, 0);
-}
-
 /// Shift `limbs` left by `sh` bits (`sh < 64`), returning the bits shifted
 /// out of the top limb.
 pub fn shl_small(limbs: &mut [u64], sh: u32) -> u64 {
@@ -251,26 +216,6 @@ mod tests {
         let mut out = vec![0; 2];
         mul_schoolbook(&mut out, &[u64::MAX], &[u64::MAX]);
         assert_eq!(out, vec![1, u64::MAX - 1]);
-    }
-
-    #[test]
-    fn sqr_schoolbook_matches_mul() {
-        let cases: Vec<Vec<u64>> = vec![
-            vec![],
-            vec![0],
-            vec![3],
-            vec![u64::MAX],
-            vec![u64::MAX, u64::MAX],
-            vec![1, 2, 3, 4, 5],
-            vec![0xdead_beef, 0, 0xffff_ffff_ffff_ffff, 7],
-        ];
-        for a in cases {
-            let mut sq = vec![0u64; 2 * a.len()];
-            sqr_schoolbook(&mut sq, &a);
-            let mut mu = vec![0u64; 2 * a.len()];
-            mul_schoolbook(&mut mu, &a, &a);
-            assert_eq!(sq, mu, "a={a:?}");
-        }
     }
 
     #[test]

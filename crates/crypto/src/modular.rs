@@ -1,26 +1,32 @@
 //! Modular arithmetic: Montgomery-form exponentiation and modular inverse.
 //!
-//! RSA spends essentially all of its time in `modpow`, so that path uses a
-//! Montgomery REDC context with a fixed 4-bit window. The remaining
-//! operations (inverse, plain reduction) are cold and use the generic
-//! [`Ubig`] division.
+//! RSA and Miller–Rabin spend essentially all of their time in `modpow`,
+//! so that path is one in-place kernel: a Montgomery multiply that
+//! interleaves multiplication and reduction limb by limb and writes into
+//! caller-provided scratch, under a fixed 4-bit window whose table,
+//! accumulator and scratch are carved out of one workspace buffer. The
+//! remaining operations (inverse, plain reduction) are cold and use the
+//! generic [`Ubig`] division.
 
-use crate::limb::{self, LIMB_BITS};
+use crate::limb::{self, adc, mac, LIMB_BITS};
 use crate::uint::Ubig;
+use core::cmp::Ordering;
 
-/// Precomputed state for repeated arithmetic modulo an odd modulus `n`.
+/// Window table size: `base^1 ..= base^15`, one per non-zero 4-bit digit.
+const TABLE_ENTRIES: usize = 15;
+
+/// Precomputed state for repeated arithmetic modulo an odd modulus `n`
+/// of `k` limbs. Values in Montgomery form are `k`-limb slices holding
+/// `a·R mod n` (`R = 2^(64k)`), always fully reduced.
 pub struct MontgomeryCtx {
     /// The (odd) modulus.
     n: Ubig,
-    /// Limb count of `n`.
-    k: usize,
     /// `-n^{-1} mod 2^64`, the REDC constant.
     n_prime: u64,
-    /// `R^2 mod n` where `R = 2^(64k)`; converts into Montgomery form.
-    r2: Ubig,
-    /// `1` in Montgomery form (`R mod n`), cached so every `modpow` call
-    /// skips one REDC pass rebuilding it.
-    one_m: Ubig,
+    /// `R^2 mod n`; converts into Montgomery form.
+    r2: Vec<u64>,
+    /// `1` in Montgomery form (`R mod n`).
+    one_m: Vec<u64>,
 }
 
 impl MontgomeryCtx {
@@ -33,22 +39,25 @@ impl MontgomeryCtx {
         assert!(!n.is_even(), "Montgomery modulus must be odd");
         assert!(*n > Ubig::one(), "modulus must exceed 1");
         let k = n.limbs().len();
-        let n_prime = inv_limb_neg(n.limbs()[0]);
         // R^2 mod n via shifting: R2 = 2^(128k) mod n.
-        let r2 = (Ubig::one() << (2 * k as u32 * LIMB_BITS)).div_rem(n).1;
+        let mut r2 = (Ubig::one() << (2 * k as u32 * LIMB_BITS))
+            .div_rem(n)
+            .1
+            .limbs()
+            .to_vec();
+        r2.resize(k, 0);
         let mut ctx = MontgomeryCtx {
             n: n.clone(),
-            k,
-            n_prime,
+            n_prime: inv_limb_neg(n.limbs()[0]),
             r2,
-            one_m: Ubig::zero(),
+            one_m: Vec::new(),
         };
-        // R mod n = REDC(R^2): derived once here instead of per modpow.
-        ctx.one_m = ctx.redc({
-            let mut t = ctx.r2.limbs().to_vec();
-            t.resize(2 * ctx.k, 0);
-            t
-        });
+        // R mod n = R^2 · 1 · R^-1.
+        let mut one_m = vec![0; k];
+        let mut t = vec![0; k + 1];
+        ctx.mul(&mut t, &ctx.r2, &[1]);
+        ctx.reduce_into(&mut one_m, &t);
+        ctx.one_m = one_m;
         ctx
     }
 
@@ -57,52 +66,99 @@ impl MontgomeryCtx {
         &self.n
     }
 
-    /// REDC: given `t < n*R`, compute `t * R^{-1} mod n`.
-    ///
-    /// `t` is consumed as a limb vector of length `2k` (padded).
-    fn redc(&self, mut t: Vec<u64>) -> Ubig {
-        t.resize(2 * self.k + 1, 0);
-        let n_limbs = self.n.limbs();
-        for i in 0..self.k {
-            let m = t[i].wrapping_mul(self.n_prime);
-            // t += m * n << (64*i); the low limb of the addition zeroes t[i].
-            let carry = limb::add_mul_limb(&mut t[i..], n_limbs, m);
-            debug_assert_eq!(carry, 0);
-            debug_assert_eq!(t[i], 0);
+    /// A zeroed scratch buffer for one exponentiation at a time: window
+    /// table, accumulator and the kernel's `k+1` limbs. `modpow` makes
+    /// one per call; [`Self::is_strong_probable_prime`] takes the
+    /// caller's, so Miller–Rabin reuses one across its rounds.
+    pub fn workspace(&self) -> Vec<u64> {
+        vec![0; self.workspace_len()]
+    }
+
+    fn workspace_len(&self) -> usize {
+        (TABLE_ENTRIES + 2) * self.n.limbs().len() + 1
+    }
+
+    /// The kernel: `t = a·b·R^-1 mod n`, or that plus `n` (`t < 2n`, the
+    /// extra bit in `t[k]`). Multiplication and reduction are interleaved
+    /// limb by limb (CIOS), with the two passes of each outer step fused
+    /// into one walk over `t`. `a` is `k` limbs and reduced; `b` may be
+    /// shorter than `k` limbs (missing high limbs are zero).
+    fn mul(&self, t: &mut [u64], a: &[u64], b: &[u64]) {
+        let n = self.n.limbs();
+        let k = n.len();
+        assert!(a.len() == k && b.len() <= k && t.len() == k + 1);
+        t.fill(0);
+        for i in 0..k {
+            let b_i = b.get(i).copied().unwrap_or(0);
+            let (lo, mut c_mul) = mac(a[0], b_i, t[0], 0);
+            // m makes the low limb of t + a·b_i + m·n vanish.
+            let m = lo.wrapping_mul(self.n_prime);
+            let (zero, mut c_red) = mac(m, n[0], lo, 0);
+            debug_assert_eq!(zero, 0);
+            for j in 1..k {
+                let (lo, hi) = mac(a[j], b_i, t[j], c_mul);
+                c_mul = hi;
+                let (lo, hi) = mac(m, n[j], lo, c_red);
+                c_red = hi;
+                t[j - 1] = lo;
+            }
+            let (lo, hi) = adc(t[k], c_mul, c_red);
+            t[k - 1] = lo;
+            t[k] = hi;
         }
-        let mut out = Ubig::from_limbs(t[self.k..].to_vec());
-        if out >= self.n {
-            out -= &self.n;
+    }
+
+    /// The kernel's one conditional subtract: `out = t mod n` for the
+    /// `t < 2n` that [`Self::mul`] leaves.
+    fn reduce_into(&self, out: &mut [u64], t: &[u64]) {
+        let n = self.n.limbs();
+        out.copy_from_slice(&t[..n.len()]);
+        if t[n.len()] != 0 || limb::cmp_same_len(out, n) != Ordering::Less {
+            // With t[k] set the borrow out of the low k limbs cancels it.
+            limb::sub_assign(out, n);
         }
-        out
     }
 
-    /// Convert into Montgomery form: `a*R mod n`.
-    fn to_mont(&self, a: &Ubig) -> Ubig {
-        self.mont_mul(a, &self.r2)
+    /// `acc = acc·b·R^-1 mod n`.
+    fn mul_assign(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
+        self.mul(t, acc, b);
+        self.reduce_into(acc, t);
     }
 
-    /// Montgomery product: `a*b*R^{-1} mod n` for Montgomery-form inputs.
-    fn mont_mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        let prod = a * b;
-        self.redc(prod.limbs().to_vec())
+    /// `acc = acc²·R^-1 mod n` — the hot operation of modpow (the ladder
+    /// squares every exponent bit but multiplies only on set digits).
+    fn sqr_assign(&self, acc: &mut [u64], t: &mut [u64]) {
+        self.mul(t, acc, acc);
+        self.reduce_into(acc, t);
     }
 
-    /// Montgomery squaring — the hot operation of modpow (the square-and-
-    /// multiply ladder squares every exponent bit but multiplies only on
-    /// set window digits). Uses the dedicated squaring path.
-    fn mont_sqr(&self, a: &Ubig) -> Ubig {
-        self.redc(a.square().limbs().to_vec())
-    }
-
-    /// `base^exp mod n` using a fixed 4-bit window, with a square-and-
-    /// multiply fast path for sparse exponents.
-    pub fn modpow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
+    /// `base^exp` in Montgomery form, left in the accumulator of `ws`
+    /// (from [`Self::workspace`]); returns the accumulator and the kernel
+    /// scratch. Fixed 4-bit window, with a square-and-multiply fast path
+    /// for sparse exponents.
+    fn pow_mont<'w>(
+        &self,
+        ws: &'w mut [u64],
+        base: &Ubig,
+        exp: &Ubig,
+    ) -> (&'w mut [u64], &'w mut [u64]) {
+        let k = self.n.limbs().len();
+        assert_eq!(ws.len(), self.workspace_len(), "foreign workspace");
+        let (table, rest) = ws.split_at_mut(TABLE_ENTRIES * k);
+        let (acc, t) = rest.split_at_mut(k);
         if exp.is_zero() {
-            return Ubig::one().div_rem(&self.n).1;
+            acc.copy_from_slice(&self.one_m);
+            return (acc, t);
         }
-        let base = base.div_rem(&self.n).1;
-        let base_m = self.to_mont(&base);
+        let reduced;
+        let base = if *base < self.n {
+            base
+        } else {
+            reduced = base.div_rem(&self.n).1;
+            &reduced
+        };
+        self.mul(t, &self.r2, base.limbs());
+        self.reduce_into(&mut table[..k], t);
 
         // Sparse exponents (RSA's e = 65537 has two set bits) pay more
         // for the 14 window-table multiplies than the table saves; plain
@@ -110,73 +166,85 @@ impl MontgomeryCtx {
         // one multiply per extra set bit.
         let set_bits: u32 = exp.limbs().iter().map(|l| l.count_ones()).sum();
         if set_bits <= 4 {
-            let mut acc = base_m.clone();
+            let base_m = &table[..k];
+            acc.copy_from_slice(base_m);
             for i in (0..exp.bit_len() - 1).rev() {
-                acc = self.mont_sqr(&acc);
+                self.sqr_assign(acc, t);
                 if exp.bit(i) {
-                    acc = self.mont_mul(&acc, &base_m);
+                    self.mul_assign(acc, base_m, t);
                 }
             }
-            return self.redc({
-                let mut t = acc.limbs().to_vec();
-                t.resize(2 * self.k, 0);
-                t
-            });
-        }
-        let one_m = self.one_m.clone();
-
-        // Precompute base^0..base^15 in Montgomery form.
-        let mut table = Vec::with_capacity(16);
-        table.push(one_m.clone());
-        table.push(base_m.clone());
-        for i in 2..16 {
-            let prev: &Ubig = &table[i - 1];
-            table.push(self.mont_mul(prev, &base_m));
+            return (acc, t);
         }
 
-        let bits = exp.bit_len();
-        let windows = bits.div_ceil(4);
-        let mut acc = one_m;
-        let mut started = false;
-        for w in (0..windows).rev() {
-            if started {
-                for _ in 0..4 {
-                    acc = self.mont_sqr(&acc);
-                }
-            }
-            let mut digit = 0usize;
-            for b in 0..4 {
-                let idx = w * 4 + (3 - b);
-                digit <<= 1;
-                if idx < bits && exp.bit(idx) {
-                    digit |= 1;
-                }
-            }
-            if digit != 0 {
-                acc = self.mont_mul(&acc, &table[digit]);
-                started = true;
-            } else if started {
-                // keep acc
-            }
-            if !started && digit == 0 {
-                continue;
-            }
-            started = true;
+        // table[d-1] = base^d for d in 1..=15.
+        for d in 1..TABLE_ENTRIES {
+            let (lower, upper) = table.split_at_mut(d * k);
+            self.mul(t, &lower[(d - 1) * k..], &lower[..k]);
+            self.reduce_into(&mut upper[..k], t);
         }
+        let digit = |w: u32| (exp.limbs()[(w / 16) as usize] >> (w % 16 * 4)) as usize & 0xf;
+        let power = |d: usize| &table[(d - 1) * k..d * k];
+        // The top window holds the top set bit, so its digit is non-zero.
+        let windows = exp.bit_len().div_ceil(4);
+        acc.copy_from_slice(power(digit(windows - 1)));
+        for w in (0..windows - 1).rev() {
+            for _ in 0..4 {
+                self.sqr_assign(acc, t);
+            }
+            if digit(w) != 0 {
+                self.mul_assign(acc, power(digit(w)), t);
+            }
+        }
+        (acc, t)
+    }
+
+    /// `base^exp mod n`.
+    pub fn modpow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
+        let mut ws = self.workspace();
+        let (acc, t) = self.pow_mont(&mut ws, base, exp);
         // Leave Montgomery form: multiply by 1.
-        self.redc({
-            let mut t = acc.limbs().to_vec();
-            t.resize(2 * self.k, 0);
-            t
-        })
+        self.mul_assign(acc, &[1], t);
+        Ubig::from_limbs(acc.to_vec())
+    }
+
+    /// One Miller–Rabin round for `n - 1 = d·2^s` (`d` odd, `s ≥ 1`):
+    /// true iff `a^d ≡ 1` or `a^(d·2^r) ≡ -1 (mod n)` for some `r < s`.
+    /// `x` stays in Montgomery form through the squarings.
+    pub fn is_strong_probable_prime(&self, ws: &mut [u64], a: &Ubig, d: &Ubig, s: u32) -> bool {
+        let (x, t) = self.pow_mont(ws, a, d);
+        if *x == *self.one_m || self.is_minus_one(x) {
+            return true;
+        }
+        for _ in 1..s {
+            self.sqr_assign(x, t);
+            if self.is_minus_one(x) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// `x ≡ -1` for Montgomery-form `x`, i.e. `x + (R mod n) = n`.
+    fn is_minus_one(&self, x: &[u64]) -> bool {
+        let mut carry = 0;
+        for ((&x_j, &one_j), &n_j) in x.iter().zip(&self.one_m).zip(self.n.limbs()) {
+            let (sum, c) = adc(x_j, one_j, carry);
+            if sum != n_j {
+                return false;
+            }
+            carry = c;
+        }
+        carry == 0
     }
 }
 
 /// `-n0^{-1} mod 2^64` via Newton–Hensel iteration (n0 odd).
 fn inv_limb_neg(n0: u64) -> u64 {
     debug_assert!(n0 & 1 == 1);
-    // x := n0^{-1} mod 2^64; five iterations double precision each time.
-    let mut x = n0; // correct mod 2^3 already for odd n0? mod 8: n0*n0 ≡ 1, so x=n0 works mod 8.
+    // n0·n0 ≡ 1 (mod 8) for odd n0, so x = n0 is an inverse to 3 bits;
+    // each of the five iterations doubles the precision.
+    let mut x = n0;
     for _ in 0..5 {
         x = x.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(x)));
     }

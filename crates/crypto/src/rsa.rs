@@ -26,6 +26,24 @@ use std::sync::{Arc, OnceLock};
 /// Public exponent: F4 = 65537.
 const E: u64 = 65537;
 
+/// Smallest modulus [`PublicKey::from_parts`] accepts.
+const MIN_MODULUS_BITS: u32 = 256;
+
+/// Largest modulus [`PublicKey::from_parts`] accepts. Keys arrive in
+/// frames from anyone, and the cost of using one grows with the square
+/// (context) and cube (verify) of its size; exhibits sweep to 2048 bits.
+/// Also the most limbs (64) the Montgomery kernel is ever asked for.
+pub const MAX_MODULUS_BITS: u32 = 4096;
+
+/// Largest public exponent accepted: one limb. Verification costs one
+/// squaring per exponent bit, so an oversized `e` is the oversized-`n`
+/// attack through the other field.
+const MAX_EXPONENT_BITS: u32 = 64;
+
+/// Shortest frame [`emsa_frame`] can build: digest, three framing bytes
+/// and at least eight bytes of padding.
+const MIN_FRAME_LEN: usize = DIGEST_LEN + 11;
+
 /// Errors from RSA operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsaError {
@@ -33,7 +51,8 @@ pub enum RsaError {
     BadSignature,
     /// Signature integer is not smaller than the modulus.
     SignatureOutOfRange,
-    /// Key material is malformed (e.g. modulus too small for the frame).
+    /// Key material is malformed (modulus even, too small for the frame
+    /// or above [`MAX_MODULUS_BITS`]; exponent even or above one limb).
     InvalidKey,
 }
 
@@ -51,17 +70,23 @@ impl std::error::Error for RsaError {}
 
 /// An RSA public key `(n, e)`.
 ///
-/// Cloning is cheap: the Montgomery context for `n` is shared behind an
-/// [`Arc`] so every verification reuses the precomputation.
+/// Cloning is cheap, and clones share what the key memoizes on first
+/// use, so each is computed once per key and not once per call or copy.
 #[derive(Clone)]
 pub struct PublicKey {
     n: Ubig,
     e: Ubig,
-    ctx: Arc<MontgomeryCtx>,
-    /// Memoized `SHA-256(to_bytes())`; shared across clones so the digest
-    /// (and the [`Self::fingerprint`] derived from it) is computed once
-    /// per key, not once per call.
-    digest: Arc<OnceLock<[u8; 32]>>,
+    memo: Arc<KeyMemo>,
+}
+
+#[derive(Default)]
+struct KeyMemo {
+    /// Montgomery context for `n`, built by the first `verify`: most
+    /// decoded keys (duplicate flood copies, verdicts answered from the
+    /// `VerifyCache`) are never verified with.
+    ctx: OnceLock<MontgomeryCtx>,
+    /// `SHA-256(to_bytes())`, from which [`PublicKey::fingerprint`] derives.
+    digest: OnceLock<[u8; 32]>,
 }
 
 impl PartialEq for PublicKey {
@@ -82,16 +107,22 @@ impl fmt::Debug for PublicKey {
 impl PublicKey {
     /// Construct from raw modulus and exponent.
     pub fn from_parts(n: Ubig, e: Ubig) -> Result<Self, RsaError> {
-        if n.is_even() || n.bit_len() < 256 || e.is_zero() || e.is_even() {
+        if n.is_even()
+            || !(MIN_MODULUS_BITS..=MAX_MODULUS_BITS).contains(&n.bit_len())
+            || e.is_even() // 0 counts as even
+            || e.bit_len() > MAX_EXPONENT_BITS
+        {
             return Err(RsaError::InvalidKey);
         }
-        let ctx = Arc::new(MontgomeryCtx::new(&n));
         Ok(PublicKey {
             n,
             e,
-            ctx,
-            digest: Arc::new(OnceLock::new()),
+            memo: Arc::default(),
         })
+    }
+
+    fn ctx(&self) -> &MontgomeryCtx {
+        self.memo.ctx.get_or_init(|| MontgomeryCtx::new(&self.n))
     }
 
     /// The modulus `n`.
@@ -132,7 +163,7 @@ impl PublicKey {
         if sig.0 >= self.n {
             return Err(RsaError::SignatureOutOfRange);
         }
-        let recovered = self.ctx.modpow(&sig.0, &self.e);
+        let recovered = self.ctx().modpow(&sig.0, &self.e);
         let frame = recovered.to_be_bytes_padded(self.modulus_len());
         let expect = emsa_frame(msg, self.modulus_len())?;
         // Constant-time-ish comparison; the simulator is not a side-channel
@@ -152,7 +183,7 @@ impl PublicKey {
     /// immutable, so the digest is a pure function of the key). Also the
     /// key component of [`crate::VerifyKey`].
     pub fn digest(&self) -> &[u8; 32] {
-        self.digest.get_or_init(|| sha256(&self.to_bytes()))
+        self.memo.digest.get_or_init(|| sha256(&self.to_bytes()))
     }
 
     /// A short fingerprint of the key (first 8 digest bytes), used for
@@ -219,10 +250,14 @@ impl fmt::Debug for KeyPair {
 impl KeyPair {
     /// Generate a fresh key pair with a modulus of `bits` bits.
     ///
-    /// `bits` must be ≥ 256 and even. 512-bit keys are the simulator
-    /// default (fast, structurally faithful); benchmarks sweep to 2048.
+    /// `bits` must be even and at least 338, the narrowest modulus that
+    /// holds the signature frame. 512-bit keys are the simulator default
+    /// (fast, structurally faithful); benchmarks sweep to 2048.
     pub fn generate<R: Rng>(bits: u32, rng: &mut R) -> Self {
-        assert!(bits >= 256, "modulus below 256 bits rejected");
+        assert!(
+            (bits as usize).div_ceil(8) >= MIN_FRAME_LEN,
+            "modulus of {bits} bits cannot hold the signature frame"
+        );
         assert!(bits.is_multiple_of(2), "modulus bits must be even");
         let e = Ubig::from(E);
         loop {
@@ -271,14 +306,21 @@ impl KeyPair {
         let s_p = self.ctx_p.modpow(&m, &self.d_p);
         let s_q = self.ctx_q.modpow(&m, &self.d_q);
         // h = qInv * (s_p - s_q) mod p
-        let s_q_mod_p = s_q.div_rem(&self.p).1;
-        let diff = if s_p >= s_q_mod_p {
-            &s_p - &s_q_mod_p
+        let reduced;
+        let s_q_mod_p = if s_q < self.p {
+            &s_q
         } else {
-            &(&s_p + &self.p) - &s_q_mod_p
+            reduced = s_q.div_rem(&self.p).1;
+            &reduced
         };
+        let mut diff = s_p;
+        if diff < *s_q_mod_p {
+            diff += &self.p;
+        }
+        diff -= s_q_mod_p;
         let h = (&self.q_inv * &diff).div_rem(&self.p).1;
-        let s = &s_q + &(&h * &self.q);
+        let mut s = &h * &self.q;
+        s += &s_q;
         let sig = Signature(s);
         // Fault check: a CRT recombination bug would leak the factors in a
         // real deployment; here it guards implementation correctness.
@@ -291,14 +333,13 @@ impl KeyPair {
     pub fn sign_no_crt(&self, msg: &[u8]) -> Signature {
         let frame = emsa_frame(msg, self.public.modulus_len()).expect("key admits frame");
         let m = Ubig::from_be_bytes(&frame);
-        Signature(self.public.ctx.modpow(&m, &self.d))
+        Signature(self.public.ctx().modpow(&m, &self.d))
     }
 }
 
 /// Deterministic digest frame `0x00 0x01 FF… 0x00 digest`, `len` bytes.
 fn emsa_frame(msg: &[u8], len: usize) -> Result<Vec<u8>, RsaError> {
-    // Digest + 3 framing bytes + at least 8 bytes of padding.
-    if len < DIGEST_LEN + 11 {
+    if len < MIN_FRAME_LEN {
         return Err(RsaError::InvalidKey);
     }
     let mut frame = vec![0xFFu8; len];
@@ -411,6 +452,23 @@ mod tests {
     }
 
     #[test]
+    fn from_parts_caps_modulus_and_exponent() {
+        let odd_of = |bits: u32| (Ubig::one() << (bits - 1)) + Ubig::one();
+        let f4 = Ubig::from(E);
+        assert!(PublicKey::from_parts(odd_of(MAX_MODULUS_BITS), f4.clone()).is_ok());
+        assert_eq!(
+            PublicKey::from_parts(odd_of(MAX_MODULUS_BITS + 1), f4),
+            Err(RsaError::InvalidKey)
+        );
+        let n = keypair().public().modulus().clone();
+        assert!(PublicKey::from_parts(n.clone(), Ubig::from(u64::MAX)).is_ok());
+        assert_eq!(
+            PublicKey::from_parts(n, odd_of(MAX_EXPONENT_BITS + 1)),
+            Err(RsaError::InvalidKey)
+        );
+    }
+
+    #[test]
     fn fingerprints_differ_between_keys() {
         let kp1 = keypair();
         let mut r2 = ChaCha12Rng::seed_from_u64(1234);
@@ -455,8 +513,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "below 256 bits")]
+    #[should_panic(expected = "cannot hold the signature frame")]
     fn tiny_keys_rejected() {
-        KeyPair::generate(128, &mut rng());
+        // 42 bytes: one short of the frame `sign` must build.
+        KeyPair::generate(336, &mut rng());
+    }
+
+    #[test]
+    fn smallest_generated_key_signs() {
+        let kp = KeyPair::generate(338, &mut rng());
+        assert!(kp.public().verify(b"m", &kp.sign(b"m")).is_ok());
     }
 }

@@ -2,16 +2,13 @@
 //!
 //! [`Ubig`] stores little-endian `u64` limbs with the invariant that the
 //! highest limb is non-zero (so zero is the empty limb vector). All
-//! arithmetic needed by the RSA layer lives here: ring operations,
-//! Karatsuba multiplication, Knuth Algorithm-D division, and shifts.
+//! arithmetic the RSA layer needs outside exponentiation lives here: ring
+//! operations, Knuth Algorithm-D division, and shifts.
 
 use crate::limb::{self, LIMB_BITS};
 use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Rem, Shl, Shr, Sub, SubAssign};
-
-/// Limb count above which multiplication switches to Karatsuba.
-const KARATSUBA_THRESHOLD: usize = 24;
 
 /// An arbitrary-precision unsigned integer.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
@@ -184,44 +181,6 @@ impl Ubig {
         s
     }
 
-    /// `self * self`, via dedicated squaring (~half the limb products of
-    /// a general multiplication; Karatsuba splitting above the threshold).
-    pub fn square(&self) -> Ubig {
-        Ubig::from_limbs(Self::sqr_impl(&self.limbs))
-    }
-
-    fn sqr_impl(a: &[u64]) -> Vec<u64> {
-        if a.is_empty() {
-            return Vec::new();
-        }
-        let mut out = vec![0u64; 2 * a.len()];
-        if a.len() < KARATSUBA_THRESHOLD {
-            limb::sqr_schoolbook(&mut out, a);
-            return out;
-        }
-        // Karatsuba squaring: (a1·B + a0)² = a1²·B² + 2·a0·a1·B + a0²,
-        // computed as z1 = (a0+a1)² − a0² − a1² to stay in squarings.
-        let split = a.len() / 2;
-        let (a0, a1) = a.split_at(split);
-        let z0 = Self::sqr_impl(a0);
-        let z2 = Self::sqr_impl(a1);
-        let mut a_sum = vec![0u64; a0.len().max(a1.len()) + 1];
-        a_sum[..a0.len()].copy_from_slice(a0);
-        limb::add_assign(&mut a_sum, a1);
-        while a_sum.last() == Some(&0) {
-            a_sum.pop();
-        }
-        let mut z1 = Self::sqr_impl(&a_sum);
-        let bz = limb::sub_assign(&mut z1, &z0);
-        debug_assert_eq!(bz, 0);
-        let bz = limb::sub_assign(&mut z1, &z2);
-        debug_assert_eq!(bz, 0);
-        out[..z0.len()].copy_from_slice(&z0);
-        limb::add_assign(&mut out[split..], &z1);
-        limb::add_assign(&mut out[2 * split..], &z2);
-        out
-    }
-
     /// `(self / rhs, self % rhs)`.
     ///
     /// # Panics
@@ -251,6 +210,14 @@ impl Ubig {
             rem = (cur % d as u128) as u64;
         }
         (Ubig::from_limbs(q), rem)
+    }
+
+    /// `self mod d`, without building the quotient (allocation-free).
+    pub fn rem_limb(&self, d: u64) -> u64 {
+        assert!(d != 0, "division by zero");
+        self.limbs.iter().rev().fold(0, |rem, &w| {
+            ((((rem as u128) << LIMB_BITS) | w as u128) % d as u128) as u64
+        })
     }
 
     /// Knuth Algorithm D (TAOCP 4.3.1) for divisors of ≥ 2 limbs.
@@ -359,58 +326,16 @@ impl Ubig {
         0
     }
 
-    /// Karatsuba-or-schoolbook product into a fresh value.
+    /// Schoolbook product into a fresh value. Exponentiation runs in
+    /// [`crate::modular`]'s in-place kernel, so what multiplies here is
+    /// cold (key assembly, CRT recombination, `invmod`).
     fn mul_impl(a: &[u64], b: &[u64]) -> Vec<u64> {
         if a.is_empty() || b.is_empty() {
             return Vec::new();
         }
         let mut out = vec![0u64; a.len() + b.len()];
-        if a.len().min(b.len()) < KARATSUBA_THRESHOLD {
-            limb::mul_schoolbook(&mut out, a, b);
-        } else {
-            Self::mul_karatsuba(&mut out, a, b);
-        }
+        limb::mul_schoolbook(&mut out, a, b);
         out
-    }
-
-    /// Karatsuba multiplication: `out = a*b`, `out` zeroed on entry.
-    fn mul_karatsuba(out: &mut [u64], a: &[u64], b: &[u64]) {
-        let split = a.len().max(b.len()) / 2;
-        if a.len() <= split || b.len() <= split {
-            // Unbalanced: fall back to schoolbook on this level.
-            limb::mul_schoolbook(out, a, b);
-            return;
-        }
-        let (a0, a1) = a.split_at(split);
-        let (b0, b1) = b.split_at(split);
-
-        // z0 = a0*b0, z2 = a1*b1, z1 = (a0+a1)(b0+b1) - z0 - z2
-        let z0 = Self::mul_impl(a0, b0);
-        let z2 = Self::mul_impl(a1, b1);
-
-        let mut a_sum = vec![0u64; a0.len().max(a1.len()) + 1];
-        a_sum[..a0.len()].copy_from_slice(a0);
-        limb::add_assign(&mut a_sum, a1);
-        let mut b_sum = vec![0u64; b0.len().max(b1.len()) + 1];
-        b_sum[..b0.len()].copy_from_slice(b0);
-        limb::add_assign(&mut b_sum, b1);
-        while a_sum.last() == Some(&0) {
-            a_sum.pop();
-        }
-        while b_sum.last() == Some(&0) {
-            b_sum.pop();
-        }
-        let mut z1 = Self::mul_impl(&a_sum, &b_sum);
-        // z1 -= z0 + z2 (never underflows by construction)
-        let bz = limb::sub_assign(&mut z1, &z0);
-        debug_assert_eq!(bz, 0);
-        let bz = limb::sub_assign(&mut z1, &z2);
-        debug_assert_eq!(bz, 0);
-
-        // out = z0 + z1 << (64*split) + z2 << (64*2*split)
-        out[..z0.len()].copy_from_slice(&z0);
-        limb::add_assign(&mut out[split..], &z1);
-        limb::add_assign(&mut out[2 * split..], &z2);
     }
 }
 
@@ -666,54 +591,6 @@ mod tests {
         let b = 0xfedc_ba98_7654_3210u64;
         let expect = Ubig::from(a as u128 * b as u128);
         assert_eq!(&u(a) * &u(b), expect);
-    }
-
-    #[test]
-    fn karatsuba_agrees_with_schoolbook() {
-        // Build operands big enough to trip the Karatsuba path.
-        let mut a_limbs = Vec::new();
-        let mut b_limbs = Vec::new();
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..(KARATSUBA_THRESHOLD * 3) {
-            x = x.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(1);
-            a_limbs.push(x);
-            x = x.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(1);
-            b_limbs.push(x);
-        }
-        let a = Ubig::from_limbs(a_limbs.clone());
-        let b = Ubig::from_limbs(b_limbs.clone());
-        let mut school = vec![0u64; a_limbs.len() + b_limbs.len()];
-        limb::mul_schoolbook(&mut school, &a_limbs, &b_limbs);
-        assert_eq!(&a * &b, Ubig::from_limbs(school));
-    }
-
-    #[test]
-    fn square_matches_mul_small() {
-        for v in [0u64, 1, 2, 0xffff_ffff, u64::MAX] {
-            let x = u(v);
-            assert_eq!(x.square(), &x * &x, "v={v}");
-        }
-    }
-
-    #[test]
-    fn square_matches_mul_multi_limb_and_karatsuba() {
-        let mut limbs = Vec::new();
-        let mut x = 0x243f_6a88_85a3_08d3u64;
-        for _ in 0..(KARATSUBA_THRESHOLD * 2 + 3) {
-            x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(0xb7e1);
-            limbs.push(x);
-        }
-        // Check across sizes spanning the schoolbook/Karatsuba switch.
-        for n in [
-            1usize,
-            3,
-            KARATSUBA_THRESHOLD - 1,
-            KARATSUBA_THRESHOLD,
-            KARATSUBA_THRESHOLD * 2 + 3,
-        ] {
-            let v = Ubig::from_limbs(limbs[..n].to_vec());
-            assert_eq!(v.square(), &v * &v, "n={n}");
-        }
     }
 
     #[test]

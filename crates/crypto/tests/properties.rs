@@ -55,15 +55,15 @@ proptest! {
     }
 
     #[test]
-    fn square_matches_self_multiplication(a in ubig()) {
-        prop_assert_eq!(a.square(), &a * &a);
-    }
-
-    #[test]
     fn div_rem_invariant(a in ubig(), b in ubig_nonzero()) {
         let (q, r) = a.div_rem(&b);
         prop_assert!(r < b);
         prop_assert_eq!(&(&q * &b) + &r, a);
+    }
+
+    #[test]
+    fn rem_limb_matches_div_rem_limb(a in ubig(), d in 1u64..=u64::MAX) {
+        prop_assert_eq!(a.rem_limb(d), a.div_rem_limb(d).1);
     }
 
     #[test]
@@ -144,9 +144,91 @@ proptest! {
     }
 }
 
+/// Division-based square-and-multiply: shares nothing with the Montgomery
+/// kernel, so it is the reference the kernel is checked against.
+fn naive_modpow(base: &Ubig, exp: &Ubig, n: &Ubig) -> Ubig {
+    let mut result = Ubig::one().div_rem(n).1;
+    let mut b = base.div_rem(n).1;
+    for i in 0..exp.bit_len() {
+        if exp.bit(i) {
+            result = (&result * &b).div_rem(n).1;
+        }
+        b = (&b * &b).div_rem(n).1;
+    }
+    result
+}
+
+/// Strategy: an odd modulus > 1 of exactly 1..=33 limbs (one past the
+/// 2048-bit size the exhibits reach), half of them with the top bit set —
+/// where the kernel's intermediate `t < 2n` needs its carry limb.
+fn odd_modulus() -> impl Strategy<Value = Ubig> {
+    (
+        proptest::collection::vec(any::<u64>(), 1..=33),
+        any::<bool>(),
+    )
+        .prop_map(|(mut limbs, top_bit)| {
+            limbs[0] |= 1;
+            let top = limbs.len() - 1;
+            limbs[top] |= if top_bit { 1 << 63 } else { 2 };
+            Ubig::from_limbs(limbs)
+        })
+}
+
+/// The kernel against the reference for every base shape (`≥ n`, reduced,
+/// `n-1`, 0, 1) and exponents on both sides of the sparse/windowed switch.
+fn assert_kernel_matches_reference(n: &Ubig, wide: &Ubig, dense: &Ubig) {
+    let bases = [
+        wide.clone(),
+        wide.div_rem(n).1,
+        n - &Ubig::one(),
+        Ubig::zero(),
+        Ubig::one(),
+    ];
+    let exps = [
+        Ubig::zero(),
+        Ubig::one(),
+        Ubig::from(2u64),
+        Ubig::from(0b1111u64),  // four set bits: last sparse case
+        Ubig::from(0b11111u64), // five: first windowed case
+        Ubig::from(65537u64),
+        dense.clone(),
+    ];
+    for base in &bases {
+        for exp in &exps {
+            assert_eq!(
+                modpow(base, exp, n),
+                naive_modpow(base, exp, n),
+                "n={n:?} base={base:?} exp={exp:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn kernel_matches_reference_on_extreme_moduli() {
+    let dense = Ubig::from_hex("f00dfeedfacecafebeefdeadc0de1234567").unwrap();
+    for k in 1..=33u32 {
+        // 2^(64k) - 1: every limb all-ones; 2^(64k-1) + 1: top bit only.
+        let all_ones = (Ubig::one() << (64 * k)) - Ubig::one();
+        let top_bit = (Ubig::one() << (64 * k - 1)) + Ubig::one();
+        let wide = (Ubig::one() << (64 * k + 17)) - Ubig::from(3u64);
+        assert_kernel_matches_reference(&all_ones, &wide, &dense);
+        assert_kernel_matches_reference(&top_bit, &wide, &dense);
+    }
+}
+
 proptest! {
     // Heavier cases get fewer iterations.
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn kernel_modpow_matches_division_reference(
+        n in odd_modulus(),
+        wide in proptest::collection::vec(any::<u64>(), 0..40),
+        dense in proptest::collection::vec(any::<u64>(), 1..=4),
+    ) {
+        assert_kernel_matches_reference(&n, &Ubig::from_limbs(wide), &Ubig::from_limbs(dense));
+    }
 
     #[test]
     fn random_below_uniform_support(seed in any::<u64>()) {

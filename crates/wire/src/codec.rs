@@ -912,6 +912,44 @@ mod tests {
     }
 
     #[test]
+    fn oversized_key_material_rejected_without_bignum_work() {
+        // A blob16 admits 65,535 bytes of key. Before the caps such a
+        // modulus cost every receiver a quarter of a second at decode (and
+        // seconds if verified), an oversized exponent the same at verify.
+        let good = proof().pk;
+        let blob = good.to_bytes();
+        let (frame, at) = sample_messages()
+            .iter()
+            .map(Message::encode)
+            .find_map(|f| {
+                let at = f.windows(blob.len()).position(|w| w == blob)?;
+                Some((f, at))
+            })
+            .expect("a sample message carries the proof");
+        let n = good.modulus().to_be_bytes();
+        let f4 = vec![1, 0, 1];
+        let started = std::time::Instant::now();
+        for (n, e) in [
+            (vec![0xff; 65_535 - 4 - f4.len()], f4.clone()),
+            (vec![0xff; 513], f4), // one byte past MAX_MODULUS_BITS
+            (n.clone(), vec![0xff; 65_535 - 4 - n.len()]),
+            (n, vec![1, 0, 0, 0, 0, 0, 0, 0, 1]), // one byte past a limb
+        ] {
+            let mut hostile = frame[..at - 2].to_vec();
+            put_blob16(&mut hostile, &{
+                let mut key = Vec::new();
+                put_blob16(&mut key, &n);
+                put_blob16(&mut key, &e);
+                key
+            });
+            hostile.extend_from_slice(&frame[at + blob.len()..]);
+            assert_eq!(Message::decode(&hostile), Err(CodecError::BadKey));
+        }
+        // Microseconds each when it is only a parse and a bit count.
+        assert!(started.elapsed() < std::time::Duration::from_millis(50));
+    }
+
+    #[test]
     fn bad_domain_name_on_wire_rejected() {
         let dn = DomainName::new("ok.name").unwrap();
         let msg = Message::DnsQuery(DnsQuery {

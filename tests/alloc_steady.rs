@@ -10,18 +10,36 @@
 //! on the per-frame path multiplies the per-packet figure and trips the
 //! bound long before it would show up in S3's peak RSS.
 //!
+//! The secure stack gets a second ratchet: allocations per RSA key
+//! generation, signature and verification, so bignum temporaries cannot
+//! creep back into the Montgomery kernel unnoticed.
+//!
 //! Opt-in (`--features alloc-metrics`) because a counting global
 //! allocator perturbs every other test in the same binary for no
 //! benefit.
 
 #![cfg(feature = "alloc-metrics")]
 
+use manet_crypto::KeyPair;
 use manet_secure::scenario::{Placement, ScenarioBuilder, Workload};
 use manet_sim::mem::{alloc_since, alloc_snapshot, CountingAlloc};
 use manet_sim::SimDuration;
+use rand::SeedableRng;
+use rand_chacha::ChaCha12Rng;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The counter is process-wide and the harness runs tests on parallel
+/// threads: metered sections must not overlap.
+static METER: Mutex<()> = Mutex::new(());
+
+/// Enter a metered section. The mutex guards no data, so a poisoned lock
+/// (the other test failed) must not fail this one too.
+fn metered() -> MutexGuard<'static, ()> {
+    METER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Allocations allowed per delivered payload once the route is cached.
 /// Measured at 58 on the 8-host chain (the steady path still decodes
@@ -31,8 +49,65 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// neighbor table or stats map, which lands in the thousands.
 const MAX_ALLOCS_PER_DELIVERY: u64 = 150;
 
+/// Ceilings per RSA-512 operation, each about twice what the in-place
+/// kernel measures: 1,463 per key, 27 per signature (6 of them the
+/// debug-build fault check's verify), 6 per verification. With `Ubig`
+/// temporaries per Montgomery step the same operations made ≈150k /
+/// ≈2.7k / ≈70 allocations; one stray `Vec` per multiply lands an order
+/// of magnitude over these.
+const MAX_ALLOCS_PER_KEYGEN: u64 = 3_000;
+const MAX_ALLOCS_PER_SIGN: u64 = 54;
+const MAX_ALLOCS_PER_VERIFY: u64 = 12;
+
+#[test]
+fn secure_stack_allocs_per_operation_bound() {
+    let _metered = metered();
+    // Key generation is a random prime search, so its count is an
+    // average over a fixed seed's first keys (exact run to run).
+    const KEYS: u64 = 8;
+    const MESSAGES: u64 = 16;
+    let mut rng = ChaCha12Rng::seed_from_u64(2003);
+
+    let before = alloc_snapshot();
+    let keys: Vec<KeyPair> = (0..KEYS)
+        .map(|_| KeyPair::generate(512, &mut rng))
+        .collect();
+    let per_keygen = alloc_since(&before).count / KEYS;
+
+    let kp = &keys[0];
+    let msg = b"[IIP, seq]ISK - one SRR hop entry";
+    let before = alloc_snapshot();
+    let sigs: Vec<_> = (0..MESSAGES).map(|_| kp.sign(msg)).collect();
+    let per_sign = alloc_since(&before).count / MESSAGES;
+
+    // The first verify also builds the key's lazy Montgomery context;
+    // the ratchet is on the steady figure.
+    assert!(kp.public().verify(msg, &sigs[0]).is_ok());
+    let before = alloc_snapshot();
+    for sig in &sigs {
+        assert!(kp.public().verify(msg, sig).is_ok());
+    }
+    let per_verify = alloc_since(&before).count / MESSAGES;
+
+    eprintln!("allocations: {per_keygen} per keygen, {per_sign} per sign, {per_verify} per verify");
+    assert!(per_keygen > 0, "counting allocator not installed");
+    assert!(
+        per_keygen <= MAX_ALLOCS_PER_KEYGEN,
+        "{per_keygen} allocations per RSA-512 key (bound {MAX_ALLOCS_PER_KEYGEN})"
+    );
+    assert!(
+        per_sign <= MAX_ALLOCS_PER_SIGN,
+        "{per_sign} allocations per signature (bound {MAX_ALLOCS_PER_SIGN})"
+    );
+    assert!(
+        per_verify <= MAX_ALLOCS_PER_VERIFY,
+        "{per_verify} allocations per verification (bound {MAX_ALLOCS_PER_VERIFY})"
+    );
+}
+
 #[test]
 fn steady_state_forwarding_alloc_bound() {
+    let _metered = metered();
     let mut net = ScenarioBuilder::new()
         .hosts(8)
         .placement(Placement::Chain { spacing: 200.0 })
