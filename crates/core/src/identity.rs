@@ -5,9 +5,18 @@ use manet_crypto::{
     backend_for, BackendKind, BatchVerifier, CryptoBackend, KeyPair, Provenance, PublicKey,
     RsaError, Signature, VerifyCache, VerifyKey,
 };
-use manet_wire::{cga, CgaError, IdentityProof, Ipv6Addr};
+use manet_wire::{cga, sigdata, CgaError, IdentityProof, Ipv6Addr, Seq};
 use rand::Rng;
+use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Hop signatures a relay keeps (see [`HostIdentity::prove_srr_hop`]).
+/// Discoveries that are in flight together carry a handful of distinct
+/// sequence numbers — every source counts from 1 — so a few dozen
+/// entries catch the repeats (`secure_routes`: 111 signatures where an
+/// unbounded memo makes 111 and none makes 612), while a flooder
+/// inventing sequence numbers can pin no more than this.
+const HOP_SIG_MEMO_CAP: usize = 32;
 
 /// A host's cryptographic identity and current CGA.
 pub struct HostIdentity {
@@ -18,34 +27,31 @@ pub struct HostIdentity {
     /// identity defaults to the RSA oracle; nodes and the scenario layer
     /// inject the configured backend (see `ProtocolConfig::crypto_backend`).
     backend: Arc<dyn CryptoBackend>,
+    /// `[IIP, seq]ISK` for the current address and backend, oldest
+    /// first; every method that changes either empties it.
+    hop_sigs: VecDeque<(Seq, Signature)>,
 }
 
 impl HostIdentity {
     /// Generate a fresh identity: new key pair, random modifier, CGA.
     pub fn generate<R: Rng>(key_bits: u32, rng: &mut R) -> Self {
         let keypair = KeyPair::generate(key_bits, rng);
-        let rn = rng.gen();
-        let ip = cga::generate(keypair.public(), rn);
-        let backend = backend_for(BackendKind::Rsa);
-        HostIdentity {
-            keypair,
-            rn,
-            ip,
-            backend,
-        }
+        Self::assemble(keypair, rng.gen())
     }
 
     /// Build from an existing key pair (e.g. the DNS server whose public
     /// key was distributed out of band).
     pub fn from_keypair<R: Rng>(keypair: KeyPair, rng: &mut R) -> Self {
-        let rn = rng.gen();
-        let ip = cga::generate(keypair.public(), rn);
-        let backend = backend_for(BackendKind::Rsa);
+        Self::assemble(keypair, rng.gen())
+    }
+
+    fn assemble(keypair: KeyPair, rn: u64) -> Self {
         HostIdentity {
+            ip: cga::generate(keypair.public(), rn),
             keypair,
             rn,
-            ip,
-            backend,
+            backend: backend_for(BackendKind::Rsa),
+            hop_sigs: VecDeque::new(),
         }
     }
 
@@ -54,6 +60,7 @@ impl HostIdentity {
     /// so the address survives a backend swap.
     pub fn set_backend(&mut self, backend: Arc<dyn CryptoBackend>) {
         self.backend = backend;
+        self.hop_sigs.clear();
     }
 
     /// The signature backend this identity signs with.
@@ -79,26 +86,52 @@ impl HostIdentity {
     /// Re-roll the modifier after a collision (Section 3.1: "generate a
     /// new IP address (with a new rn) ... while PK is kept unchanged").
     pub fn reroll<R: Rng>(&mut self, rng: &mut R) -> Ipv6Addr {
-        self.rn = rng.gen();
-        self.ip = cga::generate(self.keypair.public(), self.rn);
-        self.ip
+        self.set_rn(rng.gen())
     }
 
     /// Switch to a specific modifier (IP-change flow, Section 3.2).
     pub fn set_rn(&mut self, rn: u64) -> Ipv6Addr {
         self.rn = rn;
         self.ip = cga::generate(self.keypair.public(), rn);
+        self.hop_sigs.clear();
         self.ip
     }
 
     /// Sign `payload` and attach our key material: the `([…]XSK, XPK,
     /// Xrn)` triple that travels in every secure message.
     pub fn prove(&self, payload: &[u8]) -> IdentityProof {
+        self.attach(self.sign(payload))
+    }
+
+    /// `sig` with our key and modifier beside it.
+    fn attach(&self, sig: Signature) -> IdentityProof {
         IdentityProof {
             pk: self.keypair.public().clone(),
             rn: self.rn,
-            sig: self.backend.sign(&self.keypair, payload),
+            sig,
         }
+    }
+
+    /// A relay's SRR entry proof `([IIP, seq]ISK, IPK, Irn)` (Section
+    /// 3.3), byte for byte what `prove(&sigdata::srr_hop(&ip, seq))`
+    /// returns. The signed bytes name this host's address and the
+    /// sequence number but not the requesting source, and the signature
+    /// is deterministic, so every discovery that shares a `seq` gets the
+    /// same entry from this relay: it is signed once and remembered, up
+    /// to [`HOP_SIG_MEMO_CAP`] sequence numbers, oldest dropped first.
+    pub fn prove_srr_hop(&mut self, seq: Seq) -> IdentityProof {
+        let sig = match self.hop_sigs.iter().find(|(s, _)| *s == seq) {
+            Some((_, sig)) => sig.clone(),
+            None => {
+                let sig = self.sign(&sigdata::srr_hop(&self.ip, seq));
+                if self.hop_sigs.len() == HOP_SIG_MEMO_CAP {
+                    self.hop_sigs.pop_front();
+                }
+                self.hop_sigs.push_back((seq, sig.clone()));
+                sig
+            }
+        };
+        self.attach(sig)
     }
 
     /// Plain signature without the key/rn attachment (for messages
@@ -328,6 +361,46 @@ mod tests {
         let b = id.set_rn(43);
         assert_ne!(a, b);
         assert_eq!(id.set_rn(42), a);
+    }
+
+    #[test]
+    fn hop_proof_is_a_fresh_proof_signed_once_per_seq() {
+        let mut r = rng(11);
+        let mut id = HostIdentity::generate(512, &mut r);
+        let fresh = id.prove(&sigdata::srr_hop(&id.ip(), Seq(7)));
+        let signs = id.backend().signs_executed();
+        assert_eq!(id.prove_srr_hop(Seq(7)), fresh);
+        assert_eq!(id.prove_srr_hop(Seq(7)), fresh);
+        assert_eq!(id.backend().signs_executed(), signs + 1);
+        // The entry belongs to one (address, backend): changing either
+        // signs again, over the new address / in the new scheme.
+        let old_ip = id.ip();
+        id.set_rn(id.rn() + 1);
+        let moved = id.prove_srr_hop(Seq(7));
+        assert_eq!(moved, id.prove(&sigdata::srr_hop(&id.ip(), Seq(7))));
+        assert!(verify_proof(&old_ip, &sigdata::srr_hop(&old_ip, Seq(7)), &moved).is_err());
+        id.set_backend(backend_for(BackendKind::HashSig));
+        assert_ne!(id.prove_srr_hop(Seq(7)).sig, moved.sig);
+    }
+
+    #[test]
+    fn hop_memo_stops_at_its_cap_and_drops_oldest_first() {
+        let mut r = rng(12);
+        let mut id = HostIdentity::generate(512, &mut r);
+        id.set_backend(backend_for(BackendKind::HashSig)); // 10,000 cheap signatures
+        for seq in 1..=10_000 {
+            id.prove_srr_hop(Seq(seq));
+        }
+        assert_eq!(id.hop_sigs.len(), HOP_SIG_MEMO_CAP);
+        assert!(id.hop_sigs.capacity() <= 2 * HOP_SIG_MEMO_CAP);
+        // The newest CAP sequence numbers are remembered, nothing older.
+        let signs = id.backend().signs_executed();
+        for seq in 10_001 - HOP_SIG_MEMO_CAP as u64..=10_000 {
+            id.prove_srr_hop(Seq(seq));
+        }
+        assert_eq!(id.backend().signs_executed(), signs);
+        id.prove_srr_hop(Seq(10_000 - HOP_SIG_MEMO_CAP as u64));
+        assert_eq!(id.backend().signs_executed(), signs + 1);
     }
 
     #[test]

@@ -123,9 +123,7 @@ impl SecureNode {
 
         // Relay: sign and append our identity block to the SRR.
         let mut fwd = rreq;
-        let entry_proof = self
-            .ident
-            .prove(&sigdata::srr_hop(&self.ident.ip(), fwd.seq));
+        let entry_proof = self.ident.prove_srr_hop(fwd.seq);
         fwd.srr.0.push(SrrEntry {
             ip: self.ident.ip(),
             proof: entry_proof,
@@ -591,5 +589,193 @@ impl SecureNode {
         ctx.count("route.rreq_retries", 1);
         self.broadcast_rreq(ctx, dip, new_seq);
         ctx.set_timer(self.cfg.rreq_timeout, TAG_RREQ | new_seq.0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ProtocolConfig;
+    use crate::identity::{verify_proof, HostIdentity};
+    use manet_crypto::BackendKind;
+    use manet_sim::{
+        Engine, EngineConfig, Mobility, NodeId, Pos, Protocol, RadioConfig, SimDuration, SimTime,
+    };
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha12Rng;
+    use std::any::Any;
+
+    /// A neighbour that records what the relay transmits.
+    #[derive(Default)]
+    struct Sink(Vec<Vec<u8>>);
+
+    impl Protocol for Sink {
+        fn on_start(&mut self, _ctx: &mut Ctx) {}
+        fn on_frame(&mut self, _ctx: &mut Ctx, _src: NodeId, bytes: &[u8]) {
+            self.0.push(bytes.to_vec());
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx, _tag: u64) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// One ready relay and one listening neighbour on a lossless link.
+    fn relay_and_sink(seed: u64, crypto_backend: BackendKind) -> (Engine, NodeId, NodeId) {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let dns_pk = manet_crypto::KeyPair::generate(512, &mut rng)
+            .public()
+            .clone();
+        let cfg = ProtocolConfig {
+            crypto_backend,
+            ..ProtocolConfig::default()
+        };
+        let relay = SecureNode::new(cfg, dns_pk, None, &mut rng);
+        let mut engine = Engine::new(EngineConfig {
+            radio: RadioConfig {
+                loss: 0.0,
+                ..RadioConfig::default()
+            },
+            seed,
+            ..EngineConfig::default()
+        });
+        let sink = engine.add_node(
+            Box::<Sink>::default(),
+            Pos::new(100.0, 0.0),
+            Mobility::Static,
+        );
+        let relay = engine.add_node(Box::new(relay), Pos::new(0.0, 0.0), Mobility::Static);
+        // Nobody disputes the address: DAD runs out and the relay is up.
+        engine.run_until(SimTime::ZERO + SimDuration::from_secs(10));
+        assert!(engine.protocol_as::<SecureNode>(relay).is_ready());
+        engine.with_protocol::<Sink, _>(sink, |s, _| s.0.clear());
+        (engine, relay, sink)
+    }
+
+    /// Hand the relay a flooded RREQ `(src, seq)` for some far destination,
+    /// as if `from` had broadcast it.
+    fn flood_rreq(engine: &mut Engine, relay: NodeId, from: NodeId, src: &HostIdentity, seq: Seq) {
+        let sip = src.ip();
+        let rreq = Rreq {
+            sip,
+            dip: Ipv6Addr::from_groups([0xfec0, 0, 0, 0, 9, 9, 9, 9]),
+            seq,
+            srr: manet_wire::SecureRouteRecord::new(),
+            src_proof: src.prove(&sigdata::rreq_src(&sip, seq)),
+        };
+        let bytes = Envelope::broadcast(sip, Message::Rreq(rreq)).encode();
+        engine.with_protocol::<SecureNode, _>(relay, |n, ctx| n.on_frame(ctx, from, &bytes));
+    }
+
+    /// Run until the relay's broadcasts have landed; the SRR entries it
+    /// appended, in transmission order, then forget them.
+    fn relayed_entries(engine: &mut Engine, sink: NodeId) -> Vec<SrrEntry> {
+        let until = engine.now() + SimDuration::from_millis(50);
+        engine.run_until(until);
+        let frames = engine.with_protocol::<Sink, _>(sink, |s, _| std::mem::take(&mut s.0));
+        frames
+            .iter()
+            .map(|f| match Envelope::decode(f).expect("relay frame").msg {
+                Message::Rreq(mut r) => r.srr.0.pop().expect("relay appended an entry"),
+                other => panic!("relay sent {}", other.kind()),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn relay_signs_one_hop_entry_for_two_sources_sharing_a_seq() {
+        let (mut engine, relay, sink) = relay_and_sink(31, BackendKind::Rsa);
+        let mut rng = ChaCha12Rng::seed_from_u64(32);
+        let sources = [
+            HostIdentity::generate(512, &mut rng),
+            HostIdentity::generate(512, &mut rng),
+        ];
+        let signs = |e: &Engine| {
+            e.protocol_as::<SecureNode>(relay)
+                .crypto_backend()
+                .signs_executed()
+        };
+        let before = signs(&engine);
+        for src in &sources {
+            flood_rreq(&mut engine, relay, sink, src, Seq(1));
+        }
+        assert_eq!(signs(&engine) - before, 1, "second source hit the memo");
+
+        let entries = relayed_entries(&mut engine, sink);
+        assert_eq!(entries.len(), 2, "both floods relayed");
+        // The memo is invisible: both entries are the bytes a fresh
+        // signature produces.
+        let node = engine.protocol_as::<SecureNode>(relay);
+        let fresh = SrrEntry {
+            ip: node.ip(),
+            proof: node.ident.prove(&sigdata::srr_hop(&node.ip(), Seq(1))),
+        };
+        assert_eq!(entries[0], fresh);
+        assert_eq!(entries[1], fresh);
+
+        // A different seq is a different signature.
+        flood_rreq(&mut engine, relay, sink, &sources[0], Seq(2));
+        let entries = relayed_entries(&mut engine, sink);
+        assert_ne!(entries[0].proof.sig, fresh.proof.sig);
+    }
+
+    #[test]
+    fn ten_thousand_distinct_seqs_leave_the_relay_remembering_only_the_newest() {
+        let (mut engine, relay, sink) = relay_and_sink(35, BackendKind::HashSig);
+        let mut rng = ChaCha12Rng::seed_from_u64(36);
+        let flooder = HostIdentity::generate(512, &mut rng);
+        let other = HostIdentity::generate(512, &mut rng);
+        for seq in 1..=10_000 {
+            flood_rreq(&mut engine, relay, sink, &flooder, Seq(seq));
+        }
+        assert_eq!(relayed_entries(&mut engine, sink).len(), 10_000);
+        let signs = |e: &Engine| {
+            e.protocol_as::<SecureNode>(relay)
+                .crypto_backend()
+                .signs_executed()
+        };
+        let before = signs(&engine);
+        flood_rreq(&mut engine, relay, sink, &other, Seq(10_000));
+        assert_eq!(signs(&engine), before, "newest seq still remembered");
+        flood_rreq(&mut engine, relay, sink, &other, Seq(1));
+        assert_eq!(signs(&engine), before + 1, "oldest seq was dropped");
+    }
+
+    #[test]
+    fn relayed_entry_names_the_new_address_after_an_address_change() {
+        let (mut engine, relay, sink) = relay_and_sink(33, BackendKind::Rsa);
+        let mut rng = ChaCha12Rng::seed_from_u64(34);
+        let src = HostIdentity::generate(512, &mut rng);
+        flood_rreq(&mut engine, relay, sink, &src, Seq(1));
+        let old = relayed_entries(&mut engine, sink).remove(0);
+
+        // Same seq from another source after each kind of address change:
+        // the entry must be signed afresh over the new address.
+        let changes: [fn(&mut SecureNode, &mut Ctx); 2] = [
+            |n, ctx| {
+                n.ident.reroll(ctx.rng());
+            },
+            |n, _| {
+                n.ident.set_rn(0xF1C2);
+            },
+        ];
+        let mut prev = old;
+        for change in changes {
+            let src = HostIdentity::generate(512, &mut rng);
+            engine.with_protocol::<SecureNode, _>(relay, change);
+            let now_ip = engine.protocol_as::<SecureNode>(relay).ip();
+            assert_ne!(now_ip, prev.ip);
+            flood_rreq(&mut engine, relay, sink, &src, Seq(1));
+            let entry = relayed_entries(&mut engine, sink).remove(0);
+            assert_eq!(entry.ip, now_ip);
+            // What the destination checks for every SRR entry.
+            let payload = sigdata::srr_hop(&entry.ip, Seq(1));
+            assert_eq!(verify_proof(&entry.ip, &payload, &entry.proof), Ok(()));
+            assert!(verify_proof(&prev.ip, &payload, &entry.proof).is_err());
+            prev = entry;
+        }
     }
 }

@@ -27,9 +27,27 @@ use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-/// Below this many unique pending triples a drain verifies serially —
-/// fan-out overhead beats the win on tiny batches.
-const PAR_THRESHOLD: usize = 8;
+/// A drain fans out only when its tick holds at least this much
+/// verification work, in modulus limbs² summed over the unique triples
+/// (a verify is 17 Montgomery multiplies of k² limb products each, so
+/// its cost scales with k²: `crypto.verify_us` 2.5 µs at 8 limbs, 30 µs
+/// at 32, i.e. 30–40 ns per unit). Fanning out spawns one scoped OS
+/// thread per core and joins them, measured at 300–400 µs per drain
+/// (`crypto.batch_unique_tick_us` 370–494 fanned out vs 116 serial for
+/// 32 RSA-512 triples), and on two cores it can save at most half the
+/// serial time: break-even near 700 µs ≈ 18,000 units. So a 32-triple
+/// RSA-512 tick (2,048 units, ≈75 µs) drains serially and sixteen
+/// 2048-bit triples (≈480 µs here, more on a slower host) fan out.
+const PAR_MIN_WORK: usize = 16_384;
+
+/// Does this tick hold enough verification work to pay for the threads?
+fn fans_out(items: &[PendingItem]) -> bool {
+    let work: usize = items
+        .iter()
+        .map(|it| it.pk.modulus().limbs().len().pow(2))
+        .sum();
+    work >= PAR_MIN_WORK
+}
 
 /// A triple waiting for its verdict.
 struct PendingItem {
@@ -150,7 +168,7 @@ impl BatchVerifier {
         self.drains.fetch_add(1, Ordering::Relaxed);
         self.executed
             .fetch_add(items.len() as u64, Ordering::Relaxed); // Relaxed: ditto
-        let verdicts: Vec<(VerifyKey, bool)> = if items.len() >= PAR_THRESHOLD {
+        let verdicts: Vec<(VerifyKey, bool)> = if fans_out(&items) {
             items
                 .par_iter()
                 .map(|it| (it.key, backend.verify(&it.pk, &it.payload, &it.sig)))
@@ -200,6 +218,7 @@ mod tests {
     use super::*;
     use crate::backend::{backend_for, BackendKind};
     use crate::rsa::KeyPair;
+    use crate::uint::Ubig;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
 
@@ -303,12 +322,14 @@ mod tests {
         let backend = backend_for(BackendKind::HashSig);
         let bv = BatchVerifier::new(1024);
         let mut keys = Vec::new();
-        for i in 0..(PAR_THRESHOLD as u8 * 3) {
-            let payload = [i; 4];
+        // Enough 8-limb triples (a good and a corrupted one per payload)
+        // to cross the fan-out gate.
+        let payloads = PAR_MIN_WORK / 64 / 2;
+        for i in 0..payloads as u16 {
+            let payload = i.to_be_bytes();
             let sig = backend.sign(&kp, &payload);
             bv.enqueue(kp.public(), &payload, &sig);
             keys.push((VerifyKey::for_triple(kp.public(), &payload, &sig), true));
-            // And one corrupted sibling per triple.
             let mut bad = sig.to_bytes();
             bad[0] ^= 1;
             let bad = Signature::from_bytes(&bad);
@@ -319,6 +340,36 @@ mod tests {
         for (key, expect) in keys {
             assert_eq!(bv.verdict(&key), Some(expect));
         }
+    }
+
+    /// `count` pending triples under one key of `bits` bits.
+    fn pending(count: usize, bits: u32) -> Vec<PendingItem> {
+        let n = (Ubig::one() << (bits - 1)) + Ubig::one();
+        let pk = PublicKey::from_parts(n, Ubig::from(65537u64)).expect("odd, in range");
+        (0..count)
+            .map(|i| {
+                let payload = i.to_be_bytes().to_vec();
+                let sig = Signature::from_bytes(&[1]);
+                PendingItem {
+                    key: VerifyKey::for_triple(&pk, &payload, &sig),
+                    pk: pk.clone(),
+                    payload,
+                    sig,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fan_out_is_gated_on_work_not_on_count() {
+        // The simulator's default keys: a whole flood tick stays serial.
+        assert!(!fans_out(&pending(32, 512)));
+        // A 2048-bit verify is sixteen times the work: far fewer triples
+        // fill a tick.
+        assert!(!fans_out(&pending(15, 2048)));
+        assert!(fans_out(&pending(16, 2048)));
+        assert!(!fans_out(&pending(255, 512)));
+        assert!(fans_out(&pending(256, 512)));
     }
 
     #[test]

@@ -2,18 +2,83 @@
 //!
 //! RSA and Miller–Rabin spend essentially all of their time in `modpow`,
 //! so that path is one in-place kernel: a Montgomery multiply that
-//! interleaves multiplication and reduction limb by limb and writes into
-//! caller-provided scratch, under a fixed 4-bit window whose table,
-//! accumulator and scratch are carved out of one workspace buffer. The
-//! remaining operations (inverse, plain reduction) are cold and use the
-//! generic [`Ubig`] division.
+//! interleaves multiplication and reduction limb by limb and ends in the
+//! conditional subtract ([`mul_reduce`]), under a fixed 4-bit window
+//! whose table and two alternating accumulators are carved out of one
+//! workspace buffer. The kernel body is compiled twice — over `[u64; 4]`
+//! for the 256-bit primes of an RSA-512 key, over slices for every other
+//! width — and [`MontgomeryCtx::mul`] picks. The remaining operations
+//! (inverse, plain reduction) are cold and use the generic [`Ubig`]
+//! division.
 
-use crate::limb::{self, adc, mac, LIMB_BITS};
+use crate::limb::{adc, mac, sbb, LIMB_BITS};
 use crate::uint::Ubig;
-use core::cmp::Ordering;
 
 /// Window table size: `base^1 ..= base^15`, one per non-zero 4-bit digit.
 const TABLE_ENTRIES: usize = 15;
+
+/// The width the kernel is also compiled at with its loops unrolled and
+/// its limbs in registers: the simulator's default RSA-512 keys make
+/// every Miller–Rabin round of key generation and both CRT halves of
+/// every signature a 4-limb exponentiation. Measured per multiply
+/// (docs/ARCHITECTURE.md has the table): 30 → 17 ns at 4 limbs. Fixing
+/// 8 limbs would gain 18 % there, but only RSA-512 verifies run at that
+/// width (2.5 µs each, under a hundred per benchmark rep); at 16 and 32
+/// limbs it gains under 5 %. So no other width is instantiated.
+const FIXED_LIMBS: usize = 4;
+
+/// The kernel: `out = a·b·R^-1 mod n`, fully reduced, for `k`-limb
+/// operands (`a`, `b` below `n`; `R = 2^(64k)`). Multiplication and
+/// reduction are interleaved limb by limb (CIOS), with the two passes of
+/// each outer step fused into one walk over `out`; the limb above `out`
+/// lives in `top`, so the product needs no scratch, and the final
+/// conditional subtract happens in place. Always inlined: a caller that
+/// passes arrays gets the loops unrolled for that width.
+#[inline(always)]
+fn mul_reduce(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n_prime: u64) {
+    let k = n.len();
+    assert!(out.len() == k && a.len() == k && b.len() == k);
+    out.fill(0);
+    let mut top = 0;
+    for &b_i in b {
+        let (lo, mut c_mul) = mac(a[0], b_i, out[0], 0);
+        // m makes the low limb of out + a·b_i + m·n vanish.
+        let m = lo.wrapping_mul(n_prime);
+        let (zero, mut c_red) = mac(m, n[0], lo, 0);
+        debug_assert_eq!(zero, 0);
+        for j in 1..k {
+            let (lo, hi) = mac(a[j], b_i, out[j], c_mul);
+            c_mul = hi;
+            let (lo, hi) = mac(m, n[j], lo, c_red);
+            c_red = hi;
+            out[j - 1] = lo;
+        }
+        (out[k - 1], top) = adc(top, c_mul, c_red);
+    }
+    // The value is top·R + out < 2n: subtract n once if it is ≥ n. With
+    // `top` set the borrow out of the low k limbs cancels it.
+    let below_n = top == 0 && out.iter().rev().lt(n.iter().rev());
+    if !below_n {
+        let mut borrow = 0;
+        for (o, &n_j) in out.iter_mut().zip(n) {
+            (*o, borrow) = sbb(*o, n_j, borrow);
+        }
+        debug_assert_eq!(borrow, top);
+    }
+}
+
+type Fixed = [u64; FIXED_LIMBS];
+
+/// [`mul_reduce`] with every length a constant: loops unrolled, no
+/// bounds checks, `out` in registers.
+fn mul_reduce_fixed(out: &mut Fixed, a: &Fixed, b: &Fixed, n: &Fixed, n_prime: u64) {
+    mul_reduce(out, a, b, n, n_prime);
+}
+
+/// [`mul_reduce`] at whatever width the modulus has.
+fn mul_reduce_slices(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n_prime: u64) {
+    mul_reduce(out, a, b, n, n_prime);
+}
 
 /// Precomputed state for repeated arithmetic modulo an odd modulus `n`
 /// of `k` limbs. Values in Montgomery form are `k`-limb slices holding
@@ -27,6 +92,17 @@ pub struct MontgomeryCtx {
     r2: Vec<u64>,
     /// `1` in Montgomery form (`R mod n`).
     one_m: Vec<u64>,
+}
+
+/// One exponentiation's buffers, carved out of a [`MontgomeryCtx::workspace`].
+struct Lanes<'w> {
+    /// `base^1 ..= base^15` in Montgomery form, `k` limbs each.
+    table: &'w mut [u64],
+    /// The running value.
+    acc: &'w mut [u64],
+    /// Where the next product is written; then it and `acc` trade places,
+    /// so no multiply copies its result.
+    spare: &'w mut [u64],
 }
 
 impl MontgomeryCtx {
@@ -53,10 +129,10 @@ impl MontgomeryCtx {
             one_m: Vec::new(),
         };
         // R mod n = R^2 · 1 · R^-1.
+        let mut one = vec![0; k];
+        one[0] = 1;
         let mut one_m = vec![0; k];
-        let mut t = vec![0; k + 1];
-        ctx.mul(&mut t, &ctx.r2, &[1]);
-        ctx.reduce_into(&mut one_m, &t);
+        ctx.mul(&mut one_m, &ctx.r2, &one);
         ctx.one_m = one_m;
         ctx
     }
@@ -67,88 +143,62 @@ impl MontgomeryCtx {
     }
 
     /// A zeroed scratch buffer for one exponentiation at a time: window
-    /// table, accumulator and the kernel's `k+1` limbs. `modpow` makes
-    /// one per call; [`Self::is_strong_probable_prime`] takes the
-    /// caller's, so Miller–Rabin reuses one across its rounds.
+    /// table and two accumulators. `modpow` makes one per call;
+    /// [`Self::is_strong_probable_prime`] takes the caller's, so
+    /// Miller–Rabin reuses one across its rounds.
     pub fn workspace(&self) -> Vec<u64> {
         vec![0; self.workspace_len()]
     }
 
     fn workspace_len(&self) -> usize {
-        (TABLE_ENTRIES + 2) * self.n.limbs().len() + 1
+        (TABLE_ENTRIES + 2) * self.n.limbs().len()
     }
 
-    /// The kernel: `t = a·b·R^-1 mod n`, or that plus `n` (`t < 2n`, the
-    /// extra bit in `t[k]`). Multiplication and reduction are interleaved
-    /// limb by limb (CIOS), with the two passes of each outer step fused
-    /// into one walk over `t`. `a` is `k` limbs and reduced; `b` may be
-    /// shorter than `k` limbs (missing high limbs are zero).
-    fn mul(&self, t: &mut [u64], a: &[u64], b: &[u64]) {
+    fn lanes<'w>(&self, ws: &'w mut [u64]) -> Lanes<'w> {
+        let k = self.n.limbs().len();
+        assert_eq!(ws.len(), self.workspace_len(), "foreign workspace");
+        let (table, rest) = ws.split_at_mut(TABLE_ENTRIES * k);
+        let (acc, spare) = rest.split_at_mut(k);
+        Lanes { table, acc, spare }
+    }
+
+    /// `out = a·b·R^-1 mod n` for reduced `k`-limb `a` and `b`, through
+    /// the kernel instantiation for this modulus' width.
+    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
         let n = self.n.limbs();
-        let k = n.len();
-        assert!(a.len() == k && b.len() <= k && t.len() == k + 1);
-        t.fill(0);
-        for i in 0..k {
-            let b_i = b.get(i).copied().unwrap_or(0);
-            let (lo, mut c_mul) = mac(a[0], b_i, t[0], 0);
-            // m makes the low limb of t + a·b_i + m·n vanish.
-            let m = lo.wrapping_mul(self.n_prime);
-            let (zero, mut c_red) = mac(m, n[0], lo, 0);
-            debug_assert_eq!(zero, 0);
-            for j in 1..k {
-                let (lo, hi) = mac(a[j], b_i, t[j], c_mul);
-                c_mul = hi;
-                let (lo, hi) = mac(m, n[j], lo, c_red);
-                c_red = hi;
-                t[j - 1] = lo;
-            }
-            let (lo, hi) = adc(t[k], c_mul, c_red);
-            t[k - 1] = lo;
-            t[k] = hi;
+        if let (Ok(out), Ok(a), Ok(b), Ok(n)) = (
+            <&mut Fixed>::try_from(&mut *out),
+            <&Fixed>::try_from(a),
+            <&Fixed>::try_from(b),
+            <&Fixed>::try_from(n),
+        ) {
+            mul_reduce_fixed(out, a, b, n, self.n_prime);
+        } else {
+            mul_reduce_slices(out, a, b, n, self.n_prime);
         }
     }
 
-    /// The kernel's one conditional subtract: `out = t mod n` for the
-    /// `t < 2n` that [`Self::mul`] leaves.
-    fn reduce_into(&self, out: &mut [u64], t: &[u64]) {
-        let n = self.n.limbs();
-        out.copy_from_slice(&t[..n.len()]);
-        if t[n.len()] != 0 || limb::cmp_same_len(out, n) != Ordering::Less {
-            // With t[k] set the borrow out of the low k limbs cancels it.
-            limb::sub_assign(out, n);
-        }
-    }
-
-    /// `acc = acc·b·R^-1 mod n`.
-    fn mul_assign(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
-        self.mul(t, acc, b);
-        self.reduce_into(acc, t);
+    /// `acc = acc·table[d-1]·R^-1 mod n`, i.e. `acc·base^d`.
+    fn mul_assign(&self, l: &mut Lanes, d: usize) {
+        let k = self.n.limbs().len();
+        self.mul(l.spare, l.acc, &l.table[(d - 1) * k..d * k]);
+        core::mem::swap(&mut l.acc, &mut l.spare);
     }
 
     /// `acc = acc²·R^-1 mod n` — the hot operation of modpow (the ladder
     /// squares every exponent bit but multiplies only on set digits).
-    fn sqr_assign(&self, acc: &mut [u64], t: &mut [u64]) {
-        self.mul(t, acc, acc);
-        self.reduce_into(acc, t);
+    fn sqr_assign(&self, l: &mut Lanes) {
+        self.mul(l.spare, l.acc, l.acc);
+        core::mem::swap(&mut l.acc, &mut l.spare);
     }
 
-    /// `base^exp` in Montgomery form, left in the accumulator of `ws`
-    /// (from [`Self::workspace`]); returns the accumulator and the kernel
-    /// scratch. Fixed 4-bit window, with a square-and-multiply fast path
-    /// for sparse exponents.
-    fn pow_mont<'w>(
-        &self,
-        ws: &'w mut [u64],
-        base: &Ubig,
-        exp: &Ubig,
-    ) -> (&'w mut [u64], &'w mut [u64]) {
+    /// `base^exp` in Montgomery form, left in `l.acc`. Fixed 4-bit
+    /// window, with a square-and-multiply fast path for sparse exponents.
+    fn pow_mont(&self, l: &mut Lanes, base: &Ubig, exp: &Ubig) {
         let k = self.n.limbs().len();
-        assert_eq!(ws.len(), self.workspace_len(), "foreign workspace");
-        let (table, rest) = ws.split_at_mut(TABLE_ENTRIES * k);
-        let (acc, t) = rest.split_at_mut(k);
         if exp.is_zero() {
-            acc.copy_from_slice(&self.one_m);
-            return (acc, t);
+            l.acc.copy_from_slice(&self.one_m);
+            return;
         }
         let reduced;
         let base = if *base < self.n {
@@ -157,8 +207,11 @@ impl MontgomeryCtx {
             reduced = base.div_rem(&self.n).1;
             &reduced
         };
-        self.mul(t, &self.r2, base.limbs());
-        self.reduce_into(&mut table[..k], t);
+        // base in Montgomery form: the starting value and table[0].
+        l.spare.fill(0);
+        l.spare[..base.limbs().len()].copy_from_slice(base.limbs());
+        self.mul(l.acc, &self.r2, l.spare);
+        l.table[..k].copy_from_slice(l.acc);
 
         // Sparse exponents (RSA's e = 65537 has two set bits) pay more
         // for the 14 window-table multiplies than the table saves; plain
@@ -166,59 +219,60 @@ impl MontgomeryCtx {
         // one multiply per extra set bit.
         let set_bits: u32 = exp.limbs().iter().map(|l| l.count_ones()).sum();
         if set_bits <= 4 {
-            let base_m = &table[..k];
-            acc.copy_from_slice(base_m);
             for i in (0..exp.bit_len() - 1).rev() {
-                self.sqr_assign(acc, t);
+                self.sqr_assign(l);
                 if exp.bit(i) {
-                    self.mul_assign(acc, base_m, t);
+                    self.mul_assign(l, 1);
                 }
             }
-            return (acc, t);
+            return;
         }
 
         // table[d-1] = base^d for d in 1..=15.
         for d in 1..TABLE_ENTRIES {
-            let (lower, upper) = table.split_at_mut(d * k);
-            self.mul(t, &lower[(d - 1) * k..], &lower[..k]);
-            self.reduce_into(&mut upper[..k], t);
+            let (lower, upper) = l.table.split_at_mut(d * k);
+            self.mul(&mut upper[..k], &lower[(d - 1) * k..], &lower[..k]);
         }
         let digit = |w: u32| (exp.limbs()[(w / 16) as usize] >> (w % 16 * 4)) as usize & 0xf;
-        let power = |d: usize| &table[(d - 1) * k..d * k];
         // The top window holds the top set bit, so its digit is non-zero.
         let windows = exp.bit_len().div_ceil(4);
-        acc.copy_from_slice(power(digit(windows - 1)));
+        let top = digit(windows - 1);
+        l.acc.copy_from_slice(&l.table[(top - 1) * k..top * k]);
         for w in (0..windows - 1).rev() {
             for _ in 0..4 {
-                self.sqr_assign(acc, t);
+                self.sqr_assign(l);
             }
             if digit(w) != 0 {
-                self.mul_assign(acc, power(digit(w)), t);
+                self.mul_assign(l, digit(w));
             }
         }
-        (acc, t)
     }
 
     /// `base^exp mod n`.
     pub fn modpow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         let mut ws = self.workspace();
-        let (acc, t) = self.pow_mont(&mut ws, base, exp);
+        let mut l = self.lanes(&mut ws);
+        self.pow_mont(&mut l, base, exp);
         // Leave Montgomery form: multiply by 1.
-        self.mul_assign(acc, &[1], t);
-        Ubig::from_limbs(acc.to_vec())
+        let k = self.n.limbs().len();
+        l.table[..k].fill(0);
+        l.table[0] = 1;
+        self.mul_assign(&mut l, 1);
+        Ubig::from_limbs(l.acc.to_vec())
     }
 
     /// One Miller–Rabin round for `n - 1 = d·2^s` (`d` odd, `s ≥ 1`):
     /// true iff `a^d ≡ 1` or `a^(d·2^r) ≡ -1 (mod n)` for some `r < s`.
     /// `x` stays in Montgomery form through the squarings.
     pub fn is_strong_probable_prime(&self, ws: &mut [u64], a: &Ubig, d: &Ubig, s: u32) -> bool {
-        let (x, t) = self.pow_mont(ws, a, d);
-        if *x == *self.one_m || self.is_minus_one(x) {
+        let mut l = self.lanes(ws);
+        self.pow_mont(&mut l, a, d);
+        if *l.acc == *self.one_m || self.is_minus_one(l.acc) {
             return true;
         }
         for _ in 1..s {
-            self.sqr_assign(x, t);
-            if self.is_minus_one(x) {
+            self.sqr_assign(&mut l);
+            if self.is_minus_one(l.acc) {
                 return true;
             }
         }
@@ -420,6 +474,57 @@ mod tests {
                 naive_modpow(&b, &exp, &n),
                 "exp={exp:?}"
             );
+        }
+    }
+
+    #[test]
+    fn fixed_and_slice_instantiations_agree_limb_for_limb() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(4);
+        let mut moduli = vec![
+            [u64::MAX; FIXED_LIMBS], // 2^256 - 1
+            [1, 0, 0, 1 << 63],      // 2^255 + 1
+        ];
+        for _ in 0..32 {
+            let mut n: Fixed = rng.gen();
+            n[0] |= 1;
+            // Top bit set (products reach past 2^256) or clear.
+            n[3] = if rng.gen() {
+                n[3] | 1 << 63
+            } else {
+                n[3] >> 1 | 1
+            };
+            moduli.push(n);
+        }
+        let r = Ubig::one() << (FIXED_LIMBS as u32 * LIMB_BITS);
+        for n in moduli {
+            let n_big = Ubig::from_limbs(n.to_vec());
+            let n_prime = inv_limb_neg(n[0]);
+            let mut n_minus_1 = n;
+            n_minus_1[0] -= 1;
+            let mut operands = vec![[0; FIXED_LIMBS], [1, 0, 0, 0], n_minus_1];
+            for _ in 0..4 {
+                let x = Ubig::from_limbs(rng.gen::<Fixed>().to_vec())
+                    .div_rem(&n_big)
+                    .1;
+                let mut limbs = x.limbs().to_vec();
+                limbs.resize(FIXED_LIMBS, 0);
+                operands.push(limbs.try_into().unwrap());
+            }
+            for a in &operands {
+                for b in &operands {
+                    let mut fixed = [0; FIXED_LIMBS];
+                    mul_reduce_fixed(&mut fixed, a, b, &n, n_prime);
+                    let mut slices = vec![u64::MAX; FIXED_LIMBS];
+                    mul_reduce_slices(&mut slices, a, b, &n, n_prime);
+                    assert_eq!(fixed[..], slices[..], "n={n:x?} a={a:x?} b={b:x?}");
+                    // And both are right: out·R ≡ a·b (mod n), out < n.
+                    let out = Ubig::from_limbs(fixed.to_vec());
+                    let ab = &Ubig::from_limbs(a.to_vec()) * &Ubig::from_limbs(b.to_vec());
+                    assert!(out < n_big);
+                    assert_eq!((&out * &r).div_rem(&n_big).1, ab.div_rem(&n_big).1);
+                }
+            }
         }
     }
 

@@ -21,7 +21,13 @@ const SMALL_PRIMES: [u64; 168] = [
     937, 941, 947, 953, 967, 971, 977, 983, 991, 997,
 ];
 
-/// Miller–Rabin rounds for a <2^-80 error bound on random candidates.
+/// Miller–Rabin rounds. Each round passes a composite with probability
+/// at most 1/4 whatever the composite, so 40 rounds give the worst-case
+/// bound 4^-40 = 2^-80 (for the random candidates `gen_prime` draws the
+/// error is far smaller and fewer rounds would do). The count is pinned
+/// all the same: every round draws its base from the key RNG, so
+/// changing it changes every generated key, and with the keys every
+/// address, golden trace and fingerprint.
 const MR_ROUNDS: usize = 40;
 
 /// Probabilistic primality test.

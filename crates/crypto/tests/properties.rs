@@ -158,12 +158,12 @@ fn naive_modpow(base: &Ubig, exp: &Ubig, n: &Ubig) -> Ubig {
     result
 }
 
-/// Strategy: an odd modulus > 1 of exactly 1..=33 limbs (one past the
-/// 2048-bit size the exhibits reach), half of them with the top bit set —
-/// where the kernel's intermediate `t < 2n` needs its carry limb.
-fn odd_modulus() -> impl Strategy<Value = Ubig> {
+/// Strategy: an odd modulus > 1 of exactly `limbs` limbs, half of them
+/// with the top bit set — where the kernel's intermediate value below
+/// `2n` needs its carry limb.
+fn odd_modulus(limbs: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Ubig> {
     (
-        proptest::collection::vec(any::<u64>(), 1..=33),
+        proptest::collection::vec(any::<u64>(), limbs),
         any::<bool>(),
     )
         .prop_map(|(mut limbs, top_bit)| {
@@ -221,10 +221,24 @@ proptest! {
     // Heavier cases get fewer iterations.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    // 1..=33 limbs: one past the 2048-bit size the exhibits reach.
     #[test]
     fn kernel_modpow_matches_division_reference(
-        n in odd_modulus(),
+        n in odd_modulus(1..=33),
         wide in proptest::collection::vec(any::<u64>(), 0..40),
+        dense in proptest::collection::vec(any::<u64>(), 1..=4),
+    ) {
+        assert_kernel_matches_reference(&n, &Ubig::from_limbs(wide), &Ubig::from_limbs(dense));
+    }
+
+    // Four limbs is the one width with its own instantiation of the
+    // kernel (the primes of an RSA-512 key), and the draw above lands on
+    // it once in 33; `kernel_matches_reference_on_extreme_moduli` adds
+    // 2^256 - 1 and 2^255 + 1.
+    #[test]
+    fn four_limb_kernel_matches_division_reference(
+        n in odd_modulus(4..=4),
+        wide in proptest::collection::vec(any::<u64>(), 0..10),
         dense in proptest::collection::vec(any::<u64>(), 1..=4),
     ) {
         assert_kernel_matches_reference(&n, &Ubig::from_limbs(wide), &Ubig::from_limbs(dense));

@@ -12,7 +12,8 @@
 //!
 //! The secure stack gets a second ratchet: allocations per RSA key
 //! generation, signature and verification, so bignum temporaries cannot
-//! creep back into the Montgomery kernel unnoticed.
+//! creep back into the Montgomery kernel unnoticed, and a third one
+//! covers a relay answering an RREQ from its hop-signature memo.
 //!
 //! Opt-in (`--features alloc-metrics`) because a counting global
 //! allocator perturbs every other test in the same binary for no
@@ -22,8 +23,10 @@
 
 use manet_crypto::KeyPair;
 use manet_secure::scenario::{Placement, ScenarioBuilder, Workload};
+use manet_secure::{Envelope, HostIdentity, SecureNode};
 use manet_sim::mem::{alloc_since, alloc_snapshot, CountingAlloc};
-use manet_sim::SimDuration;
+use manet_sim::{Protocol, SimDuration};
+use manet_wire::{sigdata, Ipv6Addr, Message, Rreq, SecureRouteRecord, Seq};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -58,6 +61,69 @@ const MAX_ALLOCS_PER_DELIVERY: u64 = 150;
 const MAX_ALLOCS_PER_KEYGEN: u64 = 3_000;
 const MAX_ALLOCS_PER_SIGN: u64 = 54;
 const MAX_ALLOCS_PER_VERIFY: u64 = 12;
+
+/// Ceiling per flood crossing a three-host chain on remembered hop
+/// signatures: the middle host relays it, both ends hear that and relay
+/// in turn, the middle host drops those two as duplicates — six decodes,
+/// three SRR entries (key and signature clones), three encodes and the
+/// broadcasts' events. Measured at 256; a signature costs 27 more per
+/// relay, but the assertion that matters is that the backend's sign
+/// counter does not move at all.
+const MAX_ALLOCS_PER_MEMO_HIT_FLOOD: u64 = 400;
+
+#[test]
+fn memo_hit_relays_sign_nothing_and_allocate_little() {
+    let _metered = metered();
+    const FLOODS: u64 = 16;
+    let mut net = ScenarioBuilder::new()
+        .hosts(3)
+        .placement(Placement::Chain { spacing: 200.0 })
+        .seed(19)
+        .secure()
+        .build();
+    assert!(net.bootstrap());
+    let (neighbour, relay) = (net.hosts[0], net.hosts[1]);
+
+    // Floods from sources nobody has heard of, all with seq 1 for an
+    // address nobody owns: every host relays every one.
+    let mut rng = ChaCha12Rng::seed_from_u64(20);
+    let frames: Vec<Vec<u8>> = (0..=FLOODS)
+        .map(|_| {
+            let src = HostIdentity::generate(512, &mut rng);
+            let rreq = Rreq {
+                sip: src.ip(),
+                dip: Ipv6Addr::from_groups([0xfec0, 0, 0, 0, 9, 9, 9, 9]),
+                seq: Seq(1),
+                srr: SecureRouteRecord::new(),
+                src_proof: src.prove(&sigdata::rreq_src(&src.ip(), Seq(1))),
+            };
+            Envelope::broadcast(src.ip(), Message::Rreq(rreq)).encode()
+        })
+        .collect();
+    let backend = net.host(1).crypto_backend().clone();
+    let mut relay_rreq = |frame: &[u8]| {
+        net.engine
+            .with_protocol::<SecureNode, _>(relay, |n, ctx| n.on_frame(ctx, neighbour, frame));
+        let until = net.engine.now() + SimDuration::from_millis(50);
+        net.engine.run_until(until);
+    };
+    // The first one signs at all three hosts (and grows the maps once).
+    relay_rreq(&frames[0]);
+
+    let signs = backend.signs_executed();
+    let before = alloc_snapshot();
+    for frame in &frames[1..] {
+        relay_rreq(frame);
+    }
+    let per_flood = alloc_since(&before).count / FLOODS;
+    eprintln!("memo-hit relays: {per_flood} allocations per flood");
+    assert_eq!(backend.signs_executed(), signs, "memo hits must not sign");
+    assert!(per_flood > 0, "counting allocator not installed");
+    assert!(
+        per_flood <= MAX_ALLOCS_PER_MEMO_HIT_FLOOD,
+        "{per_flood} allocations per memo-hit flood (bound {MAX_ALLOCS_PER_MEMO_HIT_FLOOD})"
+    );
+}
 
 #[test]
 fn secure_stack_allocs_per_operation_bound() {
