@@ -20,9 +20,10 @@
 //! including a re-timed quick S1 grid run so the scale trajectory shows
 //! the node-stack refactor did not tax the hot path.
 
-use crate::jsonscan::{extract_object, read_bool, read_number};
 use crate::table::Table;
+use crate::{number, obj, report_json};
 use manet_crypto::BackendKind;
+use manet_secure::campaign::json::{self, Json, Val};
 use manet_secure::scenario::{Placement, RunReport, ScenarioBuilder, Workload};
 use manet_secure::{attacks, ProtocolConfig};
 use manet_sim::SimDuration;
@@ -292,25 +293,23 @@ fn crypto_json_path() -> String {
 }
 
 /// Pull the grid-cell wall out of an existing BENCH_scale.json's
-/// **`s1` section** (same naive formatting we write it with; no JSON
-/// dependency in the workspace). The recorded run must have the same
-/// `quick` mode as ours — quick and full S1 are different workloads and
-/// their walls must not be compared.
+/// **`s1` section**. The recorded run must have the same `quick` mode
+/// as ours — quick and full S1 are different workloads and their walls
+/// must not be compared.
 fn read_prev_s1_grid_wall(quick: bool) -> Option<f64> {
     let path = std::env::var("BENCH_SCALE_JSON").unwrap_or_else(|_| "BENCH_scale.json".to_string());
     read_prev_s1_grid_wall_from(&path, quick)
 }
 
 fn read_prev_s1_grid_wall_from(path: &str, quick: bool) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    if read_bool(&text, "quick")? != quick {
+    let doc = json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+    if doc.get("quick")?.v != Val::Bool(quick) {
         return None;
     }
-    // Scope the lookup to the s1 section: another section carrying a
-    // "grid" object (or sections serialized in a different order) must
-    // never masquerade as S1's record.
-    let s1 = extract_object(&text, "s1")?;
-    read_number(&extract_object(&s1, "grid")?, "wall_s")
+    // Addressed by key: another section carrying a "grid" object (or
+    // sections serialized in a different order) can never masquerade as
+    // S1's record.
+    number(doc.get("s1")?.get("grid")?, "wall_s")
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -327,78 +326,52 @@ fn write_crypto_json(
     // Each side serializes its flows-phase RunReport verbatim, plus the
     // V1-specific extras (boot wall, per-second crypto rates).
     let run_json = |r: &V1Run| {
-        format!(
-            concat!(
-                "{{\"wall_boot_s\": {:.3}, ",
-                "\"executed_per_sec\": {:.0}, \"demand_per_sec\": {:.0}, ",
-                "\"report\": {}}}"
-            ),
-            r.wall_boot_s,
-            r.report.crypto.executed as f64 / r.report.wall_s.max(1e-9),
-            r.demand() as f64 / r.report.wall_s.max(1e-9),
-            r.report.to_json(),
-        )
-    };
-    let (prev, delta) = match prev_s1 {
-        Some(p) => (format!("{p:.3}"), format!("{:+.3}", s1_wall_s - p)),
-        None => ("null".to_string(), "null".to_string()),
+        let per_sec = |count: u64| Json::num(count as f64 / r.report.wall_s.max(1e-9));
+        obj(vec![
+            ("wall_boot_s", Json::num(r.wall_boot_s)),
+            ("executed_per_sec", per_sec(r.report.crypto.executed)),
+            ("demand_per_sec", per_sec(r.demand())),
+            ("report", report_json(&r.report)),
+        ])
     };
     // One entry per signature backend: engine throughput, the backend's
     // actual execution counters, and how hard the batch drain amortized.
-    let backends_json = backends
-        .iter()
-        .map(|(kind, r)| {
-            format!(
-                concat!(
-                    "    \"{}\": {{\"events_per_sec_engine\": {:.0}, ",
-                    "\"wall_boot_s\": {:.3}, \"flows_wall_s\": {:.3}, ",
-                    "\"verifies_executed\": {}, \"signs_executed\": {}, ",
-                    "\"batch\": {{\"requests\": {}, \"executed\": {}, ",
-                    "\"amortization_ratio\": {:.3}}}}}"
-                ),
-                kind.name(),
-                r.report.events_per_sec_engine,
-                r.wall_boot_s,
-                r.report.wall_s,
-                r.backend_verifies,
-                r.backend_signs,
-                r.batch_requests,
-                r.batch_executed,
-                r.amortization(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"exhibit\": \"v1\",\n",
-            "  \"quick\": {},\n",
-            "  \"verify_demand\": {},\n",
-            "  \"cache_hit_rate\": {:.4},\n",
-            "  \"cached\": {},\n",
-            "  \"cache_on\": {},\n",
-            "  \"cache_off\": {},\n",
-            "  \"backends\": {{\n{}\n  }},\n",
-            "  \"null_over_rsa_engine_rate\": {:.3},\n",
-            "  \"s1_grid_wall_s\": {:.3},\n",
-            "  \"s1_grid_wall_prev_s\": {},\n",
-            "  \"s1_grid_wall_delta_s\": {}\n",
-            "}}\n"
-        ),
-        quick,
-        on.demand(),
-        hit_rate,
-        on.report.crypto.cached,
-        run_json(on),
-        run_json(off),
-        backends_json,
-        null_over_rsa,
-        s1_wall_s,
-        prev,
-        delta,
-    );
-    std::fs::write(crypto_json_path(), json)
+    let backend_json = |(kind, r): &(BackendKind, V1Run)| {
+        let batch = vec![
+            ("requests", Json::num(r.batch_requests as f64)),
+            ("executed", Json::num(r.batch_executed as f64)),
+            ("amortization_ratio", Json::num(r.amortization())),
+        ];
+        let entry = vec![
+            (
+                "events_per_sec_engine",
+                Json::num(r.report.events_per_sec_engine),
+            ),
+            ("wall_boot_s", Json::num(r.wall_boot_s)),
+            ("flows_wall_s", Json::num(r.report.wall_s)),
+            ("verifies_executed", Json::num(r.backend_verifies as f64)),
+            ("signs_executed", Json::num(r.backend_signs as f64)),
+            ("batch", obj(batch)),
+        ];
+        (kind.name(), obj(entry))
+    };
+    // A missing previous S1 record leaves both cells null.
+    let prev = prev_s1.unwrap_or(f64::NAN);
+    let doc = obj(vec![
+        ("exhibit", Json::str("v1")),
+        ("quick", Json::bool(quick)),
+        ("verify_demand", Json::num(on.demand() as f64)),
+        ("cache_hit_rate", Json::num(hit_rate)),
+        ("cached", Json::num(on.report.crypto.cached as f64)),
+        ("cache_on", run_json(on)),
+        ("cache_off", run_json(off)),
+        ("backends", obj(backends.iter().map(backend_json).collect())),
+        ("null_over_rsa_engine_rate", Json::num(null_over_rsa)),
+        ("s1_grid_wall_s", Json::num(s1_wall_s)),
+        ("s1_grid_wall_prev_s", Json::num(prev)),
+        ("s1_grid_wall_delta_s", Json::num(s1_wall_s - prev)),
+    ]);
+    std::fs::write(crypto_json_path(), json::canonical(&doc))
 }
 
 #[cfg(test)]

@@ -25,11 +25,37 @@
 
 pub mod crypto_exhibits;
 pub mod eval_exhibits;
-pub(crate) mod jsonscan;
 pub mod perf_gate;
 pub mod protocol_exhibits;
 pub mod scale_exhibits;
 pub mod table;
+
+use manet_secure::campaign::json::{self, Json, Val};
+use manet_secure::scenario::RunReport;
+
+/// A JSON object from `(key, value)` pairs: what the `BENCH_*.json` and
+/// baseline writers build and render with [`json::canonical`].
+pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
+    let owned = members.into_iter().map(|(k, v)| (k.to_string(), v));
+    Json::obj(owned.collect())
+}
+
+/// A report as a JSON value: its own [`RunReport::to_json`] text, which
+/// fixes the precision of every field, parsed back.
+pub(crate) fn report_json(r: &RunReport) -> Json {
+    json::parse(&r.to_json()).expect("RunReport::to_json emits valid JSON")
+}
+
+/// The number under `key`. A `null` (how the writers spell NaN and
+/// infinity, which JSON cannot represent) reads back as `Some(NaN)` —
+/// present but not finite — distinct from `None` for a missing key.
+pub(crate) fn number(doc: &Json, key: &str) -> Option<f64> {
+    match doc.get(key)?.v {
+        Val::Num(n) => Some(n),
+        Val::Null => Some(f64::NAN),
+        _ => None,
+    }
+}
 
 /// All exhibit IDs in presentation order.
 pub const EXHIBITS: &[&str] = &[

@@ -28,9 +28,10 @@
 //! `tables -- --write-baseline` regenerates the baseline file from
 //! fresh runs on the current machine.
 
-use crate::jsonscan::read_number;
 use crate::scale_exhibits::{run_s2_plain, run_s2_secure_scale, run_s3, s1_quick_report};
 use crate::table::Table;
+use crate::{number, obj};
+use manet_secure::campaign::json::{self, Json};
 
 pub const DEFAULT_BASELINE_PATH: &str = "bench/baselines/BENCH_scale.baseline.json";
 const DEFAULT_TOLERANCE: f64 = 0.25;
@@ -115,18 +116,19 @@ pub fn check(path: &str) -> (String, bool) {
             false,
         );
     };
+    let doc = json::parse(&text).unwrap_or(Json::null());
     let (Some(base_s1), Some(base_s1_sharded), Some(base_s2), Some(base_s2_secure), Some(base_s3)) = (
-        read_number(&text, "s1_events_per_sec_engine"),
-        read_number(&text, "s1_sharded_events_per_sec_engine"),
-        read_number(&text, "s2_events_per_sec_engine"),
-        read_number(&text, "s2_secure_events_per_sec_engine"),
-        read_number(&text, "s3_events_per_sec_engine"),
+        number(&doc, "s1_events_per_sec_engine"),
+        number(&doc, "s1_sharded_events_per_sec_engine"),
+        number(&doc, "s2_events_per_sec_engine"),
+        number(&doc, "s2_secure_events_per_sec_engine"),
+        number(&doc, "s3_events_per_sec_engine"),
     ) else {
         return (format!("perf gate: baseline at {path} is malformed"), false);
     };
     // `null` (baseline written off-Linux) reads back as NaN: present
     // but unusable, so the RSS row is skipped rather than failed.
-    let base_s3_rss = read_number(&text, "s3_peak_rss_bytes");
+    let base_s3_rss = number(&doc, "s3_peak_rss_bytes");
     let fresh = fresh_cells();
 
     let mut pass = true;
@@ -199,30 +201,34 @@ pub fn write_baseline(path: &str) -> std::io::Result<String> {
     if let Some(dir) = std::path::Path::new(path).parent() {
         std::fs::create_dir_all(dir)?;
     }
-    let rss = fresh
-        .s3_peak_rss
-        .map_or_else(|| "null".to_string(), |u| u.to_string());
-    let body = format!(
-        concat!(
-            "{{\n",
-            "  \"comment\": \"engine events/sec + S3 peak-RSS baselines for `tables -- --check-perf` (quick-mode S1 grid single+sharded, S2 plain, S2 secure batched, S3 streaming cells; regenerate with `tables -- --write-baseline` when the hot path or memory layout legitimately changes, or CI hardware does)\",\n",
-            "  \"quick\": true,\n",
-            "  \"s1_events_per_sec_engine\": {:.0},\n",
-            "  \"s1_sharded_events_per_sec_engine\": {:.0},\n",
-            "  \"s2_events_per_sec_engine\": {:.0},\n",
-            "  \"s2_secure_events_per_sec_engine\": {:.0},\n",
-            "  \"s3_events_per_sec_engine\": {:.0},\n",
-            "  \"s3_peak_rss_bytes\": {}\n",
-            "}}\n"
+    let rate = |v: f64| Json::num(v.round());
+    let rss = fresh.s3_peak_rss;
+    let body = json::canonical(&obj(vec![
+        ("comment", Json::str(BASELINE_COMMENT)),
+        ("quick", Json::bool(true)),
+        ("s1_events_per_sec_engine", rate(fresh.s1)),
+        ("s1_sharded_events_per_sec_engine", rate(fresh.s1_sharded)),
+        ("s2_events_per_sec_engine", rate(fresh.s2)),
+        ("s2_secure_events_per_sec_engine", rate(fresh.s2_secure)),
+        ("s3_events_per_sec_engine", rate(fresh.s3)),
+        (
+            "s3_peak_rss_bytes",
+            rss.map_or(Json::null(), |b| Json::num(b as f64)),
         ),
-        fresh.s1, fresh.s1_sharded, fresh.s2, fresh.s2_secure, fresh.s3, rss
-    );
+    ]));
     std::fs::write(path, &body)?;
     Ok(format!(
-        "wrote {path}: s1 {:.0} ev/s, s1 sharded {:.0} ev/s, s2 {:.0} ev/s, s2 secure {:.0} ev/s, s3 {:.0} ev/s, s3 peak rss {rss} B",
-        fresh.s1, fresh.s1_sharded, fresh.s2, fresh.s2_secure, fresh.s3
+        "wrote {path}: s1 {:.0} ev/s, s1 sharded {:.0} ev/s, s2 {:.0} ev/s, s2 secure {:.0} ev/s, s3 {:.0} ev/s, s3 peak rss {} B",
+        fresh.s1,
+        fresh.s1_sharded,
+        fresh.s2,
+        fresh.s2_secure,
+        fresh.s3,
+        rss.map_or_else(|| "null".to_string(), |b| b.to_string()),
     ))
 }
+
+const BASELINE_COMMENT: &str = "engine events/sec + S3 peak-RSS baselines for `tables -- --check-perf` (quick-mode S1 grid single+sharded, S2 plain, S2 secure batched, S3 streaming cells; regenerate with `tables -- --write-baseline` when the hot path or memory layout legitimately changes, or CI hardware does)";
 
 #[cfg(test)]
 mod tests {
@@ -231,35 +237,37 @@ mod tests {
     #[test]
     fn baseline_numbers_parse_from_our_own_format() {
         let text = "{\n  \"comment\": \"x\",\n  \"quick\": true,\n  \"s1_events_per_sec_engine\": 2500000,\n  \"s1_sharded_events_per_sec_engine\": 2400000,\n  \"s2_events_per_sec_engine\": 1400000,\n  \"s2_secure_events_per_sec_engine\": 450000,\n  \"s3_events_per_sec_engine\": 1300000,\n  \"s3_peak_rss_bytes\": 900000000\n}\n";
-        assert_eq!(
-            read_number(text, "s1_events_per_sec_engine"),
-            Some(2_500_000.0)
+        let doc = json::parse(text).unwrap();
+        for (key, value) in [
+            ("s1_events_per_sec_engine", 2_500_000.0),
+            ("s1_sharded_events_per_sec_engine", 2_400_000.0),
+            ("s2_events_per_sec_engine", 1_400_000.0),
+            ("s2_secure_events_per_sec_engine", 450_000.0),
+            ("s3_events_per_sec_engine", 1_300_000.0),
+            ("s3_peak_rss_bytes", 900_000_000.0),
+        ] {
+            assert_eq!(number(&doc, key), Some(value), "{key}");
+        }
+    }
+
+    #[test]
+    fn committed_baseline_loads() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../",
+            "bench/baselines/BENCH_scale.baseline.json"
         );
-        assert_eq!(
-            read_number(text, "s1_sharded_events_per_sec_engine"),
-            Some(2_400_000.0)
-        );
-        assert_eq!(
-            read_number(text, "s2_events_per_sec_engine"),
-            Some(1_400_000.0)
-        );
-        assert_eq!(
-            read_number(text, "s2_secure_events_per_sec_engine"),
-            Some(450_000.0)
-        );
-        assert_eq!(
-            read_number(text, "s3_events_per_sec_engine"),
-            Some(1_300_000.0)
-        );
-        assert_eq!(read_number(text, "s3_peak_rss_bytes"), Some(900_000_000.0));
+        let doc = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert!(number(&doc, "s3_events_per_sec_engine").is_some_and(|v| v > 0.0));
+        assert!(number(&doc, "s3_peak_rss_bytes").is_some());
     }
 
     #[test]
     fn null_rss_baseline_reads_as_nan_and_skips_the_memory_cell() {
         // An off-Linux `--write-baseline` spells the RSS cell null; the
         // gate must treat it as absent, not compare against NaN.
-        let text = "{\"s3_peak_rss_bytes\": null}";
-        let v = read_number(text, "s3_peak_rss_bytes").expect("present");
+        let doc = json::parse("{\"s3_peak_rss_bytes\": null}").unwrap();
+        let v = number(&doc, "s3_peak_rss_bytes").expect("present");
         assert!(v.is_nan());
         assert_eq!(v.is_finite().then_some(v), None, "NaN must filter out");
     }

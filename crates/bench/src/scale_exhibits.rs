@@ -31,8 +31,9 @@
 //! --check-perf` compares the engine events/sec numbers (and S3's peak
 //! RSS) against the committed baseline in `bench/baselines/`.
 
-use crate::jsonscan::{extract_object, read_bool};
 use crate::table::Table;
+use crate::{obj, report_json};
+use manet_secure::campaign::json::{self, Json, Val};
 use manet_secure::scenario::{scale_family, Placement, RunReport, ScenarioBuilder, Workload};
 use manet_secure::ProtocolConfig;
 use manet_sim::{ChannelMode, ExecMode, QueueImpl, SimDuration, SimTime};
@@ -342,7 +343,7 @@ pub fn exhibit_s1(quick: bool) -> String {
     ));
 
     let section = s1_section_json(n, &grid, &linear, &sharded, ratio);
-    match write_scale_section(&scale_json_path(), "s1", &section, quick) {
+    match write_scale_section(&scale_json_path(), "s1", section, quick) {
         Err(e) => t.note(format!("BENCH_scale.json not written: {e}")),
         Ok(()) => t.note(format!("wrote {} (s1 section)", scale_json_path())),
     };
@@ -486,7 +487,7 @@ pub fn exhibit_s2(quick: bool) -> String {
         &sec_inline,
         n_scale,
     );
-    match write_scale_section(&scale_json_path(), "s2", &section, quick) {
+    match write_scale_section(&scale_json_path(), "s2", section, quick) {
         Err(e) => t.note(format!("BENCH_scale.json not written: {e}")),
         Ok(()) => t.note(format!("wrote {} (s2 section)", scale_json_path())),
     };
@@ -560,7 +561,7 @@ pub fn exhibit_s3(quick: bool) -> String {
     ));
 
     let section = s3_section_json(n, &single, &sharded);
-    match write_scale_section(&scale_json_path(), "s3", &section, quick) {
+    match write_scale_section(&scale_json_path(), "s3", section, quick) {
         Err(e) => t.note(format!("BENCH_scale.json not written: {e}")),
         Ok(()) => t.note(format!("wrote {} (s3 section)", scale_json_path())),
     };
@@ -577,41 +578,31 @@ fn s1_section_json(
     linear: &RunReport,
     sharded: &RunReport,
     ratio: f64,
-) -> String {
+) -> Json {
     // Crypto counters of the grid run: total verification demand and the
-    // cache hit rate (null until the scale family runs secure nodes).
+    // cache hit rate (0/0 = NaN, rendered as null, until the scale family
+    // runs secure nodes).
     let demand = grid.crypto.demand();
-    let hit_rate = if demand > 0 {
-        format!("{:.4}", grid.crypto.cached as f64 / demand as f64)
-    } else {
-        "null".to_string()
-    };
-    format!(
-        concat!(
-            "{{\n",
-            "    \"n_hosts\": {},\n",
-            "    \"sim_secs\": {:.1},\n",
-            "    \"delivery_ratio\": {:.4},\n",
-            "    \"mean_degree\": {:.2},\n",
-            "    \"grid\": {},\n",
-            "    \"linear\": {},\n",
-            "    \"sharded\": {},\n",
-            "    \"linear_over_grid_wall_ratio\": {:.3},\n",
-            "    \"crypto\": {{\"total_verifications\": {}, \"cached\": {}, \"cache_hit_rate\": {}}}\n",
-            "  }}"
+    let hit_rate = grid.crypto.cached as f64 / demand as f64;
+    let crypto = vec![
+        ("total_verifications", Json::num(demand as f64)),
+        ("cached", Json::num(grid.crypto.cached as f64)),
+        ("cache_hit_rate", Json::num(hit_rate)),
+    ];
+    obj(vec![
+        ("n_hosts", Json::num(n as f64)),
+        ("sim_secs", Json::num(grid.sim_s)),
+        ("delivery_ratio", Json::num(grid.delivery_or_nan())),
+        (
+            "mean_degree",
+            Json::num(grid.mean_degree.unwrap_or(f64::NAN)),
         ),
-        n,
-        grid.sim_s,
-        grid.delivery_or_nan(),
-        grid.mean_degree.unwrap_or(f64::NAN),
-        grid.to_json(),
-        linear.to_json(),
-        sharded.to_json(),
-        ratio,
-        demand,
-        grid.crypto.cached,
-        hit_rate,
-    )
+        ("grid", report_json(grid)),
+        ("linear", report_json(linear)),
+        ("sharded", report_json(sharded)),
+        ("linear_over_grid_wall_ratio", Json::num(ratio)),
+        ("crypto", obj(crypto)),
+    ])
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -625,97 +616,72 @@ fn s2_section_json(
     sec_batched: &SecureScaleRun,
     sec_inline: &SecureScaleRun,
     n_scale: usize,
-) -> String {
+) -> Json {
     let amortization =
         sec_batched.batch_requests as f64 / (sec_batched.batch_executed.max(1)) as f64;
-    format!(
-        concat!(
-            "{{\n",
-            "    \"n_hosts\": {},\n",
-            "    \"plain\": {},\n",
-            "    \"plain_sharded\": {},\n",
-            "    \"secure_hosts\": {},\n",
-            "    \"secure\": {},\n",
-            "    \"secure_heap\": {},\n",
-            "    \"heap_over_wheel_wall_ratio\": {:.3},\n",
-            "    \"secure_scale_hosts\": {},\n",
-            "    \"secure_scale\": {},\n",
-            "    \"secure_scale_inline\": {},\n",
-            "    \"batch\": {{\"requests\": {}, \"executed\": {}, \"amortization_ratio\": {:.3}}}\n",
-            "  }}"
-        ),
-        S2_HOSTS,
-        plain.to_json(),
-        plain_sharded.to_json(),
-        n_sec,
-        sec_wheel.to_json(),
-        sec_heap.to_json(),
-        heap_over_wheel,
-        n_scale,
-        sec_batched.report.to_json(),
-        sec_inline.report.to_json(),
-        sec_batched.batch_requests,
-        sec_batched.batch_executed,
-        amortization,
-    )
+    let batch = vec![
+        ("requests", Json::num(sec_batched.batch_requests as f64)),
+        ("executed", Json::num(sec_batched.batch_executed as f64)),
+        ("amortization_ratio", Json::num(amortization)),
+    ];
+    obj(vec![
+        ("n_hosts", Json::num(S2_HOSTS as f64)),
+        ("plain", report_json(plain)),
+        ("plain_sharded", report_json(plain_sharded)),
+        ("secure_hosts", Json::num(n_sec as f64)),
+        ("secure", report_json(sec_wheel)),
+        ("secure_heap", report_json(sec_heap)),
+        ("heap_over_wheel_wall_ratio", Json::num(heap_over_wheel)),
+        ("secure_scale_hosts", Json::num(n_scale as f64)),
+        ("secure_scale", report_json(&sec_batched.report)),
+        ("secure_scale_inline", report_json(&sec_inline.report)),
+        ("batch", obj(batch)),
+    ])
 }
 
-fn s3_section_json(n: usize, single: &RunReport, sharded: &RunReport) -> String {
+fn s3_section_json(n: usize, single: &RunReport, sharded: &RunReport) -> Json {
     // Section-level peak RSS: the later (sharded) sample is the
     // process max over both cells — the number the perf gate tracks.
-    let rss = sharded
-        .peak_rss_bytes
-        .or(single.peak_rss_bytes)
-        .map_or_else(|| "null".to_string(), |u| u.to_string());
-    format!(
-        concat!(
-            "{{\n",
-            "    \"n_hosts\": {},\n",
-            "    \"per_node_stats\": false,\n",
-            "    \"single\": {},\n",
-            "    \"sharded\": {},\n",
-            "    \"peak_rss_bytes\": {}\n",
-            "  }}"
+    let rss = sharded.peak_rss_bytes.or(single.peak_rss_bytes);
+    obj(vec![
+        ("n_hosts", Json::num(n as f64)),
+        ("per_node_stats", Json::bool(false)),
+        ("single", report_json(single)),
+        ("sharded", report_json(sharded)),
+        (
+            "peak_rss_bytes",
+            rss.map_or(Json::null(), |b| Json::num(b as f64)),
         ),
-        n,
-        single.to_json(),
-        sharded.to_json(),
-        rss,
-    )
+    ])
 }
 
-/// Every section key of `BENCH_scale.json`, in serialization order.
-/// Readers address sections by key (the V1 exhibit extracts the `s1`
-/// object, then its `grid`), so the order is presentation, not contract.
+/// Every section key of `BENCH_scale.json`. Readers address sections by
+/// key (the V1 exhibit reads `s1.grid.wall_s`).
 const SCALE_KEYS: [&str; 3] = ["s1", "s2", "s3"];
 
 /// Write one exhibit's section into the scale JSON at `path`,
 /// preserving the other exhibits' last records when they were produced
 /// in the same mode (quick and full are different workloads; their
 /// numbers must not cohabit one file).
-fn write_scale_section(path: &str, key: &str, section: &str, quick: bool) -> std::io::Result<()> {
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let same_mode = read_bool(&existing, "quick") == Some(quick);
-    let mut body = format!("{{\n  \"quick\": {quick}");
+fn write_scale_section(path: &str, key: &str, section: Json, quick: bool) -> std::io::Result<()> {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    let existing = json::parse(&text).unwrap_or(Json::null());
+    let same_mode = existing.get("quick").map(|q| &q.v) == Some(&Val::Bool(quick));
+    let mut members = vec![("quick", Json::bool(quick))];
     for k in SCALE_KEYS {
-        let v = if k == key {
-            Some(section.to_string())
-        } else if same_mode {
-            extract_object(&existing, k)
-        } else {
-            None
-        };
-        if let Some(v) = v {
-            body.push_str(&format!(",\n  \"{k}\": {v}"));
+        if k == key {
+            members.push((k, section.clone()));
+        } else if let Some(kept) = existing.get(k).filter(|_| same_mode) {
+            members.push((k, kept.clone()));
         }
     }
-    body.push_str("\n}\n");
-    std::fs::write(path, body)
+    std::fs::write(path, json::canonical(&obj(members)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::number;
     use manet_secure::scenario::field_for_density;
     use manet_sim::RadioConfig;
 
@@ -739,15 +705,18 @@ mod tests {
         let _ = std::fs::remove_file(&pathbuf);
         let path = pathbuf.to_str().unwrap();
 
-        write_scale_section(path, "s1", "{\"v\": 1}", true).unwrap();
-        write_scale_section(path, "s2", "{\"w\": 2}", true).unwrap();
-        write_scale_section(path, "s3", "{\"m\": 7}", true).unwrap();
+        let section = |text: &str| json::parse(text).unwrap();
+        let read = || json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        write_scale_section(path, "s1", section("{\"v\": 1}"), true).unwrap();
+        write_scale_section(path, "s2", section("{\"w\": 2}"), true).unwrap();
+        write_scale_section(path, "s3", section("{\"m\": 7}"), true).unwrap();
         // Re-writing s1 must keep the s2 and s3 records.
-        write_scale_section(path, "s1", "{\"v\": 3}", true).unwrap();
+        write_scale_section(path, "s1", section("{\"v\": 3}"), true).unwrap();
+        let doc = read();
+        assert_eq!(number(doc.get("s1").unwrap(), "v"), Some(3.0));
+        assert_eq!(number(doc.get("s2").unwrap(), "w"), Some(2.0));
+        assert_eq!(number(doc.get("s3").unwrap(), "m"), Some(7.0));
         let text = std::fs::read_to_string(path).unwrap();
-        assert_eq!(extract_object(&text, "s1").as_deref(), Some("{\"v\": 3}"));
-        assert_eq!(extract_object(&text, "s2").as_deref(), Some("{\"w\": 2}"));
-        assert_eq!(extract_object(&text, "s3").as_deref(), Some("{\"m\": 7}"));
         let s1_at = text.find("\"s1\"").unwrap();
         let s2_at = text.find("\"s2\"").unwrap();
         let s3_at = text.find("\"s3\"").unwrap();
@@ -757,18 +726,16 @@ mod tests {
         );
 
         // A mode switch drops the stale other-mode sections.
-        write_scale_section(path, "s2", "{\"w\": 9}", false).unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        assert_eq!(extract_object(&text, "s1"), None);
-        assert_eq!(extract_object(&text, "s3"), None);
-        assert!(text.contains("\"quick\": false"));
+        write_scale_section(path, "s2", section("{\"w\": 9}"), false).unwrap();
+        let doc = read();
+        assert!(doc.get("s1").is_none() && doc.get("s3").is_none());
+        assert_eq!(doc.get("quick").unwrap().v, Val::Bool(false));
     }
 
     #[test]
     fn s3_section_round_trips_through_jsonscan() {
-        use crate::jsonscan::read_number;
-        // The perf gate and CI smoke both read the s3 section back with
-        // the naive scanners; pin that a real section parses.
+        // The perf gate and CI smoke both read the s3 section back;
+        // pin that a real section survives the file round trip.
         let mut net = ScenarioBuilder::new()
             .hosts(3)
             .seed(7)
@@ -781,14 +748,15 @@ mod tests {
             SimDuration::from_millis(200),
         ));
         let section = s3_section_json(3, &single, &single);
-        let doc = format!("{{\n  \"quick\": true,\n  \"s3\": {section}\n}}\n");
-        let s3 = extract_object(&doc, "s3").expect("s3 section extracts");
-        assert_eq!(read_number(&s3, "n_hosts"), Some(3.0));
-        let sub = extract_object(&s3, "single").expect("report extracts");
-        assert_eq!(read_number(&sub, "events"), Some(single.events as f64));
+        let text = json::canonical(&obj(vec![("quick", Json::bool(true)), ("s3", section)]));
+        let doc = json::parse(&text).expect("the written file parses");
+        let s3 = doc.get("s3").expect("s3 section present");
+        assert_eq!(number(s3, "n_hosts"), Some(3.0));
+        let sub = s3.get("single").expect("report present");
+        assert_eq!(number(sub, "events"), Some(single.events as f64));
         // On Linux the section-level RSS is a positive number; elsewhere
         // the writer spells null, which reads back as present-but-NaN.
-        let rss = read_number(&s3, "peak_rss_bytes").expect("rss key present");
+        let rss = number(s3, "peak_rss_bytes").expect("rss key present");
         assert!(rss.is_nan() || rss > 0.0, "rss {rss}");
     }
 
@@ -872,9 +840,8 @@ mod tests {
 
     #[test]
     fn empty_flow_report_round_trips_through_jsonscan() {
-        use crate::jsonscan::read_number;
         // No flows sent: delivery_ratio is None and serializes as null;
-        // the scanner must read the document instead of choking on it.
+        // the reader must see the document instead of choking on it.
         let mut net = ScenarioBuilder::new().hosts(2).plain().build();
         let report = net.run(&Workload::flows(
             Vec::new(),
@@ -882,16 +849,14 @@ mod tests {
             SimDuration::from_millis(10),
         ));
         assert_eq!(report.delivery_ratio, None, "empty flow list sent data?");
-        let j = report.to_json();
+        let text = report.to_json();
+        let j = report_json(&report);
         assert!(
-            read_number(&j, "delivery_ratio").is_some_and(f64::is_nan),
-            "null must round-trip as present-but-NaN: {j}"
+            number(&j, "delivery_ratio").is_some_and(f64::is_nan),
+            "null must round-trip as present-but-NaN: {text}"
         );
-        assert_eq!(read_number(&j, "events"), Some(report.events as f64));
-        assert_eq!(
-            read_number(&j, "nodes_killed"),
-            Some(report.nodes_killed as f64)
-        );
-        assert!(!j.contains("NaN"), "raw NaN leaked into JSON: {j}");
+        assert_eq!(number(&j, "events"), Some(report.events as f64));
+        assert_eq!(number(&j, "nodes_killed"), Some(report.nodes_killed as f64));
+        assert!(!text.contains("NaN"), "raw NaN leaked into JSON: {text}");
     }
 }

@@ -10,7 +10,7 @@ fn every_exhibit_renders_nonempty_in_quick_mode() {
     for id in EXHIBITS {
         // S3 is a 100k-node run: minutes in release, unusable under a
         // debug build. Debug `cargo test` still covers its machinery
-        // (streaming stats, section writer, jsonscan round-trip) via
+        // (streaming stats, section writer, JSON round trip) via
         // the scale_exhibits unit tests; the full cell renders in the
         // release-mode CI smoke step and the perf gate.
         if *id == "s3" && cfg!(debug_assertions) {

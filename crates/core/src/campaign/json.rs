@@ -506,15 +506,16 @@ pub fn canon_num(v: f64) -> String {
 /// Render a value on one line (insertion order kept) — for error
 /// messages and table cells, not for canonical artifacts.
 pub fn compact(j: &Json) -> String {
+    let quoted = |s: &str| {
+        let mut out = String::new();
+        write_string(s, &mut out);
+        out
+    };
     match &j.v {
         Val::Null => "null".to_string(),
         Val::Bool(b) => b.to_string(),
         Val::Num(n) => canon_num(*n),
-        Val::Str(s) => {
-            let mut out = String::new();
-            write_string(s, &mut out);
-            out
-        }
+        Val::Str(s) => quoted(s),
         Val::Arr(items) => {
             let body: Vec<String> = items.iter().map(compact).collect();
             format!("[{}]", body.join(", "))
@@ -522,7 +523,7 @@ pub fn compact(j: &Json) -> String {
         Val::Obj(members) => {
             let body: Vec<String> = members
                 .iter()
-                .map(|(k, v)| format!("\"{k}\": {}", compact(v)))
+                .map(|(k, v)| format!("{}: {}", quoted(k), compact(v)))
                 .collect();
             format!("{{{}}}", body.join(", "))
         }
@@ -636,6 +637,13 @@ mod tests {
         // Re-parsing the canonical form round-trips.
         let re = parse(&canonical(&a)).unwrap();
         assert_eq!(canonical(&re), canonical(&a));
+    }
+
+    #[test]
+    fn compact_escapes_keys_like_canonical_does() {
+        let j = Json::obj(vec![("a\"b".into(), Json::num(1.0))]);
+        assert_eq!(compact(&j), r#"{"a\"b": 1}"#);
+        assert!(parse(&compact(&j)).unwrap().get("a\"b").is_some());
     }
 
     #[test]

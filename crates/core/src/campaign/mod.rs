@@ -9,11 +9,12 @@
 //! * [`json`] — the dependency-free JSON layer (strict line-tracked
 //!   parser, canonical serializer, deep merge, dotted-path writes); the
 //!   workspace is offline, so no serde.
-//! * [`ScenarioSpec`] — a typed scenario document mapping 1:1 onto
-//!   every `ScenarioBuilder` / `SecureBuilder` / `PlainBuilder` /
-//!   `Workload` knob, with strict unknown-key rejection and builder
-//!   introspection (`from_plain_builder` / `from_secure_builder`) so
-//!   any programmatic chain can be captured as a file.
+//! * [`ScenarioSpec`] — a scenario document parsed *into* a builder
+//!   stage (`PlainBuilder` | `SecureBuilder`) plus a workload: the
+//!   builders are the schema, every scalar key is one row of a knob
+//!   table (key, field, range), unknown keys and out-of-range values
+//!   are rejected with path and line, and any programmatic chain can be
+//!   captured as a file (`from_plain_builder` / `from_secure_builder`).
 //! * [`CampaignPlan`] — a base document plus factor grids or
 //!   Latin-hypercube sampling over any knob, multi-seed repetition,
 //!   and [`ToleranceSpec`] pass/fail bands.
@@ -33,4 +34,4 @@ mod spec;
 
 pub use plan::{CampaignPlan, Cell, Factor, SweepMode, ToleranceSpec};
 pub use runner::{load_plan, run_campaign, CampaignReport, CellResult, CheckResult, METRICS};
-pub use spec::{FieldChoice, FlowSpec, ScenarioSpec, SpecError, StackSpec, WorkloadSpec};
+pub use spec::{FlowSpec, ScenarioSpec, SpecError, StackSpec, WorkloadSpec};

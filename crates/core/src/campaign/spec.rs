@@ -1,25 +1,33 @@
-//! The declarative scenario format: a JSON document that maps 1:1 onto
-//! every [`ScenarioBuilder`] / [`SecureBuilder`] / [`PlainBuilder`] /
+//! The declarative scenario format: a JSON document over every
+//! [`ScenarioBuilder`] / [`SecureBuilder`] / [`PlainBuilder`] /
 //! [`Workload`] knob.
 //!
-//! [`ScenarioSpec`] is the typed middle: `from_json` parses a document
-//! with **strict unknown-key rejection** and line/key-context errors,
-//! `to_json` serializes any spec back, and `run` drives the scenario to
-//! one [`RunReport`]. The builder introspection constructors
-//! ([`ScenarioSpec::from_plain_builder`] /
-//! [`ScenarioSpec::from_secure_builder`]) close the loop: any
-//! programmatic builder chain can be captured as a document, and the
-//! round-trip proptest in `tests/campaign.rs` pins that builder → JSON
-//! → parse → build reproduces the identical fingerprint.
+//! The builders are the schema. A [`ScenarioSpec`] is a stack-tagged
+//! builder stage plus a [`WorkloadSpec`] — no second struct mirrors the
+//! builder fields — so `from_json` fills a builder in, `to_json` reads
+//! one back, the capture constructors (`from_plain_builder` /
+//! `from_secure_builder`) are clones, and `run` is `build()` plus the
+//! shared driver. `tests/campaign.rs` pins that builder → JSON → parse →
+//! build reproduces the identical fingerprint.
 //!
-//! Every key is optional; the defaults are exactly the builders'
-//! defaults (`docs/SCENARIO.md` tabulates all of them), so `{}` is the
-//! default 8-host chain with the plain stack and no traffic.
+//! The JSON mapping of a knob is one row of a per-section [`Knob`]
+//! table: key, field, permitted [`Range`]. Parsing, rendering, the
+//! default (whatever the builder or `Default` value holds before the
+//! row is applied), the "expected one of" list and the range check —
+//! reported at the offending value's own line — all derive from that
+//! row. Only the structural parts (placement, field, mobility,
+//! adversaries, name overrides, flows) are written by hand.
+//!
+//! Every key is optional (`docs/SCENARIO.md` tabulates them; a test
+//! checks that reference against the tables), so `{}` is the default
+//! 8-host chain with the plain stack and no traffic. The ranges admit
+//! every real scenario and are narrow enough that a document which
+//! parses cannot overflow, exhaust or hang the build.
 
 use super::json::{self, Json, Val};
 use crate::config::{Behavior, CreditConfig, ProtocolConfig};
 use crate::plain::PlainConfig;
-use crate::scenario::builder::FieldSpec;
+use crate::scenario::builder::{FieldSpec, DEFAULT_SPACING};
 use crate::scenario::{
     Network, NodeApi, Placement, PlainBuilder, RunReport, ScenarioBuilder, SecureBuilder, Workload,
 };
@@ -27,7 +35,7 @@ use manet_crypto::BackendKind;
 use manet_sim::{
     ChannelMode, ExecMode, Field, Mobility, Pos, QueueImpl, RadioConfig, SimDuration, SimTime,
 };
-use manet_wire::Ipv6Addr;
+use manet_wire::{DomainName, Ipv6Addr};
 use std::fmt;
 
 /// A spec-level failure: which key (dotted path), which source line,
@@ -64,15 +72,472 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 // ---------------------------------------------------------------------
-// Strict-object helper
+// Typed access to JSON values
 // ---------------------------------------------------------------------
+
+/// Largest integer an `f64` JSON number carries exactly (2^53).
+const MAX_INT: f64 = 9.007_199_254_740_992e15;
+
+fn mismatch(j: &Json, path: &str, want: &str) -> SpecError {
+    let msg = format!("expected {want}, found {}", j.type_name());
+    SpecError::at(path, j.line, msg)
+}
+
+fn as_f64(j: &Json, path: &str) -> Result<f64, SpecError> {
+    match j.v {
+        Val::Num(n) => Ok(n),
+        _ => Err(mismatch(j, path, "a number")),
+    }
+}
+
+fn as_uint(j: &Json, path: &str) -> Result<u64, SpecError> {
+    let v = as_f64(j, path)?;
+    if v < 0.0 || v.fract() != 0.0 || v > MAX_INT {
+        let msg = format!("expected a non-negative integer, found {v}");
+        return Err(SpecError::at(path, j.line, msg));
+    }
+    Ok(v as u64)
+}
+
+fn as_str<'a>(j: &'a Json, path: &str) -> Result<&'a str, SpecError> {
+    match &j.v {
+        Val::Str(s) => Ok(s),
+        _ => Err(mismatch(j, path, "a string")),
+    }
+}
+
+fn as_arr<'a>(j: &'a Json, path: &str) -> Result<&'a [Json], SpecError> {
+    match &j.v {
+        Val::Arr(items) => Ok(items),
+        _ => Err(mismatch(j, path, "an array")),
+    }
+}
+
+/// The error for a string (or key) outside a closed set of choices.
+fn unknown(what: &str, got: &str, path: &str, line: u32, choices: &[&str]) -> SpecError {
+    let mut sorted = choices.to_vec();
+    sorted.sort_unstable();
+    let msg = format!(
+        "unknown {what} \"{got}\"; expected one of: {}",
+        sorted.join(", ")
+    );
+    SpecError::at(path, line, msg)
+}
+
+// ---------------------------------------------------------------------
+// Knobs: one row per scalar key
+// ---------------------------------------------------------------------
+
+/// The numbers a knob admits: the rule in words (the error appends the
+/// offending value) and as a predicate.
+struct Range(&'static str, fn(f64) -> bool);
+
+impl Range {
+    fn check(&self, v: f64, path: &str, line: u32) -> Result<(), SpecError> {
+        if (self.1)(v) {
+            return Ok(());
+        }
+        Err(SpecError::at(path, line, format!("{}, got {v}", self.0)))
+    }
+}
+
+const ANY: Range = Range("", |_| true);
+const AT_LEAST_ONE: Range = Range("need at least one", |v| v >= 1.0);
+const POSITIVE: Range = Range("must be a positive number", |v| v > 0.0 && v.is_finite());
+const NON_NEGATIVE: Range = Range("must be >= 0", |v| v >= 0.0);
+const LOSS: Range = Range("loss probability must be in [0, 1)", |v| {
+    (0.0..1.0).contains(&v)
+});
+const DROP: Range = Range("drop probability must be in [0, 1]", |v| {
+    (0.0..=1.0).contains(&v)
+});
+const FORMATION: Range = Range("formation time must be in [0, 1e9] s", |v| {
+    (0.0..=1e9).contains(&v)
+});
+// The bands below keep the build's arithmetic finite: the grid sizes
+// itself from field / range (`sim/grid.rs`), the density solver from
+// hosts · range² / density, a hop's airtime from bytes / bit rate
+// (`sim/radio.rs`). `validate` bounds the resulting grid itself.
+const LENGTH: Range = Range("length must be in [0.001, 1e7] m", |v| {
+    (1e-3..=1e7).contains(&v)
+});
+const DENSITY: Range = Range("radio degree must be in [1e-6, 1e6]", |v| {
+    (1e-6..=1e6).contains(&v)
+});
+const BIT_RATE: Range = Range("bit rate must be in [1, 1e12] bit/s", |v| {
+    (1.0..=1e12).contains(&v)
+});
+/// 384 bits is the narrowest modulus that admits the signature frame;
+/// key generation needs an even width, and past 4096 bits a single key
+/// takes longer than any scenario is worth.
+const KEY_BITS: Range = Range(
+    "modulus must be an even number of bits in [384, 4096]",
+    |v| (384.0..=4096.0).contains(&v) && v % 2.0 == 0.0,
+);
+/// More shards than this is never faster and, on small fields, never
+/// finishes: every shard takes a barrier per lookahead window.
+const MAX_SHARDS: usize = 256;
+/// Cap on the spatial index (`field / radio range`, squared): 2^22
+/// cells is ~100 MiB of empty buckets and 20× the S3 exhibit's grid.
+const MAX_GRID_CELLS: f64 = 4_194_304.0;
+
+/// How one Rust type reads from and renders to JSON. The type *is* the
+/// knob's kind: `bool`, `u32`, `u64`, `usize`, `i64`, `f64`,
+/// `SimDuration` (fractional milliseconds), the [`Named`] enums and
+/// `ExecMode` (strings), index lists, a `[start_s, end_s]` window, an
+/// address as its groups — and `Option` of any of them (`null`).
+trait Kind: Sized {
+    fn parse(j: &Json, path: &str) -> Result<Self, SpecError>;
+    fn show(&self) -> Json;
+    /// The number a [`Range`] constrains, for kinds that have one.
+    fn num(&self) -> Option<f64> {
+        None
+    }
+}
+
+impl Kind for bool {
+    fn parse(j: &Json, path: &str) -> Result<Self, SpecError> {
+        match j.v {
+            Val::Bool(b) => Ok(b),
+            _ => Err(mismatch(j, path, "a bool")),
+        }
+    }
+    fn show(&self) -> Json {
+        Json::bool(*self)
+    }
+}
+
+impl Kind for f64 {
+    fn parse(j: &Json, path: &str) -> Result<Self, SpecError> {
+        as_f64(j, path)
+    }
+    fn show(&self) -> Json {
+        Json::num(*self)
+    }
+    fn num(&self) -> Option<f64> {
+        Some(*self)
+    }
+}
+
+fn as_int(j: &Json, path: &str) -> Result<i64, SpecError> {
+    let v = as_f64(j, path)?;
+    if v.fract() != 0.0 || v.abs() > MAX_INT {
+        let msg = format!("expected an integer, found {v}");
+        return Err(SpecError::at(path, j.line, msg));
+    }
+    Ok(v as i64)
+}
+
+macro_rules! integer_kinds {
+    ($($t:ident from $wide:ident),*) => {$(
+        impl Kind for $t {
+            fn parse(j: &Json, path: &str) -> Result<Self, SpecError> {
+                let v = $wide(j, path)?;
+                $t::try_from(v).map_err(|_| {
+                    let msg = format!("{v} does not fit in {}", stringify!($t));
+                    SpecError::at(path, j.line, msg)
+                })
+            }
+            fn show(&self) -> Json {
+                Json::num(*self as f64)
+            }
+            fn num(&self) -> Option<f64> {
+                Some(*self as f64)
+            }
+        }
+    )*};
+}
+integer_kinds!(u32 from as_uint, u64 from as_uint, usize from as_uint, i64 from as_int);
+
+impl Kind for SimDuration {
+    fn parse(j: &Json, path: &str) -> Result<Self, SpecError> {
+        let ms = as_f64(j, path)?;
+        if !(0.0..=1.0e12).contains(&ms) {
+            let msg = format!("duration must be in [0, 1e12] ms, got {ms}");
+            return Err(SpecError::at(path, j.line, msg));
+        }
+        Ok(SimDuration::from_micros((ms * 1000.0).round() as u64))
+    }
+    fn show(&self) -> Json {
+        Json::num(self.as_micros() as f64 / 1000.0)
+    }
+}
+
+impl<K: Kind> Kind for Option<K> {
+    fn parse(j: &Json, path: &str) -> Result<Self, SpecError> {
+        match j.v {
+            Val::Null => Ok(None),
+            _ => K::parse(j, path).map(Some),
+        }
+    }
+    fn show(&self) -> Json {
+        self.as_ref().map_or(Json::null(), K::show)
+    }
+    fn num(&self) -> Option<f64> {
+        self.as_ref().and_then(K::num)
+    }
+}
+
+impl Kind for Vec<usize> {
+    fn parse(j: &Json, path: &str) -> Result<Self, SpecError> {
+        let items = as_arr(j, path)?;
+        items.iter().map(|i| usize::parse(i, path)).collect()
+    }
+    fn show(&self) -> Json {
+        Json::arr(self.iter().map(usize::show).collect())
+    }
+}
+
+/// A window of sim time as `[start_s, end_s]`.
+impl Kind for (SimTime, SimTime) {
+    fn parse(j: &Json, path: &str) -> Result<Self, SpecError> {
+        let [lo, hi] = as_arr(j, path)? else {
+            return Err(SpecError::at(path, j.line, "expected [start_s, end_s]"));
+        };
+        let (lo, hi) = (as_f64(lo, path)?, as_f64(hi, path)?);
+        if !(0.0 <= lo && lo <= hi) {
+            let msg = format!("need 0 <= start <= end, got [{lo}, {hi}]");
+            return Err(SpecError::at(path, j.line, msg));
+        }
+        let at = |s: f64| SimTime((s * 1e6).round() as u64);
+        Ok((at(lo), at(hi)))
+    }
+    fn show(&self) -> Json {
+        let s = |t: SimTime| Json::num(t.0 as f64 / 1e6);
+        Json::arr(vec![s(self.0), s(self.1)])
+    }
+}
+
+/// `"single"` or `"sharded:<k>"`.
+impl Kind for ExecMode {
+    fn parse(j: &Json, path: &str) -> Result<Self, SpecError> {
+        let s = as_str(j, path)?;
+        let shards = s.strip_prefix("sharded:").and_then(|k| k.parse().ok());
+        match (s, shards) {
+            ("single", _) => Ok(ExecMode::Single),
+            (_, Some(k)) if (1..=MAX_SHARDS).contains(&k) => Ok(ExecMode::Sharded(k)),
+            _ => {
+                let msg = format!(
+                    "unknown exec \"{s}\"; expected null, \"single\", or \"sharded:<k>\" \
+                     with k in [1, {MAX_SHARDS}]"
+                );
+                Err(SpecError::at(path, j.line, msg))
+            }
+        }
+    }
+    fn show(&self) -> Json {
+        match self {
+            ExecMode::Single => Json::str("single"),
+            ExecMode::Sharded(k) => Json::str(format!("sharded:{k}")),
+        }
+    }
+}
+
+/// An address as its eight 16-bit groups (the textual grouping), e.g.
+/// `[65216, 0, 0, 0, 0, 0, 0, 1]` for `fec0::1`.
+impl Kind for Ipv6Addr {
+    fn parse(j: &Json, path: &str) -> Result<Self, SpecError> {
+        let items = as_arr(j, path)?;
+        if items.len() != 8 {
+            return Err(SpecError::at(path, j.line, "expected eight 16-bit groups"));
+        }
+        let mut groups = [0u16; 8];
+        for (group, item) in groups.iter_mut().zip(items) {
+            let v = as_uint(item, path)?;
+            *group = u16::try_from(v).map_err(|_| {
+                let msg = format!("group {v} does not fit in 16 bits");
+                SpecError::at(path, item.line, msg)
+            })?;
+        }
+        Ok(Ipv6Addr::from_groups(groups))
+    }
+    fn show(&self) -> Json {
+        Json::arr(self.groups().iter().map(|&g| Json::num(g as f64)).collect())
+    }
+}
+
+/// An enum that serializes as one string per variant.
+trait Named: Copy + 'static {
+    const ALL: &'static [Self];
+    fn name(self) -> &'static str;
+}
+
+impl Named for ChannelMode {
+    const ALL: &'static [Self] = &[ChannelMode::Grid, ChannelMode::Linear];
+    fn name(self) -> &'static str {
+        match self {
+            ChannelMode::Grid => "grid",
+            ChannelMode::Linear => "linear",
+        }
+    }
+}
+
+impl Named for QueueImpl {
+    const ALL: &'static [Self] = &[QueueImpl::Wheel, QueueImpl::Heap];
+    fn name(self) -> &'static str {
+        QueueImpl::name(self)
+    }
+}
+
+impl Named for BackendKind {
+    const ALL: &'static [Self] = &BackendKind::ALL;
+    fn name(self) -> &'static str {
+        BackendKind::name(self)
+    }
+}
+
+impl<E: Named> Kind for E {
+    fn parse(j: &Json, path: &str) -> Result<Self, SpecError> {
+        let s = as_str(j, path)?;
+        E::ALL
+            .iter()
+            .copied()
+            .find(|e| e.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = E::ALL.iter().map(|e| e.name()).collect();
+                let key = path.rsplit('.').next().unwrap_or(path);
+                unknown(key, s, path, j.line, &names)
+            })
+    }
+    fn show(&self) -> Json {
+        Json::str(self.name())
+    }
+}
+
+/// Parse `j`, range-checked at `j`'s own line.
+fn read<K: Kind>(j: &Json, path: &str, range: &Range) -> Result<K, SpecError> {
+    let value = K::parse(j, path)?;
+    if let Some(n) = value.num() {
+        range.check(n, path, j.line)?;
+    }
+    Ok(value)
+}
+
+/// One knob of section `T`: its JSON key and how to read and render the
+/// field behind it. The field's type fixes the [`Kind`]; `read` checks
+/// the row's [`Range`].
+struct Knob<T: 'static> {
+    key: &'static str,
+    read: fn(&mut T, &Json, &str) -> Result<(), SpecError>,
+    show: fn(&T) -> Json,
+}
+
+/// `knob!("key", field.path)` or `knob!("key", field.path, RANGE)`.
+macro_rules! knob {
+    ($key:literal, $($field:ident).+) => {
+        knob!($key, $($field).+, ANY)
+    };
+    ($key:literal, $($field:ident).+, $range:ident) => {
+        Knob {
+            key: $key,
+            read: |t, j, path| read(j, path, &$range).map(|v| t.$($field).+ = v),
+            show: |t| t.$($field).+.show(),
+        }
+    };
+}
+
+const SCENARIO: &[Knob<ScenarioBuilder>] = &[
+    knob!("hosts", n_hosts, AT_LEAST_ONE),
+    knob!("seed", seed),
+    knob!("channel", channel),
+    knob!("queue", queue),
+    knob!("exec", exec),
+    knob!("trace", trace),
+    knob!("max_events", max_events),
+];
+
+const CHURN: &[Knob<ScenarioBuilder>] =
+    &[knob!("kills", churn_kills), knob!("window_s", churn_window)];
+
+const RADIO: &[Knob<RadioConfig>] = &[
+    knob!("range", range, LENGTH),
+    knob!("loss", loss, LOSS),
+    knob!("base_delay_ms", base_delay),
+    knob!("jitter_ms", jitter),
+    knob!("bits_per_sec", bits_per_sec, BIT_RATE),
+    knob!("gray_zone", gray_zone, LENGTH),
+];
+
+const BEHAVIOR: &[Knob<Behavior>] = &[
+    knob!("data_drop_prob", data_drop_prob, DROP),
+    knob!("forge_rrep", forge_rrep),
+    knob!("impersonate", impersonate),
+    knob!("replay", replay),
+    knob!("rerr_spam", rerr_spam),
+    knob!("squat_dad", squat_dad),
+    knob!("forge_dns", forge_dns),
+    knob!("evade_probes", evade_probes),
+];
+
+const PLAIN: &[Knob<PlainConfig>] = &[
+    knob!("rreq_timeout_ms", rreq_timeout),
+    knob!("rreq_retries", rreq_retries),
+    knob!("ack_timeout_ms", ack_timeout),
+    knob!("data_retries", data_retries),
+    knob!("max_send_buffer", max_send_buffer),
+    knob!("cached_replies", cached_replies),
+    knob!("per_node_stats", per_node_stats),
+];
+
+const SECURE: &[Knob<SecureBuilder>] = &[
+    knob!("join_stagger_ms", join_stagger),
+    knob!("register_names", register_names),
+    knob!("pre_register", pre_register),
+];
+
+const PROTO: &[Knob<ProtocolConfig>] = &[
+    knob!("key_bits", key_bits, KEY_BITS),
+    knob!("dad_timeout_ms", dad_timeout),
+    knob!("dad_probes", dad_probes),
+    knob!("dad_max_attempts", dad_max_attempts),
+    knob!("dns_pending_window_ms", dns_pending_window),
+    knob!("rreq_timeout_ms", rreq_timeout),
+    knob!("rreq_retries", rreq_retries),
+    knob!("ack_timeout_ms", ack_timeout),
+    knob!("data_retries", data_retries),
+    knob!("crep_enabled", crep_enabled),
+    knob!("route_ttl_ms", route_ttl),
+    knob!("route_cache_per_dest", route_cache_per_dest),
+    knob!("route_cache_dests", route_cache_dests),
+    knob!("verify_cache", verify_cache),
+    knob!("verify_cache_capacity", verify_cache_capacity),
+    knob!("crypto_backend", crypto_backend),
+    knob!("batch_verify", batch_verify),
+    knob!("rrep_multi", rrep_multi),
+    knob!("verify_srr", verify_srr),
+    knob!("max_send_buffer", max_send_buffer),
+    knob!("probe_enabled", probe_enabled),
+    knob!("probe_after", probe_after),
+    knob!("probe_timeout_ms", probe_timeout),
+];
+
+const CREDIT: &[Knob<CreditConfig>] = &[
+    knob!("enabled", enabled),
+    knob!("initial", initial),
+    knob!("reward", reward),
+    knob!("slash", slash),
+    knob!("timeout_penalty", timeout_penalty),
+    knob!("rerr_threshold", rerr_threshold),
+    knob!("avoid_below", avoid_below),
+];
+
+const WORKLOAD: &[Knob<WorkloadSpec>] = &[
+    knob!("packets", traffic.packets),
+    knob!("interval_ms", traffic.interval),
+    knob!("warmup_ms", traffic.warmup),
+    knob!("drain_ms", traffic.drain),
+    knob!("payload_len", traffic.payload_len),
+    knob!("formation_s", formation_s, FORMATION),
+    knob!("bootstrap", bootstrap),
+];
 
 /// Wraps one JSON object during parsing: every key the parser asks for
 /// is recorded, and [`Fields::deny_unknown`] rejects whatever remains —
-/// so adding a knob to the parser automatically admits it, and typos
-/// fail loudly with the full expected-key list.
+/// so a row added to a table is admitted automatically, and typos fail
+/// loudly with the full expected-key list.
 struct Fields<'a> {
     path: String,
+    line: u32,
     members: &'a [(String, Json)],
     known: Vec<&'static str>,
 }
@@ -82,14 +547,11 @@ impl<'a> Fields<'a> {
         match &j.v {
             Val::Obj(members) => Ok(Fields {
                 path: path.to_string(),
+                line: j.line,
                 members,
                 known: Vec::new(),
             }),
-            _ => Err(SpecError::at(
-                path,
-                j.line,
-                format!("expected an object, found {}", j.type_name()),
-            )),
+            _ => Err(mismatch(j, path, "an object")),
         }
     }
 
@@ -102,205 +564,84 @@ impl<'a> Fields<'a> {
         self.members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Reject any key the parser never asked for. Call after every
-    /// `get` for the section.
-    fn deny_unknown(&self) -> Result<(), SpecError> {
-        for (k, v) in self.members {
-            if !self.known.contains(&k.as_str()) {
-                let mut expected: Vec<&str> = self.known.clone();
-                expected.sort_unstable();
-                return Err(SpecError::at(
-                    &self.path,
-                    v.line,
-                    format!(
-                        "unknown key \"{k}\"; expected one of: {}",
-                        expected.join(", ")
-                    ),
-                ));
+    fn req(&mut self, key: &'static str) -> Result<&'a Json, SpecError> {
+        self.get(key)
+            .ok_or_else(|| SpecError::at(self.child(key), self.line, format!("missing \"{key}\"")))
+    }
+
+    /// Apply every row of `table` whose key is present to `target`.
+    fn knobs<T>(&mut self, table: &[Knob<T>], target: &mut T) -> Result<(), SpecError> {
+        for knob in table {
+            if let Some(j) = self.get(knob.key) {
+                (knob.read)(target, j, &self.child(knob.key))?;
             }
         }
         Ok(())
     }
 
-    // Typed, defaulted accessors. Each validates the JSON type and
-    // reports errors at `<section>.<key>`.
-
-    fn f64_or(&mut self, key: &'static str, default: f64) -> Result<f64, SpecError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(j) => as_f64(j, &self.child(key)),
-        }
-    }
-
-    fn bool_or(&mut self, key: &'static str, default: bool) -> Result<bool, SpecError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(j) => match j.v {
-                Val::Bool(b) => Ok(b),
-                _ => Err(SpecError::at(
-                    self.child(key),
-                    j.line,
-                    format!("expected a bool, found {}", j.type_name()),
-                )),
-            },
-        }
-    }
-
-    fn usize_or(&mut self, key: &'static str, default: usize) -> Result<usize, SpecError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(j) => as_uint(j, &self.child(key)).map(|v| v as usize),
-        }
-    }
-
-    fn u32_or(&mut self, key: &'static str, default: u32) -> Result<u32, SpecError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(j) => {
-                let path = self.child(key);
-                let v = as_uint(j, &path)?;
-                u32::try_from(v)
-                    .map_err(|_| SpecError::at(path, j.line, format!("{v} does not fit in u32")))
-            }
-        }
-    }
-
-    fn u64_or(&mut self, key: &'static str, default: u64) -> Result<u64, SpecError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(j) => as_uint(j, &self.child(key)),
-        }
-    }
-
-    fn i64_or(&mut self, key: &'static str, default: i64) -> Result<i64, SpecError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(j) => {
-                let path = self.child(key);
-                let v = as_f64(j, &path)?;
-                if v.fract() != 0.0 || v.abs() > 9.007_199_254_740_992e15 {
-                    return Err(SpecError::at(
-                        path,
-                        j.line,
-                        format!("expected an integer, found {v}"),
-                    ));
-                }
-                Ok(v as i64)
-            }
-        }
-    }
-
-    fn dur_ms_or(
+    /// A knob of a hand-written section: `default` unless `key` is present.
+    fn or<K: Kind>(
         &mut self,
         key: &'static str,
-        default: SimDuration,
-    ) -> Result<SimDuration, SpecError> {
+        default: K,
+        range: &Range,
+    ) -> Result<K, SpecError> {
         match self.get(key) {
+            Some(j) => read(j, &self.child(key), range),
             None => Ok(default),
-            Some(j) => {
-                let path = self.child(key);
-                let ms = as_f64(j, &path)?;
-                if !(0.0..=1.0e12).contains(&ms) {
-                    return Err(SpecError::at(
-                        path,
-                        j.line,
-                        format!("duration must be in [0, 1e12] ms, got {ms}"),
-                    ));
-                }
-                Ok(SimDuration::from_micros((ms * 1000.0).round() as u64))
-            }
         }
     }
 
-    fn str_at(&mut self, key: &'static str) -> Result<Option<(&'a str, u32)>, SpecError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(j) => match &j.v {
-                Val::Str(s) => Ok(Some((s.as_str(), j.line))),
-                _ => Err(SpecError::at(
-                    self.child(key),
-                    j.line,
-                    format!("expected a string, found {}", j.type_name()),
-                )),
-            },
+    /// Reject any key the parser never asked for. Call after every
+    /// `get` for the section.
+    fn deny_unknown(&self) -> Result<(), SpecError> {
+        let is_stray = |(k, _): &&(String, Json)| !self.known.contains(&k.as_str());
+        match self.members.iter().find(is_stray) {
+            Some((k, v)) => Err(unknown("key", k, &self.path, v.line, &self.known)),
+            None => Ok(()),
         }
     }
 }
 
-fn as_f64(j: &Json, path: &str) -> Result<f64, SpecError> {
-    match j.v {
-        Val::Num(n) => Ok(n),
-        _ => Err(SpecError::at(
-            path,
-            j.line,
-            format!("expected a number, found {}", j.type_name()),
-        )),
-    }
+/// A section that is nothing but a table.
+fn parse_table<T>(
+    j: &Json,
+    path: &str,
+    table: &[Knob<T>],
+    target: &mut T,
+) -> Result<(), SpecError> {
+    let mut f = Fields::new(j, path)?;
+    f.knobs(table, target)?;
+    f.deny_unknown()
 }
 
-fn as_uint(j: &Json, path: &str) -> Result<u64, SpecError> {
-    let v = as_f64(j, path)?;
-    if v < 0.0 || v.fract() != 0.0 || v > 9.007_199_254_740_992e15 {
-        return Err(SpecError::at(
-            path,
-            j.line,
-            format!("expected a non-negative integer, found {v}"),
-        ));
-    }
-    Ok(v as u64)
+fn obj(members: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+    let owned = members.into_iter().map(|(k, v)| (k.to_string(), v));
+    Json::obj(owned.collect())
 }
 
-fn as_arr<'a>(j: &'a Json, path: &str) -> Result<&'a [Json], SpecError> {
-    match &j.v {
-        Val::Arr(items) => Ok(items),
-        _ => Err(SpecError::at(
-            path,
-            j.line,
-            format!("expected an array, found {}", j.type_name()),
-        )),
-    }
-}
-
-fn dur_to_ms(d: SimDuration) -> f64 {
-    d.as_micros() as f64 / 1000.0
-}
-
-fn time_to_s(t: SimTime) -> f64 {
-    t.0 as f64 / 1e6
+/// An object of `table`'s rows as `t` holds them, then the hand-written
+/// members.
+fn section<T>(table: &[Knob<T>], t: &T, rest: Vec<(&'static str, Json)>) -> Json {
+    let rows = table.iter().map(|knob| (knob.key, (knob.show)(t)));
+    obj(rows.chain(rest))
 }
 
 // ---------------------------------------------------------------------
 // The typed spec
 // ---------------------------------------------------------------------
 
-/// How the field is sized — the public mirror of the builder's
-/// internal `FieldSpec`.
-#[derive(Clone, Debug, PartialEq)]
-pub enum FieldChoice {
-    Explicit {
-        width: f64,
-        height: f64,
-    },
-    /// Expected radio degree; the field edge is solved at build time.
-    Density(f64),
-}
-
-/// Which protocol stack, with its full per-stack knob set.
+/// Which protocol stack: the builder stage that carries its knobs (and,
+/// as `base`, every stack-independent one).
 #[derive(Clone, Debug)]
 pub enum StackSpec {
-    Plain(PlainConfig),
-    Secure {
-        proto: ProtocolConfig,
-        join_stagger: SimDuration,
-        register_names: bool,
-        pre_register: Vec<usize>,
-        name_overrides: Vec<(usize, String)>,
-    },
+    Plain(PlainBuilder),
+    Secure(SecureBuilder),
 }
 
 impl StackSpec {
     pub fn is_secure(&self) -> bool {
-        matches!(self, StackSpec::Secure { .. })
+        matches!(self, StackSpec::Secure(_))
     }
 }
 
@@ -316,16 +657,15 @@ pub enum FlowSpec {
     ConvergeCast { sources: Vec<usize>, sink: usize },
 }
 
-/// The workload section: [`Workload`] plus the two driver knobs that
-/// precede it (formation beat, bootstrap).
+/// The workload section: a [`Workload`] whose flows are still a recipe,
+/// plus the two driver knobs that precede it (formation beat,
+/// bootstrap).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadSpec {
     pub flows: FlowSpec,
-    pub packets: usize,
-    pub interval: SimDuration,
-    pub warmup: SimDuration,
-    pub drain: SimDuration,
-    pub payload_len: usize,
+    /// Rounds, pacing, drain and payload size. Its own `flows` stays
+    /// empty; the driver resolves [`WorkloadSpec::flows`] into it.
+    pub traffic: Workload,
     /// Run the engine to this absolute sim time before flows are picked
     /// and traffic starts (the S1 exhibit's formation beat).
     pub formation_s: f64,
@@ -335,127 +675,39 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// The no-traffic default, mirroring `Workload::flows(vec![], 0, 0)`.
     fn default_for(secure: bool) -> Self {
         WorkloadSpec {
             flows: FlowSpec::Pairs(Vec::new()),
-            packets: 0,
-            interval: SimDuration::ZERO,
-            warmup: SimDuration::ZERO,
-            drain: SimDuration::from_secs(5),
-            payload_len: crate::scenario::workload::DEFAULT_PAYLOAD.1,
+            traffic: Workload::flows(Vec::new(), 0, SimDuration::ZERO),
             formation_s: 0.0,
             bootstrap: secure,
         }
     }
 }
 
-/// One complete declarative scenario: everything `ScenarioBuilder` and
-/// its stack stages know, plus the workload.
+/// One complete declarative scenario: a stack stage of the builder —
+/// everything `ScenarioBuilder` and that stage know — plus the workload.
 #[derive(Clone, Debug)]
 pub struct ScenarioSpec {
-    pub hosts: usize,
-    pub seed: u64,
-    pub placement: Placement,
-    pub field: FieldChoice,
-    pub radio: RadioConfig,
-    pub mobility: Mobility,
-    pub channel: ChannelMode,
-    pub queue: QueueImpl,
-    /// `None` defers to `ExecMode::default()` (the `MANET_EXEC` knob).
-    pub exec: Option<ExecMode>,
-    pub trace: bool,
-    pub max_events: Option<u64>,
-    pub churn_kills: usize,
-    pub churn_window: (SimTime, SimTime),
-    pub adversaries: Vec<(usize, Behavior)>,
     pub stack: StackSpec,
     pub workload: WorkloadSpec,
 }
 
-impl Default for ScenarioSpec {
-    /// Exactly `ScenarioBuilder::default()` with the plain stack and no
-    /// traffic — pinned against the builder by `defaults_mirror_the_builder`.
-    fn default() -> Self {
-        let b = ScenarioBuilder::new();
+impl ScenarioSpec {
+    /// Capture a plain-stack builder chain. The executor is captured as
+    /// the chain set it: `null` unless `.exec(..)` was called.
+    pub fn from_plain_builder(b: &PlainBuilder) -> Self {
         ScenarioSpec {
-            hosts: b.n_hosts,
-            seed: b.seed,
-            placement: b.placement.clone(),
-            field: field_choice(&b.field),
-            radio: b.radio.clone(),
-            mobility: b.mobility.clone(),
-            channel: b.channel,
-            queue: b.queue,
-            exec: None,
-            trace: b.trace,
-            max_events: b.max_events,
-            churn_kills: b.churn_kills,
-            churn_window: b.churn_window,
-            adversaries: b.attackers.clone(),
-            stack: StackSpec::Plain(PlainConfig::default()),
+            stack: StackSpec::Plain(b.clone()),
             workload: WorkloadSpec::default_for(false),
         }
-    }
-}
-
-fn field_choice(f: &FieldSpec) -> FieldChoice {
-    match f {
-        FieldSpec::Explicit(f) => FieldChoice::Explicit {
-            width: f.width,
-            height: f.height,
-        },
-        FieldSpec::Density(d) => FieldChoice::Density(*d),
-    }
-}
-
-impl ScenarioSpec {
-    // -----------------------------------------------------------------
-    // Builder introspection: capture a programmatic builder as a spec.
-    // -----------------------------------------------------------------
-
-    /// Capture a plain-stack builder chain. The exec mode is recorded
-    /// as the builder resolved it (so the spec replays the same run
-    /// even if `MANET_EXEC` changes later).
-    pub fn from_plain_builder(b: &PlainBuilder) -> Self {
-        let mut spec = Self::from_base(&b.base);
-        spec.stack = StackSpec::Plain(b.proto.clone());
-        spec.workload = WorkloadSpec::default_for(false);
-        spec
     }
 
     /// Capture a secure-stack builder chain.
     pub fn from_secure_builder(b: &SecureBuilder) -> Self {
-        let mut spec = Self::from_base(&b.base);
-        spec.stack = StackSpec::Secure {
-            proto: b.proto.clone(),
-            join_stagger: b.join_stagger,
-            register_names: b.register_names,
-            pre_register: b.pre_register.clone(),
-            name_overrides: b.name_overrides.clone(),
-        };
-        spec.workload = WorkloadSpec::default_for(true);
-        spec
-    }
-
-    fn from_base(b: &ScenarioBuilder) -> Self {
         ScenarioSpec {
-            hosts: b.n_hosts,
-            seed: b.seed,
-            placement: b.placement.clone(),
-            field: field_choice(&b.field),
-            radio: b.radio.clone(),
-            mobility: b.mobility.clone(),
-            channel: b.channel,
-            queue: b.queue,
-            exec: Some(b.exec),
-            trace: b.trace,
-            max_events: b.max_events,
-            churn_kills: b.churn_kills,
-            churn_window: b.churn_window,
-            adversaries: b.attackers.clone(),
-            stack: StackSpec::Plain(PlainConfig::default()),
-            workload: WorkloadSpec::default_for(false),
+            stack: StackSpec::Secure(b.clone()),
+            workload: WorkloadSpec::default_for(true),
         }
     }
 
@@ -463,40 +715,44 @@ impl ScenarioSpec {
     pub fn with_workload(mut self, w: &Workload, formation_s: f64, bootstrap: bool) -> Self {
         self.workload = WorkloadSpec {
             flows: FlowSpec::Pairs(w.flows.clone()),
-            packets: w.packets,
-            interval: w.interval,
-            warmup: w.warmup,
-            drain: w.drain,
-            payload_len: w.payload_len,
+            traffic: Workload {
+                flows: Vec::new(),
+                ..*w
+            },
             formation_s,
             bootstrap,
         };
         self
     }
 
-    // -----------------------------------------------------------------
-    // Parse
-    // -----------------------------------------------------------------
+    /// The stack-independent knobs, whichever stage carries them.
+    fn base(&self) -> &ScenarioBuilder {
+        match &self.stack {
+            StackSpec::Plain(b) => &b.base,
+            StackSpec::Secure(b) => &b.base,
+        }
+    }
 
     /// Parse a scenario document: `{"scenario": {...}, "workload": {...}}`.
     /// Every key optional, unknown keys rejected with their source line.
     pub fn from_json(doc: &Json) -> Result<Self, SpecError> {
         let mut top = Fields::new(doc, "$")?;
-        let mut spec = ScenarioSpec::default();
-
-        let mut secure_stack = false;
-        if let Some(sc) = top.get("scenario") {
-            parse_scenario_section(sc, &mut spec, &mut secure_stack)?;
-        }
-        let workload_json = top.get("workload");
-        top.deny_unknown()?;
-
-        spec.workload = match workload_json {
-            Some(w) => parse_workload(w, secure_stack)?,
-            None => WorkloadSpec::default_for(secure_stack),
+        let stack = match top.get("scenario") {
+            Some(sc) => parse_scenario(sc)?,
+            None => StackSpec::Plain(ScenarioBuilder::new().plain()),
         };
-
-        spec.validate(doc)?;
+        let mut workload = WorkloadSpec::default_for(stack.is_secure());
+        if let Some(w) = top.get("workload") {
+            let mut f = Fields::new(w, "workload")?;
+            f.knobs(WORKLOAD, &mut workload)?;
+            if let Some(flows) = f.get("flows") {
+                workload.flows = parse_flows(flows)?;
+            }
+            f.deny_unknown()?;
+        }
+        top.deny_unknown()?;
+        let spec = ScenarioSpec { stack, workload };
+        spec.validate(doc.line)?;
         Ok(spec)
     }
 
@@ -508,32 +764,25 @@ impl ScenarioSpec {
     }
 
     /// Cross-field validation that needs the whole spec (host-index
-    /// ranges, placement arity).
-    fn validate(&self, doc: &Json) -> Result<(), SpecError> {
-        let line = doc.line;
+    /// ranges, placement arity, spatial-index size).
+    fn validate(&self, line: u32) -> Result<(), SpecError> {
+        let base = self.base();
+        let hosts = base.n_hosts;
         let check_host = |what: &str, idx: usize| -> Result<(), SpecError> {
-            if idx >= self.hosts {
-                return Err(SpecError::at(
-                    what,
-                    line,
-                    format!("host index {idx} out of range for {} hosts", self.hosts),
-                ));
+            if idx >= hosts {
+                let msg = format!("host index {idx} out of range for {hosts} hosts");
+                return Err(SpecError::at(what, line, msg));
             }
             Ok(())
         };
-        for (i, _) in &self.adversaries {
+        for (i, _) in &base.attackers {
             check_host("scenario.adversaries", *i)?;
         }
-        if let StackSpec::Secure {
-            pre_register,
-            name_overrides,
-            ..
-        } = &self.stack
-        {
-            for i in pre_register {
+        if let StackSpec::Secure(b) = &self.stack {
+            for i in &b.pre_register {
                 check_host("scenario.stack.pre_register", *i)?;
             }
-            for (i, _) in name_overrides {
+            for (i, _) in &b.name_overrides {
                 check_host("scenario.stack.name_overrides", *i)?;
             }
         }
@@ -552,103 +801,66 @@ impl ScenarioSpec {
             }
             FlowSpec::Scale(_) => {}
         }
-        match &self.placement {
-            Placement::Bypass if self.hosts != 5 => {
-                return Err(SpecError::at(
-                    "scenario.placement",
-                    line,
-                    format!("bypass topology is fixed at 5 hosts, got {}", self.hosts),
-                ));
+        match &base.placement {
+            Placement::Bypass if hosts != 5 => {
+                let msg = format!("bypass topology is fixed at 5 hosts, got {hosts}");
+                return Err(SpecError::at("scenario.placement", line, msg));
             }
             Placement::Custom(positions) => {
-                let need = self.hosts + usize::from(self.stack.is_secure());
+                let dns = self.stack.is_secure();
+                let need = hosts + usize::from(dns);
                 if positions.len() != need {
-                    return Err(SpecError::at(
-                        "scenario.placement.positions",
-                        line,
-                        format!(
-                            "custom placement needs {need} positions ({} hosts{}), got {}",
-                            self.hosts,
-                            if self.stack.is_secure() { " + DNS" } else { "" },
-                            positions.len()
-                        ),
-                    ));
+                    let msg = format!(
+                        "custom placement needs {need} positions ({hosts} hosts{}), got {}",
+                        if dns { " + DNS" } else { "" },
+                        positions.len()
+                    );
+                    return Err(SpecError::at("scenario.placement.positions", line, msg));
                 }
             }
             _ => {}
         }
+        if base.channel == ChannelMode::Grid {
+            let (field, cell) = (base.resolved_field(), base.radio.max_range());
+            let cells = (field.width / cell).ceil() * (field.height / cell).ceil();
+            if cells > MAX_GRID_CELLS {
+                let msg = format!(
+                    "a {:.0} m × {:.0} m field at radio range {cell} m needs {cells:.0} grid \
+                     cells, more than the {MAX_GRID_CELLS} cap",
+                    field.width, field.height
+                );
+                return Err(SpecError::at("scenario.field", line, msg));
+            }
+        }
         Ok(())
     }
-
-    // -----------------------------------------------------------------
-    // Serialize
-    // -----------------------------------------------------------------
 
     /// Serialize the full spec (every key explicit) as a document that
     /// `from_json` parses back to an equivalent spec.
     pub fn to_json(&self) -> Json {
-        let scenario = vec![
-            ("hosts".into(), Json::num(self.hosts as f64)),
-            ("seed".into(), Json::num(self.seed as f64)),
-            ("placement".into(), placement_json(&self.placement)),
-            ("field".into(), field_json(&self.field)),
-            ("radio".into(), radio_json(&self.radio)),
-            ("mobility".into(), mobility_json(&self.mobility)),
-            (
-                "channel".into(),
-                Json::str(match self.channel {
-                    ChannelMode::Grid => "grid",
-                    ChannelMode::Linear => "linear",
-                }),
-            ),
-            ("queue".into(), Json::str(self.queue.name())),
-            (
-                "exec".into(),
-                match self.exec {
-                    None => Json::null(),
-                    Some(ExecMode::Single) => Json::str("single"),
-                    Some(ExecMode::Sharded(k)) => Json::str(format!("sharded:{k}")),
-                },
-            ),
-            ("trace".into(), Json::bool(self.trace)),
-            (
-                "max_events".into(),
-                self.max_events
-                    .map_or(Json::null(), |v| Json::num(v as f64)),
-            ),
-            (
-                "churn".into(),
-                Json::obj(vec![
-                    ("kills".into(), Json::num(self.churn_kills as f64)),
-                    (
-                        "window_s".into(),
-                        Json::arr(vec![
-                            Json::num(time_to_s(self.churn_window.0)),
-                            Json::num(time_to_s(self.churn_window.1)),
-                        ]),
-                    ),
-                ]),
-            ),
-            (
-                "adversaries".into(),
-                Json::arr(
-                    self.adversaries
-                        .iter()
-                        .map(|(i, b)| {
-                            Json::obj(vec![
-                                ("host".into(), Json::num(*i as f64)),
-                                ("behavior".into(), behavior_json(b)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("stack".into(), stack_json(&self.stack)),
-        ];
-        Json::obj(vec![
-            ("scenario".into(), Json::obj(scenario)),
-            ("workload".into(), workload_json(&self.workload)),
-        ])
+        let b = self.base();
+        let adversaries = b.attackers.iter().map(|(i, behavior)| {
+            obj(vec![
+                ("host", i.show()),
+                ("behavior", section(BEHAVIOR, behavior, vec![])),
+            ])
+        });
+        let scenario = section(
+            SCENARIO,
+            b,
+            vec![
+                ("placement", placement_json(&b.placement)),
+                ("field", field_json(&b.field)),
+                ("radio", section(RADIO, &b.radio, vec![])),
+                ("mobility", mobility_json(&b.mobility)),
+                ("churn", section(CHURN, b, vec![])),
+                ("adversaries", Json::arr(adversaries.collect())),
+                ("stack", stack_json(&self.stack)),
+            ],
+        );
+        let w = &self.workload;
+        let workload = section(WORKLOAD, w, vec![("flows", flows_json(&w.flows))]);
+        obj(vec![("scenario", scenario), ("workload", workload)])
     }
 
     /// `to_json` rendered canonically (sorted keys, fixed floats).
@@ -656,65 +868,14 @@ impl ScenarioSpec {
         json::canonical(&self.to_json())
     }
 
-    // -----------------------------------------------------------------
-    // Build & run
-    // -----------------------------------------------------------------
-
-    /// The stack-independent builder this spec describes.
-    fn base_builder(&self) -> ScenarioBuilder {
-        let mut b = ScenarioBuilder::new()
-            .hosts(self.hosts)
-            .seed(self.seed)
-            .placement(self.placement.clone())
-            .radio(self.radio.clone())
-            .mobility(self.mobility.clone())
-            .channel(self.channel)
-            .queue(self.queue)
-            .trace(self.trace)
-            .adversaries(self.adversaries.clone())
-            .churn(self.churn_kills, self.churn_window);
-        b = match self.field {
-            FieldChoice::Explicit { width, height } => b.field(Field::new(width, height)),
-            FieldChoice::Density(d) => b.density(d),
-        };
-        if let Some(exec) = self.exec {
-            b = b.exec(exec);
-        }
-        if let Some(cap) = self.max_events {
-            b = b.max_events(cap);
-        }
-        b
-    }
-
     /// Build the network and drive the workload to one report. The run
     /// is a pure function of (spec, seed): wall-derived report fields
     /// vary, everything under `RunReport::fingerprint()` does not.
     pub fn run(&self) -> Result<RunReport, SpecError> {
-        match &self.stack {
-            StackSpec::Plain(cfg) => {
-                let mut net = self.base_builder().plain_with(cfg.clone()).build();
-                Ok(drive(&mut net, &self.workload))
-            }
-            StackSpec::Secure {
-                proto,
-                join_stagger,
-                register_names,
-                pre_register,
-                name_overrides,
-            } => {
-                let mut b = self
-                    .base_builder()
-                    .secure_with(proto.clone())
-                    .join_stagger(*join_stagger)
-                    .register_names(*register_names)
-                    .pre_register(pre_register.clone());
-                for (i, name) in name_overrides {
-                    b = b.name_override(*i, name);
-                }
-                let mut net = b.build();
-                Ok(drive(&mut net, &self.workload))
-            }
-        }
+        Ok(match self.stack.clone() {
+            StackSpec::Plain(b) => drive(&mut b.build(), &self.workload),
+            StackSpec::Secure(b) => drive(&mut b.build(), &self.workload),
+        })
     }
 }
 
@@ -735,175 +896,91 @@ fn drive<P: NodeApi>(net: &mut Network<P>, w: &WorkloadSpec) -> RunReport {
         FlowSpec::Scale(n) => net.scale_flows(*n),
         FlowSpec::ConvergeCast { sources, sink } => sources.iter().map(|&s| (s, *sink)).collect(),
     };
-    net.run(&Workload {
-        flows,
-        packets: w.packets,
-        interval: w.interval,
-        warmup: w.warmup,
-        drain: w.drain,
-        payload_len: w.payload_len,
-    })
+    net.run(&Workload { flows, ..w.traffic })
 }
 
 // ---------------------------------------------------------------------
-// Section parsers
+// The structural sections: parsers
 // ---------------------------------------------------------------------
 
-fn parse_scenario_section(
-    j: &Json,
-    spec: &mut ScenarioSpec,
-    secure_stack: &mut bool,
-) -> Result<(), SpecError> {
+fn parse_scenario(j: &Json) -> Result<StackSpec, SpecError> {
     let mut f = Fields::new(j, "scenario")?;
-
-    spec.hosts = f.usize_or("hosts", spec.hosts)?;
-    if spec.hosts == 0 {
-        return Err(SpecError::at(
-            "scenario.hosts",
-            j.line,
-            "need at least one host",
-        ));
-    }
-    spec.seed = f.u64_or("seed", spec.seed)?;
+    let mut b = ScenarioBuilder::new();
+    f.knobs(SCENARIO, &mut b)?;
     if let Some(p) = f.get("placement") {
-        spec.placement = parse_placement(p)?;
+        b.placement = parse_placement(p)?;
     }
     if let Some(fd) = f.get("field") {
-        spec.field = parse_field(fd)?;
+        b.field = parse_field(fd)?;
     }
     if let Some(r) = f.get("radio") {
-        spec.radio = parse_radio(r, &spec.radio)?;
+        parse_table(r, "scenario.radio", RADIO, &mut b.radio)?;
     }
     if let Some(m) = f.get("mobility") {
-        spec.mobility = parse_mobility(m)?;
-    }
-    if let Some((s, line)) = f.str_at("channel")? {
-        spec.channel = match s {
-            "grid" => ChannelMode::Grid,
-            "linear" => ChannelMode::Linear,
-            other => {
-                return Err(SpecError::at(
-                    "scenario.channel",
-                    line,
-                    format!("unknown channel \"{other}\"; expected one of: grid, linear"),
-                ))
-            }
-        };
-    }
-    if let Some((s, line)) = f.str_at("queue")? {
-        spec.queue = match s {
-            "wheel" => QueueImpl::Wheel,
-            "heap" => QueueImpl::Heap,
-            other => {
-                return Err(SpecError::at(
-                    "scenario.queue",
-                    line,
-                    format!("unknown queue \"{other}\"; expected one of: wheel, heap"),
-                ))
-            }
-        };
-    }
-    if let Some(e) = f.get("exec") {
-        spec.exec = parse_exec(e)?;
-    }
-    spec.trace = f.bool_or("trace", spec.trace)?;
-    if let Some(me) = f.get("max_events") {
-        spec.max_events = match me.v {
-            Val::Null => None,
-            _ => Some(as_uint(me, "scenario.max_events")?),
-        };
+        b.mobility = parse_mobility(m)?;
     }
     if let Some(c) = f.get("churn") {
-        let (kills, window) = parse_churn(c)?;
-        spec.churn_kills = kills;
-        spec.churn_window = window;
+        parse_table(c, "scenario.churn", CHURN, &mut b)?;
     }
     if let Some(a) = f.get("adversaries") {
-        spec.adversaries = parse_adversaries(a)?;
+        b.attackers = parse_adversaries(a)?;
     }
-    if let Some(s) = f.get("stack") {
-        spec.stack = parse_stack(s)?;
-    }
-    *secure_stack = spec.stack.is_secure();
-    f.deny_unknown()
+    let stack = match f.get("stack") {
+        Some(s) => parse_stack(s, b)?,
+        None => StackSpec::Plain(b.plain()),
+    };
+    f.deny_unknown()?;
+    Ok(stack)
 }
 
 fn parse_placement(j: &Json) -> Result<Placement, SpecError> {
     let mut f = Fields::new(j, "scenario.placement")?;
-    let (kind, kind_line) = f
-        .str_at("kind")?
-        .ok_or_else(|| SpecError::at("scenario.placement.kind", j.line, "missing \"kind\""))?;
-    let placement = match kind {
+    let kind = f.req("kind")?;
+    let placement = match as_str(kind, "scenario.placement.kind")? {
         "chain" => Placement::Chain {
-            spacing: positive(f.f64_or("spacing", 180.0)?, "scenario.placement.spacing", j.line)?,
+            spacing: f.or("spacing", DEFAULT_SPACING, &POSITIVE)?,
         },
-        "grid" => {
-            let cols = f.usize_or("cols", 1)?;
-            if cols == 0 {
-                return Err(SpecError::at("scenario.placement.cols", j.line, "need at least one column"));
-            }
-            Placement::Grid {
-                cols,
-                spacing: positive(f.f64_or("spacing", 180.0)?, "scenario.placement.spacing", j.line)?,
-            }
-        }
+        "grid" => Placement::Grid {
+            cols: f.or("cols", 1, &AT_LEAST_ONE)?,
+            spacing: f.or("spacing", DEFAULT_SPACING, &POSITIVE)?,
+        },
         "uniform" => Placement::Uniform,
         "bypass" => Placement::Bypass,
-        "custom" => {
-            let positions = f.get("positions").ok_or_else(|| {
-                SpecError::at("scenario.placement.positions", j.line, "custom placement needs \"positions\"")
-            })?;
-            let items = as_arr(positions, "scenario.placement.positions")?;
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                out.push(parse_pos(item, &format!("scenario.placement.positions[{i}]"))?);
-            }
-            Placement::Custom(out)
-        }
+        "custom" => Placement::Custom(pos_list(
+            f.req("positions")?,
+            "scenario.placement.positions",
+        )?),
         other => {
-            return Err(SpecError::at(
-                "scenario.placement.kind",
-                kind_line,
-                format!("unknown placement \"{other}\"; expected one of: bypass, chain, custom, grid, uniform"),
-            ))
+            let kinds = ["bypass", "chain", "custom", "grid", "uniform"];
+            let path = "scenario.placement.kind";
+            return Err(unknown("placement", other, path, kind.line, &kinds));
         }
     };
     f.deny_unknown()?;
     Ok(placement)
 }
 
-fn parse_pos(j: &Json, path: &str) -> Result<Pos, SpecError> {
-    let items = as_arr(j, path)?;
-    if items.len() != 2 {
-        return Err(SpecError::at(path, j.line, "expected an [x, y] pair"));
-    }
-    Ok(Pos::new(as_f64(&items[0], path)?, as_f64(&items[1], path)?))
+fn pos_list(j: &Json, path: &str) -> Result<Vec<Pos>, SpecError> {
+    let parse_pos = |(i, item): (usize, &Json)| {
+        let path = format!("{path}[{i}]");
+        match as_arr(item, &path)? {
+            [x, y] => Ok(Pos::new(as_f64(x, &path)?, as_f64(y, &path)?)),
+            _ => Err(SpecError::at(path, item.line, "expected an [x, y] pair")),
+        }
+    };
+    as_arr(j, path)?.iter().enumerate().map(parse_pos).collect()
 }
 
-fn parse_field(j: &Json) -> Result<FieldChoice, SpecError> {
+fn parse_field(j: &Json) -> Result<FieldSpec, SpecError> {
     let mut f = Fields::new(j, "scenario.field")?;
-    let density = f.get("density").cloned();
-    let width = f.get("width").cloned();
-    let height = f.get("height").cloned();
+    let keys = (f.get("density"), f.get("width"), f.get("height"));
     f.deny_unknown()?;
-    match (density, width, height) {
-        (Some(d), None, None) => Ok(FieldChoice::Density(positive(
-            as_f64(&d, "scenario.field.density")?,
-            "scenario.field.density",
-            d.line,
-        )?)),
-        (None, Some(w), Some(h)) => Ok(FieldChoice::Explicit {
-            width: positive(
-                as_f64(&w, "scenario.field.width")?,
-                "scenario.field.width",
-                w.line,
-            )?,
-            height: positive(
-                as_f64(&h, "scenario.field.height")?,
-                "scenario.field.height",
-                h.line,
-            )?,
-        }),
+    match keys {
+        (Some(d), None, None) => Ok(FieldSpec::Density(read(d, &f.child("density"), &DENSITY)?)),
+        (None, Some(w), Some(h)) => Ok(FieldSpec::Explicit(Field::new(
+            read(w, &f.child("width"), &LENGTH)?,
+            read(h, &f.child("height"), &LENGTH)?,
+        ))),
         _ => Err(SpecError::at(
             "scenario.field",
             j.line,
@@ -912,775 +989,240 @@ fn parse_field(j: &Json) -> Result<FieldChoice, SpecError> {
     }
 }
 
-fn parse_radio(j: &Json, defaults: &RadioConfig) -> Result<RadioConfig, SpecError> {
-    let mut f = Fields::new(j, "scenario.radio")?;
-    let range = positive(
-        f.f64_or("range", defaults.range)?,
-        "scenario.radio.range",
-        j.line,
-    )?;
-    let loss = f.f64_or("loss", defaults.loss)?;
-    if !(0.0..1.0).contains(&loss) {
-        return Err(SpecError::at(
-            "scenario.radio.loss",
-            j.line,
-            format!("loss probability must be in [0, 1), got {loss}"),
-        ));
-    }
-    let base_delay = f.dur_ms_or("base_delay_ms", defaults.base_delay)?;
-    let jitter = f.dur_ms_or("jitter_ms", defaults.jitter)?;
-    let bits_per_sec = positive(
-        f.f64_or("bits_per_sec", defaults.bits_per_sec)?,
-        "scenario.radio.bits_per_sec",
-        j.line,
-    )?;
-    let gray_zone = match f.get("gray_zone") {
-        None => defaults.gray_zone,
-        Some(g) => match g.v {
-            Val::Null => None,
-            _ => Some(positive(
-                as_f64(g, "scenario.radio.gray_zone")?,
-                "scenario.radio.gray_zone",
-                g.line,
-            )?),
-        },
-    };
-    f.deny_unknown()?;
-    Ok(RadioConfig {
-        range,
-        loss,
-        base_delay,
-        jitter,
-        bits_per_sec,
-        gray_zone,
-    })
-}
-
 fn parse_mobility(j: &Json) -> Result<Mobility, SpecError> {
     let mut f = Fields::new(j, "scenario.mobility")?;
-    let (kind, kind_line) = f
-        .str_at("kind")?
-        .ok_or_else(|| SpecError::at("scenario.mobility.kind", j.line, "missing \"kind\""))?;
-    let mobility = match kind {
+    let kind = f.req("kind")?;
+    let mobility = match as_str(kind, "scenario.mobility.kind")? {
         "static" => Mobility::Static,
         "random_waypoint" => {
-            let min_speed = f.f64_or("min_speed", 1.0)?;
-            let max_speed = f.f64_or("max_speed", 4.0)?;
-            let pause_s = f.f64_or("pause_s", 2.0)?;
+            let min_speed = f.or("min_speed", 1.0, &ANY)?;
+            let max_speed = f.or("max_speed", 4.0, &ANY)?;
             if !(0.0 <= min_speed && min_speed <= max_speed) {
-                return Err(SpecError::at(
-                    "scenario.mobility",
-                    j.line,
-                    format!("need 0 <= min_speed <= max_speed, got {min_speed}..{max_speed}"),
-                ));
-            }
-            if pause_s < 0.0 {
-                return Err(SpecError::at(
-                    "scenario.mobility.pause_s",
-                    j.line,
-                    "pause must be >= 0",
-                ));
+                let msg = format!("need 0 <= min_speed <= max_speed, got {min_speed}..{max_speed}");
+                return Err(SpecError::at("scenario.mobility", j.line, msg));
             }
             Mobility::RandomWaypoint {
                 min_speed,
                 max_speed,
-                pause_s,
+                pause_s: f.or("pause_s", 2.0, &NON_NEGATIVE)?,
             }
         }
-        "scripted" => {
-            let speed = positive(f.f64_or("speed", 1.0)?, "scenario.mobility.speed", j.line)?;
-            let points = f.get("points").ok_or_else(|| {
-                SpecError::at(
-                    "scenario.mobility.points",
-                    j.line,
-                    "scripted mobility needs \"points\"",
-                )
-            })?;
-            let items = as_arr(points, "scenario.mobility.points")?;
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                out.push(parse_pos(item, &format!("scenario.mobility.points[{i}]"))?);
-            }
-            Mobility::Scripted { points: out, speed }
-        }
+        "scripted" => Mobility::Scripted {
+            speed: f.or("speed", 1.0, &POSITIVE)?,
+            points: pos_list(f.req("points")?, "scenario.mobility.points")?,
+        },
         other => {
-            return Err(SpecError::at(
-                "scenario.mobility.kind",
-                kind_line,
-                format!(
-                "unknown mobility \"{other}\"; expected one of: random_waypoint, scripted, static"
-            ),
-            ))
+            let kinds = ["random_waypoint", "scripted", "static"];
+            let path = "scenario.mobility.kind";
+            return Err(unknown("mobility", other, path, kind.line, &kinds));
         }
     };
     f.deny_unknown()?;
     Ok(mobility)
 }
 
-fn parse_exec(j: &Json) -> Result<Option<ExecMode>, SpecError> {
-    match &j.v {
-        Val::Null => Ok(None),
-        Val::Str(s) if s == "single" => Ok(Some(ExecMode::Single)),
-        Val::Str(s) => {
-            if let Some(k) = s.strip_prefix("sharded:") {
-                let shards: usize = k.parse().map_err(|_| {
-                    SpecError::at("scenario.exec", j.line, format!("bad shard count \"{k}\""))
-                })?;
-                if shards == 0 {
-                    return Err(SpecError::at(
-                        "scenario.exec",
-                        j.line,
-                        "need at least one shard",
-                    ));
-                }
-                return Ok(Some(ExecMode::Sharded(shards)));
-            }
-            Err(SpecError::at(
-                "scenario.exec",
-                j.line,
-                format!("unknown exec \"{s}\"; expected null, \"single\", or \"sharded:<k>\""),
-            ))
-        }
-        _ => Err(SpecError::at(
-            "scenario.exec",
-            j.line,
-            format!("expected null or a string, found {}", j.type_name()),
-        )),
-    }
-}
-
-fn parse_churn(j: &Json) -> Result<(usize, (SimTime, SimTime)), SpecError> {
-    let mut f = Fields::new(j, "scenario.churn")?;
-    let kills = f.usize_or("kills", 0)?;
-    let window = match f.get("window_s") {
-        None => (SimTime(4_000_000), SimTime(10_000_000)),
-        Some(w) => {
-            let items = as_arr(w, "scenario.churn.window_s")?;
-            if items.len() != 2 {
-                return Err(SpecError::at(
-                    "scenario.churn.window_s",
-                    w.line,
-                    "expected [start_s, end_s]",
-                ));
-            }
-            let lo = as_f64(&items[0], "scenario.churn.window_s")?;
-            let hi = as_f64(&items[1], "scenario.churn.window_s")?;
-            if !(0.0 <= lo && lo <= hi) {
-                return Err(SpecError::at(
-                    "scenario.churn.window_s",
-                    w.line,
-                    format!("need 0 <= start <= end, got [{lo}, {hi}]"),
-                ));
-            }
-            (
-                SimTime((lo * 1e6).round() as u64),
-                SimTime((hi * 1e6).round() as u64),
-            )
-        }
-    };
-    f.deny_unknown()?;
-    Ok((kills, window))
-}
-
 fn parse_adversaries(j: &Json) -> Result<Vec<(usize, Behavior)>, SpecError> {
-    let items = as_arr(j, "scenario.adversaries")?;
-    let mut out = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let path = format!("scenario.adversaries[{i}]");
-        let mut f = Fields::new(item, &path)?;
-        let host = f
-            .get("host")
-            .ok_or_else(|| SpecError::at(&path, item.line, "missing \"host\""))
-            .and_then(|h| as_uint(h, &format!("{path}.host")))? as usize;
-        let behavior = match f.get("behavior") {
-            None => Behavior::default(),
-            Some(b) => parse_behavior(b, &format!("{path}.behavior"))?,
-        };
+    let parse_one = |(i, item): (usize, &Json)| {
+        let mut f = Fields::new(item, &format!("scenario.adversaries[{i}]"))?;
+        let host = usize::parse(f.req("host")?, &f.child("host"))?;
+        let mut behavior = Behavior::default();
+        if let Some(b) = f.get("behavior") {
+            parse_table(b, &f.child("behavior"), BEHAVIOR, &mut behavior)?;
+        }
         f.deny_unknown()?;
-        out.push((host, behavior));
-    }
-    Ok(out)
-}
-
-fn parse_behavior(j: &Json, path: &str) -> Result<Behavior, SpecError> {
-    let mut f = Fields::new(j, path)?;
-    let data_drop_prob = f.f64_or("data_drop_prob", 0.0)?;
-    if !(0.0..=1.0).contains(&data_drop_prob) {
-        return Err(SpecError::at(
-            format!("{path}.data_drop_prob"),
-            j.line,
-            format!("drop probability must be in [0, 1], got {data_drop_prob}"),
-        ));
-    }
-    let impersonate = match f.get("impersonate") {
-        None => None,
-        Some(v) => match &v.v {
-            Val::Null => None,
-            _ => Some(parse_ipv6(v, &format!("{path}.impersonate"))?),
-        },
+        Ok((host, behavior))
     };
-    let b = Behavior {
-        data_drop_prob,
-        forge_rrep: f.bool_or("forge_rrep", false)?,
-        impersonate,
-        replay: f.bool_or("replay", false)?,
-        rerr_spam: f.bool_or("rerr_spam", false)?,
-        squat_dad: f.bool_or("squat_dad", false)?,
-        forge_dns: f.bool_or("forge_dns", false)?,
-        evade_probes: f.bool_or("evade_probes", false)?,
-    };
-    f.deny_unknown()?;
-    Ok(b)
+    let items = as_arr(j, "scenario.adversaries")?;
+    items.iter().enumerate().map(parse_one).collect()
 }
 
-/// Addresses serialize as their eight 16-bit groups (the textual
-/// grouping), e.g. `[65216, 0, 0, 0, 0, 0, 0, 1]` for `fec0::1`.
-fn parse_ipv6(j: &Json, path: &str) -> Result<Ipv6Addr, SpecError> {
-    let items = as_arr(j, path)?;
-    if items.len() != 8 {
-        return Err(SpecError::at(path, j.line, "expected eight 16-bit groups"));
-    }
-    let mut groups = [0u16; 8];
-    for (i, item) in items.iter().enumerate() {
-        let v = as_uint(item, path)?;
-        groups[i] = u16::try_from(v).map_err(|_| {
-            SpecError::at(
-                path,
-                item.line,
-                format!("group {v} does not fit in 16 bits"),
-            )
-        })?;
-    }
-    Ok(Ipv6Addr::from_groups(groups))
-}
-
-fn parse_stack(j: &Json) -> Result<StackSpec, SpecError> {
+fn parse_stack(j: &Json, base: ScenarioBuilder) -> Result<StackSpec, SpecError> {
     let mut f = Fields::new(j, "scenario.stack")?;
-    let (kind, kind_line) = f
-        .str_at("kind")?
-        .ok_or_else(|| SpecError::at("scenario.stack.kind", j.line, "missing \"kind\""))?;
-    let stack = match kind {
+    let kind = f.req("kind")?;
+    let stack = match as_str(kind, "scenario.stack.kind")? {
         "plain" => {
-            let d = PlainConfig::default();
-            let cfg = PlainConfig {
-                rreq_timeout: f.dur_ms_or("rreq_timeout_ms", d.rreq_timeout)?,
-                rreq_retries: f.u32_or("rreq_retries", d.rreq_retries)?,
-                ack_timeout: f.dur_ms_or("ack_timeout_ms", d.ack_timeout)?,
-                data_retries: f.u32_or("data_retries", d.data_retries)?,
-                max_send_buffer: f.usize_or("max_send_buffer", d.max_send_buffer)?,
-                cached_replies: f.bool_or("cached_replies", d.cached_replies)?,
-                per_node_stats: f.bool_or("per_node_stats", d.per_node_stats)?,
-            };
-            StackSpec::Plain(cfg)
+            let mut b = base.plain();
+            f.knobs(PLAIN, &mut b.proto)?;
+            StackSpec::Plain(b)
         }
         "secure" => {
-            let join_stagger = f.dur_ms_or("join_stagger_ms", SimDuration::from_millis(1_100))?;
-            let register_names = f.bool_or("register_names", true)?;
-            let pre_register = match f.get("pre_register") {
-                None => Vec::new(),
-                Some(p) => {
-                    let items = as_arr(p, "scenario.stack.pre_register")?;
-                    items
-                        .iter()
-                        .map(|i| as_uint(i, "scenario.stack.pre_register").map(|v| v as usize))
-                        .collect::<Result<Vec<_>, _>>()?
-                }
-            };
-            let name_overrides = match f.get("name_overrides") {
-                None => Vec::new(),
-                Some(n) => {
-                    let items = as_arr(n, "scenario.stack.name_overrides")?;
-                    let mut out = Vec::with_capacity(items.len());
-                    for (i, item) in items.iter().enumerate() {
-                        let path = format!("scenario.stack.name_overrides[{i}]");
-                        let mut nf = Fields::new(item, &path)?;
-                        let host = nf
-                            .get("host")
-                            .ok_or_else(|| SpecError::at(&path, item.line, "missing \"host\""))
-                            .and_then(|h| as_uint(h, &format!("{path}.host")))?
-                            as usize;
-                        let (name, _) = nf
-                            .str_at("name")?
-                            .ok_or_else(|| SpecError::at(&path, item.line, "missing \"name\""))?;
-                        nf.deny_unknown()?;
-                        out.push((host, name.to_string()));
-                    }
-                    out
-                }
-            };
-            let proto = match f.get("proto") {
-                None => ProtocolConfig::default(),
-                Some(p) => parse_proto(p)?,
-            };
-            StackSpec::Secure {
-                proto,
-                join_stagger,
-                register_names,
-                pre_register,
-                name_overrides,
+            let mut b = base.secure();
+            f.knobs(SECURE, &mut b)?;
+            if let Some(n) = f.get("name_overrides") {
+                b.name_overrides = parse_name_overrides(n)?;
             }
+            if let Some(p) = f.get("proto") {
+                let mut pf = Fields::new(p, "scenario.stack.proto")?;
+                pf.knobs(PROTO, &mut b.proto)?;
+                if let Some(c) = pf.get("credit") {
+                    parse_table(c, &pf.child("credit"), CREDIT, &mut b.proto.credit)?;
+                }
+                pf.deny_unknown()?;
+            }
+            StackSpec::Secure(b)
         }
         other => {
-            return Err(SpecError::at(
-                "scenario.stack.kind",
-                kind_line,
-                format!("unknown stack \"{other}\"; expected one of: plain, secure"),
-            ))
+            let path = "scenario.stack.kind";
+            return Err(unknown(
+                "stack",
+                other,
+                path,
+                kind.line,
+                &["plain", "secure"],
+            ));
         }
     };
     f.deny_unknown()?;
     Ok(stack)
 }
 
-fn parse_proto(j: &Json) -> Result<ProtocolConfig, SpecError> {
-    let mut f = Fields::new(j, "scenario.stack.proto")?;
-    let d = ProtocolConfig::default();
-    let key_bits = f.u32_or("key_bits", d.key_bits)?;
-    if key_bits < 384 {
-        return Err(SpecError::at(
-            "scenario.stack.proto.key_bits",
-            j.line,
-            format!(
-                "modulus must be at least 384 bits to admit the signature frame, got {key_bits}"
-            ),
-        ));
-    }
-    let crypto_backend = match f.str_at("crypto_backend")? {
-        None => d.crypto_backend,
-        Some(("rsa", _)) => BackendKind::Rsa,
-        Some(("null", _)) => BackendKind::Null,
-        Some(("hashsig", _)) => BackendKind::HashSig,
-        Some((other, line)) => {
-            return Err(SpecError::at(
-                "scenario.stack.proto.crypto_backend",
-                line,
-                format!("unknown backend \"{other}\"; expected one of: hashsig, null, rsa"),
-            ))
-        }
+fn parse_name_overrides(j: &Json) -> Result<Vec<(usize, DomainName)>, SpecError> {
+    let parse_one = |(i, item): (usize, &Json)| {
+        let mut f = Fields::new(item, &format!("scenario.stack.name_overrides[{i}]"))?;
+        let host = usize::parse(f.req("host")?, &f.child("host"))?;
+        let (name, path) = (f.req("name")?, f.child("name"));
+        f.deny_unknown()?;
+        let text = as_str(name, &path)?;
+        let name = DomainName::new(text).map_err(|e| {
+            let msg = format!("\"{text}\" is not a valid domain name ({e:?})");
+            SpecError::at(path, name.line, msg)
+        })?;
+        Ok((host, name))
     };
-    let credit = match f.get("credit") {
-        None => CreditConfig::default(),
-        Some(c) => parse_credit(c)?,
-    };
-    let cfg = ProtocolConfig {
-        key_bits,
-        dad_timeout: f.dur_ms_or("dad_timeout_ms", d.dad_timeout)?,
-        dad_probes: f.u32_or("dad_probes", d.dad_probes)?,
-        dad_max_attempts: f.u32_or("dad_max_attempts", d.dad_max_attempts)?,
-        dns_pending_window: f.dur_ms_or("dns_pending_window_ms", d.dns_pending_window)?,
-        rreq_timeout: f.dur_ms_or("rreq_timeout_ms", d.rreq_timeout)?,
-        rreq_retries: f.u32_or("rreq_retries", d.rreq_retries)?,
-        ack_timeout: f.dur_ms_or("ack_timeout_ms", d.ack_timeout)?,
-        data_retries: f.u32_or("data_retries", d.data_retries)?,
-        crep_enabled: f.bool_or("crep_enabled", d.crep_enabled)?,
-        route_ttl: f.dur_ms_or("route_ttl_ms", d.route_ttl)?,
-        route_cache_per_dest: f.usize_or("route_cache_per_dest", d.route_cache_per_dest)?,
-        route_cache_dests: f.usize_or("route_cache_dests", d.route_cache_dests)?,
-        verify_cache: f.bool_or("verify_cache", d.verify_cache)?,
-        verify_cache_capacity: f.usize_or("verify_cache_capacity", d.verify_cache_capacity)?,
-        crypto_backend,
-        batch_verify: f.bool_or("batch_verify", d.batch_verify)?,
-        rrep_multi: f.u32_or("rrep_multi", d.rrep_multi)?,
-        verify_srr: f.bool_or("verify_srr", d.verify_srr)?,
-        credit,
-        max_send_buffer: f.usize_or("max_send_buffer", d.max_send_buffer)?,
-        probe_enabled: f.bool_or("probe_enabled", d.probe_enabled)?,
-        probe_after: f.u32_or("probe_after", d.probe_after)?,
-        probe_timeout: f.dur_ms_or("probe_timeout_ms", d.probe_timeout)?,
-    };
-    f.deny_unknown()?;
-    Ok(cfg)
-}
-
-fn parse_credit(j: &Json) -> Result<CreditConfig, SpecError> {
-    let mut f = Fields::new(j, "scenario.stack.proto.credit")?;
-    let d = CreditConfig::default();
-    let cfg = CreditConfig {
-        enabled: f.bool_or("enabled", d.enabled)?,
-        initial: f.i64_or("initial", d.initial)?,
-        reward: f.i64_or("reward", d.reward)?,
-        slash: f.i64_or("slash", d.slash)?,
-        timeout_penalty: f.i64_or("timeout_penalty", d.timeout_penalty)?,
-        rerr_threshold: f.u32_or("rerr_threshold", d.rerr_threshold)?,
-        avoid_below: f.i64_or("avoid_below", d.avoid_below)?,
-    };
-    f.deny_unknown()?;
-    Ok(cfg)
-}
-
-fn parse_workload(j: &Json, secure: bool) -> Result<WorkloadSpec, SpecError> {
-    let mut f = Fields::new(j, "workload")?;
-    let d = WorkloadSpec::default_for(secure);
-    let flows = match f.get("flows") {
-        None => d.flows.clone(),
-        Some(fl) => parse_flows(fl)?,
-    };
-    let formation_s = f.f64_or("formation_s", d.formation_s)?;
-    if !(0.0..=1.0e9).contains(&formation_s) {
-        return Err(SpecError::at(
-            "workload.formation_s",
-            j.line,
-            format!("formation time must be in [0, 1e9] s, got {formation_s}"),
-        ));
-    }
-    let w = WorkloadSpec {
-        flows,
-        packets: f.usize_or("packets", d.packets)?,
-        interval: f.dur_ms_or("interval_ms", d.interval)?,
-        warmup: f.dur_ms_or("warmup_ms", d.warmup)?,
-        drain: f.dur_ms_or("drain_ms", d.drain)?,
-        payload_len: f.usize_or("payload_len", d.payload_len)?,
-        formation_s,
-        bootstrap: f.bool_or("bootstrap", d.bootstrap)?,
-    };
-    f.deny_unknown()?;
-    Ok(w)
+    let items = as_arr(j, "scenario.stack.name_overrides")?;
+    items.iter().enumerate().map(parse_one).collect()
 }
 
 fn parse_flows(j: &Json) -> Result<FlowSpec, SpecError> {
-    match &j.v {
-        Val::Arr(items) => {
-            let mut pairs = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let path = format!("workload.flows[{i}]");
-                let pair = as_arr(item, &path)?;
-                if pair.len() != 2 {
-                    return Err(SpecError::at(
-                        &path,
-                        item.line,
-                        "expected a [source, destination] pair",
-                    ));
-                }
-                pairs.push((
-                    as_uint(&pair[0], &path)? as usize,
-                    as_uint(&pair[1], &path)? as usize,
-                ));
-            }
-            Ok(FlowSpec::Pairs(pairs))
-        }
-        Val::Obj(_) => {
-            let mut f = Fields::new(j, "workload.flows")?;
-            let scale = f.get("scale").cloned();
-            let cc = f.get("converge_cast").cloned();
-            f.deny_unknown()?;
-            match (scale, cc) {
-                (Some(s), None) => Ok(FlowSpec::Scale(
-                    as_uint(&s, "workload.flows.scale")? as usize
-                )),
-                (None, Some(c)) => {
-                    let mut cf = Fields::new(&c, "workload.flows.converge_cast")?;
-                    let sources = cf
-                        .get("sources")
-                        .ok_or_else(|| {
-                            SpecError::at(
-                                "workload.flows.converge_cast.sources",
-                                c.line,
-                                "missing \"sources\"",
-                            )
-                        })
-                        .and_then(|s| as_arr(s, "workload.flows.converge_cast.sources"))?
-                        .iter()
-                        .map(|i| {
-                            as_uint(i, "workload.flows.converge_cast.sources").map(|v| v as usize)
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let sink = cf
-                        .get("sink")
-                        .ok_or_else(|| {
-                            SpecError::at(
-                                "workload.flows.converge_cast.sink",
-                                c.line,
-                                "missing \"sink\"",
-                            )
-                        })
-                        .and_then(|s| as_uint(s, "workload.flows.converge_cast.sink"))?
-                        as usize;
-                    cf.deny_unknown()?;
-                    Ok(FlowSpec::ConvergeCast { sources, sink })
-                }
+    if let Val::Arr(items) = &j.v {
+        let parse_pair = |(i, item): (usize, &Json)| {
+            let path = format!("workload.flows[{i}]");
+            match as_arr(item, &path)? {
+                [s, d] => Ok((usize::parse(s, &path)?, usize::parse(d, &path)?)),
                 _ => Err(SpecError::at(
-                    "workload.flows",
-                    j.line,
-                    "give pairs [[s, d], ...], {\"scale\": n}, or {\"converge_cast\": {...}}",
+                    path,
+                    item.line,
+                    "expected a [source, destination] pair",
                 )),
             }
+        };
+        let pairs: Result<_, _> = items.iter().enumerate().map(parse_pair).collect();
+        return pairs.map(FlowSpec::Pairs);
+    }
+    let mut f = Fields::new(j, "workload.flows")
+        .map_err(|_| mismatch(j, "workload.flows", "an array or an object"))?;
+    let keys = (f.get("scale"), f.get("converge_cast"));
+    f.deny_unknown()?;
+    match keys {
+        (Some(n), None) => usize::parse(n, "workload.flows.scale").map(FlowSpec::Scale),
+        (None, Some(c)) => {
+            let mut cf = Fields::new(c, "workload.flows.converge_cast")?;
+            let sources = Vec::parse(cf.req("sources")?, &cf.child("sources"))?;
+            let sink = usize::parse(cf.req("sink")?, &cf.child("sink"))?;
+            cf.deny_unknown()?;
+            Ok(FlowSpec::ConvergeCast { sources, sink })
         }
         _ => Err(SpecError::at(
             "workload.flows",
             j.line,
-            format!("expected an array or an object, found {}", j.type_name()),
+            "give pairs [[s, d], ...], {\"scale\": n}, or {\"converge_cast\": {...}}",
         )),
     }
 }
 
-fn positive(v: f64, path: &str, line: u32) -> Result<f64, SpecError> {
-    if v > 0.0 && v.is_finite() {
-        Ok(v)
-    } else {
-        Err(SpecError::at(
-            path,
-            line,
-            format!("must be a positive number, got {v}"),
-        ))
-    }
-}
+// ---------------------------------------------------------------------
+// The structural sections: serializers
+// ---------------------------------------------------------------------
 
-// ---------------------------------------------------------------------
-// Serializers (the to_json halves)
-// ---------------------------------------------------------------------
+fn pos_list_json(points: &[Pos]) -> Json {
+    let pair = |p: &Pos| Json::arr(vec![Json::num(p.x), Json::num(p.y)]);
+    Json::arr(points.iter().map(pair).collect())
+}
 
 fn placement_json(p: &Placement) -> Json {
-    match p {
-        Placement::Chain { spacing } => Json::obj(vec![
-            ("kind".into(), Json::str("chain")),
-            ("spacing".into(), Json::num(*spacing)),
-        ]),
-        Placement::Grid { cols, spacing } => Json::obj(vec![
-            ("kind".into(), Json::str("grid")),
-            ("cols".into(), Json::num(*cols as f64)),
-            ("spacing".into(), Json::num(*spacing)),
-        ]),
-        Placement::Uniform => Json::obj(vec![("kind".into(), Json::str("uniform"))]),
-        Placement::Bypass => Json::obj(vec![("kind".into(), Json::str("bypass"))]),
-        Placement::Custom(positions) => Json::obj(vec![
-            ("kind".into(), Json::str("custom")),
-            (
-                "positions".into(),
-                Json::arr(positions.iter().map(pos_json).collect()),
-            ),
-        ]),
-    }
+    obj(match p {
+        Placement::Chain { spacing } => vec![
+            ("kind", Json::str("chain")),
+            ("spacing", Json::num(*spacing)),
+        ],
+        Placement::Grid { cols, spacing } => vec![
+            ("kind", Json::str("grid")),
+            ("cols", cols.show()),
+            ("spacing", Json::num(*spacing)),
+        ],
+        Placement::Uniform => vec![("kind", Json::str("uniform"))],
+        Placement::Bypass => vec![("kind", Json::str("bypass"))],
+        Placement::Custom(positions) => vec![
+            ("kind", Json::str("custom")),
+            ("positions", pos_list_json(positions)),
+        ],
+    })
 }
 
-fn pos_json(p: &Pos) -> Json {
-    Json::arr(vec![Json::num(p.x), Json::num(p.y)])
-}
-
-fn field_json(f: &FieldChoice) -> Json {
-    match f {
-        FieldChoice::Explicit { width, height } => Json::obj(vec![
-            ("width".into(), Json::num(*width)),
-            ("height".into(), Json::num(*height)),
-        ]),
-        FieldChoice::Density(d) => Json::obj(vec![("density".into(), Json::num(*d))]),
-    }
-}
-
-fn radio_json(r: &RadioConfig) -> Json {
-    Json::obj(vec![
-        ("range".into(), Json::num(r.range)),
-        ("loss".into(), Json::num(r.loss)),
-        ("base_delay_ms".into(), Json::num(dur_to_ms(r.base_delay))),
-        ("jitter_ms".into(), Json::num(dur_to_ms(r.jitter))),
-        ("bits_per_sec".into(), Json::num(r.bits_per_sec)),
-        (
-            "gray_zone".into(),
-            r.gray_zone.map_or(Json::null(), Json::num),
-        ),
-    ])
+fn field_json(f: &FieldSpec) -> Json {
+    obj(match f {
+        FieldSpec::Explicit(f) => vec![
+            ("width", Json::num(f.width)),
+            ("height", Json::num(f.height)),
+        ],
+        FieldSpec::Density(d) => vec![("density", Json::num(*d))],
+    })
 }
 
 fn mobility_json(m: &Mobility) -> Json {
-    match m {
-        Mobility::Static => Json::obj(vec![("kind".into(), Json::str("static"))]),
+    obj(match m {
+        Mobility::Static => vec![("kind", Json::str("static"))],
         Mobility::RandomWaypoint {
             min_speed,
             max_speed,
             pause_s,
-        } => Json::obj(vec![
-            ("kind".into(), Json::str("random_waypoint")),
-            ("min_speed".into(), Json::num(*min_speed)),
-            ("max_speed".into(), Json::num(*max_speed)),
-            ("pause_s".into(), Json::num(*pause_s)),
-        ]),
-        Mobility::Scripted { points, speed } => Json::obj(vec![
-            ("kind".into(), Json::str("scripted")),
-            (
-                "points".into(),
-                Json::arr(points.iter().map(pos_json).collect()),
-            ),
-            ("speed".into(), Json::num(*speed)),
-        ]),
-    }
-}
-
-fn behavior_json(b: &Behavior) -> Json {
-    Json::obj(vec![
-        ("data_drop_prob".into(), Json::num(b.data_drop_prob)),
-        ("forge_rrep".into(), Json::bool(b.forge_rrep)),
-        (
-            "impersonate".into(),
-            b.impersonate.map_or(Json::null(), |ip| {
-                Json::arr(ip.groups().iter().map(|&g| Json::num(g as f64)).collect())
-            }),
-        ),
-        ("replay".into(), Json::bool(b.replay)),
-        ("rerr_spam".into(), Json::bool(b.rerr_spam)),
-        ("squat_dad".into(), Json::bool(b.squat_dad)),
-        ("forge_dns".into(), Json::bool(b.forge_dns)),
-        ("evade_probes".into(), Json::bool(b.evade_probes)),
-    ])
+        } => vec![
+            ("kind", Json::str("random_waypoint")),
+            ("min_speed", Json::num(*min_speed)),
+            ("max_speed", Json::num(*max_speed)),
+            ("pause_s", Json::num(*pause_s)),
+        ],
+        Mobility::Scripted { points, speed } => vec![
+            ("kind", Json::str("scripted")),
+            ("points", pos_list_json(points)),
+            ("speed", Json::num(*speed)),
+        ],
+    })
 }
 
 fn stack_json(s: &StackSpec) -> Json {
     match s {
-        StackSpec::Plain(c) => Json::obj(vec![
-            ("kind".into(), Json::str("plain")),
-            (
-                "rreq_timeout_ms".into(),
-                Json::num(dur_to_ms(c.rreq_timeout)),
-            ),
-            ("rreq_retries".into(), Json::num(c.rreq_retries as f64)),
-            ("ack_timeout_ms".into(), Json::num(dur_to_ms(c.ack_timeout))),
-            ("data_retries".into(), Json::num(c.data_retries as f64)),
-            (
-                "max_send_buffer".into(),
-                Json::num(c.max_send_buffer as f64),
-            ),
-            ("cached_replies".into(), Json::bool(c.cached_replies)),
-            ("per_node_stats".into(), Json::bool(c.per_node_stats)),
-        ]),
-        StackSpec::Secure {
-            proto,
-            join_stagger,
-            register_names,
-            pre_register,
-            name_overrides,
-        } => Json::obj(vec![
-            ("kind".into(), Json::str("secure")),
-            (
-                "join_stagger_ms".into(),
-                Json::num(dur_to_ms(*join_stagger)),
-            ),
-            ("register_names".into(), Json::bool(*register_names)),
-            (
-                "pre_register".into(),
-                Json::arr(pre_register.iter().map(|&i| Json::num(i as f64)).collect()),
-            ),
-            (
-                "name_overrides".into(),
-                Json::arr(
-                    name_overrides
-                        .iter()
-                        .map(|(i, n)| {
-                            Json::obj(vec![
-                                ("host".into(), Json::num(*i as f64)),
-                                ("name".into(), Json::str(n.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("proto".into(), proto_json(proto)),
-        ]),
+        StackSpec::Plain(b) => section(PLAIN, &b.proto, vec![("kind", Json::str("plain"))]),
+        StackSpec::Secure(b) => {
+            let name_overrides = b
+                .name_overrides
+                .iter()
+                .map(|(i, name)| obj(vec![("host", i.show()), ("name", Json::str(name.as_str()))]));
+            let credit = section(CREDIT, &b.proto.credit, vec![]);
+            section(
+                SECURE,
+                b,
+                vec![
+                    ("kind", Json::str("secure")),
+                    ("name_overrides", Json::arr(name_overrides.collect())),
+                    ("proto", section(PROTO, &b.proto, vec![("credit", credit)])),
+                ],
+            )
+        }
     }
 }
 
-fn proto_json(c: &ProtocolConfig) -> Json {
-    Json::obj(vec![
-        ("key_bits".into(), Json::num(c.key_bits as f64)),
-        ("dad_timeout_ms".into(), Json::num(dur_to_ms(c.dad_timeout))),
-        ("dad_probes".into(), Json::num(c.dad_probes as f64)),
-        (
-            "dad_max_attempts".into(),
-            Json::num(c.dad_max_attempts as f64),
-        ),
-        (
-            "dns_pending_window_ms".into(),
-            Json::num(dur_to_ms(c.dns_pending_window)),
-        ),
-        (
-            "rreq_timeout_ms".into(),
-            Json::num(dur_to_ms(c.rreq_timeout)),
-        ),
-        ("rreq_retries".into(), Json::num(c.rreq_retries as f64)),
-        ("ack_timeout_ms".into(), Json::num(dur_to_ms(c.ack_timeout))),
-        ("data_retries".into(), Json::num(c.data_retries as f64)),
-        ("crep_enabled".into(), Json::bool(c.crep_enabled)),
-        ("route_ttl_ms".into(), Json::num(dur_to_ms(c.route_ttl))),
-        (
-            "route_cache_per_dest".into(),
-            Json::num(c.route_cache_per_dest as f64),
-        ),
-        (
-            "route_cache_dests".into(),
-            Json::num(c.route_cache_dests as f64),
-        ),
-        ("verify_cache".into(), Json::bool(c.verify_cache)),
-        (
-            "verify_cache_capacity".into(),
-            Json::num(c.verify_cache_capacity as f64),
-        ),
-        (
-            "crypto_backend".into(),
-            Json::str(match c.crypto_backend {
-                BackendKind::Rsa => "rsa",
-                BackendKind::Null => "null",
-                BackendKind::HashSig => "hashsig",
-            }),
-        ),
-        ("batch_verify".into(), Json::bool(c.batch_verify)),
-        ("rrep_multi".into(), Json::num(c.rrep_multi as f64)),
-        ("verify_srr".into(), Json::bool(c.verify_srr)),
-        ("credit".into(), credit_json(&c.credit)),
-        (
-            "max_send_buffer".into(),
-            Json::num(c.max_send_buffer as f64),
-        ),
-        ("probe_enabled".into(), Json::bool(c.probe_enabled)),
-        ("probe_after".into(), Json::num(c.probe_after as f64)),
-        (
-            "probe_timeout_ms".into(),
-            Json::num(dur_to_ms(c.probe_timeout)),
-        ),
-    ])
-}
-
-fn credit_json(c: &CreditConfig) -> Json {
-    Json::obj(vec![
-        ("enabled".into(), Json::bool(c.enabled)),
-        ("initial".into(), Json::num(c.initial as f64)),
-        ("reward".into(), Json::num(c.reward as f64)),
-        ("slash".into(), Json::num(c.slash as f64)),
-        (
-            "timeout_penalty".into(),
-            Json::num(c.timeout_penalty as f64),
-        ),
-        ("rerr_threshold".into(), Json::num(c.rerr_threshold as f64)),
-        ("avoid_below".into(), Json::num(c.avoid_below as f64)),
-    ])
-}
-
-fn workload_json(w: &WorkloadSpec) -> Json {
-    let flows = match &w.flows {
-        FlowSpec::Pairs(pairs) => Json::arr(
-            pairs
-                .iter()
-                .map(|(s, d)| Json::arr(vec![Json::num(*s as f64), Json::num(*d as f64)]))
-                .collect(),
-        ),
-        FlowSpec::Scale(n) => Json::obj(vec![("scale".into(), Json::num(*n as f64))]),
-        FlowSpec::ConvergeCast { sources, sink } => Json::obj(vec![(
-            "converge_cast".into(),
-            Json::obj(vec![
-                (
-                    "sources".into(),
-                    Json::arr(sources.iter().map(|&s| Json::num(s as f64)).collect()),
-                ),
-                ("sink".into(), Json::num(*sink as f64)),
-            ]),
-        )]),
-    };
-    Json::obj(vec![
-        ("flows".into(), flows),
-        ("packets".into(), Json::num(w.packets as f64)),
-        ("interval_ms".into(), Json::num(dur_to_ms(w.interval))),
-        ("warmup_ms".into(), Json::num(dur_to_ms(w.warmup))),
-        ("drain_ms".into(), Json::num(dur_to_ms(w.drain))),
-        ("payload_len".into(), Json::num(w.payload_len as f64)),
-        ("formation_s".into(), Json::num(w.formation_s)),
-        ("bootstrap".into(), Json::bool(w.bootstrap)),
-    ])
+fn flows_json(flows: &FlowSpec) -> Json {
+    match flows {
+        FlowSpec::Pairs(pairs) => {
+            Json::arr(pairs.iter().map(|&(s, d)| vec![s, d].show()).collect())
+        }
+        FlowSpec::Scale(n) => obj(vec![("scale", n.show())]),
+        FlowSpec::ConvergeCast { sources, sink } => {
+            let cast = vec![("sources", sources.show()), ("sink", sink.show())];
+            obj(vec![("converge_cast", obj(cast))])
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1690,29 +1232,14 @@ mod tests {
     #[test]
     fn empty_document_is_the_default_scenario() {
         let spec = ScenarioSpec::parse("{}").unwrap();
-        assert_eq!(spec.hosts, 8);
-        assert_eq!(spec.seed, 1);
-        assert!(matches!(spec.placement, Placement::Chain { spacing } if spacing == 180.0));
-        assert_eq!(
-            spec.radio.loss, 0.0,
-            "scenario default, not RadioConfig's 1%"
-        );
+        let b = spec.base();
+        assert_eq!(b.n_hosts, 8);
+        assert_eq!(b.seed, 1);
+        assert!(matches!(b.placement, Placement::Chain { spacing } if spacing == 180.0));
+        assert_eq!(b.radio.loss, 0.0, "scenario default, not RadioConfig's 1%");
+        assert_eq!(b.exec, None, "an unset executor stays unset");
         assert!(matches!(spec.stack, StackSpec::Plain(_)));
-        assert_eq!(spec.workload.packets, 0);
-    }
-
-    #[test]
-    fn defaults_mirror_the_builder() {
-        // The spec's Default must track ScenarioBuilder::default(): if a
-        // builder default changes, this breaks loudly instead of the
-        // file format silently meaning something else.
-        let spec = ScenarioSpec::default();
-        let b = ScenarioBuilder::new();
-        assert_eq!(spec.hosts, b.n_hosts);
-        assert_eq!(spec.seed, b.seed);
-        assert_eq!(spec.radio.loss, b.radio.loss);
-        assert_eq!(spec.churn_window, b.churn_window);
-        assert_eq!(spec.field, super::field_choice(&b.field));
+        assert_eq!(spec.workload, WorkloadSpec::default_for(false));
     }
 
     #[test]
@@ -1738,6 +1265,113 @@ mod tests {
         let e = ScenarioSpec::parse(r#"{"workload": {"flows": [[0, 9]]}}"#).unwrap_err();
         assert_eq!(e.path, "workload.flows");
         assert!(e.msg.contains("out of range"), "{e}");
+
+        // A range failure points at the offending value's own line, not
+        // at the object that encloses it.
+        for (doc, path, line) in [
+            ("{\"scenario\": {\n \"hosts\":\n  0}}", "scenario.hosts", 3),
+            (
+                "{\"scenario\": {\"radio\": {\n \"range\": 100,\n \"loss\": 1.5}}}",
+                "scenario.radio.loss",
+                3,
+            ),
+            (
+                "{\"scenario\": {\"placement\": {\"kind\": \"grid\",\n \"cols\": 0}}}",
+                "scenario.placement.cols",
+                2,
+            ),
+            (
+                "{\"scenario\": {\"adversaries\": [{\"host\": 0, \"behavior\": {\n \
+                 \"forge_rrep\": true,\n \"data_drop_prob\": 2}}]}}",
+                "scenario.adversaries[0].behavior.data_drop_prob",
+                3,
+            ),
+            (
+                "{\"scenario\": {\"stack\": {\"kind\": \"secure\", \"proto\": {\n \
+                 \"key_bits\": 128}}}}",
+                "scenario.stack.proto.key_bits",
+                2,
+            ),
+            (
+                "{\"workload\": {\n \"packets\": 1,\n \"formation_s\": -1}}",
+                "workload.formation_s",
+                3,
+            ),
+        ] {
+            let e = ScenarioSpec::parse(doc).unwrap_err();
+            assert_eq!((e.path.as_str(), e.line), (path, line), "{e}");
+        }
+    }
+
+    /// Documents the JSON layer accepts but no build survives: each must
+    /// fail in `parse`, naming the key — none may reach `build()`.
+    #[test]
+    fn hostile_documents_fail_in_parse() {
+        let secure =
+            |stack: &str| format!(r#"{{"scenario": {{"stack": {{"kind": "secure", {stack}}}}}}}"#);
+        let scenario = |body: &str| format!(r#"{{"scenario": {{{body}}}}}"#);
+        for (doc, path) in [
+            // The six from the field: `expect` in the builder, the RSA
+            // keygen assert, two overflows, an endless keygen, a run that
+            // spends forever on shard barriers.
+            (
+                secure(r#""name_overrides": [{"host": 0, "name": ""}]"#),
+                "scenario.stack.name_overrides[0].name",
+            ),
+            (
+                secure(r#""proto": {"key_bits": 385}"#),
+                "scenario.stack.proto.key_bits",
+            ),
+            (
+                scenario(r#""field": {"density": 1e-300}"#),
+                "scenario.field.density",
+            ),
+            (
+                scenario(r#""radio": {"bits_per_sec": 1e-300}"#),
+                "scenario.radio.bits_per_sec",
+            ),
+            (
+                secure(r#""proto": {"key_bits": 4000000000, "crypto_backend": "null"}"#),
+                "scenario.stack.proto.key_bits",
+            ),
+            (
+                scenario(r#""hosts": 3, "exec": "sharded:100000""#),
+                "scenario.exec",
+            ),
+            // Their neighbours: the other knobs the grid is sized from,
+            // and a grid that is only too big in combination.
+            (
+                scenario(r#""radio": {"range": 1e-300}"#),
+                "scenario.radio.range",
+            ),
+            (
+                scenario(r#""radio": {"gray_zone": 1e300}"#),
+                "scenario.radio.gray_zone",
+            ),
+            (
+                scenario(r#""field": {"width": 1e300, "height": 10}"#),
+                "scenario.field.width",
+            ),
+            (
+                scenario(r#""field": {"width": 10, "height": 0}"#),
+                "scenario.field.height",
+            ),
+            (
+                scenario(r#""hosts": 2000, "field": {"density": 1e-6}"#),
+                "scenario.field",
+            ),
+            (
+                secure(r#""name_overrides": [{"host": 0, "name": "Not A Name"}]"#),
+                "scenario.stack.name_overrides[0].name",
+            ),
+        ] {
+            let e = ScenarioSpec::parse(&doc).expect_err(&doc);
+            assert_eq!(e.path, path, "{doc}: {e}");
+            assert_eq!(e.line, 1, "{doc}: {e}");
+        }
+        // The linear channel builds no grid, so the same field is fine.
+        let linear = scenario(r#""hosts": 2000, "field": {"density": 1e-6}, "channel": "linear""#);
+        ScenarioSpec::parse(&linear).unwrap();
     }
 
     #[test]
@@ -1762,15 +1396,11 @@ mod tests {
         // Canonical serialization is the equality witness: every knob
         // survives the round trip byte-for-byte.
         assert_eq!(spec.to_canonical_string(), re.to_canonical_string());
-        assert_eq!(spec.exec, Some(ExecMode::Sharded(4)));
+        assert_eq!(spec.base().exec, Some(ExecMode::Sharded(4)));
         match &spec.stack {
-            StackSpec::Secure {
-                proto,
-                join_stagger,
-                ..
-            } => {
-                assert_eq!(proto.credit.slash, 50);
-                assert_eq!(*join_stagger, SimDuration::from_millis(900));
+            StackSpec::Secure(b) => {
+                assert_eq!(b.proto.credit.slash, 50);
+                assert_eq!(b.join_stagger, SimDuration::from_millis(900));
             }
             other => panic!("wrong stack: {other:?}"),
         }
@@ -1792,8 +1422,197 @@ mod tests {
             impersonate: Some(Ipv6Addr::from_groups([0xfec0, 0, 0, 0, 0, 0, 0, 1])),
             ..Behavior::default()
         };
-        let j = behavior_json(&b);
-        let re = parse_behavior(&j, "t").unwrap();
+        let j = section(BEHAVIOR, &b, vec![]);
+        let mut re = Behavior::default();
+        parse_table(&j, "t", BEHAVIOR, &mut re).unwrap();
         assert_eq!(re.impersonate, b.impersonate);
+    }
+
+    // -----------------------------------------------------------------
+    // The tables, as the tests below see them
+    // -----------------------------------------------------------------
+
+    /// One knob table placed in a document: the dotted path of the
+    /// object its keys live in (array elements as numeric segments), the
+    /// smallest document in which that object is reachable, the heading
+    /// of its reference table in `docs/SCENARIO.md`, and per row the
+    /// key, its live default and some other value the row accepts.
+    struct Section {
+        at: &'static str,
+        within: &'static str,
+        heading: &'static str,
+        rows: Vec<(&'static str, Json, Json)>,
+    }
+
+    fn rows<T: Clone>(table: &[Knob<T>], defaults: &T) -> Vec<(&'static str, Json, Json)> {
+        let arr = |ns: &[u16]| Json::arr(ns.iter().map(|&n| Json::num(n as f64)).collect());
+        table
+            .iter()
+            .map(|knob| {
+                let default = (knob.show)(defaults);
+                let n = match default.v {
+                    Val::Num(n) => n,
+                    _ => 0.0,
+                };
+                let numbers = [n + 1.0, n - 1.0, n * 2.0, n + 0.5].map(Json::num);
+                let strings = ["linear", "heap", "hashsig", "rsa", "single"].map(Json::str);
+                let others = [
+                    Json::bool(true),
+                    Json::bool(false),
+                    arr(&[0]),
+                    arr(&[1, 2]),
+                    arr(&[0xfec0, 0, 0, 0, 0, 0, 0, 1]),
+                ];
+                let accepted = |candidate: &Json| {
+                    let mut t = defaults.clone();
+                    (knob.read)(&mut t, candidate, knob.key).is_ok() && (knob.show)(&t) != default
+                };
+                let other = (numbers.into_iter().chain(strings).chain(others))
+                    .find(accepted)
+                    .unwrap_or_else(|| panic!("no alternative value for `{}`", knob.key));
+                (knob.key, default, other)
+            })
+            .collect()
+    }
+
+    fn sections() -> Vec<Section> {
+        let builder = ScenarioBuilder::new();
+        let secure = r#"{"scenario": {"stack": {"kind": "secure"}}}"#;
+        let section = |at, within, heading, rows| Section {
+            at,
+            within,
+            heading,
+            rows,
+        };
+        vec![
+            section("scenario", "{}", "### `scenario`", rows(SCENARIO, &builder)),
+            section(
+                "scenario.churn",
+                "{}",
+                "#### `scenario.churn`",
+                rows(CHURN, &builder),
+            ),
+            section(
+                "scenario.radio",
+                "{}",
+                "#### `scenario.radio`",
+                rows(RADIO, &builder.radio),
+            ),
+            section(
+                "scenario.adversaries.0.behavior",
+                r#"{"scenario": {"adversaries": [{"host": 0}]}}"#,
+                "#### `scenario.adversaries[].behavior`",
+                rows(BEHAVIOR, &Behavior::default()),
+            ),
+            section(
+                "scenario.stack",
+                r#"{"scenario": {"stack": {"kind": "plain"}}}"#,
+                "#### `scenario.stack` — plain",
+                rows(PLAIN, &PlainConfig::default()),
+            ),
+            section(
+                "scenario.stack",
+                secure,
+                "#### `scenario.stack` — secure",
+                rows(SECURE, &builder.clone().secure()),
+            ),
+            section(
+                "scenario.stack.proto",
+                secure,
+                "#### `scenario.stack.proto`",
+                rows(PROTO, &ProtocolConfig::default()),
+            ),
+            section(
+                "scenario.stack.proto.credit",
+                secure,
+                "#### `scenario.stack.proto.credit`",
+                rows(CREDIT, &CreditConfig::default()),
+            ),
+            section(
+                "workload",
+                "{}",
+                "### `workload`",
+                rows(WORKLOAD, &WorkloadSpec::default_for(false)),
+            ),
+        ]
+    }
+
+    /// The value at a dotted path, inserting empty objects on the way.
+    fn locate<'a>(doc: &'a mut Json, path: &str) -> &'a mut Json {
+        path.split('.').fold(doc, |j, segment| match &mut j.v {
+            Val::Arr(items) => &mut items[segment.parse::<usize>().unwrap()],
+            Val::Obj(members) => {
+                let at = members.iter().position(|(k, _)| k == segment);
+                let at = at.unwrap_or_else(|| {
+                    members.push((segment.to_string(), Json::obj(Vec::new())));
+                    members.len() - 1
+                });
+                &mut members[at].1
+            }
+            other => panic!("{path}: {segment} is inside {other:?}"),
+        })
+    }
+
+    /// The tables are total: every row of every table, set alone to a
+    /// value other than its default, survives parse → canonical text →
+    /// parse → render. A key that parsed but did not render (or the
+    /// reverse) cannot be written as a row, and this proves it for the
+    /// rows there are.
+    #[test]
+    fn every_knob_round_trips_through_canonical_text() {
+        let mut walked = 0;
+        for s in sections() {
+            for (key, default, other) in s.rows {
+                let path = format!("{}.{key}", s.at);
+                let mut doc = json::parse(s.within).unwrap();
+                *locate(&mut doc, &path) = other.clone();
+                let spec = ScenarioSpec::from_json(&doc).unwrap_or_else(|e| panic!("{path}: {e}"));
+                let text = spec.to_canonical_string();
+                let again = ScenarioSpec::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+                assert_eq!(again.to_canonical_string(), text, "{path}");
+                let got = locate(&mut again.to_json(), &path).clone();
+                assert_eq!(json::compact(&got), json::compact(&other), "{path}");
+                assert_ne!(json::compact(&got), json::compact(&default), "{path}");
+                walked += 1;
+            }
+        }
+        assert!(walked > 60, "only {walked} knobs walked");
+    }
+
+    /// `docs/SCENARIO.md` is checked, not trusted: every row of every
+    /// table appears under its section's heading, with the live default.
+    #[test]
+    fn scenario_md_lists_every_knob_with_its_live_default() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/SCENARIO.md");
+        let text = std::fs::read_to_string(path).unwrap();
+        for s in sections() {
+            let (_, body) = text
+                .split_once(&format!("\n{}\n", s.heading))
+                .unwrap_or_else(|| panic!("docs/SCENARIO.md has no heading {:?}", s.heading));
+            let body = body.split("\n#").next().unwrap();
+            for (key, default, _) in s.rows {
+                // The backend's default follows MANET_CRYPTO; the
+                // reference documents the unset case.
+                if key == "crypto_backend" && std::env::var("MANET_CRYPTO").is_ok() {
+                    continue;
+                }
+                let row = body
+                    .lines()
+                    .find(|l| l.starts_with(&format!("| `{key}` |")))
+                    .unwrap_or_else(|| panic!("{}: no row for `{key}`", s.heading));
+                // | `key` | type / range | `default` … | meaning |
+                let row = row.replace("\\|", "/"); // an escaped pipe is not a cell border
+                let cell = row.split('|').nth(3).unwrap();
+                let listed = cell.split('`').nth(1).unwrap_or_default();
+                let listed = json::parse(listed)
+                    .unwrap_or_else(|e| panic!("{}: `{key}` default {listed:?}: {e}", s.heading));
+                assert_eq!(
+                    json::compact(&listed),
+                    json::compact(&default),
+                    "{}: `{key}` is listed with a stale default",
+                    s.heading
+                );
+            }
+        }
     }
 }

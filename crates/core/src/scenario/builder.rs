@@ -9,9 +9,11 @@
 //! registration exist for the secure stack alone), ending in `build()`.
 //!
 //! Construction is **the** implementation: every exhibit, test, and
-//! the declarative campaign layer (`crate::campaign`) build through it,
-//! and `ScenarioSpec` introspects these fields directly — which is why
-//! they are `pub(crate)`.
+//! the declarative campaign layer (`crate::campaign`) build through it.
+//! The builders are also the scenario *schema*: a `ScenarioSpec` holds a
+//! stack stage as its data and the knob tables of `campaign/spec.rs` map
+//! JSON keys onto these fields — which is why the fields are
+//! `pub(crate)` and why every default lives here.
 
 use super::network::{Network, NodeApi};
 use super::placement::{positions_for, Placement};
@@ -68,6 +70,10 @@ pub fn scale_family(n: usize, seed: u64) -> ScenarioBuilder {
         .seed(seed)
 }
 
+/// Spacing of the default chain, and of any chain or grid placement a
+/// scenario document declares without one.
+pub(crate) const DEFAULT_SPACING: f64 = 180.0;
+
 /// How the field is sized: explicitly, or derived from a target radio
 /// density at build time.
 #[derive(Clone, Debug, PartialEq)]
@@ -90,7 +96,9 @@ pub struct ScenarioBuilder {
     pub(crate) trace: bool,
     pub(crate) channel: ChannelMode,
     pub(crate) queue: QueueImpl,
-    pub(crate) exec: ExecMode,
+    /// `None` defers to `ExecMode::default()` (the `MANET_EXEC` knob)
+    /// at build time.
+    pub(crate) exec: Option<ExecMode>,
     pub(crate) attackers: Vec<(usize, Behavior)>,
     pub(crate) churn_kills: usize,
     pub(crate) churn_window: (SimTime, SimTime),
@@ -101,7 +109,9 @@ impl Default for ScenarioBuilder {
     fn default() -> Self {
         ScenarioBuilder {
             n_hosts: 8,
-            placement: Placement::Chain { spacing: 180.0 },
+            placement: Placement::Chain {
+                spacing: DEFAULT_SPACING,
+            },
             field: FieldSpec::Explicit(Field::new(2000.0, 2000.0)),
             radio: RadioConfig {
                 loss: 0.0,
@@ -112,7 +122,7 @@ impl Default for ScenarioBuilder {
             trace: false,
             channel: ChannelMode::Grid,
             queue: QueueImpl::Wheel,
-            exec: ExecMode::default(),
+            exec: None,
             attackers: Vec::new(),
             churn_kills: 0,
             churn_window: (SimTime(4_000_000), SimTime(10_000_000)),
@@ -188,7 +198,7 @@ impl ScenarioBuilder {
     /// enforces it). Defaults to `Single`, or whatever the `MANET_EXEC`
     /// env knob says.
     pub fn exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
+        self.exec = Some(exec);
         self
     }
 
@@ -250,7 +260,7 @@ impl ScenarioBuilder {
         PlainBuilder { base: self, proto }
     }
 
-    fn resolved_field(&self) -> Field {
+    pub(crate) fn resolved_field(&self) -> Field {
         match self.field {
             FieldSpec::Explicit(f) => f,
             FieldSpec::Density(target) => field_for_density(self.n_hosts, self.radio.range, target),
@@ -266,7 +276,7 @@ impl ScenarioBuilder {
             trace: self.trace,
             channel: self.channel,
             queue: self.queue,
-            exec: self.exec,
+            exec: self.exec.unwrap_or_default(),
             max_events: self.max_events.unwrap_or(defaults.max_events),
             ..defaults
         })
@@ -314,7 +324,7 @@ pub struct SecureBuilder {
     pub(crate) join_stagger: SimDuration,
     pub(crate) register_names: bool,
     pub(crate) pre_register: Vec<usize>,
-    pub(crate) name_overrides: Vec<(usize, String)>,
+    pub(crate) name_overrides: Vec<(usize, DomainName)>,
 }
 
 impl SecureBuilder {
@@ -342,8 +352,14 @@ impl SecureBuilder {
     }
 
     /// Override the name host `i` registers (defaults to `h<i>.manet`).
+    ///
+    /// # Panics
+    /// If `name` is not a valid [`DomainName`]. Scenario documents never
+    /// get here: `ScenarioSpec::parse` rejects the name with path and line.
     pub fn name_override(mut self, i: usize, name: &str) -> Self {
-        self.name_overrides.push((i, name.to_owned()));
+        let parsed = DomainName::new(name);
+        assert!(parsed.is_ok(), "name_override({i}, {name:?}): {parsed:?}");
+        self.name_overrides.extend(parsed.map(|name| (i, name)));
         self
     }
 
@@ -383,8 +399,7 @@ impl SecureBuilder {
         self.name_overrides
             .iter()
             .find(|(idx, _)| *idx == i)
-            .map(|(_, name)| DomainName::new(name).expect("valid override name"))
-            .unwrap_or_else(|| host_name(i))
+            .map_or_else(|| host_name(i), |(_, name)| name.clone())
     }
 
     /// Build the network. Node 0 of the engine is the DNS; hosts join

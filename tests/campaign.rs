@@ -201,6 +201,40 @@ fn every_committed_campaign_parses_and_expands() {
     assert_eq!(names, ["s1_density", "secure_attack", "smoke"]);
 }
 
+/// The canonical rendering of a resolved scenario is a file format:
+/// `{}` and cell 0 of every committed plan (what `campaign print`
+/// echoes) are pinned byte for byte under `tests/golden/`, `"exec":
+/// null` included, so a change to the spec layer cannot silently
+/// rename, drop, or re-default a key. Regenerate (only for an
+/// *intentional* format change) with
+/// `UPDATE_GOLDEN=1 cargo test --test campaign canonical_specs`.
+#[test]
+fn canonical_specs_match_their_goldens() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut rendered = vec![(
+        "spec_default.json".to_string(),
+        ScenarioSpec::parse("{}").unwrap().to_canonical_string(),
+    )];
+    for name in ["s1_density", "secure_attack", "smoke"] {
+        let plan = load_plan(&root.join(format!("campaigns/{name}.json"))).unwrap();
+        let doc = plan.document_for(&plan.cells()[0]).unwrap();
+        rendered.push((
+            format!("spec_{name}.json"),
+            ScenarioSpec::from_json(&doc).unwrap().to_canonical_string(),
+        ));
+    }
+    for (file, text) in rendered {
+        let path = root.join("tests/golden").join(&file);
+        if std::env::var("UPDATE_GOLDEN").is_ok() {
+            std::fs::write(&path, &text).unwrap();
+            continue;
+        }
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
+        assert_eq!(text, golden, "{file} drifted from its golden");
+    }
+}
+
 #[test]
 fn smoke_campaign_is_byte_identical_across_runs() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("campaigns/smoke.json");
