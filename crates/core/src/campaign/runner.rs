@@ -6,15 +6,19 @@
 //! (plan, seeds). Job order is fixed (cells in expansion order × seeds
 //! in file order), each job's simulation is a pure function of its
 //! document, the parallel fan-out only changes *when* a job runs (its
-//! result lands back at its index), and every wall-clock-derived report
-//! field is masked to the exact values [`RunReport::fingerprint`] uses
-//! (`null` / `""` / `0`). Running the same campaign twice must produce
-//! byte-identical reports — `tests/campaign.rs` and the CI
-//! `campaign-smoke` step both diff-gate this.
+//! result lands back at its index) and *which* job generates a key pair
+//! the cells of a seed share (the `IdentityPool` hands every job the
+//! identity it would have generated itself), and every
+//! wall-clock-derived report field is masked to the exact values
+//! [`RunReport::fingerprint`] uses (`null` / `""` / `0`). Running the
+//! same campaign twice must produce byte-identical reports —
+//! `tests/campaign.rs` and the CI `campaign-smoke` step both diff-gate
+//! this.
 
 use super::json::{self, Json};
 use super::plan::{CampaignPlan, Cell, SweepMode};
 use super::spec::{ScenarioSpec, SpecError};
+use crate::identity::IdentityPool;
 use crate::scenario::RunReport;
 use rayon::prelude::*;
 use std::path::Path;
@@ -349,9 +353,16 @@ pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignReport, SpecError> {
         }
     }
 
+    // Every cell runs every seed, and a secure scenario's key pairs are
+    // the first draws of its seed: the campaign owns them, each is
+    // generated once, by the first job to ask, and the other cells of
+    // that seed share it.
+    let identities = IdentityPool::default();
     let started = Instant::now();
-    let results: Vec<Result<RunReport, SpecError>> =
-        jobs.par_iter().map(|job| job.spec.run()).collect();
+    let results: Vec<Result<RunReport, SpecError>> = jobs
+        .par_iter()
+        .map(|job| job.spec.run_with(Some(&identities)))
+        .collect();
     let wall_s = started.elapsed().as_secs_f64();
 
     let mut reports: Vec<Vec<RunReport>> = vec![Vec::new(); cells.len()];
@@ -461,6 +472,35 @@ mod tests {
         assert!(doc.contains("\"exec_mode\": \"\""), "{doc}");
         assert!(doc.contains("\"shards\": 0"), "{doc}");
         assert!(!doc.contains("NaN"), "{doc}");
+    }
+
+    /// The campaign's shared identity pool is invisible in the rows:
+    /// every job reports what its document reports run on its own.
+    #[test]
+    fn pooled_jobs_report_what_each_spec_reports_alone() {
+        let p = plan(
+            r#"{"campaign": "t", "seeds": [5, 6],
+                "base": {"scenario": {"stack": {"kind": "secure"},
+                                      "churn": {"kills": 1, "window_s": [4.0, 5.0]}},
+                         "workload": {"flows": [[0, 2]], "packets": 2, "interval_ms": 300.0}},
+                "factors": {"scenario.hosts": [3, 4], "scenario.radio.loss": [0.0, 0.05]}}"#,
+        );
+        let pooled = run_campaign(&p).unwrap();
+        assert_eq!(pooled.cells.len(), 4);
+        assert!(pooled.cells[3].mean_of("crypto.executed") > Some(0.0));
+        for (cell, result) in p.cells().iter().zip(&pooled.cells) {
+            let mut doc = p.document_for(cell).unwrap();
+            for (&seed, row) in p.seeds.iter().zip(&result.per_seed) {
+                json::set_path(&mut doc, "scenario.seed", Json::num(seed as f64)).unwrap();
+                let alone = ScenarioSpec::from_json(&doc).unwrap().run().unwrap();
+                assert_eq!(
+                    *row,
+                    metrics_of(&alone),
+                    "{} seed {seed}",
+                    describe_cell(cell)
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 use super::json::{self, Json, Val};
 use crate::config::{Behavior, CreditConfig, ProtocolConfig};
+use crate::identity::IdentityPool;
 use crate::plain::PlainConfig;
 use crate::scenario::builder::{FieldSpec, DEFAULT_SPACING};
 use crate::scenario::{
@@ -872,9 +873,15 @@ impl ScenarioSpec {
     /// is a pure function of (spec, seed): wall-derived report fields
     /// vary, everything under `RunReport::fingerprint()` does not.
     pub fn run(&self) -> Result<RunReport, SpecError> {
+        self.run_with(None)
+    }
+
+    /// [`Self::run`] as one job of a campaign, which lends its secure
+    /// builds the campaign's identity pool. Same report either way.
+    pub(crate) fn run_with(&self, pool: Option<&IdentityPool>) -> Result<RunReport, SpecError> {
         Ok(match self.stack.clone() {
             StackSpec::Plain(b) => drive(&mut b.build(), &self.workload),
-            StackSpec::Secure(b) => drive(&mut b.build(), &self.workload),
+            StackSpec::Secure(b) => drive(&mut b.build_with(pool), &self.workload),
         })
     }
 }

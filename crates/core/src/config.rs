@@ -132,7 +132,8 @@ pub struct ProtocolConfig {
     /// with or without it, only the CPU cost changes. Disable to measure
     /// the uncached baseline (the V1 exhibit does).
     pub verify_cache: bool,
-    /// Verdicts retained by the verify cache (LRU bound).
+    /// Verdicts retained by the verify cache (LRU bound). A bound, not
+    /// a reservation: the cache starts small and grows on demand.
     pub verify_cache_capacity: usize,
     /// Signature backend for everything this node signs and verifies.
     /// The default honors the `MANET_CRYPTO` env knob (RSA when unset).

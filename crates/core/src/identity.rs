@@ -1,14 +1,17 @@
 //! Host identity: the key pair, the CGA modifier, and the resulting
 //! address, plus the verification helpers every receiver runs.
 
+use crate::fxhash::FxHashMap;
 use manet_crypto::{
     backend_for, BackendKind, BatchVerifier, CryptoBackend, KeyPair, Provenance, PublicKey,
     RsaError, Signature, VerifyCache, VerifyKey,
 };
 use manet_wire::{cga, sigdata, CgaError, IdentityProof, Ipv6Addr, Seq};
 use rand::Rng;
+use rand_chacha::ChaCha12Rng;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Hop signatures a relay keeps (see [`HostIdentity::prove_srr_hop`]).
 /// Discoveries that are in flight together carry a handful of distinct
@@ -20,7 +23,9 @@ const HOP_SIG_MEMO_CAP: usize = 32;
 
 /// A host's cryptographic identity and current CGA.
 pub struct HostIdentity {
-    keypair: KeyPair,
+    /// Shared, not copied, when the identity came out of an
+    /// [`IdentityPool`]: the same host in another cell of a campaign.
+    keypair: Arc<KeyPair>,
     rn: u64,
     ip: Ipv6Addr,
     /// The signature scheme every `prove`/`sign` runs on. A bare
@@ -36,16 +41,16 @@ impl HostIdentity {
     /// Generate a fresh identity: new key pair, random modifier, CGA.
     pub fn generate<R: Rng>(key_bits: u32, rng: &mut R) -> Self {
         let keypair = KeyPair::generate(key_bits, rng);
-        Self::assemble(keypair, rng.gen())
+        Self::assemble(Arc::new(keypair), rng.gen())
     }
 
     /// Build from an existing key pair (e.g. the DNS server whose public
     /// key was distributed out of band).
     pub fn from_keypair<R: Rng>(keypair: KeyPair, rng: &mut R) -> Self {
-        Self::assemble(keypair, rng.gen())
+        Self::assemble(Arc::new(keypair), rng.gen())
     }
 
-    fn assemble(keypair: KeyPair, rn: u64) -> Self {
+    fn assemble(keypair: Arc<KeyPair>, rn: u64) -> Self {
         HostIdentity {
             ip: cga::generate(keypair.public(), rn),
             keypair,
@@ -144,6 +149,83 @@ impl HostIdentity {
 impl std::fmt::Debug for HostIdentity {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "HostIdentity({}, rn={:#x})", self.ip, self.rn)
+    }
+}
+
+/// Identities an [`IdentityPool`] keeps. An entry is two generator
+/// states (136 bytes each), `rn` and a shared RSA-512 key pair (≈ 1 KiB
+/// of limbs), so a full pool is ≈ 6 MiB. The committed campaigns need
+/// 12–20 entries (seeds × nodes of the largest cell); 4096 also covers
+/// eight seeds of a 500-host sweep. A full pool admits nothing more and
+/// never evicts: identities past the cap are generated per job, exactly
+/// as without a pool, so no result depends on this number.
+const IDENTITY_POOL_CAP: usize = 4096;
+
+/// What a draw produced and where it left the generator.
+struct PooledIdentity {
+    keypair: Arc<KeyPair>,
+    rn: u64,
+    after: ChaCha12Rng,
+}
+
+/// A memo of [`HostIdentity::generate`] for one campaign. Every cell of
+/// a campaign runs every plan seed, and a scenario's identities are the
+/// first draws of its seeded generator, so all cells of one seed ask for
+/// byte-identical key pairs; a host keeps its key pair for life (paper
+/// Section 3.1), and a campaign need not pay for it once per cell.
+///
+/// `generate` is a pure function of the generator's state and
+/// `key_bits`, and that whole state — not a seed or a host index — is
+/// the key. A hit hands back the identity the draw would have produced
+/// and leaves the generator where the draw would have left it, so
+/// nothing downstream can tell a hit from a miss; a scenario that draws
+/// anything else first simply misses.
+///
+/// Each admitted identity is generated exactly once, whatever the
+/// schedule: the first job to ask claims the entry and generates, a job
+/// that asks meanwhile sleeps on that entry instead of generating the
+/// same key pair beside it. The work a campaign does is therefore the
+/// same from run to run, not just its results.
+#[derive(Default)]
+pub(crate) struct IdentityPool {
+    entries: Mutex<PoolEntries>,
+}
+
+/// (generator state before the draw, `key_bits`) → the draw, empty
+/// while its first asker is generating it.
+type PoolEntries = FxHashMap<(ChaCha12Rng, u32), Arc<OnceLock<PooledIdentity>>>;
+
+impl IdentityPool {
+    /// [`HostIdentity::generate`], remembered.
+    pub(crate) fn generate(&self, key_bits: u32, rng: &mut ChaCha12Rng) -> HostIdentity {
+        let entry = {
+            let mut entries = self.entries();
+            let admits = entries.len() < IDENTITY_POOL_CAP;
+            match entries.entry((rng.clone(), key_bits)) {
+                Entry::Occupied(e) => Arc::clone(e.get()),
+                Entry::Vacant(e) if admits => Arc::clone(e.insert(Arc::default())),
+                Entry::Vacant(_) => return HostIdentity::generate(key_bits, rng),
+            }
+        };
+        // The map is unlocked here; only askers of this one identity
+        // wait, and its generator waits for nobody. Should generation
+        // panic, the entry stays empty and the next asker generates.
+        let drawn = entry.get_or_init(|| {
+            let ident = HostIdentity::generate(key_bits, rng);
+            PooledIdentity {
+                keypair: ident.keypair,
+                rn: ident.rn,
+                after: rng.clone(),
+            }
+        });
+        *rng = drawn.after.clone();
+        HostIdentity::assemble(Arc::clone(&drawn.keypair), drawn.rn)
+    }
+
+    /// The map only ever gains whole (possibly still empty) entries, so
+    /// the one a panicking job leaves behind is still a valid memo.
+    fn entries(&self) -> MutexGuard<'_, PoolEntries> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -401,6 +483,118 @@ mod tests {
         assert_eq!(id.backend().signs_executed(), signs);
         id.prove_srr_hop(Seq(10_000 - HOP_SIG_MEMO_CAP as u64));
         assert_eq!(id.backend().signs_executed(), signs + 1);
+    }
+
+    /// Everything that tells two identities apart from outside.
+    fn observable(id: &HostIdentity) -> (Ipv6Addr, u64, PublicKey, Vec<u8>) {
+        let sig = id.sign(b"fixed bytes").to_bytes();
+        (id.ip(), id.rn(), id.public().clone(), sig)
+    }
+
+    fn next_words(r: &mut ChaCha12Rng) -> [u32; 8] {
+        std::array::from_fn(|_| r.gen())
+    }
+
+    #[test]
+    fn pool_hit_is_the_generated_identity_and_the_generated_stream() {
+        let pool = IdentityPool::default();
+        let (mut direct, mut miss, mut hit) = (rng(21), rng(21), rng(21));
+        let want = HostIdentity::generate(512, &mut direct);
+        let first = pool.generate(512, &mut miss);
+        let second = pool.generate(512, &mut hit);
+        assert_eq!(pool.entries().len(), 1);
+        assert!(Arc::ptr_eq(&first.keypair, &second.keypair), "a hit");
+        assert_eq!(observable(&first), observable(&want));
+        assert_eq!(observable(&second), observable(&want));
+        let after = next_words(&mut direct);
+        assert_eq!(next_words(&mut miss), after);
+        assert_eq!(next_words(&mut hit), after);
+    }
+
+    #[test]
+    fn pool_misses_on_any_other_state_or_key_size() {
+        let pool = IdentityPool::default();
+        pool.generate(512, &mut rng(22));
+        // One word further along the same stream.
+        let (mut direct, mut pooled) = (rng(22), rng(22));
+        let _: u32 = direct.gen();
+        let _: u32 = pooled.gen();
+        let want = HostIdentity::generate(512, &mut direct);
+        assert_eq!(
+            observable(&pool.generate(512, &mut pooled)),
+            observable(&want)
+        );
+        assert_eq!(pool.entries().len(), 2, "advanced generator: a new entry");
+        // Same state, another modulus size.
+        let (mut direct, mut pooled) = (rng(22), rng(22));
+        let want = HostIdentity::generate(384, &mut direct);
+        assert_eq!(
+            observable(&pool.generate(384, &mut pooled)),
+            observable(&want)
+        );
+        assert_eq!(pool.entries().len(), 3, "other key_bits: a new entry");
+        assert_eq!(next_words(&mut pooled), next_words(&mut direct));
+    }
+
+    #[test]
+    fn full_pool_admits_nothing_and_still_answers() {
+        let pool = IdentityPool::default();
+        for stream in 0..IDENTITY_POOL_CAP as u64 {
+            let mut state = rng(0);
+            state.set_stream(stream);
+            pool.entries().insert((state, 512), Arc::default());
+        }
+        let want = observable(&HostIdentity::generate(512, &mut rng(24)));
+        for _ in 0..2 {
+            let mut r = rng(24);
+            assert_eq!(observable(&pool.generate(512, &mut r)), want);
+            assert_eq!(next_words(&mut r), {
+                let mut direct = rng(24);
+                HostIdentity::generate(512, &mut direct);
+                next_words(&mut direct)
+            });
+            assert_eq!(pool.entries().len(), IDENTITY_POOL_CAP);
+        }
+    }
+
+    #[test]
+    fn threads_sharing_a_pool_agree_with_generation() {
+        const SEEDS: [u64; 3] = [31, 32, 33];
+        let draw = |generate: &dyn Fn(&mut ChaCha12Rng) -> HostIdentity| {
+            SEEDS.map(|seed| {
+                let mut r = rng(seed);
+                let pair = [generate(&mut r), generate(&mut r)];
+                (pair, next_words(&mut r))
+            })
+        };
+        type Draw = ([HostIdentity; 2], [u32; 8]);
+        let seen = |draws: &[Draw]| -> Vec<_> {
+            let one = |(pair, next): &Draw| (pair.each_ref().map(observable), *next);
+            draws.iter().map(one).collect()
+        };
+        let want = seen(&draw(&|r| HostIdentity::generate(512, r)));
+        let pool = IdentityPool::default();
+        let start = std::sync::Barrier::new(2);
+        // Both threads ask for the same identities in the same order
+        // from the same instant: they race on every entry.
+        let pooled = || {
+            start.wait();
+            draw(&|r| pool.generate(512, r))
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(pooled);
+            (pooled(), other.join().expect("pool user panicked"))
+        });
+        assert_eq!(seen(&a), want);
+        assert_eq!(seen(&b), want);
+        assert_eq!(pool.entries().len(), 2 * SEEDS.len());
+        // Whoever lost a race waited for the winner's key pair instead
+        // of generating its own copy: each identity was generated once.
+        for (a, b) in a.iter().zip(&b) {
+            for (a, b) in a.0.iter().zip(&b.0) {
+                assert!(Arc::ptr_eq(&a.keypair, &b.keypair));
+            }
+        }
     }
 
     #[test]

@@ -229,8 +229,16 @@ impl SecureNode {
         pre_registered: Vec<(DomainName, Ipv6Addr)>,
         rng: &mut R,
     ) -> Self {
-        let keypair = manet_crypto::KeyPair::generate(cfg.key_bits, rng);
-        let ident = HostIdentity::from_keypair(keypair, rng);
+        let ident = HostIdentity::generate(cfg.key_bits, rng);
+        Self::dns_with_identity(cfg, ident, pre_registered)
+    }
+
+    /// [`Self::new_dns`] with a caller-supplied identity.
+    pub(crate) fn dns_with_identity(
+        cfg: ProtocolConfig,
+        ident: HostIdentity,
+        pre_registered: Vec<(DomainName, Ipv6Addr)>,
+    ) -> Self {
         let dns_pk = ident.public().clone();
         Self::assemble(
             cfg,

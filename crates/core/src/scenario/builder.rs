@@ -18,6 +18,7 @@
 use super::network::{Network, NodeApi};
 use super::placement::{positions_for, Placement};
 use crate::config::{Behavior, ProtocolConfig};
+use crate::identity::{HostIdentity, IdentityPool};
 use crate::intern::InternTable;
 use crate::node::SecureNode;
 use crate::plain::{PlainConfig, PlainDsrNode};
@@ -27,6 +28,7 @@ use manet_sim::{
     SimDuration, SimTime,
 };
 use manet_wire::DomainName;
+use rand_chacha::ChaCha12Rng;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -405,6 +407,13 @@ impl SecureBuilder {
     /// Build the network. Node 0 of the engine is the DNS; hosts join
     /// staggered starting at `join_stagger`.
     pub fn build(self) -> Network<SecureNode> {
+        self.build_with(None)
+    }
+
+    /// [`Self::build`], drawing identities through `pool` when a
+    /// campaign lends one. The network is the same either way: a pooled
+    /// identity is the one this build would have generated.
+    pub(crate) fn build_with(self, pool: Option<&IdentityPool>) -> Network<SecureNode> {
         let base = &self.base;
         let n_total = base.n_hosts + 1;
         let field = base.resolved_field();
@@ -414,18 +423,24 @@ impl SecureBuilder {
         // Build every host identity first so pre-registration can know
         // their addresses; the DNS node is constructed from the same RNG
         // stream.
-        let mut dns_node = SecureNode::new_dns(self.proto.clone(), Vec::new(), engine.rng());
+        let key_bits = self.proto.key_bits;
+        let identity = |rng: &mut ChaCha12Rng| match pool {
+            Some(pool) => pool.generate(key_bits, rng),
+            None => HostIdentity::generate(key_bits, rng),
+        };
+        let mut dns_node =
+            SecureNode::dns_with_identity(self.proto.clone(), identity(engine.rng()), Vec::new());
         let dns_pk = dns_node.public_key().clone();
 
         let mut host_nodes = Vec::with_capacity(base.n_hosts);
         for i in 0..base.n_hosts {
             let dn = self.register_names.then(|| self.effective_name(i));
-            let node = SecureNode::with_behavior(
+            let node = SecureNode::with_identity(
                 self.proto.clone(),
+                identity(engine.rng()),
                 dns_pk.clone(),
                 dn,
                 base.behavior_for(i),
-                engine.rng(),
             );
             host_nodes.push(node);
         }

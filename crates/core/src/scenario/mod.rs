@@ -158,6 +158,48 @@ mod tests {
         );
     }
 
+    /// A pooled identity is the one the build would have generated, and
+    /// the generator is left where generating would have left it: loss
+    /// draws, churn and DAD see the same stream. The warm-up network is
+    /// smaller, so the measured build both hits (DNS + 3 hosts) and
+    /// misses (2 more hosts) in one pass.
+    #[test]
+    fn warm_identity_pool_builds_the_same_network() {
+        use crate::identity::IdentityPool;
+        let lossy = |n: usize, seed: u64| {
+            ScenarioBuilder::new()
+                .hosts(n)
+                .seed(seed)
+                .radio(manet_sim::RadioConfig {
+                    loss: 0.05,
+                    ..Default::default()
+                })
+                .churn(
+                    1,
+                    (manet_sim::SimTime(6_000_000), manet_sim::SimTime(7_000_000)),
+                )
+                .secure()
+        };
+        let w = Workload::flows(vec![(0, 4)], 3, SimDuration::from_millis(300));
+        let pool = IdentityPool::default();
+        for seed in [1, 2, 2003] {
+            drop(lossy(3, seed).build_with(Some(&pool)));
+            let mut pooled = lossy(5, seed).build_with(Some(&pool));
+            let mut alone = lossy(5, seed).build();
+            for i in 0..5 {
+                assert_eq!(pooled.host_ip(i), alone.host_ip(i), "seed {seed} h{i}");
+            }
+            assert_eq!(pooled.dns_node().ip(), alone.dns_node().ip());
+            pooled.bootstrap();
+            alone.bootstrap();
+            assert_eq!(
+                pooled.run(&w).fingerprint(),
+                alone.run(&w).fingerprint(),
+                "seed {seed}"
+            );
+        }
+    }
+
     #[test]
     fn delivery_ratio_is_none_before_any_traffic() {
         let net = ScenarioBuilder::new().hosts(3).seed(11).plain().build();

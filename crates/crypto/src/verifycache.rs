@@ -78,13 +78,21 @@ pub struct VerifyCache {
     evictions: u64,
 }
 
+/// Slots reserved up front. `capacity` bounds what a cache may hold, not
+/// what it does hold: a node in a 50-host network keeps a few dozen
+/// verdicts, and reserving the configured 1024 for each was ~0.3 MiB per
+/// node that nothing ever touched. Past this the table and the slot
+/// vector grow on demand, up to `capacity`.
+const INITIAL_SLOTS: usize = 32;
+
 impl VerifyCache {
     /// A cache holding at most `capacity` verdicts (minimum 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
+        let reserve = capacity.min(INITIAL_SLOTS);
         VerifyCache {
-            map: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            slots: Vec::with_capacity(capacity),
+            map: FxHashMap::with_capacity_and_hasher(reserve, Default::default()),
+            slots: Vec::with_capacity(reserve),
             head: NIL,
             tail: NIL,
             capacity,

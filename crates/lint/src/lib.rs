@@ -12,7 +12,7 @@
 //! | `unordered-iter`     | no hash-order iteration feeding the event stream       |
 //! | `wall-clock`         | `Instant::now`/`SystemTime` only in mem.rs / bench / campaign runner |
 //! | `shared-state`       | `Mutex`/`RwLock`/`static mut`/`thread_local!` only in  |
-//! |                      | sanctioned files (`crypto/src/batch.rs`)               |
+//! |                      | sanctioned files (the `lint/allow.toml` entries)       |
 //! | `atomic-ordering`    | every `Ordering::Relaxed`/`SeqCst` justified inline    |
 //! | `undocumented-unsafe`| every `unsafe` carries a `// SAFETY:` comment          |
 //! | `panic-budget`       | per-file `unwrap`/`expect`/`panic!` counts pinned      |

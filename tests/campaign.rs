@@ -3,7 +3,7 @@
 //! (round-trip ⇒ identical fingerprint), malformed documents fail with
 //! line/key context, and every committed campaign under `campaigns/`
 //! parses, expands, and — for the cheap ones — runs to byte-identical
-//! canonical reports.
+//! canonical reports (`secure_attack`'s is pinned under `tests/golden/`).
 
 use manet_secure::campaign::{load_plan, run_campaign, ScenarioSpec, SweepMode};
 use manet_secure::scenario::{scale_family, ScenarioBuilder, Workload};
@@ -224,15 +224,23 @@ fn canonical_specs_match_their_goldens() {
         ));
     }
     for (file, text) in rendered {
-        let path = root.join("tests/golden").join(&file);
-        if std::env::var("UPDATE_GOLDEN").is_ok() {
-            std::fs::write(&path, &text).unwrap();
-            continue;
-        }
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
-        assert_eq!(text, golden, "{file} drifted from its golden");
+        assert_golden(&file, &text);
     }
+}
+
+/// `text` is `tests/golden/<file>` byte for byte; `UPDATE_GOLDEN=1`
+/// rewrites the fixture instead.
+fn assert_golden(file: &str, text: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, text).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
+    assert_eq!(text, golden, "{file} drifted from its golden");
 }
 
 #[test]
@@ -267,6 +275,11 @@ fn secure_attack_campaign_is_byte_identical_across_runs() {
     let a = run_campaign(&plan).unwrap();
     let b = run_campaign(&plan).unwrap();
     assert_eq!(a.canonical_json(), b.canonical_json());
+    // Pinned at the commit before the campaign shared key pairs across
+    // cells: which job generated a key may not show in a report.
+    // `UPDATE_GOLDEN=1 cargo test --test campaign secure_attack` rewrites
+    // it, for a change that *means* to move a simulated number.
+    assert_golden("report_secure_attack.json", &a.canonical_json());
     assert!(
         a.passed(),
         "committed attack tolerances hold:\n{}",
