@@ -8,6 +8,7 @@
 //! `impl SecureNode` block below so they can reuse the node's routing
 //! machinery and its security pipeline (`node::verify`).
 
+use crate::dsr::Dsr;
 use crate::fxhash::FxHashMap;
 use crate::node::SecureNode;
 use manet_sim::{Ctx, Dir, SimTime};
@@ -174,11 +175,8 @@ impl SecureNode {
         };
         self.stats.drep_sent += 1;
         ctx.count("dns.drep_sent", 1);
-        ctx.trace(Dir::Note, "DNS", format!("name {} already taken", dn));
-        let mut path = vec![self.ident.ip()];
-        path.extend(rr.reversed().0);
-        path.push(sip);
-        self.send_routed(ctx, RouteRecord(path), Message::Drep(drep));
+        ctx.trace(Dir::Note, "DNS", format_args!("name {} already taken", dn));
+        self.reply_along(ctx, self.ident.ip(), rr, sip, Message::Drep(drep));
         self.dns.as_mut().expect("dns role").conflicts_rejected += 1;
     }
 
@@ -208,7 +206,7 @@ impl SecureNode {
         dns.names.insert(dn.clone(), sip);
         dns.committed_online += 1;
         ctx.count("dns.names_committed", 1);
-        ctx.trace(Dir::Note, "DNS", format!("committed {} → {}", dn, sip));
+        ctx.trace(Dir::Note, "DNS", format_args!("committed {} → {}", dn, sip));
     }
 
     /// A warning AREP arrived (a host detected that `arep.sip` is a
@@ -253,7 +251,7 @@ impl SecureNode {
             ctx.trace(
                 Dir::Note,
                 "DNS",
-                format!("registration for {} cancelled", sip),
+                format_args!("registration for {} cancelled", sip),
             );
         }
     }

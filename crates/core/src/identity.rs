@@ -2,9 +2,10 @@
 //! address, plus the verification helpers every receiver runs.
 
 use crate::fxhash::FxHashMap;
+use manet_crypto::backend::RsaBackend;
 use manet_crypto::{
     backend_for, BackendKind, BatchVerifier, CryptoBackend, KeyPair, Provenance, PublicKey,
-    RsaError, Signature, VerifyCache, VerifyKey,
+    Signature, VerifyCache, VerifyKey,
 };
 use manet_wire::{cga, sigdata, CgaError, IdentityProof, Ipv6Addr, Seq};
 use rand::Rng;
@@ -251,61 +252,28 @@ impl std::error::Error for ProofError {}
 
 /// The two-step check from Sections 3.1/3.3: (1) the lower part of
 /// `claimed_ip` equals `H(PK, rn)` for the attached key material, and
-/// (2) the signature over `payload` verifies under that key.
+/// (2) the signature over `payload` verifies under that key — the
+/// [`verify_proof_pipeline`] with no memo, on the RSA oracle.
 pub fn verify_proof(
     claimed_ip: &Ipv6Addr,
     payload: &[u8],
     proof: &IdentityProof,
 ) -> Result<(), ProofError> {
-    verify_proof_with(claimed_ip, payload, proof, None).0
+    verify_proof_pipeline(
+        claimed_ip,
+        payload,
+        proof,
+        None,
+        &RsaBackend::default(),
+        None,
+    )
+    .0
 }
 
 /// Verify a signature against an out-of-band-known key (the DNS case:
 /// every host knows `NPK` a priori, so no CGA check applies).
 pub fn verify_known_key(pk: &PublicKey, payload: &[u8], sig: &Signature) -> Result<(), ProofError> {
-    verify_known_key_with(pk, payload, sig, None).0
-}
-
-/// [`verify_proof`] with an optional verdict memo. The CGA half is a
-/// single SHA-256 and is always recomputed; only the RSA half is
-/// memoized. The returned [`Provenance`] says whether the RSA work
-/// actually ran — a CGA rejection reports `Computed` (nothing was
-/// cached, nothing was spent on RSA).
-pub fn verify_proof_with(
-    claimed_ip: &Ipv6Addr,
-    payload: &[u8],
-    proof: &IdentityProof,
-    cache: Option<&mut VerifyCache>,
-) -> (Result<(), ProofError>, Provenance) {
-    if let Err(e) = cga::verify(claimed_ip, &proof.pk, proof.rn) {
-        return (Err(ProofError::Cga(e)), Provenance::Computed);
-    }
-    verify_known_key_with(&proof.pk, payload, &proof.sig, cache)
-}
-
-/// [`verify_known_key`] with an optional verdict memo.
-pub fn verify_known_key_with(
-    pk: &PublicKey,
-    payload: &[u8],
-    sig: &Signature,
-    cache: Option<&mut VerifyCache>,
-) -> (Result<(), ProofError>, Provenance) {
-    match cache {
-        Some(c) => {
-            let (valid, prov) = c.verify(pk, payload, sig);
-            let res = if valid {
-                Ok(())
-            } else {
-                Err(ProofError::Signature)
-            };
-            (res, prov)
-        }
-        None => (
-            pk.verify(payload, sig)
-                .map_err(|_: RsaError| ProofError::Signature),
-            Provenance::Computed,
-        ),
-    }
+    verify_known_key_pipeline(pk, payload, sig, None, &RsaBackend::default(), None).0
 }
 
 /// Resolve one triple's verdict from the cheapest available source:
@@ -361,8 +329,10 @@ pub fn verify_known_key_pipeline(
     (res, prov)
 }
 
-/// [`verify_proof_with`] on the full pipeline: CGA check first (always
-/// recomputed — one SHA-256), then [`verify_known_key_pipeline`].
+/// [`verify_proof`] on the full pipeline: CGA check first (always
+/// recomputed — one SHA-256; a CGA rejection reports `Computed`, nothing
+/// was cached and nothing spent on the signature), then
+/// [`verify_known_key_pipeline`].
 pub fn verify_proof_pipeline(
     claimed_ip: &Ipv6Addr,
     payload: &[u8],

@@ -31,6 +31,7 @@ pub mod campaign;
 pub mod config;
 pub mod credit;
 pub mod dns;
+mod dsr;
 pub mod envelope;
 pub mod fxhash;
 pub mod identity;
@@ -46,8 +47,8 @@ pub mod stats;
 pub use config::{Behavior, CreditConfig, ProtocolConfig};
 pub use envelope::Envelope;
 pub use identity::{
-    verify_known_key, verify_known_key_pipeline, verify_known_key_with, verify_proof,
-    verify_proof_pipeline, verify_proof_with, HostIdentity, ProofError,
+    verify_known_key, verify_known_key_pipeline, verify_proof, verify_proof_pipeline, HostIdentity,
+    ProofError,
 };
 pub use node::SecureNode;
 pub use plain::PlainDsrNode;

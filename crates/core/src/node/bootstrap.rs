@@ -2,7 +2,8 @@
 //! AREP/DREP replies, and the DAD state machine that turns a candidate
 //! CGA into a confirmed address.
 
-use super::{NodeState, Queued, SecureNode, TAG_DAD, TAG_DAD_PROBE};
+use super::{NodeState, QueuedWork, SecureNode, TAG_DAD, TAG_DAD_PROBE};
+use crate::dsr::{Dsr, Queued};
 use crate::envelope::Envelope;
 use manet_sim::{Ctx, Dir};
 use manet_wire::Ipv6Addr;
@@ -20,7 +21,7 @@ impl SecureNode {
         for h in self.dad_probe_timers.drain(..) {
             ctx.cancel_timer(h);
         }
-        let seq = self.alloc_seq();
+        let seq = self.dsr.alloc_seq();
         let ch = Challenge(ctx.rng().gen());
         self.state = NodeState::Dad { seq, ch };
         self.send_dad_probe(ctx, seq, ch);
@@ -51,12 +52,12 @@ impl SecureNode {
         };
         self.stats.areq_sent += 1;
         let env = Envelope::broadcast(UNSPECIFIED, Message::Areq(areq));
-        self.tx(ctx, None, env);
+        self.tx(ctx, None, &env);
     }
 
     pub(super) fn on_dad_probe_timer(&mut self, ctx: &mut Ctx) {
         if let NodeState::Dad { ch, .. } = self.state {
-            let seq = self.alloc_seq();
+            let seq = self.dsr.alloc_seq();
             self.send_dad_probe(ctx, seq, ch);
         }
     }
@@ -76,13 +77,13 @@ impl SecureNode {
         ctx.trace(
             Dir::Note,
             "DAD",
-            format!("address {} confirmed", self.ident.ip()),
+            format_args!("address {} confirmed", self.ident.ip()),
         );
         // Kick route discovery for everything queued while bootstrapping
         // — in address order, deduplicated: the send buffer yields its
         // destinations in storage order, which must not pick the RREQ
         // emission order.
-        let mut dests: Vec<Ipv6Addr> = self.send_buffer.dests().collect();
+        let mut dests: Vec<Ipv6Addr> = self.dsr.send_buffer.dests().collect();
         dests.sort_unstable();
         dests.dedup();
         for d in dests {
@@ -106,7 +107,7 @@ impl SecureNode {
         if self.my_dad_probes.contains(&(areq.seq.0, areq.ch.0)) {
             return; // an echo of our own probe
         }
-        let sid = self.interner.id(areq.sip);
+        let sid = self.dsr.interner.id(areq.sip);
         if !self.seen_areqs.insert((sid, areq.seq.0, areq.ch.0)) {
             return;
         }
@@ -122,7 +123,7 @@ impl SecureNode {
         ctx.trace(
             Dir::Rx,
             "AREQ",
-            format!(
+            format_args!(
                 "for {} dn={:?}",
                 areq.sip,
                 areq.dn.as_ref().map(|d| d.as_str())
@@ -160,10 +161,7 @@ impl SecureNode {
             {
                 self.stats.atk_replayed += 1;
                 ctx.count("atk.replayed_arep", 1);
-                let mut path = vec![self.ident.ip()];
-                path.extend(areq.rr.reversed().0);
-                path.push(areq.sip);
-                self.send_routed(ctx, RouteRecord(path), Message::Arep(old));
+                self.reply_along(ctx, self.ident.ip(), &areq.rr, areq.sip, Message::Arep(old));
             }
         }
 
@@ -171,7 +169,7 @@ impl SecureNode {
         let mut fwd = areq;
         fwd.rr.push(self.ident.ip());
         let env = Envelope::broadcast(self.ident.ip(), Message::Areq(fwd));
-        self.tx(ctx, None, env);
+        self.tx(ctx, None, &env);
     }
 
     /// Answer an AREQ whose address collides with ours (Section 3.1):
@@ -186,10 +184,13 @@ impl SecureNode {
         };
         self.stats.arep_sent += 1;
         ctx.count("dad.arep_sent", 1);
-        let mut path = vec![self.ident.ip()];
-        path.extend(areq.rr.reversed().0);
-        path.push(areq.sip);
-        self.send_routed(ctx, RouteRecord(path), Message::Arep(arep));
+        self.reply_along(
+            ctx,
+            self.ident.ip(),
+            &areq.rr,
+            areq.sip,
+            Message::Arep(arep),
+        );
     }
 
     /// Warn the DNS that `areq.sip` is a duplicate so it never commits a
@@ -212,7 +213,8 @@ impl SecureNode {
         if let Some(path) = self.path_to(ctx.now(), &dns_ip) {
             self.send_routed(ctx, path, Message::Arep(warning));
         } else {
-            self.enqueue(ctx, dns_ip, Queued::ArepWarning { arep: warning }, &[]);
+            let warning = Queued::Other(QueuedWork::ArepWarning { arep: warning });
+            self.enqueue(ctx, dns_ip, warning, &[]);
             self.ensure_route(ctx, dns_ip);
         }
     }
@@ -273,7 +275,7 @@ impl SecureNode {
                 ctx.trace(
                     Dir::Note,
                     "DAD",
-                    format!("name conflict; retrying as {fallback}"),
+                    format_args!("name conflict; retrying as {fallback}"),
                 );
                 self.restart_dad(ctx);
             }

@@ -2,7 +2,8 @@
 //! resolution and the challenge/response IP-change flow. The server side
 //! lives in [`crate::dns`].
 
-use super::{PendingIpChange, Queued, SecureNode};
+use super::{PendingIpChange, QueuedWork, SecureNode};
+use crate::dsr::{Dsr, Queued};
 use manet_sim::{Ctx, Dir};
 use manet_wire::{
     sigdata, Challenge, DnsQuery, DnsReply, DomainName, IpChangeChallenge, IpChangeProof,
@@ -29,7 +30,8 @@ impl SecureNode {
                 return;
             }
         }
-        self.enqueue(ctx, dns_ip, Queued::DnsQuery { qname, ch }, &[]);
+        let query = Queued::Other(QueuedWork::DnsQuery { qname, ch });
+        self.enqueue(ctx, dns_ip, query, &[]);
         if self.is_ready() {
             self.ensure_route(ctx, dns_ip);
         }
@@ -65,7 +67,8 @@ impl SecureNode {
             }
             self.ensure_route(ctx, dns_ip);
         }
-        self.enqueue(ctx, dns_ip, Queued::IpChangeRequest { dn }, &[]);
+        let request = Queued::Other(QueuedWork::IpChangeRequest { dn });
+        self.enqueue(ctx, dns_ip, request, &[]);
     }
 
     // --- inbound ------------------------------------------------------------
@@ -138,9 +141,9 @@ impl SecureNode {
         if res.accepted {
             self.ident.set_rn(pending.new_rn);
             ctx.count("dns.ip_changed", 1);
-            ctx.trace(Dir::Note, "IPCHG", format!("now {}", self.ident.ip()));
+            ctx.trace(Dir::Note, "IPCHG", format_args!("now {}", self.ident.ip()));
             // Old routes reference the old address; peers will re-resolve.
-            self.route_cache.remove_dest(&pending.old_ip);
+            self.dsr.route_cache.remove_dest(&pending.old_ip);
         }
     }
 }

@@ -1,257 +1,91 @@
-//! The data plane: source-routed transmission, per-hop forwarding with
-//! the paper's broadcast-fallback footnote, Data/Ack end-to-end retries,
-//! and the pre-route send buffer.
+//! The secure stack on the shared DSR data plane ([`crate::dsr`]): where
+//! its state lives, how it words its RREQ and RERR, and the hooks it
+//! overrides — which together are what Sections 3.3–3.4 add to plain
+//! DSR's forwarding (readiness before DAD completes, the DNS anycast
+//! address, probe and credit bookkeeping, the Section 4 relay attacks).
 
-use super::{PendingAck, Queued, SecureNode, TAG_ACK};
+use super::{QueuedWork, SecureNode};
+use crate::config::Behavior;
+use crate::credit::CreditManager;
+use crate::dsr::{Dsr, DsrParams, DsrState, PendingAck};
 use crate::envelope::Envelope;
-use manet_sim::{Ctx, Dir, NodeId, SimTime};
+use crate::stats::NodeStats;
+use manet_sim::Ctx;
 use manet_wire::{
-    sigdata, Ack, Data, DnsQuery, IpChangeRequest, Ipv6Addr, Message, RouteRecord, Seq, UNSPECIFIED,
+    sigdata, DnsQuery, DnsReply, IpChangeRequest, Ipv6Addr, Message, Rerr, RouteRecord, Rreq,
+    SecureRouteRecord, Seq,
 };
 use rand::Rng;
 
 impl SecureNode {
-    // --- application API (call via `Engine::with_protocol`) ---------------
-
-    /// Send `payload` to `dip`, discovering a route if needed.
+    /// Application API (call via `Engine::with_protocol`): send
+    /// `payload` to `dip`, discovering a route if needed.
     pub fn send_data(&mut self, ctx: &mut Ctx, dip: Ipv6Addr, payload: Vec<u8>) {
-        self.stats.data_sent += 1;
-        ctx.count("app.data_sent", 1);
-        let seq = self.alloc_seq();
-        if !self.is_ready() {
-            self.enqueue(ctx, dip, Queued::Data { seq }, &payload);
-            return;
-        }
-        if !self.try_send_data(ctx, seq, dip, payload.clone(), 0) {
-            self.enqueue(ctx, dip, Queued::Data { seq }, &payload);
-            self.ensure_route(ctx, dip);
+        self.originate_data(ctx, dip, payload);
+    }
+}
+
+impl Dsr for SecureNode {
+    type Work = QueuedWork;
+
+    fn dsr(&self) -> &DsrState<QueuedWork> {
+        &self.dsr
+    }
+    fn dsr_mut(&mut self) -> &mut DsrState<QueuedWork> {
+        &mut self.dsr
+    }
+    fn ip(&self) -> Ipv6Addr {
+        self.ident.ip()
+    }
+    fn params(&self) -> DsrParams {
+        DsrParams {
+            rreq_timeout: self.cfg.rreq_timeout,
+            rreq_retries: self.cfg.rreq_retries,
+            ack_timeout: self.cfg.ack_timeout,
+            data_retries: self.cfg.data_retries,
+            max_send_buffer: self.cfg.max_send_buffer,
         }
     }
-
-    // --- transmission plumbing --------------------------------------------
-
-    /// Queue `q` for `dest`; `payload` is the data bytes for a
-    /// [`Queued::Data`] entry (empty for control variants) and is
-    /// copied into the buffer arena.
-    pub(super) fn enqueue(&mut self, ctx: &mut Ctx, dest: Ipv6Addr, q: Queued, payload: &[u8]) {
-        if self.send_buffer.len() >= self.cfg.max_send_buffer {
-            // Oldest-first drop; count the casualty if it was data.
-            if let Some((_, Queued::Data { .. })) = self.send_buffer.drop_front() {
-                self.stats.data_failed += 1;
-                ctx.count("app.data_failed", 1);
-            }
-        }
-        self.send_buffer.push_back(dest, q, payload);
+    fn behavior(&self) -> &Behavior {
+        &self.behavior
+    }
+    fn credits(&self) -> &CreditManager {
+        &self.credits
+    }
+    fn stats_mut(&mut self) -> Option<&mut NodeStats> {
+        Some(&mut self.stats)
     }
 
-    /// Full forwarding path to `dip` from the route cache.
-    pub(super) fn path_to(&self, now: SimTime, dip: &Ipv6Addr) -> Option<RouteRecord> {
-        let r = self.route_cache.best(dip, &self.credits, now)?;
-        Some(r.full_path(self.ident.ip(), *dip))
-    }
-
-    /// The paper's footnote: the last hop of an AREP (or DREP) toward a
-    /// mid-DAD host must be a link broadcast — the claimed address is not
-    /// yet legal, and during a genuine collision it is *ambiguous* (the
-    /// owner's transmissions map it to the owner in neighbor caches, so a
-    /// unicast would deliver the collision notice back to the owner).
-    pub(super) fn final_hop_must_broadcast(msg: &Message, final_dst: &Ipv6Addr) -> bool {
-        match msg {
-            Message::Arep(a) => a.sip == *final_dst,
-            Message::Drep(d) => d.sip == *final_dst,
-            _ => false,
-        }
-    }
-
-    /// Transmit `msg` along `path` (this node must be `path[0]`). Returns
-    /// false when the first hop is unresolvable and no broadcast fallback
-    /// applies.
-    pub(crate) fn send_routed(&mut self, ctx: &mut Ctx, path: RouteRecord, msg: Message) -> bool {
-        debug_assert!(path.len() >= 2);
-        let next = path.0[1];
-        let at_final = path.len() == 2;
-        if at_final && Self::final_hop_must_broadcast(&msg, &next) {
-            let env = Envelope::routed(self.tx_src_ip(), path, msg);
-            self.tx(ctx, None, env);
-            return true;
-        }
-        let env = Envelope::routed(self.tx_src_ip(), path.clone(), msg);
-        let kind = env.msg.kind();
-        if let Some(node) = self.neighbors.lookup(&next, ctx.now()) {
-            self.tx(ctx, Some(node), env);
-            return true;
-        }
-        // Unknown next hop: legal only for a final hop to an address-less
-        // (mid-DAD) or silent host — fall back to link broadcast.
-        if at_final {
-            self.tx(ctx, None, env);
-            return true;
-        }
-        ctx.count("route.first_hop_unresolved", 1);
-        ctx.trace(
-            Dir::Drop,
-            "ROUTE",
-            format!("{kind}: first hop {next} unresolved"),
-        );
-        false
-    }
-
-    /// Source address for outgoing frames (`::` while in DAD, like real
-    /// IPv6 DAD probes).
-    pub(super) fn tx_src_ip(&self) -> Ipv6Addr {
-        if self.is_ready() {
-            self.ident.ip()
-        } else {
-            UNSPECIFIED
-        }
-    }
-
-    pub(super) fn tx(&mut self, ctx: &mut Ctx, to: Option<NodeId>, env: Envelope) {
-        let kind = env.msg.kind();
-        // Recycled frame buffer: see the plain stack's `tx` — same
-        // zero-alloc steady-state transmit path.
-        let mut bytes = ctx.frame_buf();
-        env.encode_into(&mut bytes);
-        ctx.count("ctl.tx_msgs", 1);
-        ctx.count("ctl.tx_bytes", bytes.len() as u64);
-        if env.msg.is_table1_control() {
-            ctx.count("ctl.table1_bytes", bytes.len() as u64);
-        }
-        if !matches!(env.msg, Message::Data(_) | Message::Ack(_)) {
-            ctx.count("ctl.routing_bytes", bytes.len() as u64);
-        }
-        if ctx.tracing() {
-            let detail = match &env.source_route {
-                Some(p) => format!("→{} ({} hops)", p.0.last().expect("nonempty"), p.len() - 1),
-                None => "flood".to_owned(),
-            };
-            ctx.trace(Dir::Tx, kind, detail);
-        }
-        match to {
-            Some(node) => ctx.unicast(node, bytes),
-            None => ctx.broadcast(bytes),
-        }
-    }
-
-    fn try_send_data(
-        &mut self,
-        ctx: &mut Ctx,
-        seq: Seq,
-        dip: Ipv6Addr,
-        payload: Vec<u8>,
-        retries: u32,
-    ) -> bool {
-        let Some(path) = self.path_to(ctx.now(), &dip) else {
-            return false;
-        };
-        let relays = path.0[1..path.len() - 1].to_vec();
-        let msg = Message::Data(Data {
-            sip: self.ident.ip(),
+    /// `RREQ(SIP, DIP, seq, SRR, [SIP, seq]SSK, SPK, Srn)` (Section 3.3).
+    fn rreq_message(&mut self, dip: Ipv6Addr, seq: Seq) -> Message {
+        let sip = self.ident.ip();
+        Message::Rreq(Rreq {
+            sip,
             dip,
             seq,
-            route: path.clone(),
-            payload: payload.clone(),
-        });
-        if !self.send_routed(ctx, path, msg) {
-            // First hop gone: scrub the stale route and report failure so
-            // the caller can rediscover.
-            let me = self.ident.ip();
-            self.route_cache.remove_link(me, me, dip);
-            return false;
-        }
-        self.pending_acks.insert(
-            seq.0,
-            PendingAck {
-                dip,
-                payload,
-                relays,
-                retries,
-                first_sent: ctx.now(),
-            },
-        );
-        ctx.set_timer(self.cfg.ack_timeout, TAG_ACK | seq.0);
-        true
+            srr: SecureRouteRecord::new(),
+            src_proof: self.ident.prove(&sigdata::rreq_src(&sip, seq)),
+        })
     }
 
-    /// Flush queued work for `dest` after a route appeared.
-    pub(super) fn flush_buffer(&mut self, ctx: &mut Ctx, dest: Ipv6Addr) {
-        // Full-length rotation over the arena-backed buffer: identical
-        // entry order and retry behavior to the old take-and-requeue
-        // loop, with payload spans recycled in place.
-        for _ in 0..self.send_buffer.len() {
-            let (d, q, payload) = self.send_buffer.pop_front().expect("within len");
-            if d != dest {
-                self.send_buffer.push_back(d, q, &payload);
-                continue;
-            }
-            match q {
-                Queued::Data { seq } => {
-                    if !self.try_send_data(ctx, seq, d, payload.clone(), 0) {
-                        self.send_buffer
-                            .push_back(d, Queued::Data { seq }, &payload);
-                    }
-                }
-                Queued::DnsQuery { qname, ch } => {
-                    if let Some(path) = self.path_to(ctx.now(), &d) {
-                        let msg = Message::DnsQuery(DnsQuery {
-                            requester: self.ident.ip(),
-                            qname,
-                            ch,
-                            route: path.clone(),
-                        });
-                        self.send_routed(ctx, path, msg);
-                    } else {
-                        self.send_buffer
-                            .push_back(d, Queued::DnsQuery { qname, ch }, &[]);
-                    }
-                }
-                Queued::ArepWarning { arep } => {
-                    if let Some(path) = self.path_to(ctx.now(), &d) {
-                        self.send_routed(ctx, path, Message::Arep(arep));
-                    } else {
-                        self.send_buffer
-                            .push_back(d, Queued::ArepWarning { arep }, &[]);
-                    }
-                }
-                Queued::IpChangeRequest { dn } => {
-                    if let (Some(pending), Some(path)) =
-                        (&self.pending_ip_change, self.path_to(ctx.now(), &d))
-                    {
-                        let msg = Message::IpChangeRequest(IpChangeRequest {
-                            dn,
-                            old_ip: pending.old_ip,
-                            new_ip: pending.new_ip,
-                            route: path.clone(),
-                        });
-                        self.send_routed(ctx, path, msg);
-                    }
-                }
-            }
-        }
+    /// `RERR(IIP, I'IP, [IIP, I'IP]ISK, IPK, Irn)` (Section 3.4).
+    fn rerr_message(&mut self, next: Ipv6Addr) -> Message {
+        let iip = self.ident.ip();
+        Message::Rerr(Rerr {
+            iip,
+            i2ip: next,
+            proof: self.ident.prove(&sigdata::rerr(&iip, &next)),
+        })
     }
 
-    /// Fail everything queued for `dest` (route discovery exhausted).
-    pub(super) fn fail_buffer(&mut self, ctx: &mut Ctx, dest: Ipv6Addr) {
-        let dropped = self.send_buffer.remove_dest(dest) as u64;
-        if dropped > 0 {
-            self.stats.data_failed += dropped;
-            ctx.count("app.data_failed", dropped);
-            ctx.count("route.discovery_failed", 1);
-        }
-    }
-
-    // --- routed delivery ----------------------------------------------------
-
-    pub(super) fn deliver_local(&mut self, ctx: &mut Ctx, env: Envelope) {
-        let path = env.source_route.clone().unwrap_or_default();
+    fn deliver_control(&mut self, ctx: &mut Ctx, env: Envelope) {
+        let path = env.source_route.unwrap_or_default();
         match env.msg {
             Message::Arep(arep) => self.handle_arep(ctx, arep),
             Message::Drep(drep) => self.handle_drep(ctx, drep),
             Message::Rrep(rrep) => self.handle_rrep(ctx, rrep),
             Message::Crep(crep) => self.handle_crep(ctx, crep),
             Message::Rerr(rerr) => self.handle_rerr(ctx, rerr),
-            Message::Data(data) => self.handle_data(ctx, data),
-            Message::Ack(ack) => self.handle_ack(ctx, ack),
             Message::Probe(probe) => {
                 // We are the probed destination: acknowledge.
                 let back: Vec<Ipv6Addr> = probe.route.reversed().0;
@@ -282,149 +116,142 @@ impl SecureNode {
         }
     }
 
-    fn handle_data(&mut self, ctx: &mut Ctx, data: Data) {
-        self.stats.data_received += 1;
-        ctx.count("app.data_received", 1);
-        ctx.sample("app.data_bytes", data.payload.len() as f64);
-        // End-to-end acknowledgement drives the credit system.
-        let ack = Ack {
-            sip: data.sip,
-            dip: data.dip,
-            seq: data.seq,
-            route: data.route.clone(),
+    fn send_queued(
+        &mut self,
+        ctx: &mut Ctx,
+        dest: Ipv6Addr,
+        work: QueuedWork,
+    ) -> Option<QueuedWork> {
+        let Some(path) = self.path_to(ctx.now(), &dest) else {
+            // Stay queued — except an IP-change request, which is not
+            // worth keeping without a route.
+            return match work {
+                QueuedWork::IpChangeRequest { .. } => None,
+                keep => Some(keep),
+            };
         };
-        let path = data.route.reversed();
-        if path.len() >= 2 {
-            self.send_routed(ctx, path, Message::Ack(ack));
-        }
+        let msg = match work {
+            QueuedWork::DnsQuery { qname, ch } => Message::DnsQuery(DnsQuery {
+                requester: self.ident.ip(),
+                qname,
+                ch,
+                route: path.clone(),
+            }),
+            QueuedWork::ArepWarning { arep } => Message::Arep(arep),
+            QueuedWork::IpChangeRequest { dn } => {
+                let pending = self.pending_ip_change.as_ref()?;
+                Message::IpChangeRequest(IpChangeRequest {
+                    dn,
+                    old_ip: pending.old_ip,
+                    new_ip: pending.new_ip,
+                    route: path.clone(),
+                })
+            }
+        };
+        self.send_routed(ctx, path, msg);
+        None
     }
 
-    fn handle_ack(&mut self, ctx: &mut Ctx, ack: Ack) {
-        let Some(pending) = self.pending_acks.remove(&ack.seq.0) else {
-            return;
-        };
-        self.consecutive_timeouts.remove(&pending.dip);
-        self.stats.data_acked += 1;
-        ctx.count("app.data_acked", 1);
-        ctx.sample(
-            "app.e2e_latency_s",
-            ctx.now().since(pending.first_sent).as_secs_f64(),
-        );
-        // "Whenever a data packet is correctly acknowledged by D, the
-        // credit of each host in the route is increased by one."
-        self.credits.reward_route(&pending.relays);
+    // --- what Sections 3.1–3.4 change in the data plane ---------------------
+
+    /// A host may not originate before secure DAD confirms its address
+    /// (Section 3.1).
+    fn ready(&self) -> bool {
+        self.is_ready()
     }
 
-    // --- forwarding ----------------------------------------------------------
+    /// The DNS also answers to the well-known anycast addresses
+    /// (Section 3.2).
+    fn is_my_addr(&self, ip: &Ipv6Addr) -> bool {
+        *ip == self.ident.ip() || (self.dns.is_some() && ip.is_dns_well_known())
+    }
 
-    pub(super) fn forward(&mut self, ctx: &mut Ctx, mut env: Envelope) {
-        let path = env.source_route.clone().expect("routed");
-        let idx = env.sr_index as usize;
+    /// Alternate routes are an asset here (RREP diversity, credit
+    /// ranking): scrub only routes over the direct link to `dip`.
+    fn scrub_dead_first_hop(&mut self, dip: Ipv6Addr) {
+        let me = self.ident.ip();
+        self.dsr.route_cache.remove_link(me, me, dip);
+    }
 
-        if let Message::Data(_) = env.msg {
-            // Black/grey hole: accept and discard (Section 4's black hole).
-            if self.behavior.data_drop_prob > 0.0
-                && ctx.rng().gen::<f64>() < self.behavior.data_drop_prob
-            {
-                self.stats.atk_data_dropped += 1;
-                ctx.count("atk.data_dropped", 1);
-                ctx.trace(Dir::Drop, "DATA", "black hole: swallowing packet");
-                return;
+    fn on_broken_link(&mut self, next: Ipv6Addr) {
+        let me = self.ident.ip();
+        self.dsr.route_cache.remove_link(me, me, next);
+    }
+
+    /// Route probes are acknowledged hop by hop (Section 3.4); a
+    /// malicious relay may swallow them or answer DNS queries itself
+    /// (Section 4).
+    fn intercept_transit(&mut self, ctx: &mut Ctx, env: &Envelope, idx: usize) -> bool {
+        let Some(path) = &env.source_route else {
+            return false;
+        };
+        let back = || -> Vec<Ipv6Addr> { path.0[..=idx].iter().rev().copied().collect() };
+        match &env.msg {
+            Message::Probe(probe) => {
+                // A naive dropper swallows probes like everything else
+                // and is localized; an evader acknowledges and forwards.
+                if self.behavior.data_drop_prob > 0.0
+                    && !self.behavior.evade_probes
+                    && ctx.rng().gen::<f64>() < self.behavior.data_drop_prob
+                {
+                    self.stats.atk_data_dropped += 1;
+                    ctx.count("atk.probe_dropped", 1);
+                    return true;
+                }
+                self.send_probe_ack(ctx, probe, back());
+                false
             }
-        }
-
-        if let Message::Probe(probe) = &env.msg {
-            // A naive dropper swallows probes like everything else and is
-            // localized; an evader acknowledges and forwards.
-            if self.behavior.data_drop_prob > 0.0
-                && !self.behavior.evade_probes
-                && ctx.rng().gen::<f64>() < self.behavior.data_drop_prob
-            {
-                self.stats.atk_data_dropped += 1;
-                ctx.count("atk.probe_dropped", 1);
-                return;
-            }
-            let probe = probe.clone();
-            let back: Vec<Ipv6Addr> = path.0[..=idx].iter().rev().copied().collect();
-            self.send_probe_ack(ctx, &probe, back);
-            // …and fall through to normal forwarding below.
-        }
-
-        // DNS impersonation: a malicious relay answers the query itself
-        // with a forged signature (and suppresses the real one).
-        if self.behavior.forge_dns {
-            if let Message::DnsQuery(q) = &env.msg {
-                let forged_sig =
-                    self.ident
-                        .sign(&sigdata::dns_reply(&q.qname, Some(&self.ident.ip()), q.ch));
-                let reply = Message::DnsReply(manet_wire::DnsReply {
+            // DNS impersonation: a malicious relay answers the query
+            // itself with a forged signature (and suppresses the real one).
+            Message::DnsQuery(q) if self.behavior.forge_dns => {
+                let me = self.ident.ip();
+                let reply = Message::DnsReply(DnsReply {
                     requester: q.requester,
                     qname: q.qname.clone(),
-                    answer: Some(self.ident.ip()),
-                    sig: forged_sig,
+                    answer: Some(me),
+                    sig: self
+                        .ident
+                        .sign(&sigdata::dns_reply(&q.qname, Some(&me), q.ch)),
                     route: RouteRecord::new(),
                 });
                 self.stats.atk_forged_dns += 1;
                 ctx.count("atk.forged_dns", 1);
-                let back: Vec<Ipv6Addr> = path.0[..=idx].iter().rev().copied().collect();
+                let back = back();
                 if back.len() >= 2 {
                     self.send_routed(ctx, RouteRecord(back), reply);
                 }
-                return; // swallow the query
+                true
             }
-        }
-
-        let next = path.0[idx + 1];
-        env.sr_index += 1;
-        env.src_ip = self.ident.ip();
-        let is_data = matches!(env.msg, Message::Data(_));
-        ctx.count("route.forwarded", 1);
-        let final_next = idx + 1 == path.len() - 1;
-        if final_next && Self::final_hop_must_broadcast(&env.msg, &next) {
-            // Footnote broadcast: see final_hop_must_broadcast.
-            ctx.count("route.broadcast_fallback", 1);
-            self.tx(ctx, None, env);
-            return;
-        }
-        if let Some(node) = self.neighbors.lookup(&next, ctx.now()) {
-            self.tx(ctx, Some(node), env);
-            // RERR spam: after dutifully forwarding, falsely report the
-            // link broken to poison the source's cache (Section 4's
-            // forged-RERR case — the report is *signed honestly* by us,
-            // so it passes verification; the defense is frequency
-            // tracking + credits).
-            if self.behavior.rerr_spam && is_data {
-                self.stats.atk_spam_rerr += 1;
-                ctx.count("atk.rerr_spam", 1);
-                self.originate_rerr(ctx, &path, idx, next);
-            }
-        } else if idx + 1 == path.len() - 1 {
-            // Last hop to a host we cannot resolve (mid-DAD joiner or
-            // silent neighbor): link-layer broadcast, per the paper's
-            // footnote on the final AREP hop.
-            ctx.count("route.broadcast_fallback", 1);
-            self.tx(ctx, None, env);
-        } else {
-            // Broken link with no cached neighbor: report it.
-            self.neighbors.forget(&next);
-            let me = self.ident.ip();
-            self.route_cache.remove_link(me, me, next);
-            if is_data {
-                self.originate_rerr(ctx, &path, idx, next);
-            }
+            _ => false,
         }
     }
 
-    // --- timers ---------------------------------------------------------------
+    /// RERR spam: after dutifully forwarding, falsely report the link
+    /// broken to poison the source's cache (Section 4's forged-RERR case
+    /// — the report is *signed honestly* by us, so it passes
+    /// verification; the defense is frequency tracking + credits).
+    fn after_forward(&mut self, ctx: &mut Ctx, env: &Envelope, idx: usize, next: Ipv6Addr) {
+        if !self.behavior.rerr_spam {
+            return;
+        }
+        if let (Message::Data(_), Some(path)) = (&env.msg, &env.source_route) {
+            self.stats.atk_spam_rerr += 1;
+            ctx.count("atk.rerr_spam", 1);
+            self.originate_rerr(ctx, path, idx, next);
+        }
+    }
 
-    pub(super) fn on_ack_timer(&mut self, ctx: &mut Ctx, seq: u64) {
-        let Some(pending) = self.pending_acks.remove(&seq) else {
-            return; // acked in time
-        };
+    /// "Whenever a data packet is correctly acknowledged by D, the
+    /// credit of each host in the route is increased by one."
+    fn on_acked(&mut self, pending: &PendingAck) {
+        self.consecutive_timeouts.remove(&pending.dip);
+        self.credits.reward_route(&pending.relays);
+    }
+
+    fn on_ack_timeout(&mut self, ctx: &mut Ctx, pending: &PendingAck) {
         // Weak evidence against every relay: a black hole accrues it from
         // every flow it swallows (Section 3.4).
         self.credits.penalize_route(&pending.relays);
-        ctx.count("app.ack_timeouts", 1);
         // Persistent loss toward one destination triggers a route probe
         // ("test the integrality of each host") when enabled.
         let misses = self
@@ -435,26 +262,5 @@ impl SecureNode {
         if self.cfg.probe_enabled && *misses >= self.cfg.probe_after {
             self.launch_probe(ctx, pending.dip, &pending.relays);
         }
-        if pending.retries < self.cfg.data_retries {
-            // Retry — possibly over a different route now that credits
-            // shifted. If the same route is still chosen, that is what the
-            // credit experiment measures.
-            if self.try_send_data(
-                ctx,
-                Seq(seq),
-                pending.dip,
-                pending.payload.clone(),
-                pending.retries + 1,
-            ) {
-                return;
-            }
-            // No usable route: rediscover and queue.
-            let dip = pending.dip;
-            self.enqueue(ctx, dip, Queued::Data { seq: Seq(seq) }, &pending.payload);
-            self.ensure_route(ctx, dip);
-            return;
-        }
-        self.stats.data_failed += 1;
-        ctx.count("app.data_failed", 1);
     }
 }

@@ -8,8 +8,10 @@
 //!   (AREQ/AREP/DREP floods and timers, Section 3.1);
 //! * [`routing`] — secure DSR discovery and maintenance
 //!   (RREQ/RREP/CREP/RERR plus route probing, Sections 3.3–3.4);
-//! * [`forwarding`] — the data plane: source-routed transmission,
-//!   Data/Ack retries, the pre-route send buffer;
+//! * [`forwarding`] — what the secure stack adds to the shared DSR data
+//!   plane ([`crate::dsr`], which owns source-routed transmission,
+//!   Data/Ack retries and the pre-route send buffer for both stacks):
+//!   its hook overrides, local delivery and its non-data queued work;
 //! * [`dnsclient`] — the host side of the DNS services (resolution and
 //!   IP change, Section 3.2); the *server* side lives in [`crate::dns`];
 //! * [`verify`] — the security pipeline every inbound proof passes
@@ -34,25 +36,22 @@ mod verify;
 use crate::config::{Behavior, ProtocolConfig};
 use crate::credit::CreditManager;
 use crate::dns::DnsState;
+use crate::dsr::{Dsr, DsrState, FloodMemo, TAG_ACK, TAG_KIND_MASK, TAG_RREQ};
 use crate::envelope::Envelope;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::identity::HostIdentity;
-use crate::intern::{AddrInterner, InternTable};
-use crate::neighbor::NeighborCache;
+use crate::intern::InternTable;
 use crate::routecache::RouteCache;
-use crate::sendbuf::SendBuffer;
 use crate::stats::NodeStats;
 use manet_crypto::{backend_for, BatchVerifier, CryptoBackend, PublicKey, VerifyCache};
-use manet_sim::{Ctx, Dir, NodeId, Protocol, SimTime};
+use manet_sim::{Ctx, NodeId, Protocol, SimTime};
 use manet_wire::{Arep, Challenge, DomainName, Ipv6Addr, Message, RouteRecord, Rrep, Seq};
 use std::any::Any;
 use std::sync::Arc;
 
-// Timer tag layout: kind in the top byte, payload below.
-const TAG_KIND_MASK: u64 = 0xff << 56;
+// The secure stack's timer kinds, in the data plane's tag layout
+// (kinds 2 and 3 are `dsr::TAG_RREQ` / `dsr::TAG_ACK`).
 const TAG_DAD: u64 = 1 << 56;
-const TAG_RREQ: u64 = 2 << 56;
-const TAG_ACK: u64 = 3 << 56;
 const TAG_DNS_PENDING: u64 = 4 << 56;
 const TAG_DAD_PROBE: u64 = 5 << 56;
 const TAG_ROUTE_PROBE: u64 = 6 << 56;
@@ -68,29 +67,10 @@ enum NodeState {
     Ready,
 }
 
-/// An outstanding route discovery.
+/// The secure stack's non-data work queued until a route to its
+/// destination exists ([`crate::dsr::Queued::Other`]).
 #[derive(Debug)]
-struct PendingRreq {
-    seq: Seq,
-    attempts: u32,
-    started: SimTime,
-}
-
-/// A data packet awaiting its end-to-end ACK.
-#[derive(Debug)]
-struct PendingAck {
-    dip: Ipv6Addr,
-    payload: Vec<u8>,
-    relays: Vec<Ipv6Addr>,
-    retries: u32,
-    first_sent: SimTime,
-}
-
-/// Work queued until a route to `dest` exists. Payload bytes (only the
-/// `Data` variant has any) live in the send buffer's arena, not here.
-#[derive(Debug)]
-enum Queued {
-    Data { seq: Seq },
+pub(crate) enum QueuedWork {
     DnsQuery { qname: DomainName, ch: Challenge },
     ArepWarning { arep: Arep },
     IpChangeRequest { dn: DomainName },
@@ -128,9 +108,8 @@ pub struct SecureNode {
     pub(crate) dns: Option<DnsState>,
 
     state: NodeState,
-    next_seq: u64,
-    pub(crate) neighbors: NeighborCache,
-    pub(crate) route_cache: RouteCache,
+    /// The shared DSR data plane's state.
+    dsr: DsrState<QueuedWork>,
     pub(crate) credits: CreditManager,
     pub(crate) stats: NodeStats,
     /// Memoized signature-verification verdicts (None = cache disabled);
@@ -144,27 +123,20 @@ pub struct SecureNode {
     /// fed by [`prefetch`], consulted by the [`verify`] pipeline.
     pub(crate) batch: Option<Arc<BatchVerifier>>,
 
-    /// Address interner for the id-keyed flood-dedup maps below
-    /// (shared table set by the builder; overflow catches re-rolled
-    /// CGAs and foreign addresses).
-    interner: AddrInterner,
-    /// Flood dedup for AREQs. The challenge is part of the key: `seq` is
+    /// Flood dedup for AREQs, keyed on interned source ids
+    /// (`dsr.interner`). The challenge is part of the key: `seq` is
     /// only unique *per initiator*, and the interesting DAD case is two
     /// initiators claiming the same SIP — their floods must not collapse.
     seen_areqs: FxHashSet<(u32, u64, u64)>,
     /// `(seq, ch)` of every AREQ we ourselves flooded, so a late echo of
     /// our own probe is never mistaken for a foreign claim on our address.
     my_dad_probes: FxHashSet<(u64, u64)>,
-    seen_rreqs: FxHashSet<(u32, u64)>,
     /// As destination: how many copies of each RREQ we already answered
     /// (up to `cfg.rrep_multi` for route diversity).
-    answered_rreqs: FxHashMap<(u32, u64), u32>,
+    answered_rreqs: FloodMemo<u32>,
     /// Recently satisfied discoveries, so late extra RREPs for the same
     /// sequence can still be cached as alternate routes.
     recent_rreqs: FxHashMap<Ipv6Addr, (Seq, SimTime)>,
-    pending_rreqs: FxHashMap<Ipv6Addr, PendingRreq>,
-    pending_acks: FxHashMap<u64, PendingAck>,
-    send_buffer: SendBuffer<Queued>,
     /// Challenges of our outstanding DNS resolutions, by name.
     pending_resolves: FxHashMap<DomainName, Challenge>,
     pending_ip_change: Option<PendingIpChange>,
@@ -282,21 +254,14 @@ impl SecureNode {
             behavior,
             dns,
             state: NodeState::Boot,
-            next_seq: 1,
-            neighbors: NeighborCache::default(),
-            route_cache,
+            dsr: DsrState::new(route_cache),
             credits,
             stats: NodeStats::default(),
             verify_cache,
-            interner: AddrInterner::new(),
             seen_areqs: FxHashSet::default(),
             my_dad_probes: FxHashSet::default(),
-            seen_rreqs: FxHashSet::default(),
-            answered_rreqs: FxHashMap::default(),
+            answered_rreqs: FloodMemo::default(),
             recent_rreqs: FxHashMap::default(),
-            pending_rreqs: FxHashMap::default(),
-            pending_acks: FxHashMap::default(),
-            send_buffer: SendBuffer::new(),
             pending_resolves: FxHashMap::default(),
             pending_ip_change: None,
             pending_probes: FxHashMap::default(),
@@ -316,8 +281,7 @@ impl SecureNode {
 
     /// Adopt the network-wide intern table (builder-time only).
     pub fn set_intern_table(&mut self, table: std::sync::Arc<InternTable>) {
-        self.interner.set_table(table.clone());
-        self.neighbors.set_intern_table(table);
+        self.dsr.set_intern_table(table);
     }
 
     /// The public key behind this node's CGA.
@@ -376,13 +340,14 @@ impl SecureNode {
 
     /// Number of destinations with a cached route.
     pub fn cached_destinations(&self) -> usize {
-        self.route_cache.len()
+        self.dsr.route_cache.len()
     }
 
     /// The relay list of the best cached route to `dip` at time `now`
     /// (empty = direct), if any survives credit filtering.
     pub fn cached_route(&self, dip: &Ipv6Addr, now: SimTime) -> Option<Vec<Ipv6Addr>> {
-        self.route_cache
+        self.dsr
+            .route_cache
             .best(dip, &self.credits, now)
             .map(|r| r.relays.to_vec())
     }
@@ -395,23 +360,9 @@ impl SecureNode {
         self.send_routed(ctx, path, msg)
     }
 
-    // --- shared internals -------------------------------------------------
-
-    fn alloc_seq(&mut self) -> Seq {
-        let s = Seq(self.next_seq);
-        self.next_seq += 1;
-        s
-    }
-
-    fn is_my_addr(&self, ip: &Ipv6Addr) -> bool {
-        *ip == self.ident.ip() || (self.dns.is_some() && ip.is_dns_well_known())
-    }
-
-    /// An impersonator also listens on its claimed address — the point of
-    /// the CGA checks is that nothing is ever *sent* there, because its
-    /// forged replies are rejected upstream.
-    fn accepts_addr(&self, ip: &Ipv6Addr) -> bool {
-        self.is_my_addr(ip) || self.behavior.impersonate == Some(*ip)
+    #[cfg(test)]
+    pub(crate) fn answered_rreqs_len(&self) -> usize {
+        self.answered_rreqs.len()
     }
 
     /// The replay attacker records everything verifiable it overhears.
@@ -444,39 +395,22 @@ impl Protocol for SecureNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx, src: NodeId, bytes: &[u8]) {
-        let Ok(env) = Envelope::decode(bytes) else {
-            ctx.count("rx.malformed", 1);
+        let Some(env) = self.decode_frame(ctx, src, bytes) else {
             return;
         };
-        self.neighbors.learn(env.src_ip, src, ctx.now());
         if self.behavior.replay {
             self.observe_for_replay(&env);
         }
-        match env.source_route {
-            Some(_) => {
-                let Some(cur) = env.current_hop() else {
-                    return;
-                };
-                if !self.accepts_addr(&cur) {
-                    return; // overheard fallback broadcast — not ours
-                }
-                if env.at_final_hop() {
-                    if ctx.tracing() {
-                        ctx.trace(Dir::Rx, env.msg.kind(), format!("from {}", env.src_ip));
-                    }
-                    self.deliver_local(ctx, env);
-                } else {
-                    self.forward(ctx, env);
-                }
-            }
-            None => match env.msg {
-                Message::Areq(areq) => self.handle_areq(ctx, areq),
-                Message::Rreq(rreq) => self.handle_rreq(ctx, rreq),
-                // Broadcast-fallback deliveries carry a source route and
-                // are handled above; other flooded kinds are not part of
-                // the protocol.
-                _ => ctx.count("rx.unexpected_flood", 1),
-            },
+        if env.source_route.is_some() {
+            return self.receive_routed(ctx, env);
+        }
+        match env.msg {
+            Message::Areq(areq) => self.handle_areq(ctx, areq),
+            Message::Rreq(rreq) => self.handle_rreq(ctx, rreq),
+            // Broadcast-fallback deliveries carry a source route and
+            // are handled above; other flooded kinds are not part of
+            // the protocol.
+            _ => ctx.count("rx.unexpected_flood", 1),
         }
     }
 
@@ -493,31 +427,7 @@ impl Protocol for SecureNode {
     }
 
     fn on_link_failure(&mut self, ctx: &mut Ctx, _to: NodeId, bytes: &[u8]) {
-        let Ok(env) = Envelope::decode(bytes) else {
-            return;
-        };
-        let Some(path) = env.source_route.clone() else {
-            return;
-        };
-        let Some(next) = env.current_hop() else {
-            return;
-        };
-        self.neighbors.forget(&next);
-        let me = self.ident.ip();
-        // The failed transmitter was us; the broken link is me → next in
-        // route-cache terms only if we were the path head, otherwise it
-        // is (our address) → next anyway since we were forwarding.
-        self.route_cache.remove_link(me, me, next);
-        if matches!(env.msg, Message::Data(_)) {
-            let my_idx = (env.sr_index as usize).saturating_sub(1);
-            if path.0.first() == Some(&me) {
-                // We are the source: no RERR to send; the ACK timeout
-                // will retry over another route.
-                ctx.count("route.source_link_failures", 1);
-            } else {
-                self.originate_rerr(ctx, &path, my_idx, next);
-            }
-        }
+        self.link_failed(ctx, bytes);
     }
 
     fn prefetch_frame(&self, src: NodeId, bytes: &[u8]) {
@@ -536,6 +446,7 @@ impl Protocol for SecureNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsr::final_hop_must_broadcast;
     use manet_wire::{Rerr, DNS_WELL_KNOWN, UNSPECIFIED};
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
@@ -580,8 +491,8 @@ mod tests {
     #[test]
     fn seq_allocation_is_monotonic() {
         let mut n = mk_node(3);
-        let a = n.alloc_seq();
-        let b = n.alloc_seq();
+        let a = n.dsr.alloc_seq();
+        let b = n.dsr.alloc_seq();
         assert!(b.0 > a.0);
     }
 
@@ -603,16 +514,16 @@ mod tests {
         });
         // AREP toward the disputed (mid-DAD, link-layer-ambiguous)
         // address: always broadcast.
-        assert!(SecureNode::final_hop_must_broadcast(&arep, &sip));
+        assert!(final_hop_must_broadcast(&arep, &sip));
         // AREP toward anyone else (the DNS warning copy): normal unicast.
-        assert!(!SecureNode::final_hop_must_broadcast(&arep, &other));
+        assert!(!final_hop_must_broadcast(&arep, &other));
         // Other message kinds never force a broadcast.
         let rerr = Message::Rerr(Rerr {
             iip: sip,
             i2ip: other,
             proof,
         });
-        assert!(!SecureNode::final_hop_must_broadcast(&rerr, &sip));
+        assert!(!final_hop_must_broadcast(&rerr, &sip));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! the inline run never pays.
 
 use super::{NodeState, SecureNode};
+use crate::dsr::Dsr;
 use crate::envelope::Envelope;
 use manet_crypto::{BatchVerifier, PublicKey, Signature, VerifyKey};
 use manet_sim::NodeId;
@@ -142,6 +143,7 @@ impl SecureNode {
                 // sequence (the dispatch-time recency *window* needs
                 // `now`, unavailable here — a stale match is spurious).
                 let seq_matches = self
+                    .dsr
                     .pending_rreqs
                     .get(&rrep.dip)
                     .map(|p| p.seq)
@@ -161,7 +163,7 @@ impl SecureNode {
                 if crep.s2ip != self.ident.ip() {
                     return;
                 }
-                if self.pending_rreqs.get(&crep.dip).map(|p| p.seq) != Some(crep.seq2) {
+                if self.dsr.pending_rreqs.get(&crep.dip).map(|p| p.seq) != Some(crep.seq2) {
                     return;
                 }
                 self.enqueue_proof(

@@ -2,48 +2,15 @@
 //! RREQ floods with per-hop identity proofs, signed RREP/CREP replies,
 //! signed RERRs, and the route-integrity probe extension.
 
-use super::{PendingProbe, PendingRreq, SecureNode, TAG_ROUTE_PROBE, TAG_RREQ};
+use super::{PendingProbe, SecureNode, TAG_ROUTE_PROBE};
+use crate::dsr::Dsr;
 use crate::envelope::Envelope;
 use crate::fxhash::FxHashSet;
 use crate::routecache::CachedRoute;
 use manet_sim::{Ctx, Dir};
-use manet_wire::{sigdata, Crep, Ipv6Addr, Message, Rerr, RouteRecord, Rrep, Rreq, Seq, SrrEntry};
+use manet_wire::{sigdata, Crep, Ipv6Addr, Message, Rerr, RouteRecord, Rrep, Rreq, SrrEntry};
 
 impl SecureNode {
-    /// Start (or keep) a route discovery toward `dip`.
-    pub(crate) fn ensure_route(&mut self, ctx: &mut Ctx, dip: Ipv6Addr) {
-        if !self.is_ready() || self.pending_rreqs.contains_key(&dip) {
-            return;
-        }
-        let seq = self.alloc_seq();
-        self.pending_rreqs.insert(
-            dip,
-            PendingRreq {
-                seq,
-                attempts: 1,
-                started: ctx.now(),
-            },
-        );
-        self.broadcast_rreq(ctx, dip, seq);
-        ctx.set_timer(self.cfg.rreq_timeout, TAG_RREQ | seq.0);
-    }
-
-    fn broadcast_rreq(&mut self, ctx: &mut Ctx, dip: Ipv6Addr, seq: Seq) {
-        let sip = self.ident.ip();
-        let src_proof = self.ident.prove(&sigdata::rreq_src(&sip, seq));
-        let rreq = Rreq {
-            sip,
-            dip,
-            seq,
-            srr: manet_wire::SecureRouteRecord::new(),
-            src_proof,
-        };
-        self.stats.rreq_sent += 1;
-        ctx.count("route.rreq_originated", 1);
-        let env = Envelope::broadcast(sip, Message::Rreq(rreq));
-        self.tx(ctx, None, env);
-    }
-
     pub(super) fn handle_rreq(&mut self, ctx: &mut Ctx, rreq: Rreq) {
         if !self.is_ready() {
             return;
@@ -54,7 +21,7 @@ impl SecureNode {
         ctx.trace(
             Dir::Rx,
             "RREQ",
-            format!(
+            format_args!(
                 "{}→{} seq={} hops={}",
                 rreq.sip,
                 rreq.dip,
@@ -66,17 +33,18 @@ impl SecureNode {
         if self.is_my_addr(&rreq.dip) {
             // Answer several copies (arriving over distinct paths) so the
             // source gets route diversity to select among.
-            let sid = self.interner.id(rreq.sip);
-            let n = self.answered_rreqs.entry((sid, rreq.seq.0)).or_insert(0);
-            if *n >= self.cfg.rrep_multi {
+            let key = (self.dsr.interner.id(rreq.sip), rreq.seq.0);
+            let answered = self.answered_rreqs.get(&key).unwrap_or(0);
+            if answered >= self.cfg.rrep_multi {
                 return;
             }
-            *n += 1;
+            if self.answered_rreqs.put(key, answered + 1) {
+                ctx.count("route.rreq_dedup_rotations", 1);
+            }
             self.answer_rreq(ctx, rreq);
             return;
         }
-        let sid = self.interner.id(rreq.sip);
-        if !self.seen_rreqs.insert((sid, rreq.seq.0)) {
+        if !self.dsr.first_sighting(ctx, rreq.sip, rreq.seq) {
             return;
         }
 
@@ -104,17 +72,15 @@ impl SecureNode {
                     rr: old.rr.clone(),
                     proof: old.proof.clone(),
                 };
-                let mut path = vec![self.ident.ip()];
-                path.extend(rreq.srr.to_route_record().reversed().0);
-                path.push(rreq.sip);
-                self.send_routed(ctx, RouteRecord(path), Message::Rrep(forged));
+                let back = rreq.srr.to_route_record();
+                self.reply_along(ctx, self.ident.ip(), &back, rreq.sip, Message::Rrep(forged));
             }
         }
 
         // Cached-route reply (Section 3.3, CREP) — only from routes we
         // discovered ourselves (we hold D's signed RREP for them).
         if self.cfg.crep_enabled {
-            if let Some(cached) = self.route_cache.creppable(&rreq.dip, ctx.now()) {
+            if let Some(cached) = self.dsr.route_cache.creppable(&rreq.dip, ctx.now()) {
                 let cached = cached.to_owned();
                 self.send_crep(ctx, &rreq, &cached);
                 return;
@@ -130,7 +96,7 @@ impl SecureNode {
         });
         ctx.count("route.rreq_relayed", 1);
         let env = Envelope::broadcast(self.ident.ip(), Message::Rreq(fwd));
-        self.tx(ctx, None, env);
+        self.tx(ctx, None, &env);
     }
 
     /// We are the destination (or the DNS behind the anycast address):
@@ -151,7 +117,7 @@ impl SecureNode {
             ctx.trace(
                 Dir::Drop,
                 "RREQ",
-                format!("bad source proof from {}", rreq.sip),
+                format_args!("bad source proof from {}", rreq.sip),
             );
             return;
         }
@@ -164,7 +130,11 @@ impl SecureNode {
                 {
                     self.stats.rejected_rreq += 1;
                     ctx.count("sec.rreq_rejected", 1);
-                    ctx.trace(Dir::Drop, "RREQ", format!("bad SRR entry for {}", e.ip));
+                    ctx.trace(
+                        Dir::Drop,
+                        "RREQ",
+                        format_args!("bad SRR entry for {}", e.ip),
+                    );
                     return;
                 }
             }
@@ -181,10 +151,7 @@ impl SecureNode {
         };
         self.stats.rrep_sent += 1;
         ctx.count("route.rrep_sent", 1);
-        let mut path = vec![rreq.dip];
-        path.extend(rr.reversed().0);
-        path.push(rreq.sip);
-        self.send_routed(ctx, RouteRecord(path), Message::Rrep(rrep));
+        self.reply_along(ctx, rreq.dip, &rr, rreq.sip, Message::Rrep(rrep));
     }
 
     /// Black-hole route attraction: forge an RREP claiming we are one hop
@@ -192,7 +159,8 @@ impl SecureNode {
     /// not have the destination's), so a verifying source rejects it —
     /// this is exactly the Section 4 argument made executable.
     fn forge_rrep(&mut self, ctx: &mut Ctx, rreq: &Rreq) {
-        let mut rr = rreq.srr.to_route_record();
+        let back = rreq.srr.to_route_record();
+        let mut rr = back.clone();
         rr.push(self.ident.ip());
         let payload = sigdata::rrep(&rreq.sip, rreq.seq, &rr);
         let claimed = self.behavior.impersonate.unwrap_or(rreq.dip);
@@ -201,19 +169,18 @@ impl SecureNode {
             sip: rreq.sip,
             dip: claimed,
             seq: rreq.seq,
-            rr: rr.clone(),
+            rr,
             proof,
         };
         self.stats.atk_forged_rrep += 1;
         ctx.count("atk.forged_rrep", 1);
-        let mut path = vec![self.ident.ip()];
-        path.extend(rreq.srr.to_route_record().reversed().0);
-        path.push(rreq.sip);
-        self.send_routed(ctx, RouteRecord(path), Message::Rrep(rrep));
+        self.reply_along(ctx, self.ident.ip(), &back, rreq.sip, Message::Rrep(rrep));
     }
 
     fn send_crep(&mut self, ctx: &mut Ctx, rreq: &Rreq, cached: &CachedRoute) {
-        let (orig_seq, d_proof) = cached.d_proof.clone().expect("creppable has proof");
+        let Some((orig_seq, d_proof)) = cached.d_proof.clone() else {
+            return; // not creppable: no destination proof to serve
+        };
         let rr_s2_to_s = rreq.srr.to_route_record();
         let s_proof = self.ident.prove(&sigdata::crep_cache_holder(
             &rreq.sip,
@@ -233,10 +200,13 @@ impl SecureNode {
         };
         self.stats.crep_sent += 1;
         ctx.count("route.crep_sent", 1);
-        let mut path = vec![self.ident.ip()];
-        path.extend(rr_s2_to_s.reversed().0);
-        path.push(rreq.sip);
-        self.send_routed(ctx, RouteRecord(path), Message::Crep(crep));
+        self.reply_along(
+            ctx,
+            self.ident.ip(),
+            &rr_s2_to_s,
+            rreq.sip,
+            Message::Crep(crep),
+        );
     }
 
     // --- replies ------------------------------------------------------------
@@ -248,7 +218,7 @@ impl SecureNode {
         // Match against the outstanding request, or a recently satisfied
         // one (extra RREPs for the same sequence add alternate routes).
         const RECENT_WINDOW_US: u64 = 10_000_000;
-        let (expected_seq, pending_started) = match self.pending_rreqs.get(&rrep.dip) {
+        let (expected_seq, pending_started) = match self.dsr.pending_rreqs.get(&rrep.dip) {
             Some(p) => (p.seq, Some(p.started)),
             None => match self.recent_rreqs.get(&rrep.dip) {
                 Some(&(seq, at))
@@ -279,11 +249,15 @@ impl SecureNode {
         if !ok {
             self.stats.rejected_rrep += 1;
             ctx.count("sec.rrep_rejected", 1);
-            ctx.trace(Dir::Drop, "RREP", format!("invalid proof for {}", rrep.dip));
+            ctx.trace(
+                Dir::Drop,
+                "RREP",
+                format_args!("invalid proof for {}", rrep.dip),
+            );
             return;
         }
         if let Some(started) = pending_started {
-            self.pending_rreqs.remove(&rrep.dip);
+            self.dsr.pending_rreqs.remove(&rrep.dip);
             self.recent_rreqs.insert(rrep.dip, (rrep.seq, ctx.now()));
             ctx.sample(
                 "route.discovery_latency_s",
@@ -296,9 +270,9 @@ impl SecureNode {
         ctx.trace(
             Dir::Note,
             "ROUTE",
-            format!("to {} via {} relays", rrep.dip, rrep.rr.len()),
+            format_args!("to {} via {} relays", rrep.dip, rrep.rr.len()),
         );
-        self.route_cache.insert(
+        self.dsr.route_cache.insert(
             rrep.dip,
             CachedRoute {
                 relays: rrep.rr.0.clone(),
@@ -317,7 +291,7 @@ impl SecureNode {
         if crep.s2ip != self.ident.ip() {
             return;
         }
-        let (pending_seq, started) = match self.pending_rreqs.get(&crep.dip) {
+        let (pending_seq, started) = match self.dsr.pending_rreqs.get(&crep.dip) {
             Some(p) => (p.seq, p.started),
             None => return,
         };
@@ -363,13 +337,13 @@ impl SecureNode {
         if let Some(pos) = relays.iter().rposition(|r| *r == self.ident.ip()) {
             relays.drain(..=pos);
         }
-        self.pending_rreqs.remove(&crep.dip);
+        self.dsr.pending_rreqs.remove(&crep.dip);
         ctx.sample(
             "route.discovery_latency_s",
             ctx.now().since(started).as_secs_f64(),
         );
         ctx.count("route.discovered_via_crep", 1);
-        self.route_cache.insert(
+        self.dsr.route_cache.insert(
             crep.dip,
             CachedRoute {
                 relays,
@@ -395,13 +369,13 @@ impl SecureNode {
             ctx.trace(
                 Dir::Drop,
                 "RERR",
-                format!("invalid proof from {}", rerr.iip),
+                format_args!("invalid proof from {}", rerr.iip),
             );
             return;
         }
         ctx.count("route.rerr_received", 1);
         let me = self.ident.ip();
-        self.route_cache.remove_link(me, rerr.iip, rerr.i2ip);
+        self.dsr.route_cache.remove_link(me, rerr.iip, rerr.i2ip);
         // Track the reporter; frequent reporters (and their next hops)
         // mark a hostile area (Section 3.4).
         if self.credits.record_rerr(&rerr.iip, &rerr.i2ip) {
@@ -409,32 +383,8 @@ impl SecureNode {
             ctx.trace(
                 Dir::Note,
                 "CREDIT",
-                format!("hostile area around {} / {}", rerr.iip, rerr.i2ip),
+                format_args!("hostile area around {} / {}", rerr.iip, rerr.i2ip),
             );
-        }
-    }
-
-    /// Emit `RERR(IIP, I'IP, [IIP, I'IP]ISK, IPK, Irn)` back to the
-    /// source of a broken source-routed packet (Section 3.4).
-    pub(super) fn originate_rerr(
-        &mut self,
-        ctx: &mut Ctx,
-        path: &RouteRecord,
-        my_idx: usize,
-        next: Ipv6Addr,
-    ) {
-        let iip = self.ident.ip();
-        let proof = self.ident.prove(&sigdata::rerr(&iip, &next));
-        let rerr = Rerr {
-            iip,
-            i2ip: next,
-            proof,
-        };
-        self.stats.rerr_sent += 1;
-        ctx.count("route.rerr_sent", 1);
-        let back: Vec<Ipv6Addr> = path.0[..=my_idx].iter().rev().copied().collect();
-        if back.len() >= 2 {
-            self.send_routed(ctx, RouteRecord(back), Message::Rerr(rerr));
         }
     }
 
@@ -448,7 +398,7 @@ impl SecureNode {
         if self.pending_probes.values().any(|p| p.dip == dip) {
             return; // one probe at a time per destination
         }
-        let seq = self.alloc_seq();
+        let seq = self.dsr.alloc_seq();
         let mut path = Vec::with_capacity(relays.len() + 2);
         path.push(self.ident.ip());
         path.extend_from_slice(relays);
@@ -469,7 +419,7 @@ impl SecureNode {
         );
         self.stats.probes_sent += 1;
         ctx.count("probe.sent", 1);
-        ctx.trace(Dir::Note, "PROBE", format!("probing route to {dip}"));
+        ctx.trace(Dir::Note, "PROBE", format_args!("probing route to {dip}"));
         let msg = Message::Probe(manet_wire::Probe {
             sip: self.ident.ip(),
             dip,
@@ -561,34 +511,13 @@ impl SecureNode {
                 }
                 self.stats.probe_suspects.push(suspect);
                 ctx.count("probe.localized", 1);
-                ctx.trace(Dir::Note, "PROBE", format!("suspect localized: {suspect}"));
+                ctx.trace(
+                    Dir::Note,
+                    "PROBE",
+                    format_args!("suspect localized: {suspect}"),
+                );
             }
         }
-    }
-
-    // --- timers --------------------------------------------------------------
-
-    pub(super) fn on_rreq_timer(&mut self, ctx: &mut Ctx, seq: u64) {
-        // lint: allow(unordered-iter) — seq is unique across pending entries; .find hits at most one
-        let Some((&dip, _)) = self.pending_rreqs.iter().find(|(_, p)| p.seq.0 == seq) else {
-            return; // answered in time
-        };
-        let pending = self.pending_rreqs.get_mut(&dip).expect("just found");
-        if pending.attempts >= self.cfg.rreq_retries {
-            self.pending_rreqs.remove(&dip);
-            ctx.count("route.discovery_gave_up", 1);
-            self.fail_buffer(ctx, dip);
-            return;
-        }
-        pending.attempts += 1;
-        // Fresh sequence number per retry: replayed answers to the old
-        // one stay rejectable.
-        let new_seq = Seq(self.next_seq);
-        self.next_seq += 1;
-        self.pending_rreqs.get_mut(&dip).expect("present").seq = new_seq;
-        ctx.count("route.rreq_retries", 1);
-        self.broadcast_rreq(ctx, dip, new_seq);
-        ctx.set_timer(self.cfg.rreq_timeout, TAG_RREQ | new_seq.0);
     }
 }
 
@@ -601,6 +530,7 @@ mod tests {
     use manet_sim::{
         Engine, EngineConfig, Mobility, NodeId, Pos, Protocol, RadioConfig, SimDuration, SimTime,
     };
+    use manet_wire::Seq;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
     use std::any::Any;

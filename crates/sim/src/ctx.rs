@@ -158,21 +158,17 @@ impl Ctx<'_> {
         }
     }
 
-    /// Record a trace event (no-op unless tracing is enabled).
-    pub fn trace(&mut self, dir: Dir, kind: &'static str, detail: impl Into<String>) {
+    /// Record a trace event. `detail` is rendered only when tracing is
+    /// enabled, so passing `format_args!(…)` costs nothing otherwise.
+    pub fn trace(&mut self, dir: Dir, kind: &'static str, detail: impl std::fmt::Display) {
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent {
                 time: self.now,
                 node: self.node,
                 dir,
                 kind,
-                detail: detail.into(),
+                detail: detail.to_string(),
             });
         }
-    }
-
-    /// Is tracing on? Lets protocols skip building expensive detail strings.
-    pub fn tracing(&self) -> bool {
-        self.tracer.enabled()
     }
 }

@@ -61,7 +61,7 @@ impl Protocol for Echo {
         ctx.trace(
             Dir::Rx,
             "ECHO",
-            format!("{} bytes from n{}", bytes.len(), src.0),
+            format_args!("{} bytes from n{}", bytes.len(), src.0),
         );
         ctx.sample("echo.rx_len", bytes.len() as f64);
         if let Some(delay) = self.timer_on_frame {
@@ -70,7 +70,7 @@ impl Protocol for Echo {
         self.frames.push((src, bytes.to_vec()));
     }
     fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-        ctx.trace(Dir::Note, "TIMER", format!("tag {tag}"));
+        ctx.trace(Dir::Note, "TIMER", format_args!("tag {tag}"));
         self.timers.push(tag);
     }
     fn on_link_failure(&mut self, _ctx: &mut Ctx, to: NodeId, _bytes: &[u8]) {
@@ -667,4 +667,31 @@ fn exec_mode_parse_accepts_valid_and_rejects_garbage() {
     assert_eq!(parse_exec("sharded:"), None);
     assert_eq!(parse_exec("parallel"), None);
     assert_eq!(parse_exec(""), None);
+}
+
+/// Trace detail is rendered only when the tracer is on: protocols pass
+/// `format_args!` on hot paths and pay nothing with tracing off.
+#[test]
+fn trace_detail_is_not_formatted_with_tracing_off() {
+    struct Rendered<'a>(&'a std::cell::Cell<u32>);
+    impl std::fmt::Display for Rendered<'_> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.0.set(self.0.get() + 1);
+            f.write_str("rendered")
+        }
+    }
+    for trace in [false, true] {
+        let mut e = Engine::new(EngineConfig {
+            trace,
+            exec: ExecMode::Single,
+            ..EngineConfig::default()
+        });
+        let a = e.add_node(Box::new(Echo::new()), Pos::new(0.0, 0.0), Mobility::Static);
+        let renders = std::cell::Cell::new(0);
+        e.with_protocol::<Echo, _>(a, |_p, ctx| {
+            ctx.trace(Dir::Note, "LAZY", Rendered(&renders));
+        });
+        assert_eq!(renders.get(), u32::from(trace));
+        assert_eq!(e.tracer().render().contains("rendered"), trace);
+    }
 }

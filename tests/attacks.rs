@@ -348,8 +348,8 @@ fn forged_proofs_rejected_identically_with_and_without_verify_cache() {
 /// the honest triple must never be served for the forged one.
 #[test]
 fn cached_valid_verdict_never_serves_a_forgery() {
-    use manet_crypto::VerifyCache;
-    use manet_secure::{verify_proof, HostIdentity};
+    use manet_crypto::{backend_for, BackendKind, VerifyCache};
+    use manet_secure::{verify_proof, verify_proof_pipeline, HostIdentity};
     use manet_wire::{sigdata, Challenge, IdentityProof};
     use rand::SeedableRng;
 
@@ -359,11 +359,21 @@ fn cached_valid_verdict_never_serves_a_forgery() {
     let payload = sigdata::arep(&honest.ip(), Challenge(7));
 
     let mut cache = VerifyCache::new(64);
+    let rsa = backend_for(BackendKind::Rsa);
+    let mut cached = |proof: &IdentityProof| {
+        verify_proof_pipeline(
+            &honest.ip(),
+            &payload,
+            proof,
+            Some(&mut cache),
+            rsa.as_ref(),
+            None,
+        )
+        .0
+    };
     let good = honest.prove(&payload);
     // Honest proof verifies and is memoized.
-    let (r1, _) =
-        manet_secure::identity::verify_proof_with(&honest.ip(), &payload, &good, Some(&mut cache));
-    assert!(r1.is_ok());
+    assert!(cached(&good).is_ok());
 
     // Attacker signs the same payload with its own key but claims the
     // honest address: CGA check kills it, cache never consulted for RSA.
@@ -372,14 +382,8 @@ fn cached_valid_verdict_never_serves_a_forgery() {
         rn: attacker.rn(),
         sig: attacker.sign(&payload),
     };
-    let (r2, _) = manet_secure::identity::verify_proof_with(
-        &honest.ip(),
-        &payload,
-        &forged_cga,
-        Some(&mut cache),
-    );
     assert!(
-        r2.is_err(),
+        cached(&forged_cga).is_err(),
         "wrong-key proof must fail CGA despite cached payload"
     );
 
@@ -391,14 +395,8 @@ fn cached_valid_verdict_never_serves_a_forgery() {
         rn: good.rn,
         sig: attacker.sign(&payload),
     };
-    let (r3, _) = manet_secure::identity::verify_proof_with(
-        &honest.ip(),
-        &payload,
-        &spliced,
-        Some(&mut cache),
-    );
     assert!(
-        r3.is_err(),
+        cached(&spliced).is_err(),
         "spliced signature must be rejected, not cache-hit"
     );
 

@@ -362,3 +362,27 @@ fn idle_time_advances() {
     assert_eq!(net.engine.now(), target);
     assert!(net.engine.now() > SimTime::ZERO);
 }
+
+/// Both stacks run one DSR data plane: the same chain and flow forward
+/// and acknowledge the same number of frames with or without the
+/// signatures, and the baseline reports end-to-end latency too.
+#[test]
+fn plain_and_secure_chains_forward_alike() {
+    fn traffic<P: manet_secure::NodeApi>(mut net: Network<P>) -> (u64, u64, usize) {
+        assert!(net.bootstrap());
+        let before = net.engine.metrics().counter("route.forwarded");
+        net.run_flows(&[(0, 4)], 5, SimDuration::from_millis(300));
+        let m = net.engine.metrics();
+        (
+            m.counter("route.forwarded") - before,
+            m.counter("app.data_acked"),
+            m.series("app.e2e_latency_s").len(),
+        )
+    }
+    let chain = || ScenarioBuilder::new().hosts(5).seed(42);
+    let plain = traffic(chain().plain().build());
+    let secure = traffic(chain().secure().build());
+    assert_eq!(plain, secure);
+    assert_eq!(plain.1, 5, "every packet acknowledged");
+    assert_eq!(plain.2, 5, "one latency sample per acknowledged packet");
+}

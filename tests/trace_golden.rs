@@ -10,30 +10,16 @@
 //! `UPDATE_GOLDEN=1 cargo test --test trace_golden`
 
 use manet_crypto::BackendKind;
-use manet_secure::scenario::{ScenarioBuilder, Workload};
-use manet_secure::{attacks, Behavior};
+use manet_secure::scenario::{Network, ScenarioBuilder, Workload};
+use manet_secure::{attacks, Behavior, NodeApi};
 use manet_sim::SimDuration;
 
 /// One deterministic universe rendered to text: the full trace stream
 /// plus the headline observables (so a silent metric drift is caught
 /// even if it never changes a trace line).
-fn render_universe(seed: u64, attackers: Vec<(usize, Behavior)>) -> String {
-    let mut net = ScenarioBuilder::new()
-        .hosts(5)
-        .seed(seed)
-        .trace(true)
-        .adversaries(attackers)
-        .secure()
-        // The fixtures were rendered in the RSA universe; signature
-        // bytes differ per backend, so pin it against MANET_CRYPTO.
-        .crypto_backend(BackendKind::Rsa)
-        .build();
+fn render<P: NodeApi>(seed: u64, mut net: Network<P>, workload: &Workload) -> String {
     net.bootstrap();
-    let report = net.run(&Workload::flows(
-        vec![(0, 4), (1, 3)],
-        4,
-        SimDuration::from_millis(300),
-    ));
+    let report = net.run(workload);
     let m = net.engine.metrics();
     format!(
         "seed={} events={} ctl.tx_bytes={} app.data_sent={} delivery={:.6}\n{}",
@@ -44,6 +30,33 @@ fn render_universe(seed: u64, attackers: Vec<(usize, Behavior)>) -> String {
         report.delivery_or_nan(),
         net.engine.tracer().render(),
     )
+}
+
+fn chain(seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::new().hosts(5).seed(seed).trace(true)
+}
+
+fn render_universe(seed: u64, attackers: Vec<(usize, Behavior)>) -> String {
+    let net = chain(seed)
+        .adversaries(attackers)
+        .secure()
+        // The fixtures were rendered in the RSA universe; signature
+        // bytes differ per backend, so pin it against MANET_CRYPTO.
+        .crypto_backend(BackendKind::Rsa)
+        .build();
+    let flows = vec![(0, 4), (1, 3)];
+    render(
+        seed,
+        net,
+        &Workload::flows(flows, 4, SimDuration::from_millis(300)),
+    )
+}
+
+/// The plain-DSR baseline on the same chain: pins the data plane the
+/// two stacks share from the side that signs nothing.
+fn render_plain_chain(seed: u64) -> String {
+    let flows = Workload::flows(vec![(0, 4)], 5, SimDuration::from_millis(300));
+    render(seed, chain(seed).plain().build(), &flows)
 }
 
 fn check_golden(name: &str, rendered: &str) {
@@ -92,4 +105,9 @@ fn attacked_universe_matches_pre_refactor_trace() {
         "trace_forge_seed7.txt",
         &render_universe(7, vec![(2, attacks::black_hole())]),
     );
+}
+
+#[test]
+fn plain_chain_matches_golden_trace() {
+    check_golden("trace_plain_chain.txt", &render_plain_chain(42));
 }
