@@ -6,9 +6,9 @@
 //! (plan, seeds). Job order is fixed (cells in expansion order × seeds
 //! in file order), each job's simulation is a pure function of its
 //! document, the parallel fan-out only changes *when* a job runs (its
-//! result lands back at its index) and *which* job generates a key pair
-//! the cells of a seed share (the `IdentityPool` hands every job the
-//! identity it would have generated itself), and every
+//! result lands back at its index; the key pairs the cells of a seed
+//! share are generated before any job starts, and the `IdentityPool`
+//! hands every job the identity it would have generated itself), and every
 //! wall-clock-derived report field is masked to the exact values
 //! [`RunReport::fingerprint`] uses (`null` / `""` / `0`). Running the
 //! same campaign twice must produce byte-identical reports —
@@ -354,11 +354,10 @@ pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignReport, SpecError> {
     }
 
     // Every cell runs every seed, and a secure scenario's key pairs are
-    // the first draws of its seed: the campaign owns them, each is
-    // generated once, by the first job to ask, and the other cells of
-    // that seed share it.
-    let identities = IdentityPool::default();
+    // a function of (seed, node): the campaign generates each once, on
+    // all cores, and lends them to its jobs. Part of the measured wall.
     let started = Instant::now();
+    let identities = IdentityPool::generate(jobs.iter().flat_map(|job| job.spec.identity_keys()));
     let results: Vec<Result<RunReport, SpecError>> = jobs
         .par_iter()
         .map(|job| job.spec.run_with(Some(&identities)))

@@ -876,6 +876,16 @@ impl ScenarioSpec {
         self.run_with(None)
     }
 
+    /// The identities a build of this spec asks for (none on the plain
+    /// stack), as [`crate::identity::HostIdentity::for_host`] arguments.
+    pub(crate) fn identity_keys(&self) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
+        let secure = match &self.stack {
+            StackSpec::Plain(_) => None,
+            StackSpec::Secure(b) => Some(b),
+        };
+        secure.into_iter().flat_map(SecureBuilder::identity_keys)
+    }
+
     /// [`Self::run`] as one job of a campaign, which lends its secure
     /// builds the campaign's identity pool. Same report either way.
     pub(crate) fn run_with(&self, pool: Option<&IdentityPool>) -> Result<RunReport, SpecError> {

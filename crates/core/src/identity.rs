@@ -8,11 +8,11 @@ use manet_crypto::{
     Signature, VerifyCache, VerifyKey,
 };
 use manet_wire::{cga, sigdata, CgaError, IdentityProof, Ipv6Addr, Seq};
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use std::collections::hash_map::Entry;
+use rayon::prelude::*;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Arc;
 
 /// Hop signatures a relay keeps (see [`HostIdentity::prove_srr_hop`]).
 /// Discoveries that are in flight together carry a handful of distinct
@@ -43,6 +43,21 @@ impl HostIdentity {
     pub fn generate<R: Rng>(key_bits: u32, rng: &mut R) -> Self {
         let keypair = KeyPair::generate(key_bits, rng);
         Self::assemble(Arc::new(keypair), rng.gen())
+    }
+
+    /// The identity of node `host` (0 is the DNS, host `i` is `i + 1`)
+    /// in a scenario with master seed `seed`: [`Self::generate`] on that
+    /// node's own key stream, ChaCha12 keyed by `seed` on stream
+    /// `host + 1`. Stream 0 of that key is the engine's, and every other
+    /// generator in a run reads stream 0 of some other key, so a key
+    /// stream overlaps none. A function of its arguments alone — not of
+    /// how many hosts the scenario has, nor of which thread asks, nor in
+    /// what order — which is what lets a build generate its identities
+    /// side by side.
+    pub fn for_host(seed: u64, host: u32, key_bits: u32) -> Self {
+        let mut stream = ChaCha12Rng::seed_from_u64(seed);
+        stream.set_stream(u64::from(host) + 1);
+        Self::generate(key_bits, &mut stream)
     }
 
     /// Build from an existing key pair (e.g. the DNS server whose public
@@ -153,80 +168,58 @@ impl std::fmt::Debug for HostIdentity {
     }
 }
 
-/// Identities an [`IdentityPool`] keeps. An entry is two generator
-/// states (136 bytes each), `rn` and a shared RSA-512 key pair (≈ 1 KiB
-/// of limbs), so a full pool is ≈ 6 MiB. The committed campaigns need
-/// 12–20 entries (seeds × nodes of the largest cell); 4096 also covers
-/// eight seeds of a 500-host sweep. A full pool admits nothing more and
-/// never evicts: identities past the cap are generated per job, exactly
-/// as without a pool, so no result depends on this number.
+/// Identities an [`IdentityPool`] keeps: a key, `rn` and a shared
+/// RSA-512 key pair (≈ 1 KiB of limbs) each, so a full pool is ≈ 5 MiB.
+/// The committed campaigns need 12–20 entries (seeds × nodes of the
+/// largest cell); 4096 also covers eight seeds of a 500-host sweep.
+/// Identities past the cap are generated per job, exactly as without a
+/// pool, so no result depends on this number.
 const IDENTITY_POOL_CAP: usize = 4096;
 
-/// What a draw produced and where it left the generator.
-struct PooledIdentity {
-    keypair: Arc<KeyPair>,
-    rn: u64,
-    after: ChaCha12Rng,
-}
-
-/// A memo of [`HostIdentity::generate`] for one campaign. Every cell of
-/// a campaign runs every plan seed, and a scenario's identities are the
-/// first draws of its seeded generator, so all cells of one seed ask for
-/// byte-identical key pairs; a host keeps its key pair for life (paper
-/// Section 3.1), and a campaign need not pay for it once per cell.
+/// The identities one campaign's secure jobs will ask for, each
+/// generated once, before the jobs start. Every cell of a campaign runs
+/// every plan seed and [`HostIdentity::for_host`] is a function of
+/// `(seed, host, key_bits)`, so all cells of one seed ask for the same
+/// key pairs — a 6-host cell's seven are the first seven of the 9-host
+/// cell's ten; a host keeps its key pair for life (paper Section 3.1),
+/// and a campaign need not pay for it once per cell.
 ///
-/// `generate` is a pure function of the generator's state and
-/// `key_bits`, and that whole state — not a seed or a host index — is
-/// the key. A hit hands back the identity the draw would have produced
-/// and leaves the generator where the draw would have left it, so
-/// nothing downstream can tell a hit from a miss; a scenario that draws
-/// anything else first simply misses.
-///
-/// Each admitted identity is generated exactly once, whatever the
-/// schedule: the first job to ask claims the entry and generates, a job
-/// that asks meanwhile sleeps on that entry instead of generating the
-/// same key pair beside it. The work a campaign does is therefore the
-/// same from run to run, not just its results.
-#[derive(Default)]
+/// Filled in one fork-join and read-only afterwards: jobs share it
+/// without a lock, and none waits for another's key generation.
 pub(crate) struct IdentityPool {
-    entries: Mutex<PoolEntries>,
+    drawn: FxHashMap<(u64, u32, u32), (Arc<KeyPair>, u64)>,
 }
-
-/// (generator state before the draw, `key_bits`) → the draw, empty
-/// while its first asker is generating it.
-type PoolEntries = FxHashMap<(ChaCha12Rng, u32), Arc<OnceLock<PooledIdentity>>>;
 
 impl IdentityPool {
-    /// [`HostIdentity::generate`], remembered.
-    pub(crate) fn generate(&self, key_bits: u32, rng: &mut ChaCha12Rng) -> HostIdentity {
-        let entry = {
-            let mut entries = self.entries();
-            let admits = entries.len() < IDENTITY_POOL_CAP;
-            match entries.entry((rng.clone(), key_bits)) {
-                Entry::Occupied(e) => Arc::clone(e.get()),
-                Entry::Vacant(e) if admits => Arc::clone(e.insert(Arc::default())),
-                Entry::Vacant(_) => return HostIdentity::generate(key_bits, rng),
-            }
-        };
-        // The map is unlocked here; only askers of this one identity
-        // wait, and its generator waits for nobody. Should generation
-        // panic, the entry stays empty and the next asker generates.
-        let drawn = entry.get_or_init(|| {
-            let ident = HostIdentity::generate(key_bits, rng);
-            PooledIdentity {
-                keypair: ident.keypair,
-                rn: ident.rn,
-                after: rng.clone(),
-            }
-        });
-        *rng = drawn.after.clone();
-        HostIdentity::assemble(Arc::clone(&drawn.keypair), drawn.rn)
+    /// Generate the distinct `(seed, host, key_bits)` among `wanted`,
+    /// the lowest [`IDENTITY_POOL_CAP`] of them, on all cores.
+    pub(crate) fn generate(wanted: impl IntoIterator<Item = (u64, u32, u32)>) -> Self {
+        Self::generate_capped(wanted, IDENTITY_POOL_CAP)
     }
 
-    /// The map only ever gains whole (possibly still empty) entries, so
-    /// the one a panicking job leaves behind is still a valid memo.
-    fn entries(&self) -> MutexGuard<'_, PoolEntries> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    fn generate_capped(wanted: impl IntoIterator<Item = (u64, u32, u32)>, cap: usize) -> Self {
+        let mut keys: Vec<_> = wanted.into_iter().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.truncate(cap);
+        let drawn: Vec<_> = keys
+            .par_iter()
+            .map(|&(seed, host, key_bits)| {
+                let ident = HostIdentity::for_host(seed, host, key_bits);
+                (ident.keypair, ident.rn)
+            })
+            .collect();
+        IdentityPool {
+            drawn: keys.into_iter().zip(drawn).collect(),
+        }
+    }
+
+    /// [`HostIdentity::for_host`], from the pool when it holds it.
+    pub(crate) fn for_host(&self, seed: u64, host: u32, key_bits: u32) -> HostIdentity {
+        match self.drawn.get(&(seed, host, key_bits)) {
+            Some((keypair, rn)) => HostIdentity::assemble(Arc::clone(keypair), *rn),
+            None => HostIdentity::for_host(seed, host, key_bits),
+        }
     }
 }
 
@@ -461,109 +454,118 @@ mod tests {
         (id.ip(), id.rn(), id.public().clone(), sig)
     }
 
-    fn next_words(r: &mut ChaCha12Rng) -> [u32; 8] {
-        std::array::from_fn(|_| r.gen())
+    #[test]
+    fn for_host_is_generate_on_the_hosts_own_stream() {
+        let mut stream = rng(21);
+        stream.set_stream(4);
+        let want = observable(&HostIdentity::generate(512, &mut stream));
+        assert_eq!(observable(&HostIdentity::for_host(21, 3, 512)), want);
+        // Not the engine's stream, not a neighbour's, not another seed's.
+        for (seed, host) in [(21, 2), (21, 4), (22, 3)] {
+            assert_ne!(observable(&HostIdentity::for_host(seed, host, 512)), want);
+        }
+        assert_ne!(observable(&HostIdentity::generate(512, &mut rng(21))), want);
+    }
+
+    /// Which worker generates an identity, beside which others and in
+    /// what order cannot show: the fork-join over all cores, one-item
+    /// calls (which the stub runs inline on the caller) and a serial map
+    /// in reverse all produce the same identities.
+    #[test]
+    fn identities_do_not_depend_on_worker_count_or_order() {
+        let hosts: Vec<u32> = (0..7).collect();
+        let of = |host: &u32| observable(&HostIdentity::for_host(9, *host, 384));
+        let forked: Vec<_> = hosts.par_iter().map(of).collect();
+        let one_at_a_time = |one: &[u32]| -> Vec<_> { one.par_iter().map(of).collect() };
+        let inline: Vec<_> = hosts.chunks(1).flat_map(one_at_a_time).collect();
+        let mut reversed: Vec<_> = hosts.iter().rev().map(of).collect();
+        reversed.reverse();
+        assert_eq!(forked, inline);
+        assert_eq!(forked, reversed);
+    }
+
+    fn pool_of(wanted: &[(u64, u32, u32)]) -> IdentityPool {
+        IdentityPool::generate(wanted.iter().copied())
     }
 
     #[test]
-    fn pool_hit_is_the_generated_identity_and_the_generated_stream() {
-        let pool = IdentityPool::default();
-        let (mut direct, mut miss, mut hit) = (rng(21), rng(21), rng(21));
-        let want = HostIdentity::generate(512, &mut direct);
-        let first = pool.generate(512, &mut miss);
-        let second = pool.generate(512, &mut hit);
-        assert_eq!(pool.entries().len(), 1);
+    fn pool_hit_is_the_identity_for_host_generates() {
+        let pool = pool_of(&[(21, 0, 512), (21, 1, 512), (21, 0, 512)]);
+        assert_eq!(pool.drawn.len(), 2, "asked for twice, generated once");
+        let want = HostIdentity::for_host(21, 1, 512);
+        let (first, second) = (pool.for_host(21, 1, 512), pool.for_host(21, 1, 512));
         assert!(Arc::ptr_eq(&first.keypair, &second.keypair), "a hit");
+        assert_eq!(Arc::strong_count(&first.keypair), 3, "pool + two hits");
         assert_eq!(observable(&first), observable(&want));
         assert_eq!(observable(&second), observable(&want));
-        let after = next_words(&mut direct);
-        assert_eq!(next_words(&mut miss), after);
-        assert_eq!(next_words(&mut hit), after);
     }
 
     #[test]
-    fn pool_misses_on_any_other_state_or_key_size() {
-        let pool = IdentityPool::default();
-        pool.generate(512, &mut rng(22));
-        // One word further along the same stream.
-        let (mut direct, mut pooled) = (rng(22), rng(22));
-        let _: u32 = direct.gen();
-        let _: u32 = pooled.gen();
-        let want = HostIdentity::generate(512, &mut direct);
+    fn pool_misses_on_any_other_seed_host_or_key_size() {
+        let pool = pool_of(&[(22, 1, 512)]);
+        for (seed, host, key_bits) in [(23, 1, 512), (22, 2, 512), (22, 1, 384)] {
+            let missed = pool.for_host(seed, host, key_bits);
+            assert_eq!(
+                Arc::strong_count(&missed.keypair),
+                1,
+                "generated for the asker"
+            );
+            assert_eq!(
+                observable(&missed),
+                observable(&HostIdentity::for_host(seed, host, key_bits))
+            );
+        }
         assert_eq!(
-            observable(&pool.generate(512, &mut pooled)),
-            observable(&want)
+            pool.drawn.len(),
+            1,
+            "a miss is not admitted: the pool is read-only"
         );
-        assert_eq!(pool.entries().len(), 2, "advanced generator: a new entry");
-        // Same state, another modulus size.
-        let (mut direct, mut pooled) = (rng(22), rng(22));
-        let want = HostIdentity::generate(384, &mut direct);
-        assert_eq!(
-            observable(&pool.generate(384, &mut pooled)),
-            observable(&want)
-        );
-        assert_eq!(pool.entries().len(), 3, "other key_bits: a new entry");
-        assert_eq!(next_words(&mut pooled), next_words(&mut direct));
     }
 
     #[test]
     fn full_pool_admits_nothing_and_still_answers() {
-        let pool = IdentityPool::default();
-        for stream in 0..IDENTITY_POOL_CAP as u64 {
-            let mut state = rng(0);
-            state.set_stream(stream);
-            pool.entries().insert((state, 512), Arc::default());
-        }
-        let want = observable(&HostIdentity::generate(512, &mut rng(24)));
-        for _ in 0..2 {
-            let mut r = rng(24);
-            assert_eq!(observable(&pool.generate(512, &mut r)), want);
-            assert_eq!(next_words(&mut r), {
-                let mut direct = rng(24);
-                HostIdentity::generate(512, &mut direct);
-                next_words(&mut direct)
-            });
-            assert_eq!(pool.entries().len(), IDENTITY_POOL_CAP);
+        let wanted: Vec<_> = (0..5).map(|host| (24, host, 384)).collect();
+        let pool = IdentityPool::generate_capped(wanted.iter().copied(), 3);
+        assert_eq!(pool.drawn.len(), 3);
+        for &(seed, host, key_bits) in &wanted {
+            let got = pool.for_host(seed, host, key_bits);
+            let pooled = Arc::strong_count(&got.keypair) == 2;
+            assert_eq!(pooled, host < 3, "host {host}");
+            assert_eq!(
+                observable(&got),
+                observable(&HostIdentity::for_host(seed, host, key_bits))
+            );
         }
     }
 
     #[test]
     fn threads_sharing_a_pool_agree_with_generation() {
-        const SEEDS: [u64; 3] = [31, 32, 33];
-        let draw = |generate: &dyn Fn(&mut ChaCha12Rng) -> HostIdentity| {
-            SEEDS.map(|seed| {
-                let mut r = rng(seed);
-                let pair = [generate(&mut r), generate(&mut r)];
-                (pair, next_words(&mut r))
-            })
-        };
-        type Draw = ([HostIdentity; 2], [u32; 8]);
-        let seen = |draws: &[Draw]| -> Vec<_> {
-            let one = |(pair, next): &Draw| (pair.each_ref().map(observable), *next);
-            draws.iter().map(one).collect()
-        };
-        let want = seen(&draw(&|r| HostIdentity::generate(512, r)));
-        let pool = IdentityPool::default();
+        let wanted: Vec<_> = (31..34)
+            .flat_map(|seed| [(seed, 0, 512), (seed, 1, 512)])
+            .collect();
+        let want: Vec<_> = wanted
+            .iter()
+            .map(|&(seed, host, bits)| observable(&HostIdentity::for_host(seed, host, bits)))
+            .collect();
+        let pool = pool_of(&wanted);
         let start = std::sync::Barrier::new(2);
         // Both threads ask for the same identities in the same order
-        // from the same instant: they race on every entry.
-        let pooled = || {
+        // from the same instant; the pool is read-only, nobody waits.
+        let pooled = || -> Vec<HostIdentity> {
             start.wait();
-            draw(&|r| pool.generate(512, r))
+            let ask = |&(seed, host, bits): &(u64, u32, u32)| pool.for_host(seed, host, bits);
+            wanted.iter().map(ask).collect()
         };
         let (a, b) = std::thread::scope(|s| {
             let other = s.spawn(pooled);
             (pooled(), other.join().expect("pool user panicked"))
         });
-        assert_eq!(seen(&a), want);
-        assert_eq!(seen(&b), want);
-        assert_eq!(pool.entries().len(), 2 * SEEDS.len());
-        // Whoever lost a race waited for the winner's key pair instead
-        // of generating its own copy: each identity was generated once.
+        assert_eq!(a.iter().map(observable).collect::<Vec<_>>(), want);
+        assert_eq!(b.iter().map(observable).collect::<Vec<_>>(), want);
+        // Neither generated a copy of its own: each identity exists once.
         for (a, b) in a.iter().zip(&b) {
-            for (a, b) in a.0.iter().zip(&b.0) {
-                assert!(Arc::ptr_eq(&a.keypair, &b.keypair));
-            }
+            assert!(Arc::ptr_eq(&a.keypair, &b.keypair));
+            assert_eq!(Arc::strong_count(&a.keypair), 3);
         }
     }
 

@@ -28,7 +28,7 @@ use manet_sim::{
     SimDuration, SimTime,
 };
 use manet_wire::DomainName;
-use rand_chacha::ChaCha12Rng;
+use rayon::prelude::*;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -404,15 +404,22 @@ impl SecureBuilder {
             .map_or_else(|| host_name(i), |(_, name)| name.clone())
     }
 
+    /// The [`HostIdentity::for_host`] arguments of every node this build
+    /// creates, in node order: the DNS, then the hosts.
+    pub(crate) fn identity_keys(&self) -> impl Iterator<Item = (u64, u32, u32)> {
+        let (seed, key_bits) = (self.base.seed, self.proto.key_bits);
+        (0..=self.base.n_hosts as u32).map(move |node| (seed, node, key_bits))
+    }
+
     /// Build the network. Node 0 of the engine is the DNS; hosts join
     /// staggered starting at `join_stagger`.
     pub fn build(self) -> Network<SecureNode> {
         self.build_with(None)
     }
 
-    /// [`Self::build`], drawing identities through `pool` when a
-    /// campaign lends one. The network is the same either way: a pooled
-    /// identity is the one this build would have generated.
+    /// [`Self::build`], taking identities from `pool` when a campaign
+    /// lends one. The network is the same either way: a pooled identity
+    /// is the one this build would have generated.
     pub(crate) fn build_with(self, pool: Option<&IdentityPool>) -> Network<SecureNode> {
         let base = &self.base;
         let n_total = base.n_hosts + 1;
@@ -420,24 +427,35 @@ impl SecureBuilder {
         let positions = positions_for(&base.placement, n_total, true, &field, base.seed);
         let mut engine = base.engine(field);
 
-        // Build every host identity first so pre-registration can know
-        // their addresses; the DNS node is constructed from the same RNG
-        // stream.
-        let key_bits = self.proto.key_bits;
-        let identity = |rng: &mut ChaCha12Rng| match pool {
-            Some(pool) => pool.generate(key_bits, rng),
-            None => HostIdentity::generate(key_bits, rng),
+        // Every identity first — pre-registration needs the addresses —
+        // each from its node's own key stream, so on all cores at once
+        // unless a campaign already generated them (its jobs are
+        // themselves spread over the cores and fork no further).
+        let wanted: Vec<_> = self.identity_keys().collect();
+        let mut identities: Vec<HostIdentity> = match pool {
+            Some(pool) => wanted
+                .iter()
+                .map(|&(seed, node, key_bits)| pool.for_host(seed, node, key_bits))
+                .collect(),
+            None => wanted
+                .par_iter()
+                .map(|&(seed, node, key_bits)| HostIdentity::for_host(seed, node, key_bits))
+                .collect(),
         };
-        let mut dns_node =
-            SecureNode::dns_with_identity(self.proto.clone(), identity(engine.rng()), Vec::new());
+        let host_identities = identities.split_off(1);
+        let mut dns_node = SecureNode::dns_with_identity(
+            self.proto.clone(),
+            identities.remove(0), // node 0; `n_total` is at least 1
+            Vec::new(),
+        );
         let dns_pk = dns_node.public_key().clone();
 
         let mut host_nodes = Vec::with_capacity(base.n_hosts);
-        for i in 0..base.n_hosts {
+        for (i, identity) in host_identities.into_iter().enumerate() {
             let dn = self.register_names.then(|| self.effective_name(i));
             let node = SecureNode::with_identity(
                 self.proto.clone(),
-                identity(engine.rng()),
+                identity,
                 dns_pk.clone(),
                 dn,
                 base.behavior_for(i),

@@ -158,11 +158,12 @@ mod tests {
         );
     }
 
-    /// A pooled identity is the one the build would have generated, and
-    /// the generator is left where generating would have left it: loss
-    /// draws, churn and DAD see the same stream. The warm-up network is
-    /// smaller, so the measured build both hits (DNS + 3 hosts) and
-    /// misses (2 more hosts) in one pass.
+    /// A pooled identity is the one the build would have generated:
+    /// loss draws, churn and DAD see the same network. The pool holds a
+    /// smaller cell's identities, so the measured build both hits (the
+    /// DNS and 3 hosts) and misses (2 more hosts) in one pass. An empty pool
+    /// misses every time and generates on the calling thread alone —
+    /// the build a one-core machine does — beside `build()`'s fork-join.
     #[test]
     fn warm_identity_pool_builds_the_same_network() {
         use crate::identity::IdentityPool;
@@ -181,22 +182,21 @@ mod tests {
                 .secure()
         };
         let w = Workload::flows(vec![(0, 4)], 3, SimDuration::from_millis(300));
-        let pool = IdentityPool::default();
         for seed in [1, 2, 2003] {
-            drop(lossy(3, seed).build_with(Some(&pool)));
-            let mut pooled = lossy(5, seed).build_with(Some(&pool));
+            let warm = IdentityPool::generate(lossy(3, seed).identity_keys());
+            let empty = IdentityPool::generate([]);
             let mut alone = lossy(5, seed).build();
-            for i in 0..5 {
-                assert_eq!(pooled.host_ip(i), alone.host_ip(i), "seed {seed} h{i}");
-            }
-            assert_eq!(pooled.dns_node().ip(), alone.dns_node().ip());
-            pooled.bootstrap();
             alone.bootstrap();
-            assert_eq!(
-                pooled.run(&w).fingerprint(),
-                alone.run(&w).fingerprint(),
-                "seed {seed}"
-            );
+            let want = alone.run(&w).fingerprint();
+            for pool in [&warm, &empty] {
+                let mut pooled = lossy(5, seed).build_with(Some(pool));
+                for i in 0..5 {
+                    assert_eq!(pooled.host_ip(i), alone.host_ip(i), "seed {seed} h{i}");
+                }
+                assert_eq!(pooled.dns_node().ip(), alone.dns_node().ip());
+                pooled.bootstrap();
+                assert_eq!(pooled.run(&w).fingerprint(), want, "seed {seed}");
+            }
         }
     }
 

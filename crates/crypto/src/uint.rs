@@ -41,6 +41,11 @@ impl Ubig {
         &self.limbs
     }
 
+    /// Give the limb buffer back, for reuse by the next `from_limbs`.
+    pub fn into_limbs(self) -> Vec<u64> {
+        self.limbs
+    }
+
     /// True iff the value is 0.
     pub fn is_zero(&self) -> bool {
         self.limbs.is_empty()

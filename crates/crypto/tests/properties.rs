@@ -256,7 +256,7 @@ proptest! {
     fn fermat_holds_for_generated_primes(seed in any::<u64>()) {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let p = manet_crypto::prime::gen_prime(96, &mut rng);
-        prop_assert!(is_prime(&p, &mut rng));
+        prop_assert!(is_prime(&p));
         let a = Ubig::from(0x1234_5678u64);
         let e = &p - &Ubig::one();
         prop_assert_eq!(modpow(&a, &e, &p), Ubig::one());
@@ -372,4 +372,192 @@ mod verify_cache_agreement {
             }
         }
     }
+}
+
+/// What `prime.rs` promises since the witnesses stopped coming from the
+/// key generator: `gen_prime` tests its own uniform draws with the
+/// average-case round count, `is_prime` tests anything with 40, and the
+/// bases of either are a function of the number alone.
+mod primality_contract {
+    use manet_crypto::modular::modpow;
+    use manet_crypto::prime::{gen_prime, is_prime, random_below, rounds_for_random, Witnesses};
+    use manet_crypto::sha256::Sha256;
+    use manet_crypto::uint::Ubig;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha12Rng;
+
+    /// Textbook Miller–Rabin on the division-based `modpow`, bases from
+    /// `rng`: shares no code with `prime.rs` beyond `Ubig` itself.
+    fn passes_independent_rounds(n: &Ubig, rounds: usize, rng: &mut ChaCha12Rng) -> bool {
+        let one = Ubig::one();
+        let n_minus_1 = n - &one;
+        let s = n_minus_1.trailing_zeros();
+        let d = n_minus_1.clone() >> s;
+        (0..rounds).all(|_| {
+            let a = random_below(&(n - &Ubig::from(3u64)), rng) + Ubig::from(2u64);
+            let mut x = modpow(&a, &d, n);
+            if x == one || x == n_minus_1 {
+                return true;
+            }
+            (1..s).any(|_| {
+                x = modpow(&x, &Ubig::from(2u64), n);
+                x == n_minus_1
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The prime sizes of the 338-, 384-, 512-, 768- and 1024-bit
+        /// moduli the workspace generates: 18, 18, 12, 8 and 6 rounds.
+        #[test]
+        fn generated_primes_pass_forty_independent_rounds_and_their_products_never(
+            seed in any::<u64>(),
+        ) {
+            let mut keys = ChaCha12Rng::seed_from_u64(seed);
+            let mut bases = ChaCha12Rng::seed_from_u64(!seed);
+            for bits in [169u32, 192, 256, 384, 512] {
+                let p = gen_prime(bits, &mut keys);
+                let q = gen_prime(bits, &mut keys);
+                prop_assert_eq!(p.bit_len(), bits);
+                prop_assert!(passes_independent_rounds(&p, 40, &mut bases), "{} bits: {}", bits, p);
+                prop_assert!(passes_independent_rounds(&q, 40, &mut bases), "{} bits: {}", bits, q);
+                prop_assert!(is_prime(&p) && is_prime(&q));
+                let n = &p * &q;
+                prop_assert!(!passes_independent_rounds(&n, 40, &mut bases));
+                prop_assert!(!is_prime(&n));
+            }
+        }
+    }
+
+    /// log2 of the best Damgård–Landrock–Pomerance estimate that applies
+    /// to `p(k, t)`, the chance that a uniform odd `k`-bit number which
+    /// passed `t` rounds is composite (HAC Fact 4.48 ii–iv); `None` where
+    /// none applies.
+    fn dlp_log2_bound(k: f64, t: f64) -> Option<f64> {
+        let mut bounds = Vec::new();
+        if (t == 2.0 && k >= 88.0) || (k >= 21.0 && (3.0..=k / 9.0).contains(&t)) {
+            // k^(3/2) · 2^t · t^(-1/2) · 4^(2 - sqrt(tk))
+            bounds.push(1.5 * k.log2() + t - 0.5 * t.log2() + 2.0 * (2.0 - (t * k).sqrt()));
+        }
+        // (1/7) · k^(15/4) · 2^(-k/2 - 2t)
+        let middle = 3.75 * k.log2() - 7f64.log2() - k / 2.0 - 2.0 * t;
+        if k >= 21.0 && t >= k / 9.0 {
+            // (7/20) · k · 2^(-5t) + the one above + 12 · k · 2^(-k/4 - 3t)
+            let terms = [
+                (0.35 * k).log2() - 5.0 * t,
+                middle,
+                (12.0 * k).log2() - k / 4.0 - 3.0 * t,
+            ];
+            bounds.push(terms.iter().map(|l| l.exp2()).sum::<f64>().log2());
+        }
+        if k >= 21.0 && t >= k / 4.0 {
+            bounds.push(middle);
+        }
+        bounds.into_iter().reduce(f64::min)
+    }
+
+    #[test]
+    fn round_table_is_monotone_and_every_row_meets_the_dlp_bound_at_its_lower_edge() {
+        let counts: Vec<usize> = (16..=4096).map(rounds_for_random).collect();
+        assert!(
+            counts.windows(2).all(|w| w[0] >= w[1]),
+            "more bits, no more rounds"
+        );
+        assert_eq!(rounds_for_random(99), 40, "below the estimates: worst case");
+        assert_eq!(rounds_for_random(256), 12);
+        // A row's lower edge is where its count first appears; the error
+        // falls as `k` grows, so the edge is the row's worst point.
+        let edges = (100..=4096u32).filter(|&k| rounds_for_random(k) != rounds_for_random(k - 1));
+        let mut rows = 0;
+        for k in edges {
+            let t = rounds_for_random(k);
+            let log2 = dlp_log2_bound(f64::from(k), t as f64);
+            assert!(
+                log2.is_some_and(|l| l <= -80.0),
+                "{k} bits, {t} rounds: 2^{log2:?}"
+            );
+            // One round fewer would not do: the table is not padded.
+            let fewer = dlp_log2_bound(f64::from(k), t as f64 - 1.0);
+            assert!(
+                fewer.is_none_or(|l| l > -80.0),
+                "{k} bits, {} rounds: 2^{fewer:?}",
+                t - 1
+            );
+            rows += 1;
+        }
+        assert_eq!(rows, 12);
+        // `gen_prime` fixes the second-highest bit, which can double the
+        // error; the default RSA-512 key's 256-bit primes keep bits in
+        // hand for that. (`p(k, t)` falls as `k` grows but the closed
+        // forms change regime inside a row, so a size takes the best
+        // estimate of any smaller size that shares its count.)
+        let inherited = |k: u32| {
+            let t = rounds_for_random(k);
+            let row = (100..=k).rev().take_while(|&j| rounds_for_random(j) == t);
+            row.filter_map(|j| dlp_log2_bound(f64::from(j), t as f64))
+                .reduce(f64::min)
+        };
+        for k in [169u32, 192, 256, 384, 512] {
+            assert!(
+                inherited(k).is_some_and(|l| l <= -80.0),
+                "{k} bits: 2^{:?}",
+                inherited(k)
+            );
+        }
+        assert!(
+            inherited(256).is_some_and(|l| l <= -84.0),
+            "2^{:?}",
+            inherited(256)
+        );
+    }
+
+    #[test]
+    fn is_prime_is_a_function_of_its_argument_and_keeps_forty_rounds() {
+        let m67 = (Ubig::one() << 67) - Ubig::one();
+        let m89 = (Ubig::one() << 89) - Ubig::one();
+        let carmichael = [561u64, 1105, 1729, 41041, 825265, 321197185, 9746347772161];
+        for _ in 0..2 {
+            assert!(is_prime(&m89));
+            assert!(!is_prime(&m67), "2^67 - 1 = 193707721 × 761838257287");
+            for c in carmichael {
+                assert!(!is_prime(&Ubig::from(c)), "{c} is Carmichael");
+            }
+        }
+        // 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7 —
+        // few fixed rounds would pass it — with factors 151 · 751 · 28351
+        // the sieve sees; 3825123056546413051 (= 149491 · 747451 ·
+        // 34233211, strong pseudoprime to the nine primes up to 23) gets
+        // past the sieve and must fall to the 40 derived bases.
+        assert!(!is_prime(&Ubig::from(3215031751u64)));
+        assert!(!is_prime(&Ubig::from(3825123056546413051u64)));
+    }
+
+    /// Known answer: the bases of 2^89 - 1. A change here re-keys
+    /// nothing (bases decide verdicts, not draws) but does change which
+    /// composites a given round count would let through, so it is pinned.
+    #[test]
+    fn witness_stream_known_answer() {
+        let m89 = (Ubig::one() << 89) - Ubig::one();
+        let bases: Vec<Ubig> = Witnesses::new(&m89).take(64).collect();
+        let mut digest = Sha256::new();
+        for a in &bases {
+            assert!(*a >= Ubig::from(2u64) && *a < &m89 - &Ubig::one());
+            digest.update(&a.to_be_bytes_padded(12));
+        }
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let first: Vec<String> = bases[..4].iter().map(Ubig::to_hex).collect();
+        assert_eq!(first, FIRST_BASES);
+        assert_eq!(hex(&digest.finalize()), ALL_64_SHA256);
+    }
+
+    const FIRST_BASES: [&str; 4] = [
+        "1bc0a30de3e63731552bdec",
+        "2ad4ed1860b869b5e7daa8",
+        "1648447042c24ba3742765f",
+        "158f9e46eed9bcc695a6a7e",
+    ];
+    const ALL_64_SHA256: &str = "c1cab5ad73e7c02aab40ff155e9a43d199ed1801813660ec7fb663f80c19889c";
 }

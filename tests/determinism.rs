@@ -5,6 +5,7 @@
 //! reproduction, so it gets its own regression gate.
 
 use manet_secure::scenario::{Placement, ScenarioBuilder};
+use manet_secure::HostIdentity;
 use manet_sim::{ChannelMode, ExecMode, Field, Mobility, QueueImpl, SimDuration};
 
 /// One full run: bootstrap, two crossing flows, then the observables.
@@ -188,13 +189,101 @@ fn sharded_and_single_executors_are_one_universe() {
 fn different_seeds_diverge() {
     // Not a strict requirement of determinism, but if two seeds give a
     // byte-identical universe the seed isn't actually feeding the RNG.
-    let a = run(1);
-    let b = run(2);
-    assert_ne!(
-        (a.1, a.2),
-        (b.1, b.2),
-        "seeds 1 and 2 produced identical trace/byte counts — seed unused?"
+    // Event and byte *counts* may well agree on a lossless chain; who
+    // the hosts are may not.
+    let universe = |seed: u64| {
+        let mut net = ScenarioBuilder::new().hosts(5).seed(seed).secure().build();
+        let addresses: Vec<_> = (0..5).map(|i| net.host_ip(i)).collect();
+        assert!(net.bootstrap(), "seed {seed}: bootstrap failed");
+        let report = net.run_flows(&[(0, 4), (1, 3)], 4, SimDuration::from_millis(300));
+        (addresses, net.dns_node().ip(), report.fingerprint())
+    };
+    let (a, b) = (universe(1), universe(2));
+    assert!(
+        a.0.iter().all(|ip| !b.0.contains(ip)) && a.1 != b.1,
+        "seeds 1 and 2 share an address — seed unused?\n{a:?}\n{b:?}"
     );
+    assert_eq!(a, universe(1), "and the same seed, the same hosts");
+}
+
+/// A node's identity is `HostIdentity::for_host(seed, node, key_bits)`
+/// and nothing else: not how many hosts the scenario has (a 6-host
+/// network is the first seven nodes of the 9-host one — what lets a
+/// campaign's cells share key pairs), not the order or the thread the
+/// build's fork-join generated it in (a serial pass in reverse order
+/// finds the same addresses).
+#[test]
+fn a_hosts_identity_depends_on_seed_and_index_alone() {
+    for seed in [3u64, 77] {
+        let build = |n: usize| ScenarioBuilder::new().hosts(n).seed(seed).secure().build();
+        let (small, large) = (build(6), build(9));
+        assert_eq!(small.dns_node().ip(), large.dns_node().ip());
+        for i in (0..6).rev() {
+            assert_eq!(small.host_ip(i), large.host_ip(i), "seed {seed} h{i}");
+        }
+        for i in (0..9).rev() {
+            let alone = HostIdentity::for_host(seed, i as u32 + 1, 512);
+            assert_eq!(large.host_ip(i), alone.ip(), "seed {seed} h{i}");
+        }
+        assert_eq!(
+            large.dns_node().ip(),
+            HostIdentity::for_host(seed, 0, 512).ip()
+        );
+    }
+}
+
+/// Key streams are ChaCha12 keyed by the master seed on streams 1, 2, …;
+/// the engine reads stream 0 of that key and node `i`'s protocol reads
+/// stream 0 of a key derived from `(seed, i)`. No two of them start
+/// alike, for seeds 0..8 × 64 nodes.
+#[test]
+fn key_streams_differ_from_the_engine_and_every_node_stream() {
+    use manet_sim::{Ctx, Engine, EngineConfig, NodeId, Pos, Protocol};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha12Rng;
+    use std::sync::{Arc, Mutex};
+
+    type Words = [u32; 4];
+    /// Reports the first words of the stream its node was given.
+    struct Probe(Arc<Mutex<Vec<Words>>>);
+    impl Protocol for Probe {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            let words = std::array::from_fn(|_| ctx.rng().gen());
+            self.0.lock().unwrap().push(words);
+        }
+        fn on_frame(&mut self, _: &mut Ctx, _: NodeId, _: &[u8]) {}
+        fn on_timer(&mut self, _: &mut Ctx, _: u64) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    for seed in 0..8u64 {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut engine = Engine::new(EngineConfig {
+            seed,
+            ..EngineConfig::default()
+        });
+        let engine_words: Words = std::array::from_fn(|_| engine.rng().gen());
+        for _ in 0..65 {
+            let probe = Probe(Arc::clone(&seen));
+            engine.add_node(Box::new(probe), Pos::new(0.0, 0.0), Mobility::Static);
+        }
+        engine.run_until(manet_sim::SimTime(1_000));
+        let mut taken = std::mem::take(&mut *seen.lock().unwrap());
+        assert_eq!(taken.len(), 65, "every probe started");
+        taken.push(engine_words);
+        for host in 0..64u64 {
+            let mut key_stream = ChaCha12Rng::seed_from_u64(seed);
+            key_stream.set_stream(host + 1);
+            let words: Words = std::array::from_fn(|_| key_stream.gen());
+            assert!(!taken.contains(&words), "seed {seed} host {host}");
+            taken.push(words);
+        }
+    }
 }
 
 /// Randomized wheel-vs-heap differential at the raw engine level: a
