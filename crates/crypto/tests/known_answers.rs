@@ -1,11 +1,18 @@
 //! Known-answer vectors for seeded key generation and signing.
 //!
 //! "The same seed yields the same keys and signatures" is what golden
-//! traces and `RunReport` fingerprints three crates away rest on. These
-//! vectors were recorded before the in-place Montgomery kernel replaced
-//! the `Ubig`-temporaries path, so a change to the RNG draw order, to a
-//! primality verdict or to one carry limb of the kernel fails here, in
-//! the crypto crate, in a fraction of a second.
+//! traces and `RunReport` fingerprints three crates away rest on: a
+//! change to the candidate draw order, to a primality verdict or to one
+//! carry limb of the kernel fails here, in the crypto crate, in a
+//! fraction of a second.
+//!
+//! Recorded twice. First before the in-place Montgomery kernel replaced
+//! the `Ubig`-temporaries path; then once more when Miller–Rabin stopped
+//! drawing its bases from the key generator, which re-keyed every seed
+//! on purpose. The 1024-bit vector is the same in both: the generator is
+//! read in candidate-sized blocks either way, the new search also tries
+//! the blocks the old one spent on bases, and for this seed none of
+//! those happens to be prime. The 512-bit vector moved.
 
 use manet_crypto::{h_pk_rn, KeyPair};
 use rand::SeedableRng;
@@ -26,14 +33,14 @@ const VECTORS: [Vector; 2] = [
         bits: 512,
         seed: 42,
         modulus_hex: concat!(
-            "be751c3ced91c86d877ed6cddc31e019e93c95fdd9f408cfd33a3170be37b88c",
-            "eeba58c7f26e6f88d81d5080c71a59e9f171251e6a9732f413d41b444bbc651f",
+            "b5a20a133900d65977e5a2694d83173966d62edad87c70fca7bb38bd76113caa",
+            "f89499e9aff39fe525223120b9c08c8ad8141f8750f16dc37c79fbca7a343e91",
         ),
         signature_hex: concat!(
-            "633a99f397ddb37a271c2b9d01d8feb021416befd9790a147066a04c064312f5",
-            "70e406d8bdaf12adeb3096d24ad7e2ae6628acfdab58cbf06e9cf026d26b74b9",
+            "3da1f941c626ff146fbc1726e711ff67e85436248f144e826154539160ce7a39",
+            "fd24f15a53bab81665f7b0217761b8aeebc69e48b5f6d1fcbc7ba2308510c120",
         ),
-        h_pk_rn_42: 0x01d0_82b0_6ebf_d26c,
+        h_pk_rn_42: 0xd829_89eb_ba21_dd58,
     },
     Vector {
         bits: 1024,
