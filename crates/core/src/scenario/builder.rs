@@ -442,16 +442,13 @@ impl SecureBuilder {
                 .map(|&(seed, node, key_bits)| HostIdentity::for_host(seed, node, key_bits))
                 .collect(),
         };
-        let host_identities = identities.split_off(1);
-        let mut dns_node = SecureNode::dns_with_identity(
-            self.proto.clone(),
-            identities.remove(0), // node 0; `n_total` is at least 1
-            Vec::new(),
-        );
+        let dns_identity = identities.remove(0); // node 0; `n_total` is at least 1
+        let mut dns_node =
+            SecureNode::dns_with_identity(self.proto.clone(), dns_identity, Vec::new());
         let dns_pk = dns_node.public_key().clone();
 
         let mut host_nodes = Vec::with_capacity(base.n_hosts);
-        for (i, identity) in host_identities.into_iter().enumerate() {
+        for (i, identity) in identities.into_iter().enumerate() {
             let dn = self.register_names.then(|| self.effective_name(i));
             let node = SecureNode::with_identity(
                 self.proto.clone(),

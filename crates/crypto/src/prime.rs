@@ -337,18 +337,6 @@ mod tests {
         }
     }
 
-    /// The rounds test; they do not draw. Two generators in step stay in
-    /// step whether a candidate gets 12 rounds or 40.
-    #[test]
-    fn testing_a_candidate_consumes_nothing_from_the_key_generator() {
-        let (mut a, mut b) = (rng(), rng());
-        let candidate = random_bits(256, &mut a);
-        assert_eq!(random_bits(256, &mut b), candidate);
-        probable_prime(&candidate, 12);
-        is_prime(&candidate);
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-    }
-
     /// Every counted round tests: the smallest numbers Miller–Rabin
     /// accepts have bases left to draw (for 5 the only one, 2; 3 for 7),
     /// and none is ever 0, 1 or n - 1.
