@@ -116,19 +116,22 @@ pub fn exhibit_e1(quick: bool) -> String {
             "mean join latency (s)",
         ],
     );
-    for &hops in &hop_range {
-        for &loss in &[0.0, 0.10] {
-            let cells = runner::sweep(&[hops], &seeds, |&h, s| dad_duplicate_cell(h, s, loss));
-            let results = &cells[0].1;
-            let detected = results.iter().filter(|(d, _)| *d).count();
-            let mean_lat: f64 = results.iter().map(|(_, l)| l).sum::<f64>() / results.len() as f64;
-            t.rowv(vec![
-                hops.to_string(),
-                format!("{loss:.2}"),
-                format!("{}/{}", detected, results.len()),
-                format!("{mean_lat:.2}"),
-            ]);
-        }
+    let points: Vec<(usize, f64)> = hop_range
+        .iter()
+        .flat_map(|&hops| [(hops, 0.0), (hops, 0.10)])
+        .collect();
+    let cells = runner::sweep(&points, &seeds, |&(h, loss), s| {
+        dad_duplicate_cell(h, s, loss)
+    });
+    for ((hops, loss), results) in &cells {
+        let detected = results.iter().filter(|(d, _)| *d).count();
+        let mean_lat: f64 = results.iter().map(|(_, l)| l).sum::<f64>() / results.len() as f64;
+        t.rowv(vec![
+            hops.to_string(),
+            format!("{loss:.2}"),
+            format!("{}/{}", detected, results.len()),
+            format!("{mean_lat:.2}"),
+        ]);
     }
     t.note("link-local (RFC 2461) DAD would detect only the 1-hop rows; the AREQ flood covers all");
     t.note("a detected duplicate adds one extra DAD round (~1 window) to the join latency");
@@ -199,14 +202,12 @@ pub fn exhibit_e2(quick: bool) -> String {
             "plain delivery",
         ],
     );
-    for &hops in &hop_range {
-        let sec = runner::sweep(&[hops], &seeds, |&h, s| e2_secure(h, s));
-        let pla = runner::sweep(&[hops], &seeds, |&h, s| e2_plain(h, s));
+    let sec = runner::sweep(&hop_range, &seeds, |&h, s| e2_secure(h, s));
+    let pla = runner::sweep(&hop_range, &seeds, |&h, s| e2_plain(h, s));
+    for ((hops, s_cells), (_, p_cells)) in sec.iter().zip(&pla) {
         let avg = |cells: &[E2Cell], f: fn(&E2Cell) -> f64| {
             cells.iter().map(f).sum::<f64>() / cells.len() as f64
         };
-        let s_cells = &sec[0].1;
-        let p_cells = &pla[0].1;
         let s_bytes = avg(s_cells, |c| c.ctl_bytes as f64);
         let p_bytes = avg(p_cells, |c| c.ctl_bytes as f64);
         t.rowv(vec![
@@ -488,9 +489,7 @@ pub fn exhibit_e5(quick: bool) -> String {
             "names committed",
         ],
     );
-    for &n in &sizes {
-        let cells = runner::sweep(&[n], &seeds, |&n, s| e5_cell(n, s));
-        let results = &cells[0].1;
+    for (n, results) in &runner::sweep(&sizes, &seeds, |&n, s| e5_cell(n, s)) {
         let all_ok = results.iter().all(|(ok, ..)| *ok);
         let msgs = results.iter().map(|(_, m, ..)| *m as f64).sum::<f64>() / results.len() as f64;
         let bytes =
@@ -501,7 +500,7 @@ pub fn exhibit_e5(quick: bool) -> String {
             all_ok.to_string(),
             format!("{msgs:.0}"),
             format!("{bytes:.0}"),
-            format!("{:.0}", bytes / n as f64),
+            format!("{:.0}", bytes / *n as f64),
             format!("{committed:.1}"),
         ]);
     }

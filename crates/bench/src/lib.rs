@@ -22,6 +22,13 @@
 //! | S2 (scale, 10k) | [`scale_exhibits::exhibit_s2`] |
 //! | S3 (memory diet, 100k) | [`scale_exhibits::exhibit_s3`] |
 //! | V1 (verify pipeline) | [`crypto_exhibits::exhibit_v1`] |
+//!
+//! S1–S3, V1 and the perf gate run committed scenario documents
+//! ([`documents`], embedded from `campaigns/`) down the campaigns' own
+//! path: [`cell`] overrides a document by dotted path, parses it into a
+//! `ScenarioSpec`, builds, and drives it with `WorkloadSpec::drive`.
+//! Exhibits print tables and nothing else; the numbers that count are
+//! committed in `bench/history.jsonl` and `bench/baselines/`.
 
 pub mod crypto_exhibits;
 pub mod eval_exhibits;
@@ -30,20 +37,94 @@ pub mod protocol_exhibits;
 pub mod scale_exhibits;
 pub mod table;
 
+use manet_crypto::BatchStats;
 use manet_secure::campaign::json::{self, Json, Val};
-use manet_secure::scenario::RunReport;
+use manet_secure::campaign::{ScenarioSpec, StackSpec, WorkloadSpec};
+use manet_secure::scenario::{Network, NodeApi, RunReport};
+use std::time::Instant;
 
-/// A JSON object from `(key, value)` pairs: what the `BENCH_*.json` and
-/// baseline writers build and render with [`json::canonical`].
-pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
-    let owned = members.into_iter().map(|(k, v)| (k.to_string(), v));
-    Json::obj(owned.collect())
+/// The committed documents the scale and verify exhibits run, embedded
+/// so no exhibit depends on the working directory. `S1` is a bare
+/// scenario document (the defaults file of `campaigns/s1_density.json`,
+/// and so the S2-plain and S3 cells, which are overrides of it); the
+/// others are one-cell plans `campaign run` accepts as they are.
+pub(crate) mod documents {
+    pub(crate) const S1: &str = include_str!("../../../campaigns/s1_base.json");
+    pub(crate) const SECURE_STORM: &str = include_str!("../../../campaigns/s2_secure_storm.json");
+    pub(crate) const SECURE_SCALE: &str = include_str!("../../../campaigns/s2_secure_scale.json");
+    pub(crate) const V1_FLOOD: &str = include_str!("../../../campaigns/v1_flood.json");
 }
 
-/// A report as a JSON value: its own [`RunReport::to_json`] text, which
-/// fixes the precision of every field, parsed back.
-pub(crate) fn report_json(r: &RunReport) -> Json {
-    json::parse(&r.to_json()).expect("RunReport::to_json emits valid JSON")
+/// One `(dotted path, value)` override of a scenario document.
+pub(crate) type Override = (&'static str, Json);
+
+/// An integer override value.
+pub(crate) fn num(v: u64) -> Json {
+    Json::num(v as f64)
+}
+
+/// What one run of a document leaves behind.
+pub(crate) struct Cell {
+    /// The driver's report, re-timed: `wall_s` and `events_per_sec`
+    /// cover the whole cell — construction, bootstrap, formation beat,
+    /// flow picking and traffic — since the build cost is part of what
+    /// the channel and crypto layers buy back.
+    pub(crate) report: RunReport,
+    /// Wall seconds of the traffic phase alone (the driver's own
+    /// `wall_s`), free of key generation and bootstrap.
+    pub(crate) traffic_s: f64,
+    /// Hosts built (the DNS node a secure stack adds not counted).
+    pub(crate) hosts: usize,
+    /// Whether every host had completed DAD when the run ended.
+    pub(crate) all_ready: bool,
+    /// Network-wide batch-verification counters (zero without a batch
+    /// table: plain stacks, inline verification).
+    pub(crate) batch: BatchStats,
+    /// Verifications and signatures the shared backend actually ran.
+    pub(crate) verifies_run: u64,
+    pub(crate) signs_run: u64,
+}
+
+impl Cell {
+    /// Backend ops saved per op executed by the network-wide drain.
+    pub(crate) fn amortization(&self) -> f64 {
+        self.batch.requests as f64 / self.batch.executed.max(1) as f64
+    }
+}
+
+/// Run `doc` (a scenario document, or a plan's `base`) with the mode's
+/// `sizes` and then the cell's own `variant` set over it by dotted path.
+/// Panics on a document that does not parse: the documents are
+/// compiled in and `tests/campaign.rs` loads every one of them.
+pub(crate) fn cell(doc: &str, sizes: &[Override], variant: &[Override]) -> Cell {
+    let parsed = json::parse(doc).expect("committed document is valid JSON");
+    let mut scenario = parsed.get("base").cloned().unwrap_or(parsed);
+    for (path, value) in sizes.iter().chain(variant) {
+        json::set_path(&mut scenario, path, value.clone()).expect("override path");
+    }
+    let spec = ScenarioSpec::from_json(&scenario).unwrap_or_else(|e| panic!("cell document: {e}"));
+    let t0 = Instant::now();
+    match spec.stack {
+        StackSpec::Plain(b) => finish(b.build(), &spec.workload, t0),
+        StackSpec::Secure(b) => finish(b.build(), &spec.workload, t0),
+    }
+}
+
+fn finish<P: NodeApi>(mut net: Network<P>, workload: &WorkloadSpec, t0: Instant) -> Cell {
+    let mut report = workload.drive(&mut net);
+    let traffic_s = report.wall_s;
+    report.wall_s = t0.elapsed().as_secs_f64();
+    report.events_per_sec = report.events as f64 / report.wall_s;
+    let backend = net.crypto_backend.as_ref();
+    Cell {
+        report,
+        traffic_s,
+        hosts: net.hosts.len(),
+        all_ready: net.all_ready(),
+        batch: net.batch.as_ref().map(|b| b.stats()).unwrap_or_default(),
+        verifies_run: backend.map_or(0, |b| b.verifies_executed()),
+        signs_run: backend.map_or(0, |b| b.signs_executed()),
+    }
 }
 
 /// The number under `key`. A `null` (how the writers spell NaN and

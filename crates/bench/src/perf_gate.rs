@@ -17,7 +17,9 @@
 //! `Vec` or un-interned map shows up here long before it OOMs CI.
 //!
 //! S1's quick cell is short, so its rate is taken best-of-two; S2 and
-//! S3 run several wall-seconds and are stable as single samples.
+//! S3 run several wall-seconds and are stable as single samples. Every
+//! cell is a committed document run through [`crate::cell`], as in the
+//! exhibits.
 //!
 //! Knobs (environment):
 //! * `PERF_BASELINE_JSON` — baseline path override (tests use this);
@@ -28,9 +30,10 @@
 //! `tables -- --write-baseline` regenerates the baseline file from
 //! fresh runs on the current machine.
 
-use crate::scale_exhibits::{run_s2_plain, run_s2_secure_scale, run_s3, s1_quick_report};
+use crate::documents::{S1, SECURE_SCALE};
+use crate::scale_exhibits::{s2_sizes, s3_sizes, sharded_exec};
 use crate::table::Table;
-use crate::{number, obj};
+use crate::{cell, number, Override};
 use manet_secure::campaign::json::{self, Json};
 
 pub const DEFAULT_BASELINE_PATH: &str = "bench/baselines/BENCH_scale.baseline.json";
@@ -59,77 +62,69 @@ fn parse_tolerance(raw: Option<String>) -> Result<f64, String> {
     Ok(v)
 }
 
-/// Fresh quick-mode measurements: S1 single (best-of-two), S1 sharded
-/// (best-of-two, 8 bands), S2 single, S3 single plus its peak RSS.
-struct FreshCells {
-    s1: f64,
-    s1_sharded: f64,
-    s2: f64,
-    /// The secure-mode cell: the quick S2 secure-scale run (1k hosts,
-    /// RSA, batch drain on) — storm plus signed route discovery, so a
-    /// regression anywhere in the identity/verify/batch pipeline lands
-    /// here.
-    s2_secure: f64,
-    s3: f64,
-    /// `VmHWM` sampled after the S3 run — the 100k scenario dwarfs the
-    /// earlier cells, so the process-lifetime peak is S3's. `None` off
-    /// Linux.
-    s3_peak_rss: Option<u64>,
+/// The gated throughput cells in report order: row label and baseline
+/// key (less its `_events_per_sec_engine` suffix).
+const CELLS: [(&str, &str); 5] = [
+    ("S1 (2k grid)", "s1"),
+    ("S1 (2k sharded:8)", "s1_sharded"),
+    ("S2 (10k plain)", "s2"),
+    ("S2 secure (1k batched)", "s2_secure"),
+    ("S3 (100k streaming)", "s3"),
+];
+
+fn baseline_key(cell: &(&str, &str)) -> String {
+    format!("{}_events_per_sec_engine", cell.1)
 }
 
-fn fresh_cells() -> FreshCells {
-    use manet_sim::ExecMode;
-    let s1 = s1_quick_report(ExecMode::Single)
-        .events_per_sec_engine
-        .max(s1_quick_report(ExecMode::Single).events_per_sec_engine);
-    let s1_sharded = s1_quick_report(ExecMode::Sharded(8))
-        .events_per_sec_engine
-        .max(s1_quick_report(ExecMode::Sharded(8)).events_per_sec_engine);
-    let s2 = run_s2_plain(ExecMode::Single, true, 1).events_per_sec_engine;
-    let s2_secure = run_s2_secure_scale(true, true, 1)
-        .report
-        .events_per_sec_engine;
+/// Fresh quick-mode engine rates, one per [`CELLS`] row, and the
+/// process peak RSS (`VmHWM`, `None` off Linux) sampled after the last.
+fn fresh_cells() -> (Vec<f64>, Option<u64>) {
+    let rate = |doc: &str, sizes: &[Override], variant: &[Override]| {
+        cell(doc, sizes, variant).report.events_per_sec_engine
+    };
+    // S1's quick cell (the document as committed) is short: best of two.
+    let s1 = |variant: &[Override]| rate(S1, &[], variant).max(rate(S1, &[], variant));
+    let mut rates = vec![
+        s1(&[]),
+        s1(&sharded_exec()),
+        rate(S1, &s2_sizes(true), &[]),
+        // The secure-mode cell, also as committed (1k hosts, RSA, batch
+        // drain on): storm plus signed route discovery, so a regression
+        // anywhere in the identity/verify/batch pipeline lands here.
+        rate(SECURE_SCALE, &[], &[]),
+    ];
     // S3 runs last: its peak-RSS sample must not be inflated by a
-    // later, larger allocation (nothing after it is larger).
-    let s3_report = run_s3(ExecMode::Single, true, 1);
-    FreshCells {
-        s1,
-        s1_sharded,
-        s2,
-        s2_secure,
-        s3: s3_report.events_per_sec_engine,
-        s3_peak_rss: s3_report.peak_rss_bytes,
-    }
+    // later, larger allocation (the 100k scenario dwarfs the others).
+    let s3 = cell(S1, &s3_sizes(true), &[]).report;
+    rates.push(s3.events_per_sec_engine);
+    (rates, s3.peak_rss_bytes)
+}
+
+/// The tolerance and the parsed baseline, or why the gate cannot run.
+fn load(path: &str) -> Result<(f64, Json), String> {
+    let tol = parse_tolerance(std::env::var("PERF_TOLERANCE").ok())?;
+    let text = std::fs::read_to_string(path).map_err(|_| {
+        format!("no baseline at {path} — run `tables -- --write-baseline` and commit it")
+    })?;
+    let doc = json::parse(&text).map_err(|e| format!("baseline at {path} does not parse: {e}"))?;
+    Ok((tol, doc))
 }
 
 /// Run the check. Returns the rendered report and whether it passed.
 pub fn check(path: &str) -> (String, bool) {
-    let tol = match parse_tolerance(std::env::var("PERF_TOLERANCE").ok()) {
-        Ok(t) => t,
+    let (tol, doc) = match load(path) {
+        Ok(loaded) => loaded,
         Err(e) => return (format!("perf gate: {e}"), false),
     };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return (
-            format!(
-                "perf gate: no baseline at {path} — run `tables -- --write-baseline` and commit it"
-            ),
-            false,
-        );
-    };
-    let doc = json::parse(&text).unwrap_or(Json::null());
-    let (Some(base_s1), Some(base_s1_sharded), Some(base_s2), Some(base_s2_secure), Some(base_s3)) = (
-        number(&doc, "s1_events_per_sec_engine"),
-        number(&doc, "s1_sharded_events_per_sec_engine"),
-        number(&doc, "s2_events_per_sec_engine"),
-        number(&doc, "s2_secure_events_per_sec_engine"),
-        number(&doc, "s3_events_per_sec_engine"),
-    ) else {
+    let base = CELLS.iter().map(|c| number(&doc, &baseline_key(c)));
+    let base: Option<Vec<f64>> = base.collect();
+    let Some(base) = base else {
         return (format!("perf gate: baseline at {path} is malformed"), false);
     };
     // `null` (baseline written off-Linux) reads back as NaN: present
     // but unusable, so the RSS row is skipped rather than failed.
     let base_s3_rss = number(&doc, "s3_peak_rss_bytes");
-    let fresh = fresh_cells();
+    let (fresh, fresh_rss) = fresh_cells();
 
     let mut pass = true;
     let mut t = Table::new(
@@ -140,18 +135,12 @@ pub fn check(path: &str) -> (String, bool) {
         ),
         &["cell", "baseline", "fresh", "ratio", "verdict"],
     );
-    for (cell, base, fresh_v) in [
-        ("S1 (2k grid)", base_s1, fresh.s1),
-        ("S1 (2k sharded:8)", base_s1_sharded, fresh.s1_sharded),
-        ("S2 (10k plain)", base_s2, fresh.s2),
-        ("S2 secure (1k batched)", base_s2_secure, fresh.s2_secure),
-        ("S3 (100k streaming)", base_s3, fresh.s3),
-    ] {
+    for (((label, _), base), fresh_v) in CELLS.iter().zip(&base).zip(&fresh) {
         let ratio = fresh_v / base;
         let ok = ratio >= 1.0 - tol;
         pass &= ok;
         t.rowv(vec![
-            cell.to_string(),
+            label.to_string(),
             format!("{base:.0}"),
             format!("{fresh_v:.0}"),
             format!("{ratio:.2}×"),
@@ -163,7 +152,7 @@ pub fn check(path: &str) -> (String, bool) {
         ]);
     }
     // The memory cell: more is worse, so the comparison inverts.
-    match (base_s3_rss.filter(|v| v.is_finite()), fresh.s3_peak_rss) {
+    match (base_s3_rss.filter(|v| v.is_finite()), fresh_rss) {
         (Some(base), Some(rss)) => {
             let rss = rss as f64;
             let ratio = rss / base;
@@ -188,7 +177,9 @@ pub fn check(path: &str) -> (String, bool) {
             t.note("S3 peak RSS: unavailable on this platform — memory cell skipped");
         }
     }
-    if fresh.s1 > base_s1 * (1.0 + tol) && fresh.s2 > base_s2 * (1.0 + tol) {
+    // The two plain single-executor cells, S1 and S2.
+    let beats = |row: usize| fresh[row] > base[row] * (1.0 + tol);
+    if beats(0) && beats(2) {
         t.note("cells beat baseline by more than the tolerance — consider `--write-baseline` to ratchet");
     }
     t.note(format!("baseline: {path}"));
@@ -197,35 +188,21 @@ pub fn check(path: &str) -> (String, bool) {
 
 /// Regenerate the baseline file from fresh runs on this machine.
 pub fn write_baseline(path: &str) -> std::io::Result<String> {
-    let fresh = fresh_cells();
+    let (fresh, rss) = fresh_cells();
     if let Some(dir) = std::path::Path::new(path).parent() {
         std::fs::create_dir_all(dir)?;
     }
-    let rate = |v: f64| Json::num(v.round());
-    let rss = fresh.s3_peak_rss;
-    let body = json::canonical(&obj(vec![
-        ("comment", Json::str(BASELINE_COMMENT)),
-        ("quick", Json::bool(true)),
-        ("s1_events_per_sec_engine", rate(fresh.s1)),
-        ("s1_sharded_events_per_sec_engine", rate(fresh.s1_sharded)),
-        ("s2_events_per_sec_engine", rate(fresh.s2)),
-        ("s2_secure_events_per_sec_engine", rate(fresh.s2_secure)),
-        ("s3_events_per_sec_engine", rate(fresh.s3)),
-        (
-            "s3_peak_rss_bytes",
-            rss.map_or(Json::null(), |b| Json::num(b as f64)),
-        ),
-    ]));
+    let rss = rss.map_or(Json::null(), |b| Json::num(b as f64));
+    let mut members = vec![
+        ("comment".to_string(), Json::str(BASELINE_COMMENT)),
+        ("quick".to_string(), Json::bool(true)),
+    ];
+    let rates = CELLS.iter().zip(&fresh);
+    members.extend(rates.map(|(cell, rate)| (baseline_key(cell), Json::num(rate.round()))));
+    members.push(("s3_peak_rss_bytes".to_string(), rss));
+    let body = json::canonical(&Json::obj(members));
     std::fs::write(path, &body)?;
-    Ok(format!(
-        "wrote {path}: s1 {:.0} ev/s, s1 sharded {:.0} ev/s, s2 {:.0} ev/s, s2 secure {:.0} ev/s, s3 {:.0} ev/s, s3 peak rss {} B",
-        fresh.s1,
-        fresh.s1_sharded,
-        fresh.s2,
-        fresh.s2_secure,
-        fresh.s3,
-        rss.map_or_else(|| "null".to_string(), |b| b.to_string()),
-    ))
+    Ok(format!("wrote {path}:\n{body}"))
 }
 
 const BASELINE_COMMENT: &str = "engine events/sec + S3 peak-RSS baselines for `tables -- --check-perf` (quick-mode S1 grid single+sharded, S2 plain, S2 secure batched, S3 streaming cells; regenerate with `tables -- --write-baseline` when the hot path or memory layout legitimately changes, or CI hardware does)";
@@ -260,6 +237,24 @@ mod tests {
         let doc = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         assert!(number(&doc, "s3_events_per_sec_engine").is_some_and(|v| v > 0.0));
         assert!(number(&doc, "s3_peak_rss_bytes").is_some());
+    }
+
+    #[test]
+    fn unparseable_baseline_fails_with_the_parse_error_and_its_line() {
+        let dir = std::env::temp_dir().join("perf_gate_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("truncated.json");
+        std::fs::write(
+            &path,
+            "{\n  \"quick\": true,\n  \"s1_events_per_sec_engine\": \n",
+        )
+        .unwrap();
+        let (msg, pass) = check(path.to_str().unwrap());
+        assert!(!pass);
+        assert!(
+            msg.contains("truncated.json does not parse: line 4"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -5,12 +5,24 @@
 
 use manet_bench::{render, EXHIBITS};
 
+/// The entries of the working directory (`crates/bench` under
+/// `cargo test`), sorted.
+fn cwd_entries() -> Vec<std::ffi::OsString> {
+    let dir = std::fs::read_dir(".").expect("cwd is readable");
+    let mut names: Vec<_> = dir.map(|e| e.unwrap().file_name()).collect();
+    names.sort();
+    names
+}
+
 #[test]
 fn every_exhibit_renders_nonempty_in_quick_mode() {
+    // Exhibits print tables and nothing else: a render that drops a
+    // file into the source tree is a bug.
+    let before = cwd_entries();
     for id in EXHIBITS {
         // S3 is a 100k-node run: minutes in release, unusable under a
         // debug build. Debug `cargo test` still covers its machinery
-        // (streaming stats, section writer, JSON round trip) via
+        // (streaming stats, the S3 overrides of the S1 document) via
         // the scale_exhibits unit tests; the full cell renders in the
         // release-mode CI smoke step and the perf gate.
         if *id == "s3" && cfg!(debug_assertions) {
@@ -26,6 +38,7 @@ fn every_exhibit_renders_nonempty_in_quick_mode() {
             "exhibit {id} rendered NaN cells:\n{out}"
         );
     }
+    assert_eq!(cwd_entries(), before, "an exhibit wrote into the cwd");
 }
 
 #[test]

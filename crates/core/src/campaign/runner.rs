@@ -19,64 +19,38 @@ use super::json::{self, Json};
 use super::plan::{CampaignPlan, Cell, SweepMode};
 use super::spec::{ScenarioSpec, SpecError};
 use crate::identity::IdentityPool;
+use crate::scenario::report::{Class, FieldValue, FIELDS};
 use crate::scenario::RunReport;
 use rayon::prelude::*;
 use std::path::Path;
 use std::time::Instant;
 
-/// The flat metric keys every run contributes, in report order. Each
-/// maps to a machine-independent `RunReport` field; the wall-derived
-/// fields are *not* here — they appear in the canonical report only as
+/// The flat metric keys every run contributes, in report order: the
+/// [`Class::Metric`] rows of the report's field table. Each maps to a
+/// machine-independent `RunReport` field; the wall-derived fields are
+/// *not* here — they appear in the canonical report only as
 /// fingerprint-style masked constants.
-pub const METRICS: [&str; 19] = [
-    "delivery_ratio",
-    "mean_degree",
-    "events",
-    "sim_s",
-    "tx_bytes",
-    "rx_frames",
-    "nodes_killed",
-    "totals.data_sent",
-    "totals.data_acked",
-    "totals.data_received",
-    "totals.data_failed",
-    "totals.rreq_sent",
-    "totals.rrep_sent",
-    "totals.crep_sent",
-    "totals.rerr_sent",
-    "totals.rejected",
-    "totals.collisions_detected",
-    "crypto.executed",
-    "crypto.cached",
-];
+pub const METRICS: [&str; 19] = {
+    let mut keys = [""; 19];
+    let (mut row, mut n) = (0, 0);
+    while row < FIELDS.len() {
+        if matches!(FIELDS[row].class, Class::Metric) {
+            keys[n] = FIELDS[row].key;
+            n += 1;
+        }
+        row += 1;
+    }
+    assert!(n == keys.len(), "METRICS must hold every metric row");
+    keys
+};
 
 /// One run's machine-independent metrics, keyed like [`METRICS`]
 /// (`None` = the metric's denominator was empty, serialized `null`).
 fn metrics_of(r: &RunReport) -> Vec<(&'static str, Option<f64>)> {
-    vec![
-        ("delivery_ratio", r.delivery_ratio),
-        ("mean_degree", r.mean_degree),
-        ("events", Some(r.events as f64)),
-        ("sim_s", Some(r.sim_s)),
-        ("tx_bytes", Some(r.tx_bytes as f64)),
-        ("rx_frames", Some(r.rx_frames as f64)),
-        ("nodes_killed", Some(r.nodes_killed as f64)),
-        ("totals.data_sent", Some(r.totals.data_sent as f64)),
-        ("totals.data_acked", Some(r.totals.data_acked as f64)),
-        ("totals.data_received", Some(r.totals.data_received as f64)),
-        ("totals.data_failed", Some(r.totals.data_failed as f64)),
-        ("totals.rreq_sent", Some(r.totals.rreq_sent as f64)),
-        ("totals.rrep_sent", Some(r.totals.rrep_sent as f64)),
-        ("totals.crep_sent", Some(r.totals.crep_sent as f64)),
-        ("totals.rerr_sent", Some(r.totals.rerr_sent as f64)),
-        ("totals.rejected", Some(r.totals.rejected as f64)),
-        (
-            "totals.collisions_detected",
-            Some(r.totals.collisions_detected as f64),
-        ),
-        ("crypto.executed", Some(r.crypto.executed as f64)),
-        ("crypto.cached", Some(r.crypto.cached as f64)),
-    ]
+    let mut row = Vec::with_capacity(METRICS.len());
+    let metrics = FIELDS.iter().filter(|f| f.class == Class::Metric);
+    row.extend(metrics.map(|f| (f.key, (f.get)(r).as_f64())));
+    row
 }
 
 /// One tolerance verdict on one cell.
@@ -142,16 +116,17 @@ impl CampaignReport {
                 .map(|(k, v)| ((*k).to_string(), v.map_or(Json::null(), Json::num)))
                 .collect();
             // The fingerprint masks, spelled out so a report diff shows
-            // them held constant rather than silently omitted.
-            members.push(("wall_s".into(), Json::null()));
-            members.push(("events_per_sec".into(), Json::null()));
-            members.push(("events_per_sec_engine".into(), Json::null()));
-            members.push(("queue_impl".into(), Json::str("")));
-            members.push(("exec_mode".into(), Json::str("")));
-            members.push(("shards".into(), Json::num(0.0)));
-            members.push(("peak_rss_bytes".into(), Json::null()));
-            members.push(("alloc_bytes".into(), Json::null()));
-            members.push(("alloc_count".into(), Json::null()));
+            // them held constant rather than silently omitted: what a
+            // masked report holds, a masked float having no value.
+            let blank = RunReport::default();
+            for f in FIELDS.iter().filter(|f| f.class == Class::Machine) {
+                let constant = match (f.get)(&blank) {
+                    FieldValue::Float(_) | FieldValue::Int(None) => Json::null(),
+                    FieldValue::Int(Some(v)) => Json::num(v as f64),
+                    FieldValue::Str(s) => Json::str(s),
+                };
+                members.push((f.key.to_string(), constant));
+            }
             Json::obj(members)
         };
         let cells = self
@@ -448,6 +423,20 @@ mod tests {
 
     fn plan(text: &str) -> CampaignPlan {
         CampaignPlan::from_json(&json::parse(text).unwrap()).unwrap()
+    }
+
+    /// The committed reports and every plan's tolerances name these;
+    /// the report's field table may grow, this list may not move.
+    #[test]
+    fn metrics_are_the_nineteen_pinned_names() {
+        let pinned = "delivery_ratio mean_degree events sim_s tx_bytes rx_frames nodes_killed \
+            totals.data_sent totals.data_acked totals.data_received totals.data_failed \
+            totals.rreq_sent totals.rrep_sent totals.crep_sent totals.rerr_sent totals.rejected \
+            totals.collisions_detected crypto.executed crypto.cached";
+        assert_eq!(
+            METRICS.to_vec(),
+            pinned.split_whitespace().collect::<Vec<_>>()
+        );
     }
 
     #[test]

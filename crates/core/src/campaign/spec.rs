@@ -684,6 +684,32 @@ impl WorkloadSpec {
             bootstrap: secure,
         }
     }
+
+    /// The shared driver: bootstrap (secure), formation beat, flow
+    /// resolution, then the one `Network::run` path — for a caller that
+    /// built the network from [`ScenarioSpec::stack`] and reads it after.
+    pub fn drive<P: NodeApi>(&self, net: &mut Network<P>) -> RunReport {
+        if self.bootstrap {
+            let _ = net.bootstrap();
+        }
+        if self.formation_s > 0.0 {
+            let t = SimTime((self.formation_s * 1e6).round() as u64);
+            if t > net.engine.now() {
+                net.engine.run_until(t);
+            }
+        }
+        let flows = match &self.flows {
+            FlowSpec::Pairs(pairs) => pairs.clone(),
+            FlowSpec::Scale(n) => net.scale_flows(*n),
+            FlowSpec::ConvergeCast { sources, sink } => {
+                sources.iter().map(|&s| (s, *sink)).collect()
+            }
+        };
+        net.run(&Workload {
+            flows,
+            ..self.traffic
+        })
+    }
 }
 
 /// One complete declarative scenario: a stack stage of the builder —
@@ -890,30 +916,10 @@ impl ScenarioSpec {
     /// builds the campaign's identity pool. Same report either way.
     pub(crate) fn run_with(&self, pool: Option<&IdentityPool>) -> Result<RunReport, SpecError> {
         Ok(match self.stack.clone() {
-            StackSpec::Plain(b) => drive(&mut b.build(), &self.workload),
-            StackSpec::Secure(b) => drive(&mut b.build_with(pool), &self.workload),
+            StackSpec::Plain(b) => self.workload.drive(&mut b.build()),
+            StackSpec::Secure(b) => self.workload.drive(&mut b.build_with(pool)),
         })
     }
-}
-
-/// The shared driver: bootstrap (secure), formation beat, flow
-/// resolution, then the one `Network::run` path.
-fn drive<P: NodeApi>(net: &mut Network<P>, w: &WorkloadSpec) -> RunReport {
-    if w.bootstrap {
-        let _ = net.bootstrap();
-    }
-    if w.formation_s > 0.0 {
-        let t = SimTime((w.formation_s * 1e6).round() as u64);
-        if t > net.engine.now() {
-            net.engine.run_until(t);
-        }
-    }
-    let flows = match &w.flows {
-        FlowSpec::Pairs(pairs) => pairs.clone(),
-        FlowSpec::Scale(n) => net.scale_flows(*n),
-        FlowSpec::ConvergeCast { sources, sink } => sources.iter().map(|&s| (s, *sink)).collect(),
-    };
-    net.run(&Workload { flows, ..w.traffic })
 }
 
 // ---------------------------------------------------------------------

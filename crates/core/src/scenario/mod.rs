@@ -15,8 +15,8 @@
 //!   [`NodeApi`].
 //! * [`Workload`] — declarative traffic (flows, packets, interval,
 //!   warmup, drain) executed by the one driver, [`Network::run`].
-//! * [`RunReport`] — the single result struct experiments consume and
-//!   `BENCH_*.json` writers serialize.
+//! * [`RunReport`] — the single result struct exhibits, campaigns and
+//!   the benchmark consume.
 //!
 //! Build → workload → report, end to end:
 //!
@@ -47,7 +47,7 @@
 pub(crate) mod builder;
 mod network;
 mod placement;
-mod report;
+pub(crate) mod report;
 pub(crate) mod workload;
 
 pub use builder::{

@@ -1,12 +1,12 @@
 //! The one result type every experiment consumes.
 //!
 //! A [`RunReport`] is what [`Network::run`](super::Network::run) returns
-//! and what the `BENCH_*.json` writers serialize: delivery, per-node
-//! stat totals, crypto-pipeline totals, event throughput, and wall
-//! time. All simulation-derived fields are pure functions of the
-//! scenario spec and seed; only `wall_s` / `events_per_sec` depend on
-//! the machine — [`RunReport::fingerprint`] masks those two for
-//! determinism assertions.
+//! and what exhibits, campaigns and the benchmark read: delivery,
+//! per-node stat totals, crypto-pipeline totals, event throughput, and
+//! wall time. All simulation-derived fields are pure functions of the
+//! scenario spec and seed; the wall-, memory- and configuration-derived
+//! ones depend on the machine — [`RunReport::fingerprint`] masks those
+//! for determinism assertions. [`FIELDS`] is the one list of them all.
 
 /// Per-node protocol counters summed over all hosts (the DNS node, which
 /// originates no application traffic, is excluded).
@@ -49,7 +49,7 @@ impl CryptoTotals {
 /// is empty (no data packets sent / no alive hosts) — the silent-NaN
 /// escape hatch lives only in [`RunReport::delivery_or_nan`], for
 /// writers that need a raw float.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
     /// Fraction of sent data packets end-to-end acknowledged, across all
     /// hosts; `None` if nothing was sent.
@@ -106,23 +106,132 @@ pub struct RunReport {
     pub alloc_count: Option<u64>,
 }
 
+/// One field of a [`RunReport`] as a table row hands it on.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum FieldValue {
+    /// `None` = the field's denominator was empty.
+    Float(Option<f64>),
+    /// `None` = unavailable on this platform or build.
+    Int(Option<u64>),
+    Str(&'static str),
+}
+
+impl FieldValue {
+    /// The value as a campaign metric (`None` serializes as `null`).
+    pub(crate) fn as_f64(self) -> Option<f64> {
+        match self {
+            FieldValue::Float(v) => v,
+            FieldValue::Int(v) => v.map(|v| v as f64),
+            FieldValue::Str(_) => None,
+        }
+    }
+}
+
+/// Who reads a report field besides [`RunReport::to_json`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Class {
+    /// A pure function of (spec, seed) and a campaign metric: a key of
+    /// [`METRICS`](crate::campaign::METRICS), a tolerance target.
+    Metric,
+    /// Deterministic and in the fingerprint, but not a campaign metric
+    /// (the committed canonical reports predate it).
+    Pinned,
+    /// Wall-derived, a configuration echo, or a memory reading: reset
+    /// by [`RunReport::fingerprint`], a constant in canonical reports.
+    Machine,
+}
+
+/// One row per [`RunReport`] field. The fingerprint's mask list, the
+/// campaign metric list, the canonical report's masked constants and
+/// the JSON rendering all derive from [`FIELDS`]: a new field is a row.
+pub(crate) struct ReportField {
+    /// The JSON key; a dot nests it in that object (`totals.data_sent`).
+    pub(crate) key: &'static str,
+    pub(crate) get: fn(&RunReport) -> FieldValue,
+    reset: fn(&mut RunReport),
+    /// Decimals a float takes in [`RunReport::to_json`].
+    precision: usize,
+    pub(crate) class: Class,
+}
+
+/// `field!(key, field.path, Kind, Class)`, a float's decimals last. The
+/// kind wraps the field as it is or in `Some`.
+macro_rules! field {
+    ($key:literal, $($f:ident).+, $kind:ident, $class:ident) => {
+        field!($key, $($f).+, $kind, $class, 0)
+    };
+    ($key:literal, $($f:ident).+, $kind:ident, $class:ident, $precision:literal) => {
+        ReportField {
+            key: $key,
+            get: |r| FieldValue::$kind(r.$($f).+.into()),
+            reset: |r| r.$($f).+ = Default::default(),
+            precision: $precision,
+            class: Class::$class,
+        }
+    };
+}
+
+/// Metrics first, in [`METRICS`](crate::campaign::METRICS) order; the
+/// members of one nested object stay adjacent.
+pub(crate) const FIELDS: &[ReportField] = &[
+    field!("delivery_ratio", delivery_ratio, Float, Metric, 4),
+    field!("mean_degree", mean_degree, Float, Metric, 4),
+    field!("events", events, Int, Metric),
+    field!("sim_s", sim_s, Float, Metric, 1),
+    field!("tx_bytes", tx_bytes, Int, Metric),
+    field!("rx_frames", rx_frames, Int, Metric),
+    field!("nodes_killed", nodes_killed, Int, Metric),
+    field!("totals.data_sent", totals.data_sent, Int, Metric),
+    field!("totals.data_acked", totals.data_acked, Int, Metric),
+    field!("totals.data_received", totals.data_received, Int, Metric),
+    field!("totals.data_failed", totals.data_failed, Int, Metric),
+    field!("totals.rreq_sent", totals.rreq_sent, Int, Metric),
+    field!("totals.rrep_sent", totals.rrep_sent, Int, Metric),
+    field!("totals.crep_sent", totals.crep_sent, Int, Metric),
+    field!("totals.rerr_sent", totals.rerr_sent, Int, Metric),
+    field!("totals.rejected", totals.rejected, Int, Metric),
+    field!(
+        "totals.collisions_detected",
+        totals.collisions_detected,
+        Int,
+        Metric
+    ),
+    field!("crypto.executed", crypto.executed, Int, Metric),
+    field!("crypto.cached", crypto.cached, Int, Metric),
+    field!("crypto.failed", crypto.failed, Int, Pinned),
+    field!("wall_s", wall_s, Float, Machine, 3),
+    field!("events_per_sec", events_per_sec, Float, Machine),
+    field!(
+        "events_per_sec_engine",
+        events_per_sec_engine,
+        Float,
+        Machine
+    ),
+    field!("queue_impl", queue_impl, Str, Machine),
+    field!("exec_mode", exec_mode, Str, Machine),
+    ReportField {
+        key: "shards",
+        get: |r| FieldValue::Int(Some(r.shards as u64)),
+        reset: |r| r.shards = 0,
+        precision: 0,
+        class: Class::Machine,
+    },
+    field!("peak_rss_bytes", peak_rss_bytes, Int, Machine),
+    field!("alloc_bytes", alloc_bytes, Int, Machine),
+    field!("alloc_count", alloc_count, Int, Machine),
+];
+
 impl RunReport {
     /// The machine-independent view: every field that must be a pure
-    /// function of (spec, seed), with the wall-clock-derived fields
-    /// zeroed. Two runs of the same scenario must compare equal here.
+    /// function of (spec, seed), with each [`Class::Machine`] field
+    /// reset to its default. Two runs of the same scenario must compare
+    /// equal here.
     pub fn fingerprint(&self) -> RunReport {
-        RunReport {
-            wall_s: 0.0,
-            events_per_sec: 0.0,
-            events_per_sec_engine: 0.0,
-            queue_impl: "",
-            exec_mode: "",
-            shards: 0,
-            peak_rss_bytes: None,
-            alloc_bytes: None,
-            alloc_count: None,
-            ..self.clone()
+        let mut masked = self.clone();
+        for f in FIELDS.iter().filter(|f| f.class == Class::Machine) {
+            (f.reset)(&mut masked);
         }
+        masked
     }
 
     /// `delivery_ratio` with the empty case collapsed to NaN — only for
@@ -131,68 +240,53 @@ impl RunReport {
         self.delivery_ratio.unwrap_or(f64::NAN)
     }
 
-    /// Hand-rolled JSON (the workspace is offline — no serde): the one
-    /// serialization the `BENCH_*.json` writers embed.
+    /// Hand-rolled JSON (the workspace is offline — no serde), every
+    /// [`FIELDS`] row in table order, rendered into one `String`.
     ///
-    /// Every float goes through [`json_num`]: JSON has no NaN or
-    /// infinity literals, so non-finite values (an empty-flow report's
-    /// NaN ratios, a zero-wall run's infinite rate) serialize as `null`
-    /// instead of producing an unparseable document.
+    /// JSON has no NaN or infinity literals, so non-finite floats (an
+    /// empty-flow report's ratios, a zero-wall run's infinite rate)
+    /// and absent values serialize as `null` instead of producing an
+    /// unparseable document.
     pub fn to_json(&self) -> String {
-        let opt = |v: Option<f64>| json_num(v.unwrap_or(f64::NAN), 4);
-        let opt_u = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |u| u.to_string());
-        format!(
-            concat!(
-                "{{\"wall_s\": {}, \"events\": {}, \"events_per_sec\": {}, ",
-                "\"events_per_sec_engine\": {}, \"queue_impl\": \"{}\", ",
-                "\"exec_mode\": \"{}\", \"shards\": {}, ",
-                "\"sim_s\": {}, \"delivery_ratio\": {}, \"mean_degree\": {}, ",
-                "\"tx_bytes\": {}, \"rx_frames\": {}, \"nodes_killed\": {}, ",
-                "\"peak_rss_bytes\": {}, \"alloc_bytes\": {}, \"alloc_count\": {}, ",
-                "\"totals\": {{\"data_sent\": {}, \"data_acked\": {}, \"data_failed\": {}, ",
-                "\"rejected\": {}}}, ",
-                "\"crypto\": {{\"executed\": {}, \"cached\": {}, \"failed\": {}}}}}"
-            ),
-            json_num(self.wall_s, 3),
-            self.events,
-            json_num(self.events_per_sec, 0),
-            json_num(self.events_per_sec_engine, 0),
-            self.queue_impl,
-            self.exec_mode,
-            self.shards,
-            json_num(self.sim_s, 1),
-            opt(self.delivery_ratio),
-            opt(self.mean_degree),
-            self.tx_bytes,
-            self.rx_frames,
-            self.nodes_killed,
-            opt_u(self.peak_rss_bytes),
-            opt_u(self.alloc_bytes),
-            opt_u(self.alloc_count),
-            self.totals.data_sent,
-            self.totals.data_acked,
-            self.totals.data_failed,
-            self.totals.rejected,
-            self.crypto.executed,
-            self.crypto.cached,
-            self.crypto.failed,
-        )
-    }
-}
-
-/// Format a float for a JSON document: fixed precision, or `null` when
-/// the value has no JSON representation (NaN / ±infinity).
-fn json_num(v: f64, precision: usize) -> String {
-    if v.is_finite() {
-        format!("{v:.precision$}")
-    } else {
-        "null".to_string()
+        use std::fmt::Write;
+        let mut out = String::with_capacity(1024);
+        out.push('{');
+        let mut open = "";
+        for f in FIELDS {
+            let (object, leaf) = f.key.split_once('.').unwrap_or(("", f.key));
+            if object != open {
+                if !open.is_empty() {
+                    out.push('}');
+                }
+                if !object.is_empty() {
+                    let sep = if out.ends_with('{') { "" } else { ", " };
+                    let _ = write!(out, "{sep}\"{object}\": {{");
+                }
+                open = object;
+            }
+            let sep = if out.ends_with('{') { "" } else { ", " };
+            let _ = write!(out, "{sep}\"{leaf}\": ");
+            let _ = match (f.get)(self) {
+                FieldValue::Float(Some(v)) if v.is_finite() => {
+                    write!(out, "{v:.0$}", f.precision)
+                }
+                FieldValue::Int(Some(v)) => write!(out, "{v}"),
+                FieldValue::Str(s) => write!(out, "\"{s}\""),
+                FieldValue::Float(_) | FieldValue::Int(None) => write!(out, "null"),
+            };
+        }
+        if !open.is_empty() {
+            out.push('}');
+        }
+        out.push('}');
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::json::Val;
 
     fn sample() -> RunReport {
         RunReport {
@@ -268,6 +362,9 @@ mod tests {
         assert!(j.contains("\"mean_degree\": null"), "{j}");
         assert!(j.contains("\"wall_s\": 0.123"), "{j}");
         assert!(j.contains("\"crypto\": {\"executed\": 10"), "{j}");
+        assert!(j.contains("\"failed\": 1}, \"wall_s\""), "{j}");
+        assert!(j.contains("\"totals\": {\"data_sent\": 16"), "{j}");
+        assert!(j.contains("\"collisions_detected\": 0}"), "{j}");
         assert!(j.contains("\"events_per_sec_engine\": 20065"), "{j}");
         assert!(j.contains("\"queue_impl\": \"wheel\""), "{j}");
         assert!(j.contains("\"exec_mode\": \"single\""), "{j}");
@@ -289,6 +386,9 @@ mod tests {
         r.sim_s = f64::NAN;
         let j = r.to_json();
         assert!(!j.contains("NaN") && !j.contains("inf"), "{j}");
+        let doc = crate::campaign::json::parse(&j).expect("to_json emits valid JSON");
+        let nested = doc.get("crypto").and_then(|c| c.get("cached"));
+        assert_eq!(nested.map(|c| &c.v), Some(&Val::Num(30.0)), "{j}");
         assert!(j.contains("\"wall_s\": null"), "{j}");
         assert!(j.contains("\"events_per_sec\": null"), "{j}");
         assert!(j.contains("\"events_per_sec_engine\": null"), "{j}");

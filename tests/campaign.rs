@@ -169,6 +169,18 @@ fn bad_enum_values_list_the_alternatives() {
 // run to byte-identical canonical reports
 // ---------------------------------------------------------------------
 
+/// Every plan under `campaigns/`, sorted. `s2_secure_storm`,
+/// `s2_secure_scale` and `v1_flood` are the one-cell plans the S2 and
+/// V1 exhibits run (`crates/bench`, which embeds them).
+const COMMITTED_PLANS: [&str; 6] = [
+    "s1_density",
+    "s2_secure_scale",
+    "s2_secure_storm",
+    "secure_attack",
+    "smoke",
+    "v1_flood",
+];
+
 #[test]
 fn every_committed_campaign_parses_and_expands() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("campaigns");
@@ -198,7 +210,7 @@ fn every_committed_campaign_parses_and_expands() {
         names.push(path.file_stem().unwrap().to_string_lossy().into_owned());
     }
     names.sort();
-    assert_eq!(names, ["s1_density", "secure_attack", "smoke"]);
+    assert_eq!(names, COMMITTED_PLANS);
 }
 
 /// The canonical rendering of a resolved scenario is a file format:
@@ -215,7 +227,7 @@ fn canonical_specs_match_their_goldens() {
         "spec_default.json".to_string(),
         ScenarioSpec::parse("{}").unwrap().to_canonical_string(),
     )];
-    for name in ["s1_density", "secure_attack", "smoke"] {
+    for name in COMMITTED_PLANS {
         let plan = load_plan(&root.join(format!("campaigns/{name}.json"))).unwrap();
         let doc = plan.document_for(&plan.cells()[0]).unwrap();
         rendered.push((
