@@ -1,4 +1,4 @@
-//! Ablation benchmarks (DESIGN.md §5): the runtime side of the design
+//! Ablation benchmarks: the runtime side of the design
 //! choices — SRR verification cost at the destination, CREP's effect on
 //! discovery work, and credit bookkeeping overhead.
 

@@ -1,4 +1,4 @@
-//! C1 — the cryptographic substrate's costs (DESIGN.md §4).
+//! C1 — the cryptographic substrate's costs.
 //!
 //! These are the per-hop prices the protocol pays: one `sign` per RREQ
 //! relay, `hops+1` verifies at the destination, one `H` per CGA check.

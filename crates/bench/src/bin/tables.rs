@@ -1,5 +1,6 @@
 //! Regenerate every table and figure of the paper (plus the quantified
-//! evaluation and ablations; see DESIGN.md §4 for the index).
+//! evaluation and ablations; the `manet_bench` crate docs have the
+//! index).
 //!
 //! ```sh
 //! cargo run --release -p manet-bench --bin tables            # everything, quick seeds

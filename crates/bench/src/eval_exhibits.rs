@@ -1,6 +1,6 @@
 //! Exhibits E1–E5 and the ablations — the quantified versions of the
-//! paper's claims (the paper itself reports no numbers; DESIGN.md §4
-//! records the expected *shapes*).
+//! paper's claims (the paper itself reports no numbers; each exhibit's
+//! notes record the expected *shape*).
 
 use crate::table::Table;
 use manet_crypto::KeyPair;
@@ -510,7 +510,7 @@ pub fn exhibit_e5(quick: bool) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5)
+// Ablations
 // ---------------------------------------------------------------------------
 
 /// A1: per-hop SRR identity proofs — byte growth per hop and the

@@ -1,7 +1,7 @@
 //! # manet-bench
 //!
 //! The benchmark and exhibit harness: every table and figure of the
-//! paper (and DESIGN.md §4's quantified claims) is regenerated by a
+//! paper (and the quantified versions of its claims) is regenerated by a
 //! function here. The `tables` binary prints them; the Criterion benches
 //! under `benches/` time the performance-shaped ones.
 //!

@@ -1,8 +1,7 @@
 //! The CI perf-regression gate: `tables -- --check-perf`.
 //!
 //! Re-runs the quick-mode S1 (2k, grid), S2 (10k, plain) and S3 (100k,
-//! plain, streaming stats) cells and compares their **engine**
-//! events/sec — lifetime events over wall time spent inside
+//! plain) cells and compares their **engine** events/sec — lifetime events over wall time spent inside
 //! `Engine::run_until`, so scenario construction, flow picking, and key
 //! generation don't pollute the signal — against the committed baseline
 //! in `bench/baselines/BENCH_scale.baseline.json`. A fresh rate more
@@ -14,7 +13,7 @@
 //! biggest thing this process ever builds) with the comparison
 //! *inverted*: a fresh peak more than `tolerance` *above* baseline
 //! fails. That is the memory-diet ratchet — an accidental per-node
-//! `Vec` or un-interned map shows up here long before it OOMs CI.
+//! `Vec` or map shows up here long before it OOMs CI.
 //!
 //! S1's quick cell is short, so its rate is taken best-of-two; S2 and
 //! S3 run several wall-seconds and are stable as single samples. Every
@@ -69,7 +68,7 @@ const CELLS: [(&str, &str); 5] = [
     ("S1 (2k sharded:8)", "s1_sharded"),
     ("S2 (10k plain)", "s2"),
     ("S2 secure (1k batched)", "s2_secure"),
-    ("S3 (100k streaming)", "s3"),
+    ("S3 (100k plain)", "s3"),
 ];
 
 fn baseline_key(cell: &(&str, &str)) -> String {
@@ -205,7 +204,7 @@ pub fn write_baseline(path: &str) -> std::io::Result<String> {
     Ok(format!("wrote {path}:\n{body}"))
 }
 
-const BASELINE_COMMENT: &str = "engine events/sec + S3 peak-RSS baselines for `tables -- --check-perf` (quick-mode S1 grid single+sharded, S2 plain, S2 secure batched, S3 streaming cells; regenerate with `tables -- --write-baseline` when the hot path or memory layout legitimately changes, or CI hardware does)";
+const BASELINE_COMMENT: &str = "engine events/sec + S3 peak-RSS baselines for `tables -- --check-perf` (quick-mode S1 grid single+sharded, S2 plain, S2 secure batched, S3 plain cells; regenerate with `tables -- --write-baseline` when the hot path or memory layout legitimately changes, or CI hardware does)";
 
 #[cfg(test)]
 mod tests {

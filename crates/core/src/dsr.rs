@@ -20,7 +20,6 @@ use crate::config::Behavior;
 use crate::credit::CreditManager;
 use crate::envelope::Envelope;
 use crate::fxhash::FxHashMap;
-use crate::intern::{AddrInterner, InternTable};
 use crate::neighbor::NeighborCache;
 use crate::routecache::RouteCache;
 use crate::sendbuf::SendBuffer;
@@ -28,7 +27,6 @@ use crate::stats::NodeStats;
 use manet_sim::{Ctx, Dir, NodeId, SimDuration, SimTime};
 use manet_wire::{Ack, Data, Ipv6Addr, Message, RouteRecord, Seq, UNSPECIFIED};
 use rand::Rng;
-use std::sync::Arc;
 
 // Timer tag layout: kind in the top byte, payload below. Kinds 2 and 3
 // are the data plane's; a stack numbers its own kinds around them.
@@ -51,19 +49,19 @@ pub(crate) const RREQ_DEDUP_CAP: usize = 4096;
 /// of newer ones.
 #[derive(Debug, Default)]
 pub(crate) struct FloodMemo<V> {
-    cur: FxHashMap<(u32, u64), V>,
-    old: FxHashMap<(u32, u64), V>,
+    cur: FxHashMap<(Ipv6Addr, u64), V>,
+    old: FxHashMap<(Ipv6Addr, u64), V>,
 }
 
 impl<V: Copy> FloodMemo<V> {
-    pub(crate) fn get(&self, key: &(u32, u64)) -> Option<V> {
+    pub(crate) fn get(&self, key: &(Ipv6Addr, u64)) -> Option<V> {
         self.cur.get(key).or_else(|| self.old.get(key)).copied()
     }
 
     /// Record `v` for `key`; true when that filled the current
     /// generation and the oldest entries were dropped.
     #[must_use]
-    pub(crate) fn put(&mut self, key: (u32, u64), v: V) -> bool {
+    pub(crate) fn put(&mut self, key: (Ipv6Addr, u64), v: V) -> bool {
         self.cur.insert(key, v);
         if self.cur.len() < RREQ_DEDUP_CAP / 2 {
             return false;
@@ -121,11 +119,7 @@ pub(crate) struct DsrParams {
 pub(crate) struct DsrState<W> {
     pub(crate) neighbors: NeighborCache,
     pub(crate) route_cache: RouteCache,
-    /// Address interner for id-keyed flood-dedup maps (shared table set
-    /// by the builder; overflow catches re-rolled CGAs, foreign
-    /// addresses and standalone nodes).
-    pub(crate) interner: AddrInterner,
-    /// RREQ floods already relayed or answered, by interned source.
+    /// RREQ floods already relayed or answered, by `(source, seq)`.
     seen_rreqs: FloodMemo<()>,
     pub(crate) pending_rreqs: FxHashMap<Ipv6Addr, PendingRreq>,
     pending_acks: FxHashMap<u64, PendingAck>,
@@ -138,7 +132,6 @@ impl<W> DsrState<W> {
         DsrState {
             neighbors: NeighborCache::default(),
             route_cache,
-            interner: AddrInterner::new(),
             seen_rreqs: FloodMemo::default(),
             pending_rreqs: FxHashMap::default(),
             pending_acks: FxHashMap::default(),
@@ -147,22 +140,24 @@ impl<W> DsrState<W> {
         }
     }
 
-    /// Adopt the network-wide intern table (builder-time only).
-    pub(crate) fn set_intern_table(&mut self, table: Arc<InternTable>) {
-        self.interner.set_table(table.clone());
-        self.neighbors.set_intern_table(table);
-    }
-
     pub(crate) fn alloc_seq(&mut self) -> Seq {
         let s = Seq(self.next_seq);
         self.next_seq += 1;
         s
     }
 
+    /// A frame from link node `src` claimed source address `ip`.
+    pub(crate) fn heard(&mut self, ctx: &mut Ctx, ip: Ipv6Addr, src: NodeId) {
+        let evicted = self.neighbors.learn(ip, src, ctx.now());
+        if evicted > 0 {
+            ctx.count("neigh.evicted", evicted as u64);
+        }
+    }
+
     /// Flood dedup: true the first time `(sip, seq)` is seen, and
     /// remembers it.
     pub(crate) fn first_sighting(&mut self, ctx: &mut Ctx, sip: Ipv6Addr, seq: Seq) -> bool {
-        let key = (self.interner.id(sip), seq.0);
+        let key = (sip, seq.0);
         if self.seen_rreqs.get(&key).is_some() {
             return false;
         }
@@ -173,11 +168,9 @@ impl<W> DsrState<W> {
     }
 
     /// Non-mutating [`Self::first_sighting`] for allocation-free peek
-    /// paths: a source never interned cannot have been seen.
+    /// paths.
     pub(crate) fn already_seen(&self, sip: &Ipv6Addr, seq: Seq) -> bool {
-        self.interner
-            .lookup(sip)
-            .is_some_and(|sid| self.seen_rreqs.get(&(sid, seq.0)).is_some())
+        self.seen_rreqs.get(&(*sip, seq.0)).is_some()
     }
 }
 
@@ -211,8 +204,8 @@ pub(crate) trait Dsr: Sized {
     fn behavior(&self) -> &Behavior;
     /// The credit table route selection ranks by.
     fn credits(&self) -> &CreditManager;
-    /// Per-node counters, if the node materializes them.
-    fn stats_mut(&mut self) -> Option<&mut NodeStats>;
+    /// Per-node counters.
+    fn stats_mut(&mut self) -> &mut NodeStats;
     /// This stack's route request for `dip`, originated by this node.
     fn rreq_message(&mut self, dip: Ipv6Addr, seq: Seq) -> Message;
     /// This stack's route error for the broken link to `next`.
@@ -268,13 +261,6 @@ pub(crate) trait Dsr: Sized {
 
     // --- the data plane ------------------------------------------------------
 
-    #[inline]
-    fn stat(&mut self, f: impl FnOnce(&mut NodeStats)) {
-        if let Some(s) = self.stats_mut() {
-            f(s);
-        }
-    }
-
     /// Source address for outgoing frames (`::` until ready, like real
     /// IPv6 DAD probes).
     fn tx_src_ip(&self) -> Ipv6Addr {
@@ -301,7 +287,7 @@ pub(crate) trait Dsr: Sized {
     /// Application entry: send `payload` to `dip`, discovering a route
     /// if needed.
     fn originate_data(&mut self, ctx: &mut Ctx, dip: Ipv6Addr, payload: Vec<u8>) {
-        self.stat(|s| s.data_sent += 1);
+        self.stats_mut().data_sent += 1;
         ctx.count("app.data_sent", 1);
         let seq = self.dsr_mut().alloc_seq();
         if self.ready() && self.try_send_data(ctx, seq, dip, &payload, 0) {
@@ -318,7 +304,7 @@ pub(crate) trait Dsr: Sized {
         if self.dsr().send_buffer.len() >= self.params().max_send_buffer {
             // Oldest-first drop; count the casualty if it was data.
             if let Some((_, Queued::Data { .. })) = self.dsr_mut().send_buffer.drop_front() {
-                self.stat(|s| s.data_failed += 1);
+                self.stats_mut().data_failed += 1;
                 ctx.count("app.data_failed", 1);
             }
         }
@@ -481,7 +467,7 @@ pub(crate) trait Dsr: Sized {
 
     fn broadcast_rreq(&mut self, ctx: &mut Ctx, dip: Ipv6Addr, seq: Seq) {
         let msg = self.rreq_message(dip, seq);
-        self.stat(|s| s.rreq_sent += 1);
+        self.stats_mut().rreq_sent += 1;
         ctx.count("route.rreq_originated", 1);
         let env = Envelope::broadcast(self.ip(), msg);
         self.tx(ctx, None, &env);
@@ -501,7 +487,7 @@ pub(crate) trait Dsr: Sized {
             ctx.count("route.discovery_gave_up", 1);
             let dropped = st.send_buffer.remove_dest(dip) as u64;
             if dropped > 0 {
-                self.stat(|s| s.data_failed += dropped);
+                self.stats_mut().data_failed += dropped;
                 ctx.count("app.data_failed", dropped);
                 ctx.count("route.discovery_failed", 1);
             }
@@ -536,7 +522,7 @@ pub(crate) trait Dsr: Sized {
             self.ensure_route(ctx, pending.dip);
             return;
         }
-        self.stat(|s| s.data_failed += 1);
+        self.stats_mut().data_failed += 1;
         ctx.count("app.data_failed", 1);
     }
 
@@ -549,7 +535,7 @@ pub(crate) trait Dsr: Sized {
             ctx.count("rx.malformed", 1);
             return None;
         };
-        self.dsr_mut().neighbors.learn(env.src_ip, src, ctx.now());
+        self.dsr_mut().heard(ctx, env.src_ip, src);
         Some(env)
     }
 
@@ -573,7 +559,7 @@ pub(crate) trait Dsr: Sized {
     }
 
     fn handle_data(&mut self, ctx: &mut Ctx, data: Data) {
-        self.stat(|s| s.data_received += 1);
+        self.stats_mut().data_received += 1;
         ctx.count("app.data_received", 1);
         ctx.sample("app.data_bytes", data.payload.len() as f64);
         let path = data.route.reversed();
@@ -592,7 +578,7 @@ pub(crate) trait Dsr: Sized {
         let Some(pending) = self.dsr_mut().pending_acks.remove(&ack.seq.0) else {
             return;
         };
-        self.stat(|s| s.data_acked += 1);
+        self.stats_mut().data_acked += 1;
         ctx.count("app.data_acked", 1);
         ctx.sample(
             "app.e2e_latency_s",
@@ -610,7 +596,7 @@ pub(crate) trait Dsr: Sized {
         // Black/grey hole: accept and discard (Section 4's black hole).
         let drop_prob = self.behavior().data_drop_prob;
         if is_data && drop_prob > 0.0 && ctx.rng().gen::<f64>() < drop_prob {
-            self.stat(|s| s.atk_data_dropped += 1);
+            self.stats_mut().atk_data_dropped += 1;
             ctx.count("atk.data_dropped", 1);
             ctx.trace(Dir::Drop, "DATA", "black hole: swallowing packet");
             return;
@@ -650,7 +636,7 @@ pub(crate) trait Dsr: Sized {
     /// source of a source-routed packet (this node is hop `my_idx`).
     fn originate_rerr(&mut self, ctx: &mut Ctx, path: &RouteRecord, my_idx: usize, next: Ipv6Addr) {
         let msg = self.rerr_message(next);
-        self.stat(|s| s.rerr_sent += 1);
+        self.stats_mut().rerr_sent += 1;
         ctx.count("route.rerr_sent", 1);
         let back: Vec<Ipv6Addr> = path.0[..=my_idx].iter().rev().copied().collect();
         if back.len() >= 2 {
@@ -702,30 +688,63 @@ mod tests {
     #[test]
     fn flood_memo_forgets_the_oldest_half_and_nothing_newer() {
         let mut memo = FloodMemo::default();
+        let src = far(7);
         let half = RREQ_DEDUP_CAP as u64 / 2;
         for seq in 0..half - 1 {
-            assert!(!memo.put((7, seq), seq));
+            assert!(!memo.put((src, seq), seq));
         }
         assert!(
-            memo.put((7, half - 1), half - 1),
+            memo.put((src, half - 1), half - 1),
             "generation full: rotated"
         );
         assert_eq!(
-            memo.get(&(7, 0)),
+            memo.get(&(src, 0)),
             Some(0),
             "the previous generation still answers"
         );
         for seq in half..2 * half - 1 {
-            assert!(!memo.put((7, seq), seq));
+            assert!(!memo.put((src, seq), seq));
         }
         assert_eq!(memo.len(), RREQ_DEDUP_CAP - 1);
-        assert!(memo.put((7, 2 * half - 1), 0), "second rotation");
-        assert_eq!(memo.get(&(7, 0)), None, "oldest generation dropped");
-        assert_eq!(memo.get(&(7, half)), Some(half));
+        assert!(memo.put((src, 2 * half - 1), 0), "second rotation");
+        assert_eq!(memo.get(&(src, 0)), None, "oldest generation dropped");
+        assert_eq!(memo.get(&(src, half)), Some(half));
         // An update lands in the current generation and wins the lookup.
-        assert!(!memo.put((7, half), 99));
-        assert_eq!(memo.get(&(7, half)), Some(99));
+        assert!(!memo.put((src, half), 99));
+        assert_eq!(memo.get(&(src, half)), Some(99));
         assert!(memo.len() <= RREQ_DEDUP_CAP);
+    }
+
+    /// Addresses that exist only at run time — a CGA re-rolled after a
+    /// DAD collision, a source from outside the build — are keys like
+    /// any other: the same `seq` from two of them is two floods.
+    #[test]
+    fn runtime_only_sources_with_the_same_seq_are_remembered_separately() {
+        let mut rng = ChaCha12Rng::seed_from_u64(7);
+        let mut host = HostIdentity::generate(512, &mut rng);
+        let first = host.ip();
+        host.reroll(&mut rng);
+        let (rerolled, foreign) = (host.ip(), far(0x77));
+        assert_ne!(first, rerolled);
+
+        let mut memo = FloodMemo::default();
+        assert!(!memo.put((rerolled, 5), 1));
+        assert_eq!(memo.get(&(foreign, 5)), None);
+        assert_eq!(memo.get(&(first, 5)), None);
+        assert!(!memo.put((foreign, 5), 2));
+        assert_eq!(memo.get(&(rerolled, 5)), Some(1));
+        assert_eq!(memo.get(&(foreign, 5)), Some(2));
+
+        let (mut engine, relay) = alone(PlainDsrNode::new(PlainConfig::default(), far(0)));
+        engine.with_protocol::<PlainDsrNode, _>(relay, |n, ctx| {
+            let dsr = n.dsr_mut();
+            assert!(dsr.first_sighting(ctx, rerolled, Seq(5)));
+            assert!(!dsr.already_seen(&foreign, Seq(5)));
+            assert!(dsr.first_sighting(ctx, foreign, Seq(5)));
+            assert!(!dsr.first_sighting(ctx, rerolled, Seq(5)));
+            assert!(!dsr.first_sighting(ctx, foreign, Seq(5)));
+            assert!(dsr.already_seen(&rerolled, Seq(5)) && dsr.already_seen(&foreign, Seq(5)));
+        });
     }
 
     /// `node` alone in an engine, run long enough for a secure node to
@@ -777,6 +796,38 @@ mod tests {
         }
         let relayed = hear::<PlainDsrNode>(&mut engine, relay, &flood(1));
         assert_eq!(relayed, 1, "the oldest was forgotten");
+    }
+
+    /// A transmitter that writes a fresh source address into every
+    /// frame: the listener's neighbor cache stays at its cap, counts
+    /// what it dropped, and still resolves the neighbour heard last.
+    #[test]
+    fn spoofed_source_addresses_leave_a_relay_under_the_neighbor_cap() {
+        use crate::neighbor::NEIGHBOR_CAP;
+        let (mut engine, relay) = alone(PlainDsrNode::new(PlainConfig::default(), far(0)));
+        let copy_from = |src_ip: Ipv6Addr| {
+            let rreq = PlainRreq {
+                sip: far(1),
+                dip: far(2),
+                seq: Seq(1),
+                rr: RouteRecord::new(),
+            };
+            Envelope::broadcast(src_ip, Message::PlainRreq(rreq)).encode()
+        };
+        // The first copy is decoded and relayed, the rest take the
+        // duplicate-flood peek: both paths learn the transmitter.
+        for i in 0..10 * NEIGHBOR_CAP {
+            hear::<PlainDsrNode>(&mut engine, relay, &copy_from(far(10 + i as u16)));
+        }
+        hear::<PlainDsrNode>(&mut engine, relay, &copy_from(far(5)));
+        let now = engine.now();
+        let neighbors = &engine.protocol_as::<PlainDsrNode>(relay).dsr().neighbors;
+        assert_eq!(neighbors.len(), NEIGHBOR_CAP);
+        assert_eq!(neighbors.lookup(&far(5), now), Some(relay));
+        assert_eq!(
+            engine.metrics().counter("neigh.evicted"),
+            9 * NEIGHBOR_CAP as u64 + 1
+        );
     }
 
     #[test]

@@ -35,7 +35,6 @@ mod dsr;
 pub mod envelope;
 pub mod fxhash;
 pub mod identity;
-pub mod intern;
 pub mod neighbor;
 pub mod node;
 pub mod plain;

@@ -8,24 +8,28 @@
 //! the protocol's RERR trigger.
 
 use crate::fxhash::FxHashMap;
-use crate::intern::{AddrInterner, InternTable};
 use manet_sim::{NodeId, SimDuration, SimTime};
 use manet_wire::Ipv6Addr;
-use std::sync::Arc;
 
 /// Default entry lifetime.
 pub const DEFAULT_TTL: SimDuration = SimDuration(30_000_000); // 30 s
 
+/// Most entries a cache holds. The source address of a frame is
+/// believed before anything is verified, so a transmitter that writes a
+/// fresh one into every frame would otherwise grow every listener's map
+/// at frame rate; the cap is two orders of magnitude above the number
+/// of distinct neighbours an honest node hears within one TTL.
+pub const NEIGHBOR_CAP: usize = 1024;
+
 /// IPv6 → link neighbor mapping with last-heard timestamps.
-///
-/// Entries key on interned `u32` address ids (shared network-wide
-/// table + per-cache overflow), so at S3 scale the map holds 4-byte
-/// keys instead of 16-byte addresses.
 #[derive(Debug)]
 pub struct NeighborCache {
     ttl: SimDuration,
-    interner: AddrInterner,
-    entries: FxHashMap<u32, (NodeId, SimTime)>,
+    entries: FxHashMap<Ipv6Addr, (NodeId, SimTime)>,
+}
+
+fn fresh(heard: SimTime, now: SimTime, ttl: SimDuration) -> bool {
+    now.as_micros().saturating_sub(heard.as_micros()) <= ttl.as_micros()
 }
 
 impl Default for NeighborCache {
@@ -38,44 +42,51 @@ impl NeighborCache {
     pub fn new(ttl: SimDuration) -> Self {
         NeighborCache {
             ttl,
-            interner: AddrInterner::new(),
             entries: FxHashMap::default(),
         }
     }
 
-    /// Adopt the network-wide intern table (builder-time only, before
-    /// any entries exist).
-    pub fn set_intern_table(&mut self, table: Arc<InternTable>) {
-        self.interner.set_table(table);
+    /// Record that `ip` was heard transmitting as link node `node` at
+    /// `now`; returns how many entries that evicted. Unspecified sources
+    /// (DAD probes) are ignored.
+    pub fn learn(&mut self, ip: Ipv6Addr, node: NodeId, now: SimTime) -> usize {
+        if ip.is_unspecified() {
+            return 0;
+        }
+        let full = self.entries.len() >= NEIGHBOR_CAP && !self.entries.contains_key(&ip);
+        let evicted = if full { self.make_room(now) } else { 0 };
+        self.entries.insert(ip, (node, now));
+        evicted
     }
 
-    /// Record that `ip` was heard transmitting as link node `node` at `now`.
-    /// Unspecified sources (DAD probes) are ignored.
-    pub fn learn(&mut self, ip: Ipv6Addr, node: NodeId, now: SimTime) {
-        if ip.is_unspecified() {
-            return;
+    /// A new address arrived at a full cache: sweep out every expired
+    /// entry — invisible, [`Self::lookup`] already ignores them — and, if
+    /// nothing had expired, evict the entry heard longest ago. Returns
+    /// how many entries went.
+    fn make_room(&mut self, now: SimTime) -> usize {
+        let (before, ttl) = (self.entries.len(), self.ttl);
+        self.entries
+            .retain(|_, &mut (_, heard)| fresh(heard, now, ttl));
+        if self.entries.len() == before {
+            let entries = &self.entries;
+            // lint: allow(unordered-iter) — (heard, address) totally orders distinct keys: the minimum is the same in any visit order
+            let oldest = entries.iter().map(|(&ip, &(_, heard))| (heard, ip)).min();
+            if let Some((_, oldest)) = oldest {
+                self.entries.remove(&oldest);
+            }
         }
-        let id = self.interner.id(ip);
-        self.entries.insert(id, (node, now));
+        before - self.entries.len()
     }
 
     /// Look up the link node for `ip` if the entry is still fresh.
     pub fn lookup(&self, ip: &Ipv6Addr, now: SimTime) -> Option<NodeId> {
-        let id = self.interner.lookup(ip)?;
-        self.entries.get(&id).and_then(|&(node, heard)| {
-            if now.as_micros().saturating_sub(heard.as_micros()) <= self.ttl.as_micros() {
-                Some(node)
-            } else {
-                None
-            }
-        })
+        let &(node, heard) = self.entries.get(ip)?;
+        fresh(heard, now, self.ttl).then_some(node)
     }
 
     /// Drop an entry (e.g. after a link failure to that neighbor).
     pub fn forget(&mut self, ip: &Ipv6Addr) {
-        if let Some(id) = self.interner.lookup(ip) {
-            self.entries.remove(&id);
-        }
+        self.entries.remove(ip);
     }
 
     /// Number of (possibly stale) entries.
@@ -134,5 +145,65 @@ mod tests {
         c.learn(ip(1), NodeId(3), SimTime(0));
         c.forget(&ip(1));
         assert_eq!(c.lookup(&ip(1), SimTime(0)), None);
+    }
+
+    fn spoofed(i: usize) -> Ipv6Addr {
+        Ipv6Addr::from_groups([0xfec0, 0, 0, 0, 6, 6, (i >> 16) as u16, i as u16])
+    }
+
+    #[test]
+    fn spoofed_sources_cannot_grow_the_cache_past_its_cap() {
+        let mut c = NeighborCache::default();
+        let mut evicted = 0;
+        // One transmitter, a fresh source address per frame, 1 ms apart.
+        for i in 0..10 * NEIGHBOR_CAP {
+            evicted += c.learn(spoofed(i), NodeId(9), SimTime(i as u64 * 1_000));
+            assert!(c.len() <= NEIGHBOR_CAP);
+        }
+        let now = SimTime(10 * NEIGHBOR_CAP as u64 * 1_000);
+        assert_eq!(c.learn(ip(1), NodeId(3), now), 1);
+        evicted += 1;
+        assert_eq!(c.len(), NEIGHBOR_CAP);
+        assert_eq!(evicted, 9 * NEIGHBOR_CAP + 1);
+        assert_eq!(c.lookup(&ip(1), now), Some(NodeId(3)), "heard last");
+        // Refreshing a known address evicts nothing, even when full.
+        assert_eq!(c.learn(ip(1), NodeId(3), now), 0);
+        assert_eq!(c.len(), NEIGHBOR_CAP);
+    }
+
+    #[test]
+    fn a_full_cache_evicts_the_entry_heard_longest_ago_ties_by_address() {
+        let mut c = NeighborCache::default();
+        c.learn(ip(2), NodeId(2), SimTime(5));
+        c.learn(ip(1), NodeId(1), SimTime(5));
+        for i in 0..NEIGHBOR_CAP - 2 {
+            c.learn(spoofed(i), NodeId(9), SimTime(6));
+        }
+        assert_eq!(c.learn(ip(3), NodeId(3), SimTime(7)), 1);
+        assert_eq!(c.lookup(&ip(1), SimTime(7)), None, "oldest, lower address");
+        assert_eq!(c.lookup(&ip(2), SimTime(7)), Some(NodeId(2)));
+        assert_eq!(c.learn(ip(4), NodeId(4), SimTime(7)), 1);
+        assert_eq!(c.lookup(&ip(2), SimTime(7)), None, "then the other");
+    }
+
+    #[test]
+    fn the_sweep_drops_expired_entries_and_keeps_fresh_ones() {
+        let mut c = NeighborCache::new(SimDuration::from_secs(1));
+        c.learn(ip(1), NodeId(1), SimTime(0));
+        for i in 0..NEIGHBOR_CAP - 2 {
+            c.learn(spoofed(i), NodeId(9), SimTime(0));
+        }
+        c.learn(ip(2), NodeId(2), SimTime(900_000));
+        assert_eq!(c.len(), NEIGHBOR_CAP);
+        // Everything heard at t = 0 has expired by now; `ip(2)` has not.
+        let now = SimTime(1_000_001);
+        assert_eq!(c.learn(ip(3), NodeId(3), now), NEIGHBOR_CAP - 1);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.lookup(&ip(2), now), Some(NodeId(2)));
+        assert_eq!(c.lookup(&ip(3), now), Some(NodeId(3)));
+        assert_eq!(c.lookup(&ip(1), now), None);
+        // Below the cap nothing is swept: expired entries just sit.
+        c.learn(ip(4), NodeId(4), SimTime(5_000_000));
+        assert_eq!(c.len(), 3);
     }
 }

@@ -107,8 +107,7 @@ impl SecureNode {
         if self.my_dad_probes.contains(&(areq.seq.0, areq.ch.0)) {
             return; // an echo of our own probe
         }
-        let sid = self.dsr.interner.id(areq.sip);
-        if !self.seen_areqs.insert((sid, areq.seq.0, areq.ch.0)) {
+        if !self.seen_areqs.insert((areq.sip, areq.seq.0, areq.ch.0)) {
             return;
         }
         if let NodeState::Dad { seq, .. } = self.state {

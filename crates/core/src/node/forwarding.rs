@@ -52,8 +52,8 @@ impl Dsr for SecureNode {
     fn credits(&self) -> &CreditManager {
         &self.credits
     }
-    fn stats_mut(&mut self) -> Option<&mut NodeStats> {
-        Some(&mut self.stats)
+    fn stats_mut(&mut self) -> &mut NodeStats {
+        &mut self.stats
     }
 
     /// `RREQ(SIP, DIP, seq, SRR, [SIP, seq]SSK, SPK, Srn)` (Section 3.3).

@@ -40,7 +40,6 @@ use crate::dsr::{Dsr, DsrState, FloodMemo, TAG_ACK, TAG_KIND_MASK, TAG_RREQ};
 use crate::envelope::Envelope;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::identity::HostIdentity;
-use crate::intern::InternTable;
 use crate::routecache::RouteCache;
 use crate::stats::NodeStats;
 use manet_crypto::{backend_for, BatchVerifier, CryptoBackend, PublicKey, VerifyCache};
@@ -123,11 +122,11 @@ pub struct SecureNode {
     /// fed by [`prefetch`], consulted by the [`verify`] pipeline.
     pub(crate) batch: Option<Arc<BatchVerifier>>,
 
-    /// Flood dedup for AREQs, keyed on interned source ids
-    /// (`dsr.interner`). The challenge is part of the key: `seq` is
+    /// Flood dedup for AREQs, by `(source, seq, challenge)`. The
+    /// challenge is part of the key: `seq` is
     /// only unique *per initiator*, and the interesting DAD case is two
     /// initiators claiming the same SIP — their floods must not collapse.
-    seen_areqs: FxHashSet<(u32, u64, u64)>,
+    seen_areqs: FxHashSet<(Ipv6Addr, u64, u64)>,
     /// `(seq, ch)` of every AREQ we ourselves flooded, so a late echo of
     /// our own probe is never mistaken for a foreign claim on our address.
     my_dad_probes: FxHashSet<(u64, u64)>,
@@ -277,11 +276,6 @@ impl SecureNode {
     /// Current IPv6 address (candidate until [`Self::is_ready`]).
     pub fn ip(&self) -> Ipv6Addr {
         self.ident.ip()
-    }
-
-    /// Adopt the network-wide intern table (builder-time only).
-    pub fn set_intern_table(&mut self, table: std::sync::Arc<InternTable>) {
-        self.dsr.set_intern_table(table);
     }
 
     /// The public key behind this node's CGA.

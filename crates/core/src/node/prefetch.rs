@@ -9,8 +9,8 @@
 //! cost only performance. Each gate below is an *approximation* of the
 //! handler it shadows — state may change between prefetch and dispatch
 //! (an earlier frame in the same tick can satisfy a pending entry), and
-//! some dispatch-time gates (flood dedup, answer quotas) need `&mut`
-//! interner access, so they are deliberately skipped. A spurious enqueue
+//! some dispatch-time gates (flood dedup, answer quotas) are
+//! deliberately not mirrored. A spurious enqueue
 //! wastes one backend op in the drain; a missed one falls back to an
 //! inline execution at dispatch. Verdict purity makes both invisible.
 //!
@@ -69,10 +69,10 @@ impl SecureNode {
     }
 
     /// Flooded RREQ: only the destination verifies (source proof, then
-    /// every SRR hop). The `answered_rreqs` quota needs `&mut` interner
-    /// access, so late extra copies past `rrep_multi` prefetch
-    /// spuriously — their triples are already in the verdict table from
-    /// the first copy, making the waste a dedup lookup, not an op.
+    /// every SRR hop). The `answered_rreqs` quota is not mirrored, so
+    /// late extra copies past `rrep_multi` prefetch spuriously — their
+    /// triples are already in the verdict table from the first copy,
+    /// making the waste a dedup lookup, not an op.
     fn prefetch_rreq(&self, batch: &BatchVerifier, rreq: &Rreq) {
         if !self.is_ready() || rreq.sip == self.ident.ip() || !self.is_my_addr(&rreq.dip) {
             return;

@@ -33,7 +33,7 @@ impl SecureNode {
         if self.is_my_addr(&rreq.dip) {
             // Answer several copies (arriving over distinct paths) so the
             // source gets route diversity to select among.
-            let key = (self.dsr.interner.id(rreq.sip), rreq.seq.0);
+            let key = (rreq.sip, rreq.seq.0);
             let answered = self.answered_rreqs.get(&key).unwrap_or(0);
             if answered >= self.cfg.rrep_multi {
                 return;

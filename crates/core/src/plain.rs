@@ -16,7 +16,6 @@ use crate::config::{Behavior, CreditConfig};
 use crate::credit::CreditManager;
 use crate::dsr::{Dsr, DsrParams, DsrState, TAG_ACK, TAG_KIND_MASK, TAG_RREQ};
 use crate::envelope::Envelope;
-use crate::intern::InternTable;
 use crate::routecache::{CachedRoute, RouteCache};
 use crate::stats::NodeStats;
 use manet_sim::{Ctx, NodeId, Protocol, SimDuration};
@@ -36,11 +35,6 @@ pub struct PlainConfig {
     pub max_send_buffer: usize,
     /// Answer RREQs from cache (standard DSR route-cache replies).
     pub cached_replies: bool,
-    /// Materialize a full [`NodeStats`] per node (default). Memory-diet
-    /// runs (the S3 exhibit) turn this off: nodes then count nothing
-    /// locally and harness aggregates come from the engine's streaming
-    /// metrics counters instead.
-    pub per_node_stats: bool,
 }
 
 impl Default for PlainConfig {
@@ -52,7 +46,6 @@ impl Default for PlainConfig {
             data_retries: 2,
             max_send_buffer: 64,
             cached_replies: true,
-            per_node_stats: true,
         }
     }
 }
@@ -62,9 +55,9 @@ pub struct PlainDsrNode {
     cfg: PlainConfig,
     ip: Ipv6Addr,
     behavior: Behavior,
-    /// Detailed per-node counters; `None` when `cfg.per_node_stats` is
-    /// off (streaming-metrics mode — ~400 B per node saved at S3 scale).
-    stats: Option<Box<NodeStats>>,
+    /// Per-node counters, boxed so the 368 bytes stay out of the node's
+    /// slab entry (S3 holds 100k of these).
+    stats: Box<NodeStats>,
     /// The shared data plane's state; plain DSR queues nothing but data.
     dsr: DsrState<Infallible>,
 }
@@ -78,12 +71,11 @@ impl PlainDsrNode {
 
     /// A baseline node with attacker switches.
     pub fn with_behavior(cfg: PlainConfig, ip: Ipv6Addr, behavior: Behavior) -> Self {
-        let stats = cfg.per_node_stats.then(Box::default);
         PlainDsrNode {
             cfg,
             ip,
             behavior,
-            stats,
+            stats: Box::default(),
             dsr: DsrState::new(RouteCache::default()),
         }
     }
@@ -103,24 +95,8 @@ impl PlainDsrNode {
         self.ip
     }
 
-    /// Adopt the network-wide intern table (builder-time only).
-    pub fn set_intern_table(&mut self, table: std::sync::Arc<InternTable>) {
-        self.dsr.set_intern_table(table);
-    }
-
-    /// The node's detailed counters. With `per_node_stats` off this is
-    /// a shared all-zero struct — read the engine's streaming metrics
-    /// counters for aggregates instead.
     pub fn stats(&self) -> &NodeStats {
-        static EMPTY: OnceLock<NodeStats> = OnceLock::new();
-        self.stats
-            .as_deref()
-            .unwrap_or_else(|| EMPTY.get_or_init(NodeStats::default))
-    }
-
-    /// Is this node materializing detailed per-node counters?
-    pub fn per_node_stats(&self) -> bool {
-        self.stats.is_some()
+        &self.stats
     }
 
     pub fn cached_destinations(&self) -> usize {
@@ -151,10 +127,10 @@ impl PlainDsrNode {
         // address simply answers (the paper's impersonation attack).
         if self.accepts_addr(&rreq.dip) {
             if rreq.dip != self.ip {
-                self.stat(|s| s.atk_forged_rrep += 1);
+                self.stats.atk_forged_rrep += 1;
                 ctx.count("atk.impersonated_rrep", 1);
             }
-            self.stat(|s| s.rrep_sent += 1);
+            self.stats.rrep_sent += 1;
             ctx.count("route.rrep_sent", 1);
             self.send_rrep(ctx, &rreq, rreq.dip, rreq.rr.clone());
             return;
@@ -167,7 +143,7 @@ impl PlainDsrNode {
         };
         if self.behavior.forge_rrep {
             // Classic black hole: claim a one-hop route to the target.
-            self.stat(|s| s.atk_forged_rrep += 1);
+            self.stats.atk_forged_rrep += 1;
             ctx.count("atk.forged_rrep", 1);
             self.send_rrep(ctx, &rreq, self.ip, extended(&rreq.rr, self.ip));
             return;
@@ -179,7 +155,7 @@ impl PlainDsrNode {
                 // the request's recorded path. Unverifiable by design.
                 let mut rr = extended(&rreq.rr, self.ip);
                 rr.0.extend(cached.relays.iter().copied());
-                self.stat(|s| s.crep_sent += 1);
+                self.stats.crep_sent += 1;
                 ctx.count("route.cached_reply", 1);
                 self.send_rrep(ctx, &rreq, self.ip, rr);
                 return;
@@ -269,8 +245,8 @@ impl Dsr for PlainDsrNode {
     fn credits(&self) -> &CreditManager {
         credits()
     }
-    fn stats_mut(&mut self) -> Option<&mut NodeStats> {
-        self.stats.as_deref_mut()
+    fn stats_mut(&mut self) -> &mut NodeStats {
+        &mut self.stats
     }
     fn rreq_message(&mut self, dip: Ipv6Addr, seq: Seq) -> Message {
         Message::PlainRreq(PlainRreq {
@@ -301,7 +277,7 @@ impl Dsr for PlainDsrNode {
 impl Protocol for PlainDsrNode {
     fn on_start(&mut self, ctx: &mut Ctx) {
         // No DAD, no keys: plain DSR assumes pre-assigned unique addresses.
-        self.stat(|s| s.joined_at = Some(ctx.now()));
+        self.stats.joined_at = Some(ctx.now());
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx, src: NodeId, bytes: &[u8]) {
@@ -314,7 +290,7 @@ impl Protocol for PlainDsrNode {
         // to the counting path below.
         if let Some((src_ip, h)) = Envelope::peek_broadcast_rreq(bytes) {
             if h.sip == self.ip || self.dsr.already_seen(&h.sip, h.seq) {
-                self.dsr.neighbors.learn(src_ip, src, ctx.now());
+                self.dsr.heard(ctx, src_ip, src);
                 return;
             }
         }
@@ -377,9 +353,10 @@ mod tests {
 
     /// S3 runs 100k of these. 728 bytes before the fold; the second
     /// dedup generation costs 32, the per-node disabled credit table it
-    /// no longer carries gave back 112.
+    /// no longer carries gave back 112, the address-id tables PR 24
+    /// deleted 128.
     #[test]
     fn node_size_only_ratchets_down() {
-        assert!(std::mem::size_of::<PlainDsrNode>() <= 648);
+        assert!(std::mem::size_of::<PlainDsrNode>() <= 520);
     }
 }

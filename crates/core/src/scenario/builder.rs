@@ -19,7 +19,6 @@ use super::network::{Network, NodeApi};
 use super::placement::{positions_for, Placement};
 use crate::config::{Behavior, ProtocolConfig};
 use crate::identity::{HostIdentity, IdentityPool};
-use crate::intern::InternTable;
 use crate::node::SecureNode;
 use crate::plain::{PlainConfig, PlainDsrNode};
 use manet_crypto::{backend_for, BackendKind, BatchVerifier};
@@ -463,26 +462,6 @@ impl SecureBuilder {
             dns_node.dns_preregister(self.effective_name(i), host_nodes[i].ip());
         }
 
-        // Shared intern table over every build-time identity and name.
-        // Hosts that reroll their CGA after a DAD collision land in the
-        // per-node overflow interner, which is fine: ids are never
-        // compared across nodes, only used as compact map keys.
-        let mut table = InternTable::new();
-        table.intern_addr(dns_node.ip());
-        for node in &host_nodes {
-            table.intern_addr(node.ip());
-        }
-        if self.register_names {
-            for i in 0..base.n_hosts {
-                table.intern_name(&self.effective_name(i));
-            }
-        }
-        let table = Arc::new(table);
-        dns_node.set_intern_table(Arc::clone(&table));
-        for node in &mut host_nodes {
-            node.set_intern_table(Arc::clone(&table));
-        }
-
         // One shared crypto runtime network-wide: a single backend
         // instance (so execution counters aggregate across nodes) and,
         // when enabled, the batch verifier the engine's tick hook drains
@@ -556,19 +535,10 @@ impl PlainBuilder {
         let ips: Vec<manet_wire::Ipv6Addr> = (0..base.n_hosts)
             .map(|_| PlainDsrNode::random_ip(engine.rng()))
             .collect();
-        // Every address in a plain universe is pre-drawn, so the shared
-        // intern table is total: per-node maps key on dense u32 ids and
-        // the per-node overflow interners stay empty.
-        let mut table = InternTable::new();
-        for ip in &ips {
-            table.intern_addr(*ip);
-        }
-        let table = Arc::new(table);
         let mut hosts = Vec::with_capacity(base.n_hosts);
         for i in 0..base.n_hosts {
-            let mut node =
+            let node =
                 PlainDsrNode::with_behavior(self.proto.clone(), ips[i], base.behavior_for(i));
-            node.set_intern_table(Arc::clone(&table));
             let id = engine.add_node(Box::new(node), positions[i], base.mobility.clone());
             hosts.push(id);
         }

@@ -33,13 +33,6 @@ pub trait NodeApi: Protocol + Sized + 'static {
     fn ready(&self) -> bool {
         true
     }
-    /// Does this node materialize detailed per-node counters? When a
-    /// stack runs in streaming-metrics mode (`false`), harness
-    /// aggregates are read from the engine's metrics counters instead
-    /// of summing [`NodeStats`].
-    fn per_node_stats(&self) -> bool {
-        true
-    }
 }
 
 impl NodeApi for SecureNode {
@@ -66,9 +59,6 @@ impl NodeApi for PlainDsrNode {
     }
     fn send_payload(&mut self, ctx: &mut Ctx, dst: Ipv6Addr, payload: Vec<u8>) {
         self.send_data(ctx, dst, payload);
-    }
-    fn per_node_stats(&self) -> bool {
-        self.per_node_stats()
     }
 }
 
@@ -179,27 +169,7 @@ impl<P: NodeApi> Network<P> {
     /// across all hosts. `None` if no host sent anything — the empty
     /// denominator is explicit, not a silent NaN.
     pub fn delivery_ratio(&self) -> Option<f64> {
-        if !self.detailed_stats() {
-            let m = self.engine.metrics();
-            let sent = m.counter("app.data_sent");
-            let acked = m.counter("app.data_acked");
-            return (sent > 0).then(|| acked as f64 / sent as f64);
-        }
-        let (mut sent, mut acked) = (0u64, 0u64);
-        for &h in &self.hosts {
-            let s = self.engine.protocol_as::<P>(h).node_stats();
-            sent += s.data_sent;
-            acked += s.data_acked;
-        }
-        (sent > 0).then(|| acked as f64 / sent as f64)
-    }
-
-    /// Are detailed per-node stats available on this network's nodes?
-    /// (Uniform per build: the config flag is the same for every host.)
-    fn detailed_stats(&self) -> bool {
-        self.hosts
-            .first()
-            .is_none_or(|&h| self.engine.protocol_as::<P>(h).per_node_stats())
+        delivery_ratio(&self.stat_totals())
     }
 
     /// Mean link-layer degree over alive hosts — the density check for
@@ -219,27 +189,9 @@ impl<P: NodeApi> Network<P> {
         (alive > 0).then(|| total as f64 / alive as f64)
     }
 
-    /// Per-node protocol counters summed over all hosts. In
-    /// streaming-metrics mode the same totals come from the engine's
-    /// counters (each `NodeStats` bump site pairs with a `ctx.count`);
-    /// rejected/collision counters are zero there — plain stacks, the
-    /// only streaming users, never reject or collide.
+    /// Per-node protocol counters summed over all hosts: the one source
+    /// of a report's totals.
     pub fn stat_totals(&self) -> StatTotals {
-        if !self.detailed_stats() {
-            let m = self.engine.metrics();
-            return StatTotals {
-                data_sent: m.counter("app.data_sent"),
-                data_acked: m.counter("app.data_acked"),
-                data_received: m.counter("app.data_received"),
-                data_failed: m.counter("app.data_failed"),
-                rreq_sent: m.counter("route.rreq_originated"),
-                rrep_sent: m.counter("route.rrep_sent"),
-                crep_sent: m.counter("route.cached_reply"),
-                rerr_sent: m.counter("route.rerr_sent"),
-                rejected: 0,
-                collisions_detected: 0,
-            };
-        }
         let mut t = StatTotals::default();
         for &h in &self.hosts {
             let s = self.engine.protocol_as::<P>(h).node_stats();
@@ -277,10 +229,11 @@ impl<P: NodeApi> Network<P> {
         let m = self.engine.metrics();
         let events = self.engine.events_processed();
         let busy = self.engine.busy_secs();
+        let totals = self.stat_totals();
         RunReport {
-            delivery_ratio: self.delivery_ratio(),
+            delivery_ratio: delivery_ratio(&totals),
             mean_degree: self.mean_degree(),
-            totals: self.stat_totals(),
+            totals,
             crypto: self.crypto_totals(),
             events,
             sim_s: self.engine.now().as_secs_f64(),
@@ -348,6 +301,10 @@ impl<P: NodeApi> Network<P> {
         }
         flows
     }
+}
+
+fn delivery_ratio(t: &StatTotals) -> Option<f64> {
+    (t.data_sent > 0).then(|| t.data_acked as f64 / t.data_sent as f64)
 }
 
 impl Network<SecureNode> {

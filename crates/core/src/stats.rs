@@ -149,13 +149,6 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    /// Fraction of verification verdicts served from the cache, if any
-    /// verdict was produced at all.
-    pub fn crypto_cache_hit_rate(&self) -> Option<f64> {
-        let total = self.crypto_verify_attempted + self.crypto_verify_cached;
-        (total > 0).then(|| self.crypto_verify_cached as f64 / total as f64)
-    }
-
     /// Sum of all rejected-message counters — the node's evidence of
     /// attack traffic.
     pub fn total_rejected(&self) -> u64 {

@@ -21,7 +21,8 @@
 //!   once and the verdict shared across every requesting node.
 //!
 //! No external crypto crates are used anywhere in the workspace; this
-//! crate is the sole provider (see DESIGN.md §2).
+//! crate is the sole provider (docs/ARCHITECTURE.md, "Offline
+//! dependency stubs").
 
 pub mod backend;
 pub mod batch;

@@ -89,11 +89,6 @@ impl Ubig {
         self.limbs[limb] |= 1 << (i % LIMB_BITS);
     }
 
-    /// Lowest limb as `u64` (0 for zero). Truncating.
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     /// Exact conversion to `u64` if the value fits.
     pub fn to_u64(&self) -> Option<u64> {
         match self.limbs.len() {

@@ -443,14 +443,6 @@ impl Engine {
             .expect("protocol checked out (re-entrant access)")
     }
 
-    /// Mutably borrow a protocol (e.g. to inject an application request).
-    pub fn protocol_mut(&mut self, node: NodeId) -> &mut dyn Protocol {
-        let (sh, li) = (self.owner[node.0] as usize, self.local[node.0] as usize);
-        self.shards[sh].nodes.protos[li]
-            .as_deref_mut()
-            .expect("protocol checked out (re-entrant access)")
-    }
-
     /// Typed view of a node's protocol.
     pub fn protocol_as<T: 'static>(&self, node: NodeId) -> &T {
         self.protocol(node)

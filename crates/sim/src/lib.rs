@@ -1,6 +1,7 @@
 //! # manet-sim
 //!
-//! A from-scratch discrete-event MANET simulator (DESIGN.md §2): the
+//! A from-scratch discrete-event MANET simulator (docs/ARCHITECTURE.md,
+//! "Channel & spatial index" and the "Engine internals" sections): the
 //! substrate the paper's authors would have had in ns-2-era tooling.
 //!
 //! * [`engine`] — deterministic event loop and node lifecycle, composed

@@ -156,18 +156,6 @@ impl Metrics {
             }
         }
     }
-
-    /// Merge another run's metrics into this one (for aggregation across
-    /// seeds).
-    pub fn merge(&mut self, other: &Metrics) {
-        for &(k, v) in &other.counters {
-            self.count(k, v);
-        }
-        for (k, s) in &other.series {
-            let dst = self.series.entry(k).or_default();
-            dst.samples.extend_from_slice(&s.samples);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -204,22 +192,6 @@ mod tests {
         assert!(s.mean().is_nan());
         assert!(s.percentile(50.0).is_nan());
         assert!(s.std_dev().is_nan());
-    }
-
-    #[test]
-    fn merge_combines_runs() {
-        let mut a = Metrics::new();
-        a.count("x", 1);
-        a.sample("lat", 1.0);
-        let mut b = Metrics::new();
-        b.count("x", 2);
-        b.count("y", 5);
-        b.sample("lat", 3.0);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.counter("y"), 5);
-        assert_eq!(a.series("lat").len(), 2);
-        assert_eq!(a.series("lat").mean(), 2.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! per-byte transmission time.
 //!
 //! This deliberately simple model preserves exactly what the protocol
-//! logic depends on (DESIGN.md §2): who hears a broadcast, that unicast
-//! to an out-of-range node silently fails (→ RERR path), that packets are
+//! logic depends on: who hears a broadcast, that unicast to an
+//! out-of-range node silently fails (→ RERR path), that packets are
 //! sometimes lost, and that bigger packets take longer — which is how the
 //! security overhead becomes a latency cost in E2.
 

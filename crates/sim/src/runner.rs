@@ -6,7 +6,6 @@
 //! data-parallel shape from the hpc-parallel guides — and aggregates per
 //! parameter point.
 
-use crate::metrics::Metrics;
 use rayon::prelude::*;
 
 /// Run `f` once per `(param, seed)` pair in parallel and return
@@ -27,19 +26,6 @@ where
             (p.clone(), results)
         })
         .collect()
-}
-
-/// Run `f` once per seed and merge all resulting [`Metrics`] into one.
-pub fn merged_metrics<F>(seeds: &[u64], f: F) -> Metrics
-where
-    F: Fn(u64) -> Metrics + Sync,
-{
-    let all: Vec<Metrics> = seeds.par_iter().map(|&s| f(s)).collect();
-    let mut out = Metrics::new();
-    for m in &all {
-        out.merge(m);
-    }
-    out
 }
 
 /// Mean of a per-seed scalar extracted by `f`, or `None` for an empty
@@ -69,21 +55,6 @@ mod tests {
         assert_eq!(out[0].0, 1);
         assert_eq!(out[0].1, vec![1010, 1020]);
         assert_eq!(out[2].1, vec![3010, 3020]);
-    }
-
-    #[test]
-    fn merged_metrics_sums_counters() {
-        let seeds = vec![1u64, 2, 3, 4];
-        let m = merged_metrics(&seeds, |s| {
-            let mut m = Metrics::new();
-            m.count("runs", 1);
-            m.count("seed_sum", s);
-            m.sample("x", s as f64);
-            m
-        });
-        assert_eq!(m.counter("runs"), 4);
-        assert_eq!(m.counter("seed_sum"), 10);
-        assert_eq!(m.series("x").len(), 4);
     }
 
     #[test]

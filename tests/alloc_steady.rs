@@ -4,8 +4,7 @@
 //! Installs the counting global allocator from `manet_sim::mem` and
 //! meters a warmed, static chain: after the first packets have
 //! discovered the route, every further round rides the cached route —
-//! arena-backed send buffers, interned addresses, recycled event
-//! slots — so allocator traffic per delivered payload must stay small
+//! arena-backed send buffers, recycled event slots — so allocator traffic per delivered payload must stay small
 //! and *flat*. A regression that puts a `Vec` clone or a fresh map back
 //! on the per-frame path multiplies the per-packet figure and trips the
 //! bound long before it would show up in S3's peak RSS.

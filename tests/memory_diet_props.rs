@@ -1,6 +1,5 @@
-//! Property gates for the memory diet (ROADMAP item 1): the
-//! arena/interned storage landed for scale must be *observationally
-//! invisible*.
+//! Property gates for the memory diet (ROADMAP item 1): the arena
+//! storage landed for scale must be *observationally invisible*.
 //!
 //! Two layers:
 //!
@@ -13,8 +12,7 @@
 //! * Whole-universe trace equality: the same seed must render the same
 //!   byte-exact trace stream and report fingerprint under
 //!   `ExecMode::Single` and `Sharded(1/4/8)`, for the plain stack
-//!   (arena route cache + interned maps + streaming stats off/on) and
-//!   the secure stack.
+//!   and the secure stack.
 
 use manet_secure::config::CreditConfig;
 use manet_secure::credit::CreditManager;
@@ -205,35 +203,32 @@ proptest! {
         }
     }
 
-    /// Same-seed plain universes are byte-identical across executors
-    /// and stat regimes: the interned/arena storage and the streaming
-    /// aggregate path must not perturb a single trace line.
+    /// Same-seed plain universes are byte-identical across executors:
+    /// the arena storage must not perturb a single trace line.
     #[test]
-    fn plain_trace_identical_across_executors_and_stat_modes(seed in 1u64..64) {
-        let render = |exec: ExecMode, per_node_stats: bool| {
+    fn plain_trace_identical_across_executors(seed in 1u64..64) {
+        let render = |exec: ExecMode| {
             let mut net = scale_family(16, seed)
                 .trace(true)
                 .exec(exec)
                 .plain()
-                .tune(|c| c.per_node_stats = per_node_stats)
                 .build();
             net.engine.run_until(SimTime(2_000_000));
             let flows = net.scale_flows(2);
             let report = net.run(&Workload::flows(flows, 2, SimDuration::from_millis(400)));
             (net.engine.tracer().render(), report.fingerprint())
         };
-        let base = render(ExecMode::Single, true);
+        let base = render(ExecMode::Single);
         for k in [1usize, 4, 8] {
-            prop_assert_eq!(&render(ExecMode::Sharded(k), true), &base);
+            prop_assert_eq!(&render(ExecMode::Sharded(k)), &base);
         }
-        prop_assert_eq!(&render(ExecMode::Single, false), &base);
     }
 }
 
 proptest! {
     // Secure universes pay RSA keygen per case; a handful of seeds
-    // with small keys still covers the interned bootstrap path under
-    // every executor.
+    // with small keys still covers the bootstrap path under every
+    // executor.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
