@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use manet_secure::scenario::{scale_family, Placement, ScenarioBuilder, Workload};
-use manet_sim::{ChannelMode, SimDuration, SimTime};
+use manet_sim::{SimDuration, SimTime};
 use std::hint::black_box;
 
 /// E5-shaped: full secure bootstrap of an n-host chain network.
@@ -67,47 +67,6 @@ fn bench_grid_bootstrap(c: &mut Criterion) {
     g.finish();
 }
 
-/// S1-shaped (scaled down): flooding route discovery over a uniform
-/// 400-node field, spatial-index channel vs linear receiver scan. The
-/// gap here is the whole point of the grid layer; it widens with n.
-fn bench_scale_channel(c: &mut Criterion) {
-    let mut g = c.benchmark_group("scale_channel");
-    g.sample_size(10);
-    for channel in [ChannelMode::Grid, ChannelMode::Linear] {
-        g.bench_function(format!("{channel:?}_400").to_lowercase(), |b| {
-            b.iter(|| {
-                let mut net = scale_family(400, 4).channel(channel).plain().build();
-                net.engine.run_until(SimTime(1_000_000));
-                let flows = net.scale_flows(4);
-                let report = net.run(&Workload::flows(flows, 2, SimDuration::from_millis(400)));
-                black_box(report.rx_frames)
-            });
-        });
-    }
-    g.finish();
-}
-
-/// S1-shaped (scaled down): the same flooding workload under the timer
-/// wheel vs the binary-heap oracle. The wheel's O(1) schedule/advance
-/// is the event core's headline; this pins the gap per commit.
-fn bench_scale_queue(c: &mut Criterion) {
-    use manet_sim::QueueImpl;
-    let mut g = c.benchmark_group("scale_queue");
-    g.sample_size(10);
-    for queue in [QueueImpl::Wheel, QueueImpl::Heap] {
-        g.bench_function(format!("{queue:?}_400").to_lowercase(), |b| {
-            b.iter(|| {
-                let mut net = scale_family(400, 4).queue(queue).plain().build();
-                net.engine.run_until(SimTime(1_000_000));
-                let flows = net.scale_flows(4);
-                let report = net.run(&Workload::flows(flows, 2, SimDuration::from_millis(400)));
-                black_box(report.rx_frames)
-            });
-        });
-    }
-    g.finish();
-}
-
 /// S1-shaped at full 2k-node scale: the same flooding workload under
 /// the single-threaded oracle vs the sharded executor. Both produce
 /// byte-identical universes (gated in `tests/determinism.rs`); this
@@ -139,8 +98,6 @@ criterion_group!(
     bench_bootstrap,
     bench_flow,
     bench_grid_bootstrap,
-    bench_scale_channel,
-    bench_scale_queue,
     bench_scale_shards
 );
 criterion_main!(benches);

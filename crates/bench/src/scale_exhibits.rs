@@ -2,19 +2,18 @@
 //!
 //! **S1**: a 2,000-node plain-DSR network (bootstrap route discovery +
 //! traffic under mobility and node-failure churn) run under both
-//! channel implementations. Impractical before the spatial-index
-//! channel (the linear receiver scan makes every flood O(n²)); plain
-//! DSR (no RSA, no DAD) keeps per-node cost flat, so the channel layer
-//! — not key generation — is what is measured. The exhibit reports the wall-clock ratio and doubles as a coarse
-//! channel-differential gate (the two runs must agree on every
+//! executors. Impractical before the spatial-grid channel (a linear
+//! receiver scan makes every flood O(n²)); plain DSR (no RSA, no DAD)
+//! keeps per-node cost flat, so the engine — not key generation — is
+//! what is measured. The exhibit doubles as a coarse executor
+//! differential gate (the two runs must agree on every
 //! machine-independent report field, or it panics).
 //!
 //! **S2**: the timer-wheel-era headline — 10,000 plain-DSR nodes
-//! driven through formation, churn, and cross-field flows, plus a
-//! secure variant (full CGA/DAD bootstrap storm; 1,000 hosts in full
-//! mode, 250 in quick) run under **both queue implementations** as the
-//! scale-level wheel-vs-heap differential gate, mirroring how S1 gates
-//! grid-vs-linear.
+//! driven through formation, churn, and cross-field flows under both
+//! executors, plus a secure variant (full CGA/DAD bootstrap storm;
+//! 1,000 hosts in full mode, 250 in quick) and a secure cell run with
+//! batched and inline verification as the scale-level batch gate.
 //!
 //! **S3**: the memory-diet exhibit — 100,000 plain-DSR nodes in quick
 //! mode (1,000,000 in full mode, the stretch cell), the S1 document's
@@ -29,10 +28,12 @@
 //! that document at another population ([`s2_sizes`], [`s3_sizes`]),
 //! the secure storm and the secure-scale cell have documents of their
 //! own. A document is its quick cell; `--full` is a handful of
-//! overrides, and a cell's differential knob (`scenario.channel`,
-//! `scenario.exec`, `scenario.queue`, `…proto.batch_verify`) is one
-//! more. `tables -- --check-perf` compares the quick cells' engine
-//! events/sec (and S3's peak RSS) against the committed baseline in
+//! overrides, and a cell's differential knob (`scenario.exec`,
+//! `…proto.batch_verify`) is one more. The timer wheel and the grid are
+//! the engine's only event store and channel, so no exhibit has a heap
+//! or linear-scan cell: their references are unit tests in `manet-sim`.
+//! `tables -- --check-perf` compares the quick cells' engine events/sec
+//! (and S3's peak RSS) against the committed baseline in
 //! `bench/baselines/`.
 
 use crate::documents::{S1, SECURE_SCALE, SECURE_STORM};
@@ -129,31 +130,23 @@ fn batch_verify(on: bool) -> [Override; 1] {
     [("scenario.stack.proto.batch_verify", Json::bool(on))]
 }
 
-/// S1: 2,000-node scale run, grid vs linear channel, single vs sharded
-/// executor.
+/// S1: 2,000-node scale run, single vs sharded executor.
 pub fn exhibit_s1(quick: bool) -> String {
     let sizes = s1_sizes(quick);
     let grid = cell(S1, &sizes, &[]);
     let n = grid.hosts;
     let grid = grid.report;
-    let linear = cell(S1, &sizes, &[("scenario.channel", Json::str("linear"))]).report;
     let sharded = cell(S1, &sizes, &sharded_exec()).report;
 
-    // Differential gates: same seed ⇒ identical simulation universe,
+    // Differential gate: same seed ⇒ identical simulation universe,
     // down to every machine-independent field of the report — whichever
-    // channel indexes receivers and whichever executor runs the loop.
-    assert_eq!(
-        grid.fingerprint(),
-        linear.fingerprint(),
-        "grid and linear channels diverged — determinism invariant broken"
-    );
+    // executor runs the loop.
     assert_eq!(
         grid.fingerprint(),
         sharded.fingerprint(),
         "sharded and single executors diverged — determinism invariant broken"
     );
 
-    let ratio = linear.wall_s / grid.wall_s;
     let shard_speedup = grid.events_per_sec_engine / sharded.events_per_sec_engine.max(1.0);
     let mut t = Table::new(
         format!(
@@ -170,11 +163,7 @@ pub fn exhibit_s1(quick: bool) -> String {
             "mean degree",
         ],
     );
-    for (name, r) in [
-        ("grid/single", &grid),
-        ("linear/single", &linear),
-        ("grid/sharded:8", &sharded),
-    ] {
+    for (name, r) in [("grid/single", &grid), ("grid/sharded:8", &sharded)] {
         t.rowv(vec![
             name.to_string(),
             format!("{:.2}", r.wall_s),
@@ -185,9 +174,7 @@ pub fn exhibit_s1(quick: bool) -> String {
             format!("{:.1}", r.mean_degree.unwrap_or(f64::NAN)),
         ]);
     }
-    t.note(format!(
-        "identical observables under both channels and both executors (differential gates); linear/grid wall ratio {ratio:.2}×"
-    ));
+    t.note("identical observables under both executors (differential gate)");
     t.note(format!(
         "single/sharded engine-rate ratio {shard_speedup:.2}× (sharded:8 on {} core(s))",
         std::thread::available_parallelism().map_or(1, |c| c.get()),
@@ -200,8 +187,8 @@ pub fn exhibit_s1(quick: bool) -> String {
 }
 
 /// S2: 10,000-node plain run under both executors (the scale-level
-/// sharded-vs-single gate) plus the secure bootstrap storm under both
-/// queue implementations (the scale-level wheel-vs-heap gate).
+/// sharded-vs-single gate), the secure bootstrap storm, and the secure
+/// cell batched vs inline (the scale-level batch gate).
 pub fn exhibit_s2(quick: bool) -> String {
     let sizes = s2_sizes(quick);
     let plain = cell(S1, &sizes, &[]);
@@ -210,35 +197,21 @@ pub fn exhibit_s2(quick: bool) -> String {
     let plain_sharded = cell(S1, &sizes, &sharded_exec()).report;
 
     let sizes = storm_sizes(quick);
-    let wheel = cell(SECURE_STORM, &sizes, &[]);
-    let heap = cell(
-        SECURE_STORM,
-        &sizes,
-        &[("scenario.queue", Json::str("heap"))],
-    );
-    let (sec_wheel, sec_heap) = (&wheel.report, &heap.report);
+    let storm = cell(SECURE_STORM, &sizes, &[]);
 
     let sizes = secure_scale_sizes(quick);
     let sec_batched = cell(SECURE_SCALE, &sizes, &batch_verify(true));
     let sec_inline = cell(SECURE_SCALE, &sizes, &batch_verify(false));
 
-    // Differential gates: the executor and the pending-event store are
-    // scheduling machinery, not model changes — the 10k plain run must
-    // be one universe under both executors, and the secure storm
-    // (timer-heavy DAD, staggered joins, signature checks) one universe
-    // under both queues.
+    // Differential gate: the executor is scheduling machinery, not a
+    // model change — the 10k plain run must be one universe under both.
     assert_eq!(
         plain.fingerprint(),
         plain_sharded.fingerprint(),
         "sharded and single executors diverged at 10k — determinism invariant broken"
     );
-    assert_eq!(
-        sec_wheel.fingerprint(),
-        sec_heap.fingerprint(),
-        "wheel and heap queues diverged — event-order invariant broken"
-    );
     assert!(
-        wheel.all_ready && heap.all_ready,
+        storm.all_ready,
         "secure storm left hosts unjoined — scenario shape broken"
     );
     // The batch-verification gate at scale: deferring and deduping
@@ -260,8 +233,7 @@ pub fn exhibit_s2(quick: bool) -> String {
         sec_batched.batch.requests
     );
 
-    let (n_sec, n_scale) = (wheel.hosts, sec_batched.hosts);
-    let ratio = sec_heap.wall_s / sec_wheel.wall_s;
+    let (n_sec, n_scale) = (storm.hosts, sec_batched.hosts);
     let mut t = Table::new(
         format!(
             "S2 — scale: {n_plain} plain-DSR nodes + secure {n_sec}-host DAD storm ({} mode)",
@@ -288,8 +260,7 @@ pub fn exhibit_s2(quick: bool) -> String {
             "wheel",
             &plain_sharded,
         ),
-        (format!("secure {n_sec}"), "wheel", sec_wheel),
-        (format!("secure {n_sec}"), "heap", sec_heap),
+        (format!("secure {n_sec}"), "wheel", &storm.report),
         (
             format!("secure {n_scale} batched"),
             "wheel",
@@ -311,9 +282,6 @@ pub fn exhibit_s2(quick: bool) -> String {
             delivery_cell(r),
         ]);
     }
-    t.note(format!(
-        "identical secure universes under both queues (differential gate); heap/wheel wall ratio {ratio:.2}×"
-    ));
     t.note(format!(
         "plain cell: {} of {} killed mid-run, mean degree {:.1}; secure cell: all {} hosts completed DAD",
         plain.nodes_killed,
@@ -410,7 +378,7 @@ mod tests {
         field_for_density, scale_family, Placement, ScenarioBuilder, Workload,
     };
     use manet_secure::ProtocolConfig;
-    use manet_sim::{ExecMode, QueueImpl, RadioConfig, SimDuration, SimTime};
+    use manet_sim::{ExecMode, RadioConfig, SimDuration, SimTime};
 
     /// The full S1 is exercised by the exhibit smoke test; here just the
     /// shape helpers.
@@ -513,29 +481,18 @@ mod tests {
     }
 
     #[test]
-    fn s2_secure_storm_is_identical_under_both_queues_at_tiny_scale() {
-        // The full gate runs inside exhibit_s2; pin a miniature version
-        // here so `cargo test` exercises the wheel-vs-heap secure
-        // differential without the exhibit's wall cost — and that the
-        // document is the builder chain it replaced, under each queue.
-        let run = |queue: QueueImpl| {
-            let mut net = storm_chain(8, 10.0, 5)
-                .queue(queue)
-                .secure_with(storm_proto())
-                .join_stagger(SimDuration::from_millis(20))
-                .build();
-            let chain = net.run(&Workload::bootstrap_storm());
-            let doc = cell(
-                SECURE_STORM,
-                &tiny_storm(),
-                &[("scenario.queue", Json::str(queue.name()))],
-            );
-            assert_eq!(doc.all_ready, net.all_ready());
-            assert_eq!(doc.report.queue_impl, queue.name());
-            assert_eq!(doc.report.fingerprint(), chain.fingerprint(), "{queue:?}");
-            chain.fingerprint()
-        };
-        assert_eq!(run(QueueImpl::Wheel), run(QueueImpl::Heap));
+    fn s2_secure_storm_document_is_the_builder_chain_at_tiny_scale() {
+        // The storm runs inside exhibit_s2; pin a miniature version here
+        // so `cargo test` checks that the document is the builder chain
+        // it replaced without the exhibit's wall cost.
+        let mut net = storm_chain(8, 10.0, 5)
+            .secure_with(storm_proto())
+            .join_stagger(SimDuration::from_millis(20))
+            .build();
+        let chain = net.run(&Workload::bootstrap_storm());
+        let doc = cell(SECURE_STORM, &tiny_storm(), &[]);
+        assert_eq!(doc.all_ready, net.all_ready());
+        assert_eq!(doc.report.fingerprint(), chain.fingerprint());
     }
 
     #[test]

@@ -33,9 +33,7 @@ use crate::scenario::{
     Network, NodeApi, Placement, PlainBuilder, RunReport, ScenarioBuilder, SecureBuilder, Workload,
 };
 use manet_crypto::BackendKind;
-use manet_sim::{
-    ChannelMode, ExecMode, Field, Mobility, Pos, QueueImpl, RadioConfig, SimDuration, SimTime,
-};
+use manet_sim::{ExecMode, Field, Mobility, Pos, RadioConfig, SimDuration, SimTime};
 use manet_wire::{DomainName, Ipv6Addr};
 use std::fmt;
 
@@ -363,23 +361,6 @@ trait Named: Copy + 'static {
     fn name(self) -> &'static str;
 }
 
-impl Named for ChannelMode {
-    const ALL: &'static [Self] = &[ChannelMode::Grid, ChannelMode::Linear];
-    fn name(self) -> &'static str {
-        match self {
-            ChannelMode::Grid => "grid",
-            ChannelMode::Linear => "linear",
-        }
-    }
-}
-
-impl Named for QueueImpl {
-    const ALL: &'static [Self] = &[QueueImpl::Wheel, QueueImpl::Heap];
-    fn name(self) -> &'static str {
-        QueueImpl::name(self)
-    }
-}
-
 impl Named for BackendKind {
     const ALL: &'static [Self] = &BackendKind::ALL;
     fn name(self) -> &'static str {
@@ -440,8 +421,6 @@ macro_rules! knob {
 const SCENARIO: &[Knob<ScenarioBuilder>] = &[
     knob!("hosts", n_hosts, AT_LEAST_ONE),
     knob!("seed", seed),
-    knob!("channel", channel),
-    knob!("queue", queue),
     knob!("exec", exec),
     knob!("trace", trace),
     knob!("max_events", max_events),
@@ -846,17 +825,15 @@ impl ScenarioSpec {
             }
             _ => {}
         }
-        if base.channel == ChannelMode::Grid {
-            let (field, cell) = (base.resolved_field(), base.radio.max_range());
-            let cells = (field.width / cell).ceil() * (field.height / cell).ceil();
-            if cells > MAX_GRID_CELLS {
-                let msg = format!(
-                    "a {:.0} m × {:.0} m field at radio range {cell} m needs {cells:.0} grid \
-                     cells, more than the {MAX_GRID_CELLS} cap",
-                    field.width, field.height
-                );
-                return Err(SpecError::at("scenario.field", line, msg));
-            }
+        let (field, cell) = (base.resolved_field(), base.radio.max_range());
+        let cells = (field.width / cell).ceil() * (field.height / cell).ceil();
+        if cells > MAX_GRID_CELLS {
+            let msg = format!(
+                "a {:.0} m × {:.0} m field at radio range {cell} m needs {cells:.0} grid \
+                 cells, more than the {MAX_GRID_CELLS} cap",
+                field.width, field.height
+            );
+            return Err(SpecError::at("scenario.field", line, msg));
         }
         Ok(())
     }
@@ -1289,6 +1266,19 @@ mod tests {
     }
 
     #[test]
+    fn the_deleted_oracle_knobs_are_unknown_keys_reported_with_their_line() {
+        for (key, value) in [
+            (concat!("que", "ue"), "heap"),
+            (concat!("chan", "nel"), "linear"),
+        ] {
+            let doc = format!("{{\"scenario\": {{\n \"hosts\": 4,\n \"{key}\": \"{value}\"}}}}");
+            let e = ScenarioSpec::parse(&doc).unwrap_err();
+            assert_eq!((e.path.as_str(), e.line), ("scenario", 3), "{e}");
+            assert!(e.msg.contains(&format!("unknown key \"{key}\"")), "{e}");
+        }
+    }
+
+    #[test]
     fn wrong_types_and_ranges_are_diagnosed() {
         let e = ScenarioSpec::parse(r#"{"scenario": {"hosts": "eight"}}"#).unwrap_err();
         assert_eq!(e.path, "scenario.hosts");
@@ -1405,9 +1395,6 @@ mod tests {
             assert_eq!(e.path, path, "{doc}: {e}");
             assert_eq!(e.line, 1, "{doc}: {e}");
         }
-        // The linear channel builds no grid, so the same field is fine.
-        let linear = scenario(r#""hosts": 2000, "field": {"density": 1e-6}, "channel": "linear""#);
-        ScenarioSpec::parse(&linear).unwrap();
     }
 
     #[test]
@@ -1418,7 +1405,7 @@ mod tests {
                 "placement": {"kind": "bypass"},
                 "radio": {"loss": 0.02, "gray_zone": 300.0},
                 "mobility": {"kind": "random_waypoint", "min_speed": 0.5, "max_speed": 2.0, "pause_s": 1.0},
-                "queue": "heap", "exec": "sharded:4",
+                "exec": "sharded:4",
                 "churn": {"kills": 1, "window_s": [3.0, 8.0]},
                 "adversaries": [{"host": 1, "behavior": {"forge_rrep": true}}],
                 "stack": {"kind": "secure", "join_stagger_ms": 900.0,
@@ -1491,7 +1478,7 @@ mod tests {
                     _ => 0.0,
                 };
                 let numbers = [n + 1.0, n - 1.0, n * 2.0, n + 0.5].map(Json::num);
-                let strings = ["linear", "heap", "hashsig", "rsa", "single"].map(Json::str);
+                let strings = ["hashsig", "rsa", "single"].map(Json::str);
                 let others = [
                     Json::bool(true),
                     Json::bool(false),

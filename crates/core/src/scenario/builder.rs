@@ -2,7 +2,7 @@
 //! constructing networks.
 //!
 //! [`ScenarioBuilder`] carries everything stack-independent (topology,
-//! radio, mobility, churn, adversaries, seed, tracing, channel);
+//! radio, mobility, churn, adversaries, seed, tracing, executor);
 //! selecting a stack with [`ScenarioBuilder::secure`] or
 //! [`ScenarioBuilder::plain`] moves to a typed second stage that only
 //! offers the knobs that stack actually has (join staggering and name
@@ -23,8 +23,7 @@ use crate::node::SecureNode;
 use crate::plain::{PlainConfig, PlainDsrNode};
 use manet_crypto::{backend_for, BackendKind, BatchVerifier};
 use manet_sim::{
-    ChannelMode, Engine, EngineConfig, ExecMode, Field, Mobility, QueueImpl, RadioConfig,
-    SimDuration, SimTime,
+    Engine, EngineConfig, ExecMode, Field, Mobility, RadioConfig, SimDuration, SimTime,
 };
 use manet_wire::DomainName;
 use rayon::prelude::*;
@@ -56,7 +55,7 @@ pub fn field_for_density(n: usize, range: f64, target: f64) -> Field {
 /// deterministic random times in the 4–10 s window. One definition so
 /// the exhibit, the benches, and the smoke tests measure the same
 /// scenario; finish with `.plain()`/`.secure…` after any overrides
-/// (channel, churn count, …).
+/// (executor, churn count, …).
 pub fn scale_family(n: usize, seed: u64) -> ScenarioBuilder {
     ScenarioBuilder::new()
         .hosts(n)
@@ -95,8 +94,6 @@ pub struct ScenarioBuilder {
     pub(crate) mobility: Mobility,
     pub(crate) seed: u64,
     pub(crate) trace: bool,
-    pub(crate) channel: ChannelMode,
-    pub(crate) queue: QueueImpl,
     /// `None` defers to `ExecMode::default()` (the `MANET_EXEC` knob)
     /// at build time.
     pub(crate) exec: Option<ExecMode>,
@@ -121,8 +118,6 @@ impl Default for ScenarioBuilder {
             mobility: Mobility::Static,
             seed: 1,
             trace: false,
-            channel: ChannelMode::Grid,
-            queue: QueueImpl::Wheel,
             exec: None,
             attackers: Vec::new(),
             churn_kills: 0,
@@ -177,20 +172,6 @@ impl ScenarioBuilder {
 
     pub fn trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Receiver lookup strategy; `Grid` unless a differential test or
-    /// baseline measurement wants the linear scan.
-    pub fn channel(mut self, channel: ChannelMode) -> Self {
-        self.channel = channel;
-        self
-    }
-
-    /// Pending-event store; `Wheel` unless a differential test or
-    /// baseline measurement wants the binary-heap oracle.
-    pub fn queue(mut self, queue: QueueImpl) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -275,8 +256,6 @@ impl ScenarioBuilder {
             radio: self.radio.clone(),
             seed: self.seed,
             trace: self.trace,
-            channel: self.channel,
-            queue: self.queue,
             exec: self.exec.unwrap_or_default(),
             max_events: self.max_events.unwrap_or(defaults.max_events),
             ..defaults

@@ -248,7 +248,6 @@ impl<P: NodeApi> Network<P> {
             } else {
                 0.0
             },
-            queue_impl: self.engine.queue_impl().name(),
             exec_mode: self.engine.exec_mode().name(),
             shards: self.engine.exec_mode().shard_count(),
             tx_bytes: m.counter("ctl.tx_bytes"),

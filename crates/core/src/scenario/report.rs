@@ -77,11 +77,6 @@ pub struct RunReport {
     /// gate compares across commits. Wall-derived, masked by
     /// [`RunReport::fingerprint`].
     pub events_per_sec_engine: f64,
-    /// Which pending-event store produced this run (`"wheel"` /
-    /// `"heap"`). A configuration echo, not an observable — masked by
-    /// [`RunReport::fingerprint`] so wheel-vs-heap differentials can
-    /// compare whole reports.
-    pub queue_impl: &'static str,
     /// Which executor produced this run (`"single"` / `"sharded"`).
     /// Config echo, masked by [`RunReport::fingerprint`] so
     /// sharded-vs-single differentials can compare whole reports.
@@ -207,7 +202,6 @@ pub(crate) const FIELDS: &[ReportField] = &[
         Float,
         Machine
     ),
-    field!("queue_impl", queue_impl, Str, Machine),
     field!("exec_mode", exec_mode, Str, Machine),
     ReportField {
         key: "shards",
@@ -307,7 +301,6 @@ mod tests {
             wall_s: 0.123,
             events_per_sec: 10032.5,
             events_per_sec_engine: 20065.0,
-            queue_impl: "wheel",
             exec_mode: "single",
             shards: 1,
             tx_bytes: 9000,
@@ -326,10 +319,8 @@ mod tests {
         b.wall_s = 99.0;
         b.events_per_sec = 1.0;
         b.events_per_sec_engine = 2.0;
-        // The queue/exec choices are config, not observables:
-        // wheel-vs-heap and sharded-vs-single differentials compare
-        // fingerprints directly.
-        b.queue_impl = "heap";
+        // The executor is config, not an observable: sharded-vs-single
+        // differentials compare fingerprints directly.
         b.exec_mode = "sharded";
         b.shards = 8;
         // Memory observables are machine/allocator-dependent.
@@ -366,7 +357,6 @@ mod tests {
         assert!(j.contains("\"totals\": {\"data_sent\": 16"), "{j}");
         assert!(j.contains("\"collisions_detected\": 0}"), "{j}");
         assert!(j.contains("\"events_per_sec_engine\": 20065"), "{j}");
-        assert!(j.contains("\"queue_impl\": \"wheel\""), "{j}");
         assert!(j.contains("\"exec_mode\": \"single\""), "{j}");
         assert!(j.contains("\"shards\": 1"), "{j}");
         assert!(j.contains("\"peak_rss_bytes\": 67108864"), "{j}");

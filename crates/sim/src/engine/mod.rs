@@ -75,16 +75,20 @@
 //!
 //! ## Channel & spatial index
 //!
-//! Receiver lookup is either a uniform spatial grid with cell size
-//! `radio.max_range()` ([`ChannelMode::Grid`], the default, O(density)
-//! per broadcast) or the original linear scan kept as the differential
-//! oracle ([`ChannelMode::Linear`]). Candidates are always visited in
-//! ascending [`NodeId`] order with liveness/range filters ahead of any
-//! RNG draw, so same-seed runs are bit-identical under either mode.
+//! Receiver lookup is a uniform spatial grid with cell size
+//! `radio.max_range()`, O(density) per broadcast. Candidates are always
+//! visited in ascending [`NodeId`] order with liveness/range filters
+//! ahead of any RNG draw, so a one-cell grid — the linear scan — yields
+//! the same universe under the same seed (the unit tests' oracle).
+//!
+//! ## Event store
+//!
+//! Every queue the engine pops — each shard's and the barrier's — is a
+//! [`crate::wheel::TimerWheel`]; the only binary heap is a shard's
+//! in-window store, which is also the reference the wheel is tested
+//! against.
 
 pub use crate::ctx::{Ctx, LinkDst, NodeId, Protocol, TimerHandle};
-pub use crate::link::ChannelMode;
-pub use crate::queue::QueueImpl;
 
 mod shard;
 mod sharded;
@@ -95,10 +99,11 @@ use crate::grid::SpatialGrid;
 use crate::link::LinkEnv;
 use crate::metrics::Metrics;
 use crate::mobility::{Mobility, MobilityState};
-use crate::queue::{Event, PendingQueue};
+use crate::queue::Event;
 use crate::radio::RadioConfig;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Tracer;
+use crate::wheel::TimerWheel;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use shard::{Shard, Sink};
@@ -187,12 +192,6 @@ pub struct EngineConfig {
     pub trace: bool,
     /// Hard cap on processed events (runaway guard).
     pub max_events: u64,
-    /// Receiver lookup strategy (see the module docs); `Grid` unless a
-    /// differential test or baseline measurement asks for `Linear`.
-    pub channel: ChannelMode,
-    /// Pending-event store; `Wheel` unless a differential test or
-    /// baseline measurement asks for the `Heap` oracle.
-    pub queue: QueueImpl,
     /// Executor (see the module docs); `Single` unless set here, via
     /// [`crate::runner`]-level builders, or the `MANET_EXEC` env knob.
     pub exec: ExecMode,
@@ -207,8 +206,6 @@ impl Default for EngineConfig {
             seed: 1,
             trace: false,
             max_events: 50_000_000,
-            channel: ChannelMode::Grid,
-            queue: QueueImpl::Wheel,
             exec: ExecMode::default(),
         }
     }
@@ -220,7 +217,7 @@ pub struct Engine {
     shards: Vec<Shard>,
     /// Kill / mobility-tick events (global effects) in sharded mode;
     /// unused under `Single`, where everything lives in shard 0's queue.
-    barrier: PendingQueue,
+    barrier: TimerWheel,
     /// Global node id → owner shard.
     owner: Vec<u32>,
     /// Global node id → index into the owner shard's `nodes` slab.
@@ -236,9 +233,8 @@ pub struct Engine {
     rng: ChaCha12Rng,
     metrics: Metrics,
     tracer: Tracer,
-    /// `None` in [`ChannelMode::Linear`] — the index is then neither
-    /// maintained nor queried.
-    pub(crate) grid: Option<SpatialGrid>,
+    /// Receiver index: positions of the live nodes.
+    pub(crate) grid: SpatialGrid,
     events_processed: u64,
     /// Every tick (Single) or parallel window (Sharded) runs as
     /// collect → dispatch: the events due now are buffered, then
@@ -268,13 +264,10 @@ impl Engine {
                 "sharded execution requires a positive base_delay (the lookahead)"
             );
         }
-        let grid = match cfg.channel {
-            ChannelMode::Grid => Some(SpatialGrid::new(&cfg.field, cfg.radio.max_range())),
-            ChannelMode::Linear => None,
-        };
+        let grid = SpatialGrid::new(&cfg.field, cfg.radio.max_range());
         Engine {
-            shards: (0..k).map(|_| Shard::new(cfg.queue, cfg.trace)).collect(),
-            barrier: PendingQueue::new(cfg.queue),
+            shards: (0..k).map(|_| Shard::new(cfg.trace)).collect(),
+            barrier: TimerWheel::new(),
             rng: ChaCha12Rng::seed_from_u64(cfg.seed),
             tracer: Tracer::new(cfg.trace),
             cfg,
@@ -353,9 +346,7 @@ impl Engine {
             join_at,
             alive: true,
         });
-        if let Some(grid) = &mut self.grid {
-            grid.insert(id, &pos);
-        }
+        self.grid.insert(id, &pos);
         self.push_event(join_at, Event::Start(id));
         id
     }
@@ -383,9 +374,7 @@ impl Engine {
     pub fn set_position(&mut self, node: NodeId, pos: Pos) {
         let pos = self.cfg.field.clamp(pos);
         self.hot[node.0].pos = pos;
-        if let Some(grid) = &mut self.grid {
-            grid.relocate(node, &pos);
-        }
+        self.grid.relocate(node, &pos);
     }
 
     /// Is the node alive?
@@ -413,11 +402,6 @@ impl Engine {
         self.busy.as_secs_f64()
     }
 
-    /// Which pending-event store this engine runs on.
-    pub fn queue_impl(&self) -> QueueImpl {
-        self.cfg.queue
-    }
-
     /// Which executor this engine runs on.
     pub fn exec_mode(&self) -> ExecMode {
         self.cfg.exec
@@ -428,7 +412,7 @@ impl Engine {
         LinkEnv {
             radio: &self.cfg.radio,
             hot: &self.hot,
-            grid: self.grid.as_ref(),
+            grid: &self.grid,
         }
     }
 
@@ -525,7 +509,7 @@ impl Engine {
         let env = LinkEnv {
             radio: &self.cfg.radio,
             hot: &self.hot,
-            grid: self.grid.as_ref(),
+            grid: &self.grid,
         };
         let sink = Sink::Direct {
             metrics: &mut self.metrics,
@@ -564,9 +548,7 @@ impl Engine {
                         let before = hot.pos;
                         nodes.mobility[li].step(&mut hot.pos, &field, dt, &mut nodes.rngs[li]);
                         if hot.pos != before {
-                            if let Some(grid) = &mut self.grid {
-                                grid.relocate(NodeId(i), &hot.pos);
-                            }
+                            self.grid.relocate(NodeId(i), &hot.pos);
                         }
                     }
                 }
@@ -575,9 +557,7 @@ impl Engine {
             }
             Event::Kill(id) => {
                 self.hot[id.0].alive = false;
-                if let Some(grid) = &mut self.grid {
-                    grid.remove(id);
-                }
+                self.grid.remove(id);
                 self.metrics.count("sim.nodes_killed", 1);
             }
             _ => unreachable!("node-owned events were dispatched on their shard"),

@@ -13,9 +13,10 @@ use crate::ctx::{Ctx, CtxOut, NodeId, Protocol};
 use crate::link::{transmit_into, LinkEnv};
 use crate::metrics::Metrics;
 use crate::mobility::MobilityState;
-use crate::queue::{Event, PendingQueue, QueueImpl, TimerTable};
+use crate::queue::{Event, EventQueue, TimerTable};
 use crate::time::SimTime;
 use crate::trace::Tracer;
+use crate::wheel::TimerWheel;
 use rand_chacha::ChaCha12Rng;
 
 /// Cold per-node state: touched once per dispatched callback (protocol)
@@ -138,12 +139,12 @@ impl Sink<'_> {
 /// whose initial position falls in its field band, plus the window logs
 /// and scratch buffers its worker thread uses.
 pub(super) struct Shard {
-    pub(super) queue: PendingQueue,
+    pub(super) queue: TimerWheel,
     /// Timers set inside a window to fire inside it, keyed by
-    /// provisional sequence; empty between windows. A cursor-free heap
-    /// whatever `queue` is: `collect` has already moved a wheel's
-    /// cursor to the window's last tick, past where these land.
-    pub(super) in_window: PendingQueue,
+    /// provisional sequence; empty between windows. A cursor-free heap:
+    /// `collect` has already moved the wheel's cursor to the window's
+    /// last tick, past where these land.
+    pub(super) in_window: EventQueue,
     pub(super) timers: TimerTable,
     pub(super) nodes: NodeSlab,
     /// Order-insensitive counters accumulated during windows, folded
@@ -170,10 +171,10 @@ pub(super) struct Shard {
 }
 
 impl Shard {
-    pub(super) fn new(queue: QueueImpl, trace: bool) -> Self {
+    pub(super) fn new(trace: bool) -> Self {
         Shard {
-            queue: PendingQueue::new(queue),
-            in_window: PendingQueue::new(QueueImpl::Heap),
+            queue: TimerWheel::new(),
+            in_window: EventQueue::new(),
             timers: TimerTable::new(),
             nodes: NodeSlab::default(),
             metrics: Metrics::new(),

@@ -8,15 +8,9 @@
 use super::shard::{PushOp, Rec, Shard, Sink, WindowLog, PROV_BIT};
 use super::Engine;
 use crate::link::LinkEnv;
-use crate::queue::{Event, PendingQueue};
 use crate::time::SimTime;
 use crate::trace::TraceEvent;
 use rayon::prelude::*;
-
-/// Pop the event a `peek_due(until)` on the same queue just reported.
-fn pop_peeked(queue: &mut PendingQueue, until: SimTime) -> (SimTime, u64, Event) {
-    queue.pop_due_seq(until).expect("peeked")
-}
 
 impl Shard {
     /// Dispatch the window `collect` buffered, `[window start, w_last]`
@@ -37,7 +31,7 @@ impl Shard {
             let (time, seq, ev) = match self.in_window.peek_due(w_last) {
                 Some(key) if next.is_none_or(|n| key < n) => {
                     self.pops += 1;
-                    pop_peeked(&mut self.in_window, w_last)
+                    self.in_window.pop_due_seq(w_last).expect("peeked")
                 }
                 _ => match buffered.next() {
                     Some(event) => event,
@@ -112,7 +106,7 @@ impl Engine {
             let env = LinkEnv {
                 radio: &self.cfg.radio,
                 hot: &self.hot,
-                grid: self.grid.as_ref(),
+                grid: &self.grid,
             };
             let local = &self.local[..];
             match self.tick_hook.as_mut() {
@@ -154,7 +148,7 @@ impl Engine {
                 None => &mut self.barrier,
                 Some(i) => &mut self.shards[i].queue,
             };
-            let (time, seq, event) = pop_peeked(queue, t);
+            let (time, seq, event) = queue.pop_due_seq(t).expect("peeked");
             // Everything before `t` belonged to an earlier window.
             assert!(
                 time == t,

@@ -88,26 +88,39 @@ impl Protocol for Echo {
 }
 
 fn engine() -> Engine {
-    engine_with(ChannelMode::Grid)
+    engine_with(false)
 }
 
-fn engine_with(channel: ChannelMode) -> Engine {
-    Engine::new(EngineConfig {
-        radio: RadioConfig {
-            range: 150.0,
-            loss: 0.0,
-            ..RadioConfig::default()
-        },
-        channel,
-        exec: ExecMode::Single,
-        ..EngineConfig::default()
-    })
+fn engine_with(one_cell: bool) -> Engine {
+    with_channel(
+        Engine::new(EngineConfig {
+            radio: RadioConfig {
+                range: 150.0,
+                loss: 0.0,
+                ..RadioConfig::default()
+            },
+            exec: ExecMode::Single,
+            ..EngineConfig::default()
+        }),
+        one_cell,
+    )
+}
+
+/// The channel oracle: with `one_cell`, a grid whose single cell holds
+/// every node, so each broadcast visits every live node in `NodeId`
+/// order — the linear scan, through the same code. Call before the
+/// first `add_node`.
+fn with_channel(mut e: Engine, one_cell: bool) -> Engine {
+    if one_cell {
+        e.grid = SpatialGrid::new(&e.cfg.field, f64::INFINITY);
+    }
+    e
 }
 
 #[test]
 fn broadcast_reaches_only_in_range_nodes() {
-    for channel in [ChannelMode::Grid, ChannelMode::Linear] {
-        let mut e = engine_with(channel);
+    for one_cell in [false, true] {
+        let mut e = engine_with(one_cell);
         let mut sender = Echo::new();
         sender.start_broadcast = Some(vec![1, 2, 3]);
         let _a = e.add_node(Box::new(sender), Pos::new(0.0, 0.0), Mobility::Static);
@@ -122,9 +135,16 @@ fn broadcast_reaches_only_in_range_nodes() {
             Mobility::Static,
         );
         e.run_until(SimTime(1_000_000));
-        assert_eq!(e.protocol_as::<Echo>(b).frames.len(), 1, "{channel:?}");
+        assert_eq!(
+            e.protocol_as::<Echo>(b).frames.len(),
+            1,
+            "one_cell={one_cell}"
+        );
         assert_eq!(e.protocol_as::<Echo>(b).frames[0].1, vec![1, 2, 3]);
-        assert!(e.protocol_as::<Echo>(c).frames.is_empty(), "{channel:?}");
+        assert!(
+            e.protocol_as::<Echo>(c).frames.is_empty(),
+            "one_cell={one_cell}"
+        );
     }
 }
 
@@ -272,8 +292,8 @@ fn staggered_join_delays_start() {
     assert_eq!(e.protocol_as::<Echo>(b).frames.len(), 1);
 }
 
-fn lossy_mobile_run(seed: u64, channel: ChannelMode, exec: ExecMode) -> (u64, u64, Vec<u64>) {
-    lossy_mobile_run_hooked(seed, channel, exec, false)
+fn lossy_mobile_run(seed: u64, one_cell: bool, exec: ExecMode) -> (u64, u64, Vec<u64>) {
+    lossy_mobile_run_hooked(seed, one_cell, exec, false)
         .0
         .summary
 }
@@ -291,23 +311,23 @@ struct Observed {
 
 fn lossy_mobile_run_hooked(
     seed: u64,
-    channel: ChannelMode,
+    one_cell: bool,
     exec: ExecMode,
     hook: bool,
 ) -> (Observed, u64, u64) {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    let mut e = Engine::new(EngineConfig {
+    let config = EngineConfig {
         seed,
         radio: RadioConfig {
             loss: 0.3,
             ..RadioConfig::default()
         },
         trace: true,
-        channel,
         exec,
         ..EngineConfig::default()
-    });
+    };
+    let mut e = with_channel(Engine::new(config), one_cell);
     let hook_calls = Arc::new(AtomicU64::new(0));
     if hook {
         let calls = Arc::clone(&hook_calls);
@@ -356,7 +376,7 @@ fn lossy_mobile_run_hooked(
 
 #[test]
 fn determinism_same_seed_same_metrics() {
-    let run = |seed| lossy_mobile_run(seed, ChannelMode::Grid, ExecMode::Single);
+    let run = |seed| lossy_mobile_run(seed, false, ExecMode::Single);
     assert_eq!(run(7), run(7), "same seed must reproduce exactly");
     assert_ne!(run(7).1, run(8).1, "different seeds should diverge");
 }
@@ -365,14 +385,106 @@ fn determinism_same_seed_same_metrics() {
 fn grid_and_linear_channels_are_bit_identical() {
     // Same seed, mobile and lossy: every RNG draw (loss, delay,
     // waypoints) must land identically whichever channel indexes the
-    // receivers. This is the engine-level differential gate; the
-    // scenario-level one lives in tests/determinism.rs.
+    // receivers: the grid against its one-cell oracle.
     for seed in [7, 8, 9] {
         assert_eq!(
-            lossy_mobile_run(seed, ChannelMode::Grid, ExecMode::Single),
-            lossy_mobile_run(seed, ChannelMode::Linear, ExecMode::Single),
-            "channel modes diverged at seed {seed}"
+            lossy_mobile_run(seed, false, ExecMode::Single),
+            lossy_mobile_run(seed, true, ExecMode::Single),
+            "grid and one-cell channels diverged at seed {seed}"
         );
+    }
+}
+
+/// Each node's received frames, in node order.
+type RxLog = Vec<Vec<(NodeId, Vec<u8>)>>;
+
+/// Per-node received frames, every channel counter, and the rendered
+/// trace (receive times included) after each node of a random field —
+/// some snapped onto exact cell boundaries, some mobile — broadcasts
+/// once over a lossy, jittered, optionally gray-zone radio.
+fn broadcast_round(
+    one_cell: bool,
+    raw: &[(f64, f64, bool, bool)],
+    radio: &RadioConfig,
+    seed: u64,
+) -> (RxLog, Vec<u64>, String) {
+    const FIELD: f64 = 1000.0;
+    let config = EngineConfig {
+        field: Field::new(FIELD, FIELD),
+        radio: radio.clone(),
+        seed,
+        trace: true,
+        exec: ExecMode::Single,
+        ..EngineConfig::default()
+    };
+    let mut e = with_channel(Engine::new(config), one_cell);
+    let cell = radio.max_range();
+    let ids: Vec<NodeId> = raw
+        .iter()
+        .map(|&(fx, fy, snap, mobile)| {
+            let at = |f: f64| match snap {
+                // Exactly k cell widths: lands on a bucket boundary.
+                true => ((f * FIELD / cell).round() * cell).min(FIELD),
+                false => f * FIELD,
+            };
+            let mobility = match mobile {
+                true => Mobility::RandomWaypoint {
+                    min_speed: 5.0,
+                    max_speed: 40.0,
+                    pause_s: 0.0,
+                },
+                false => Mobility::Static,
+            };
+            e.add_node(Box::new(Echo::new()), Pos::new(at(fx), at(fy)), mobility)
+        })
+        .collect();
+    e.run_until(SimTime(1));
+    for (round, &id) in ids.iter().enumerate() {
+        e.with_protocol::<Echo, _>(id, move |_p, ctx| ctx.broadcast(vec![round as u8; 16]));
+        let until = e.now() + SimDuration::from_millis(50);
+        e.run_until(until);
+    }
+    let frames = ids
+        .iter()
+        .map(|&id| e.protocol_as::<Echo>(id).frames.clone())
+        .collect();
+    let m = e.metrics();
+    let counters = ["phy.rx_frames", "phy.rx_dropped_loss", "phy.tx_broadcasts"]
+        .map(|name| m.counter(name))
+        .to_vec();
+    (frames, counters, e.tracer().render())
+}
+
+mod broadcast_oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Same seed ⇒ every broadcast lands on exactly the same
+        /// receivers at exactly the same times whether the grid or its
+        /// one-cell oracle enumerates the candidates — the RNG-stream
+        /// equivalence the NodeId-order invariant exists for.
+        #[test]
+        fn same_seed_broadcasts_are_bit_identical(
+            raw in proptest::collection::vec(
+                (0.0f64..1.0, 0.0f64..1.0, any::<bool>(), any::<bool>()), 2..24),
+            range in 60.0f64..400.0,
+            gray_frac in 1.0f64..2.0,
+            with_gray in any::<bool>(),
+            loss in 0.0f64..0.5,
+            seed in 0u64..1000,
+        ) {
+            let radio = RadioConfig {
+                range,
+                loss,
+                gray_zone: with_gray.then_some(range * gray_frac),
+                ..RadioConfig::default()
+            };
+            let grid = broadcast_round(false, &raw, &radio, seed);
+            prop_assert!(grid.1[2] > 0, "nothing broadcast");
+            prop_assert_eq!(grid, broadcast_round(true, &raw, &radio, seed));
+        }
     }
 }
 
@@ -383,10 +495,10 @@ fn sharded_and_single_executors_are_bit_identical() {
     // match the single-threaded oracle for any shard count,
     // including shards that own no nodes. The byte-exact *trace*
     // gate lives in tests/determinism.rs.
-    let oracle = lossy_mobile_run(11, ChannelMode::Grid, ExecMode::Single);
+    let oracle = lossy_mobile_run(11, false, ExecMode::Single);
     for k in [1, 2, 3, 8, 16] {
         assert_eq!(
-            lossy_mobile_run(11, ChannelMode::Grid, ExecMode::Sharded(k)),
+            lossy_mobile_run(11, false, ExecMode::Sharded(k)),
             oracle,
             "sharded({k}) diverged from single"
         );
@@ -401,12 +513,10 @@ fn noop_tick_hook_changes_nothing_observable() {
     // prefetch pass actually run (every frame delivered to a live
     // started node is seen).
     for exec in [ExecMode::Single, ExecMode::Sharded(3)] {
-        let (plain, hook_calls, prefetches) =
-            lossy_mobile_run_hooked(11, ChannelMode::Grid, exec, false);
+        let (plain, hook_calls, prefetches) = lossy_mobile_run_hooked(11, false, exec, false);
         assert_eq!((hook_calls, prefetches), (0, 0), "no hook, no prefetch");
         assert!(!plain.trace.is_empty() && !plain.samples.is_empty());
-        let (hooked, hook_calls, prefetches) =
-            lossy_mobile_run_hooked(11, ChannelMode::Grid, exec, true);
+        let (hooked, hook_calls, prefetches) = lossy_mobile_run_hooked(11, false, exec, true);
         assert_eq!(hooked, plain, "a no-op hook changed the {exec:?} universe");
         assert!(hook_calls > 0, "tick hook never ran under {exec:?}");
         assert!(
@@ -534,8 +644,8 @@ fn metrics_track_tx_rx() {
 
 #[test]
 fn neighbors_reflect_positions() {
-    for channel in [ChannelMode::Grid, ChannelMode::Linear] {
-        let mut e = engine_with(channel);
+    for one_cell in [false, true] {
+        let mut e = engine_with(one_cell);
         let a = e.add_node(Box::new(Echo::new()), Pos::new(0.0, 0.0), Mobility::Static);
         let b = e.add_node(
             Box::new(Echo::new()),
@@ -548,10 +658,10 @@ fn neighbors_reflect_positions() {
             Mobility::Static,
         );
         e.run_until(SimTime(1));
-        assert_eq!(e.neighbors(a), vec![b], "{channel:?}");
+        assert_eq!(e.neighbors(a), vec![b], "one_cell={one_cell}");
         e.set_position(c, Pos::new(50.0, 0.0));
         // Ascending-NodeId order is part of the API contract now.
-        assert_eq!(e.neighbors(a), vec![b, c], "{channel:?}");
+        assert_eq!(e.neighbors(a), vec![b, c], "one_cell={one_cell}");
     }
 }
 
@@ -626,8 +736,8 @@ fn run_until_advances_time_even_when_idle() {
 fn gray_zone_sizes_grid_cells_to_max_range() {
     // With a gray zone the farthest receiver sits beyond `range`;
     // the grid must still find it (cell size = max_range, not range).
-    for channel in [ChannelMode::Grid, ChannelMode::Linear] {
-        let mut e = Engine::new(EngineConfig {
+    for one_cell in [false, true] {
+        let config = EngineConfig {
             radio: RadioConfig {
                 range: 100.0,
                 loss: 0.0,
@@ -635,10 +745,10 @@ fn gray_zone_sizes_grid_cells_to_max_range() {
                 jitter: SimDuration::ZERO,
                 ..RadioConfig::default()
             },
-            channel,
             exec: ExecMode::Single,
             ..EngineConfig::default()
-        });
+        };
+        let mut e = with_channel(Engine::new(config), one_cell);
         let mut s = Echo::new();
         s.start_broadcast = Some(vec![1]);
         let _a = e.add_node(Box::new(s), Pos::new(0.0, 0.0), Mobility::Static);
@@ -653,9 +763,12 @@ fn gray_zone_sizes_grid_cells_to_max_range() {
         e.run_until(SimTime(1_000_000));
         let heard = e.protocol_as::<Echo>(b).frames.len()
             + e.metrics().counter("phy.rx_dropped_loss") as usize;
-        assert_eq!(heard, 1, "{channel:?}: gray-zone receiver never considered");
+        assert_eq!(
+            heard, 1,
+            "one_cell={one_cell}: gray-zone receiver never considered"
+        );
         // But b is NOT a crisp-range neighbor.
-        assert!(e.neighbors(b).is_empty(), "{channel:?}");
+        assert!(e.neighbors(b).is_empty(), "one_cell={one_cell}");
     }
 }
 

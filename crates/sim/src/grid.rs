@@ -11,10 +11,10 @@
 //!
 //! Candidate lists are returned in **ascending [`NodeId`] order**. That
 //! is a hard invariant, not a nicety: broadcast delivery draws loss and
-//! delay samples per candidate, and the linear fallback scan consumes
-//! the RNG in NodeId order — sorting keeps the two channel
-//! implementations bit-identical under the same seed (see the engine
-//! module docs).
+//! delay samples per candidate in this order, so a grid of any cell
+//! size — down to a single cell holding every node, the linear scan the
+//! engine's unit tests use as their oracle — draws the RNG identically
+//! under the same seed (see the engine module docs).
 //!
 //! Positions outside the field (tests teleport nodes around freely) are
 //! clamped into the boundary cells; clamping is monotone, so the
@@ -202,12 +202,15 @@ mod tests {
 
     #[test]
     fn huge_cells_degenerate_to_one_bucket() {
-        let mut g = SpatialGrid::new(&Field::new(100.0, 100.0), 1e9);
-        g.insert(NodeId(0), &Pos::new(0.0, 0.0));
-        g.insert(NodeId(1), &Pos::new(100.0, 100.0));
-        assert_eq!(
-            candidates(&g, Pos::new(50.0, 50.0)),
-            vec![NodeId(0), NodeId(1)]
-        );
+        // An infinite cell is the engine tests' one-cell oracle.
+        for cell in [1e9, f64::INFINITY] {
+            let mut g = SpatialGrid::new(&Field::new(100.0, 100.0), cell);
+            g.insert(NodeId(0), &Pos::new(0.0, 0.0));
+            g.insert(NodeId(1), &Pos::new(100.0, 100.0));
+            assert_eq!(
+                candidates(&g, Pos::new(50.0, 50.0)),
+                vec![NodeId(0), NodeId(1)]
+            );
+        }
     }
 }

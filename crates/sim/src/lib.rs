@@ -5,8 +5,9 @@
 //! substrate the paper's authors would have had in ns-2-era tooling.
 //!
 //! * [`engine`] — deterministic event loop and node lifecycle, composed
-//!   from [`ctx`] (the protocol window), `queue` (event heap + timer
-//!   table), `grid` (uniform spatial index), and [`link`]
+//!   from [`ctx`] (the protocol window), `wheel` (the event store),
+//!   `queue` (events, in-window heap, timer table), `grid` (uniform
+//!   spatial index), and [`link`]
 //!   (transmit/deliver channel logic, neighborhood queries);
 //! * [`radio`] — unit-disk channel with loss, latency and bandwidth;
 //! * [`mobility`] — random waypoint + deterministic placements;
@@ -36,10 +37,8 @@ mod wheel;
 
 pub use engine::{Ctx, Engine, EngineConfig, ExecMode, LinkDst, NodeId, Protocol, TimerHandle};
 pub use geom::{Field, Pos};
-pub use link::ChannelMode;
 pub use metrics::{Metrics, Series};
 pub use mobility::{placement, Mobility};
-pub use queue::QueueImpl;
 pub use radio::RadioConfig;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Dir, TraceEvent, Tracer};

@@ -3,19 +3,13 @@
 //! Broadcast delivery, [`Engine::neighbors`], and
 //! [`Engine::connected_component`] all reduce to one primitive — "which
 //! nodes could possibly hear a transmission from this position?" — and
-//! this module answers it two ways, selected by
-//! [`ChannelMode`](crate::link::ChannelMode) in the engine config:
-//!
-//! * **Grid** (default): query the 3×3 cell neighborhood of the uniform
-//!   spatial index ([`crate::grid`]), O(density) per transmission;
-//! * **Linear**: scan the whole node table, O(n) per transmission — the
-//!   original implementation, kept alive as the differential-testing
-//!   oracle and the baseline for the scale exhibits.
-//!
-//! Both paths visit candidates in ascending [`NodeId`] order and apply
-//! identical liveness/range filters before any RNG draw, so same-seed
-//! runs are bit-identical across modes (`tests/determinism.rs` and
-//! `tests/grid_channel.rs` gate this).
+//! the uniform spatial grid ([`crate::grid`]) answers it: the 3×3 cell
+//! neighborhood of the sender, O(density) per transmission. Candidates
+//! come back in ascending [`NodeId`] order and the liveness/range
+//! filters run before any RNG draw, so a grid with a single cell (every
+//! live node a candidate — the linear scan through the same code) is
+//! bit-identical under the same seed; that one-cell grid is the
+//! engine's test oracle (`engine/tests.rs`).
 //!
 //! Transmission itself ([`transmit_into`]) is a free function over a
 //! borrowed [`LinkEnv`] rather than an `Engine` method: the sharded
@@ -26,7 +20,6 @@
 
 use crate::ctx::{LinkDst, NodeId};
 use crate::engine::{Engine, HotNode};
-use crate::geom::Pos;
 use crate::grid::SpatialGrid;
 use crate::metrics::Metrics;
 use crate::queue::Event;
@@ -35,36 +28,13 @@ use crate::time::SimTime;
 use rand_chacha::ChaCha12Rng;
 use std::sync::Arc;
 
-/// How broadcast delivery and neighborhood queries enumerate candidate
-/// receivers. See the module docs; `Grid` is the default and `Linear`
-/// exists for differential tests and baseline measurements.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ChannelMode {
-    #[default]
-    Grid,
-    Linear,
-}
-
 /// The read-only world a transmission consults: radio model, node
-/// positions/liveness, and the optional spatial index. Borrowed
-/// immutably so any number of shard workers can transmit concurrently.
+/// positions/liveness, and the spatial index. Borrowed immutably so any
+/// number of shard workers can transmit concurrently.
 pub(crate) struct LinkEnv<'a> {
     pub(crate) radio: &'a RadioConfig,
     pub(crate) hot: &'a [HotNode],
-    pub(crate) grid: Option<&'a SpatialGrid>,
-}
-
-/// Fill `out` with candidate receivers around `pos`, ascending by
-/// NodeId: the grid's 3×3 neighborhood, or every node in linear mode.
-#[inline]
-pub(crate) fn candidates_into(env: &LinkEnv<'_>, pos: &Pos, out: &mut Vec<NodeId>) {
-    match env.grid {
-        Some(grid) => grid.candidates_into(pos, out),
-        None => {
-            out.clear();
-            out.extend((0..env.hot.len()).map(NodeId));
-        }
-    }
+    pub(crate) grid: &'a SpatialGrid,
 }
 
 /// Transmit `bytes` from `src`, resolving receivers and delays against
@@ -101,7 +71,7 @@ pub(crate) fn transmit_into(
     match dst {
         LinkDst::Broadcast => {
             metrics.count("phy.tx_broadcasts", 1);
-            candidates_into(env, &src_pos, cand);
+            env.grid.candidates_into(&src_pos, cand);
             for &to in cand.iter() {
                 if to == src {
                     continue;
@@ -176,7 +146,7 @@ impl Engine {
     pub fn neighbors_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
         let env = self.link_env();
         let me_pos = env.hot[node.0].pos;
-        candidates_into(&env, &me_pos, out);
+        env.grid.candidates_into(&me_pos, out);
         let now = self.now();
         out.retain(|&other| {
             let n = &env.hot[other.0];

@@ -1,24 +1,21 @@
-//! Event scheduling: the pending-event queue and timer bookkeeping.
+//! Event scheduling: the events, their binary-heap store, and timer
+//! bookkeeping.
 //!
-//! [`PendingQueue`] is the engine's event store, in one of two
-//! implementations selected by [`QueueImpl`] in the engine config:
-//!
-//! * **Wheel** (default): the hierarchical timer wheel
-//!   ([`crate::wheel`]) — O(1) schedule, occupancy-bitmask advance;
-//! * **Heap**: the original binary heap ordered by `(time, insertion
-//!   sequence)` — kept alive as the differential-testing oracle,
-//!   exactly like the linear channel scan backs the spatial grid.
-//!
-//! Both dispatch simultaneous events in `(time, seq)` order — the
-//! backbone of the determinism contract — and same-seed runs are
-//! bit-identical under either (`tests/determinism.rs` gates this).
+//! The engine's event store is the hierarchical timer wheel
+//! ([`crate::wheel`]). [`EventQueue`] — a binary heap ordered by
+//! `(time, insertion sequence)` — has two jobs: it is the sharded
+//! executor's in-window store (`Shard::in_window`, whose timers land
+//! behind the wheel's cursor), and it is the reference the wheel is
+//! tested against (`wheel.rs`'s differential proptest). Both dispatch
+//! simultaneous events in `(time, seq)` order — the backbone of the
+//! determinism contract.
 //!
 //! The insertion sequence is owned by the *engine*, not the queue:
-//! every push carries an explicit `seq` ([`PendingQueue::push_seq`]).
-//! That is what lets the sharded executor keep one global sequence
-//! stream across K per-shard queues — an event's `(time, seq)` key is
-//! identical whichever queue physically holds it, so the merged
-//! dispatch order is the single-threaded order by construction.
+//! every push carries an explicit `seq`. That is what lets the sharded
+//! executor keep one global sequence stream across K per-shard queues —
+//! an event's `(time, seq)` key is identical whichever queue physically
+//! holds it, so the merged dispatch order is the single-threaded order
+//! by construction.
 //!
 //! [`TimerTable`] tracks which timer handles are armed and which armed
 //! handles have been cancelled. Both sets are bounded: a handle leaves
@@ -30,90 +27,9 @@
 use crate::ctx::NodeId;
 use crate::fxhash::FxHashSet;
 use crate::time::SimTime;
-use crate::wheel::TimerWheel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// Which pending-event store the engine runs on. `Wheel` unless a
-/// differential test or baseline measurement asks for the `Heap`
-/// oracle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum QueueImpl {
-    #[default]
-    Wheel,
-    Heap,
-}
-
-impl QueueImpl {
-    /// Stable lowercase name, as serialized into `RunReport::to_json`.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueImpl::Wheel => "wheel",
-            QueueImpl::Heap => "heap",
-        }
-    }
-}
-
-/// The engine's pending-event store (see [`QueueImpl`]).
-pub(crate) enum PendingQueue {
-    Wheel(TimerWheel),
-    Heap(EventQueue),
-}
-
-impl PendingQueue {
-    pub(crate) fn new(kind: QueueImpl) -> Self {
-        match kind {
-            QueueImpl::Wheel => PendingQueue::Wheel(TimerWheel::new()),
-            QueueImpl::Heap => PendingQueue::Heap(EventQueue::new()),
-        }
-    }
-
-    /// Schedule `event` at `time` with the caller-assigned tiebreak
-    /// sequence (globally unique and monotone within a run).
-    #[inline]
-    pub(crate) fn push_seq(&mut self, time: SimTime, seq: u64, event: Event) {
-        match self {
-            PendingQueue::Wheel(w) => w.push_seq(time, seq, event),
-            PendingQueue::Heap(h) => h.push_seq(time, seq, event),
-        }
-    }
-
-    /// Pop the next event (with its sequence) if due at or before `until`.
-    #[inline]
-    pub(crate) fn pop_due_seq(&mut self, until: SimTime) -> Option<(SimTime, u64, Event)> {
-        match self {
-            PendingQueue::Wheel(w) => w.pop_due_seq(until),
-            PendingQueue::Heap(h) => h.pop_due_seq(until),
-        }
-    }
-
-    /// The `(time, seq)` key of the next event if due at or before
-    /// `until`, without removing it. (The wheel may advance internal
-    /// cascades to answer this; that is observably a no-op *within one
-    /// queue* — but it commits the wheel's cursor up to the answer, so
-    /// the sharded executor must bound `until` by what other shards may
-    /// still push; see [`PendingQueue::next_time_hint`].)
-    #[inline]
-    pub(crate) fn peek_due(&mut self, until: SimTime) -> Option<(SimTime, u64)> {
-        match self {
-            PendingQueue::Wheel(w) => w.peek_due(until),
-            PendingQueue::Heap(h) => h.peek_due(until),
-        }
-    }
-
-    /// A lower bound on the earliest pending event's time that is
-    /// guaranteed not to move any internal cursor: exact for the heap,
-    /// the earliest occupied slot's base time for the wheel. `None` iff
-    /// the queue is empty.
-    #[inline]
-    pub(crate) fn next_time_hint(&self) -> Option<SimTime> {
-        match self {
-            PendingQueue::Wheel(w) => w.next_time_hint(),
-            PendingQueue::Heap(h) => h.next_time_hint(),
-        }
-    }
-}
 
 /// Everything the engine can dispatch.
 pub(crate) enum Event {
@@ -191,11 +107,8 @@ impl EventQueue {
 
     /// Pop the next event if it is due at or before `until`.
     pub(crate) fn pop_due_seq(&mut self, until: SimTime) -> Option<(SimTime, u64, Event)> {
-        match self.heap.peek() {
-            Some(Reverse(head)) if head.time <= until => {}
-            _ => return None,
-        }
-        let Reverse(item) = self.heap.pop().expect("peeked");
+        self.peek_due(until)?;
+        let Reverse(item) = self.heap.pop()?;
         Some((item.time, item.seq, item.event))
     }
 
@@ -204,12 +117,6 @@ impl EventQueue {
             Some(Reverse(head)) if head.time <= until => Some((head.time, head.seq)),
             _ => None,
         }
-    }
-
-    /// Exact time of the earliest event (the heap has no cursor, so
-    /// the "hint" is exact and free of side effects).
-    pub(crate) fn next_time_hint(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(head)| head.time)
     }
 }
 

@@ -24,12 +24,14 @@
 //!   first, so items trickle down into the level-0 slot before it
 //!   fires and same-tick events are never split across two firings.
 //!
-//! `tests/determinism.rs` pins the equivalence with a randomized
-//! schedule/cancel differential; the unit tests here cover the wheel's
-//! own edges (far-future times, same-tick ties, re-entrant pushes, and
-//! deadlines within a slot span of `u64::MAX` on every level — the
-//! top-level shift arithmetic flirts with the 64-bit boundary, so it is
-//! computed in `u128` and pinned by a proptest against a sorted model).
+//! The heap is kept as the wheel's test reference: a proptest here
+//! drives both through random interleavings of pushes (at the tick
+//! being dispatched, far in the future, and within a few slot spans of
+//! `u64::MAX` on every level — the top-level shift arithmetic flirts
+//! with the 64-bit boundary, so it is computed in `u128`), peeks and
+//! pops at random horizons, and cursor-free hints, and requires
+//! identical answers. The unit tests cover the wheel's own edges
+//! (far-future times, same-tick ties, re-entrant pushes).
 //!
 //! Steady state allocates nothing: slot `Vec`s keep their capacity, the
 //! firing buffer is a reused `VecDeque`, and cascades drain through one
@@ -274,6 +276,7 @@ impl TimerWheel {
 mod tests {
     use super::*;
     use crate::ctx::NodeId;
+    use crate::queue::EventQueue;
     use proptest::prelude::*;
 
     fn start(n: usize) -> Event {
@@ -453,32 +456,88 @@ mod tests {
         assert_eq!(w.len(), 0);
     }
 
+    /// A push time for op `kind`, seen from `floor`: the tick being
+    /// dispatched, a near tick, a far-future one, or a deadline a few
+    /// slot spans of some level below `u64::MAX`.
+    fn push_time(floor: u64, kind: u8, r: u64) -> u64 {
+        match kind {
+            0 => floor,
+            1 => floor.saturating_add(r % 64),
+            2 => floor.saturating_add(r % 100_000),
+            3 => floor.saturating_add((1 << 30) + r % (1 << 50)),
+            _ => {
+                let span = 1u128 << (SLOT_BITS as usize * (r as usize % LEVELS));
+                let below = (u128::from(r >> 58) * span).min(u128::from(u64::MAX));
+                ((u128::from(u64::MAX) - below) as u64).max(floor)
+            }
+        }
+    }
+
+    /// A horizon for op `kind`: the tick being dispatched, one before
+    /// it, or a near, mid or far step past it.
+    fn horizon(floor: u64, kind: u8, r: u64) -> u64 {
+        match kind {
+            0 => floor,
+            1 => floor.saturating_sub(1 + r % 64),
+            2 => floor.saturating_add(r % 64),
+            3 => floor.saturating_add(r % 100_000),
+            _ => floor.saturating_add(r % (1 << 52)),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Regression proptest for the ≥64-bit shift boundary: random
-        /// schedules clustered near u64::MAX (offsets spanning every
-        /// wheel level) must drain in exactly sorted `(time, seq)`
-        /// order, matching a sorted-vec model.
+        /// The wheel against its reference, the binary heap, over random
+        /// interleavings of pushes, peeks, pops and hints, then a drain
+        /// to the end of time: every answer must be identical, and
+        /// `next_time_hint` a lower bound on the heap's exact head that
+        /// moves no cursor. Pushes never precede `floor`, the highest
+        /// horizon asked so far — the wheel's cursor never passes it —
+        /// so a push at `floor` is the engine's delay-0 timer set while
+        /// its tick is dispatched.
         #[test]
-        fn near_max_schedules_match_sorted_model(
-            offsets in proptest::collection::vec((0usize..LEVELS, 0u64..64), 1..40),
+        fn wheel_matches_heap_on_random_interleavings(
+            ops in proptest::collection::vec((0u8..4, 0u8..5, any::<u64>()), 1..200),
         ) {
             let mut w = TimerWheel::new();
-            let mut model = Vec::new();
-            for (seq, &(level, k)) in offsets.iter().enumerate() {
-                // u64::MAX minus k slot-spans of the chosen level: lands
-                // the deadline in the top slots of that level.
-                let span = 1u128 << (SLOT_BITS as usize * level);
-                let t = (u64::MAX as u128 - (k as u128 * span).min(u64::MAX as u128)) as u64;
-                w.push_seq(SimTime(t), seq as u64, Event::Start(NodeId(seq)));
-                model.push((t, seq as u64));
+            let mut h = EventQueue::new();
+            let (mut floor, mut seq) = (0u64, 0u64);
+            let key = |(t, s, _): (SimTime, u64, Event)| (t, s);
+            for &(op, kind, r) in &ops {
+                match op {
+                    0 => {
+                        let t = SimTime(push_time(floor, kind, r));
+                        w.push_seq(t, seq, start(seq as usize));
+                        h.push_seq(t, seq, start(seq as usize));
+                        seq += 1;
+                    }
+                    1 => {
+                        let until = SimTime(horizon(floor, kind, r));
+                        floor = floor.max(until.0);
+                        prop_assert_eq!(w.peek_due(until), h.peek_due(until));
+                    }
+                    2 => {
+                        let until = SimTime(horizon(floor, kind, r));
+                        floor = floor.max(until.0);
+                        prop_assert_eq!(w.pop_due_seq(until).map(key), h.pop_due_seq(until).map(key));
+                    }
+                    _ => {
+                        let cursor = w.elapsed;
+                        let hint = w.next_time_hint();
+                        prop_assert!(w.elapsed == cursor, "the hint moved the cursor");
+                        match (hint, h.peek_due(SimTime(u64::MAX))) {
+                            (None, None) => {}
+                            (Some(hint), Some((head, _))) => prop_assert!(hint <= head),
+                            (hint, head) => prop_assert!(false, "hint {hint:?} vs head {head:?}"),
+                        }
+                    }
+                }
             }
-            model.sort_unstable();
-            let drained: Vec<(u64, u64)> =
-                std::iter::from_fn(|| w.pop_due_seq(SimTime(u64::MAX)))
-                    .map(|(t, s, _)| (t.0, s))
-                    .collect();
-            prop_assert_eq!(drained, model);
+            let end = SimTime(u64::MAX);
+            let drained: Vec<_> = std::iter::from_fn(|| w.pop_due_seq(end)).map(key).collect();
+            let reference: Vec<_> = std::iter::from_fn(|| h.pop_due_seq(end)).map(key).collect();
+            prop_assert_eq!(drained, reference);
+            prop_assert_eq!(w.len(), 0);
         }
     }
 }

@@ -6,15 +6,14 @@
 
 use manet_secure::scenario::{Placement, ScenarioBuilder};
 use manet_secure::HostIdentity;
-use manet_sim::{ChannelMode, ExecMode, Field, Mobility, QueueImpl, SimDuration};
+use manet_sim::{ExecMode, Field, Mobility, SimDuration};
 
 /// One full run: bootstrap, two crossing flows, then the observables.
-fn run_with(seed: u64, channel: ChannelMode) -> (f64, usize, u64, u64) {
+fn run(seed: u64) -> (f64, usize, u64, u64) {
     let mut net = ScenarioBuilder::new()
         .hosts(5)
         .seed(seed)
         .trace(true)
-        .channel(channel)
         .secure()
         .build();
     assert!(net.bootstrap(), "seed {seed}: bootstrap failed");
@@ -28,10 +27,6 @@ fn run_with(seed: u64, channel: ChannelMode) -> (f64, usize, u64, u64) {
     )
 }
 
-fn run(seed: u64) -> (f64, usize, u64, u64) {
-    run_with(seed, ChannelMode::Grid)
-}
-
 #[test]
 fn same_seed_same_universe() {
     let a = run(42);
@@ -40,101 +35,6 @@ fn same_seed_same_universe() {
     // Guard against the trivial-pass failure mode (nothing simulated).
     assert!(a.0 > 0.0, "no traffic delivered: {a:?}");
     assert!(a.1 > 0, "no trace events recorded: {a:?}");
-}
-
-/// The spatial-index channel is an *index*, not a model change: under
-/// the same seed the grid and the linear scan must produce the same
-/// universe — identical metrics AND an identical trace-event stream,
-/// compared line by line. This is the scenario-level differential gate
-/// for the NodeId-order determinism invariant (the engine-level and
-/// property-based gates live in manet-sim and tests/grid_channel.rs).
-#[test]
-fn grid_and_linear_channels_are_one_universe() {
-    let full_run = |channel: ChannelMode| {
-        let mut net = ScenarioBuilder::new()
-            .hosts(6)
-            .seed(21)
-            .trace(true)
-            // Mobile + gray zone: exercises incremental grid maintenance
-            // and max_range cell sizing, not just static placement.
-            .placement(Placement::Uniform)
-            .field(Field::new(600.0, 600.0))
-            .mobility(Mobility::RandomWaypoint {
-                min_speed: 1.0,
-                max_speed: 4.0,
-                pause_s: 2.0,
-            })
-            .radio(manet_sim::RadioConfig {
-                loss: 0.05,
-                gray_zone: Some(300.0),
-                ..manet_sim::RadioConfig::default()
-            })
-            .channel(channel)
-            .secure()
-            .build();
-        net.bootstrap();
-        let report = net.run_flows(&[(0, 5), (2, 3)], 4, SimDuration::from_millis(300));
-        (
-            report.delivery_or_nan(),
-            net.engine.metrics().counter("phy.rx_frames"),
-            net.engine.metrics().counter("phy.rx_dropped_loss"),
-            net.engine.metrics().counter("ctl.tx_bytes"),
-            net.engine.events_processed(),
-            net.engine.tracer().render(),
-        )
-    };
-    let g = full_run(ChannelMode::Grid);
-    let l = full_run(ChannelMode::Linear);
-    assert_eq!(g.5, l.5, "trace streams diverged between channel modes");
-    assert_eq!(
-        (g.0, g.1, g.2, g.3, g.4),
-        (l.0, l.1, l.2, l.3, l.4),
-        "metrics diverged between channel modes"
-    );
-    assert!(g.1 > 0, "nothing simulated — vacuous differential");
-}
-
-/// Like the channel gate above, but for the event queue: the timer
-/// wheel is a *scheduling structure*, not a model change, so a full
-/// secure scenario — mobility, gray zone, loss, staggered joins,
-/// timer-heavy DAD — must be one universe under the wheel and under the
-/// binary-heap oracle, down to the trace-event stream.
-#[test]
-fn wheel_and_heap_queues_are_one_universe() {
-    let full_run = |queue: QueueImpl| {
-        let mut net = ScenarioBuilder::new()
-            .hosts(6)
-            .seed(21)
-            .trace(true)
-            .placement(Placement::Uniform)
-            .field(Field::new(600.0, 600.0))
-            .mobility(Mobility::RandomWaypoint {
-                min_speed: 1.0,
-                max_speed: 4.0,
-                pause_s: 2.0,
-            })
-            .radio(manet_sim::RadioConfig {
-                loss: 0.05,
-                gray_zone: Some(300.0),
-                ..manet_sim::RadioConfig::default()
-            })
-            .queue(queue)
-            .secure()
-            .build();
-        net.bootstrap();
-        let report = net.run_flows(&[(0, 5), (2, 3)], 4, SimDuration::from_millis(300));
-        let trace = net.engine.tracer().render();
-        (report.fingerprint(), net.engine.events_processed(), trace)
-    };
-    let w = full_run(QueueImpl::Wheel);
-    let h = full_run(QueueImpl::Heap);
-    assert_eq!(w.2, h.2, "trace streams diverged between queue impls");
-    assert_eq!(
-        (&w.0, w.1),
-        (&h.0, h.1),
-        "observables diverged between queue impls"
-    );
-    assert!(w.1 > 0, "nothing simulated — vacuous differential");
 }
 
 /// The executor gate, one level up from the engine's unit test: a full
@@ -286,17 +186,19 @@ fn key_streams_differ_from_the_engine_and_every_node_stream() {
     }
 }
 
-/// Randomized wheel-vs-heap differential at the raw engine level: a
+/// Randomized executor differential at the raw engine level: a
 /// scripted protocol schedules, cancels, and re-schedules timers (and
 /// mixes in broadcasts, so `Deliver` events interleave with `Timer`
 /// events) from inside its own callbacks. Whatever the interleaving —
 /// including zero-delay timers and duplicate delays, i.e. same-tick
-/// ties — both queue implementations must produce the identical fire
-/// log, because protocols observe event *order*, not just event sets.
+/// ties — both executors must produce the identical fire log, because
+/// protocols observe event *order*, not just event sets. (The wheel
+/// against its binary-heap reference is a queue-level proptest in
+/// `manet-sim`'s `wheel.rs`.)
 mod wheel_heap_script {
     use manet_sim::{
-        ChannelMode, Ctx, Engine, EngineConfig, ExecMode, Mobility, NodeId, Pos, Protocol,
-        QueueImpl, RadioConfig, SimDuration, SimTime, TimerHandle,
+        Ctx, Engine, EngineConfig, ExecMode, Mobility, NodeId, Pos, Protocol, RadioConfig,
+        SimDuration, SimTime, TimerHandle,
     };
     use proptest::prelude::*;
     use std::any::Any;
@@ -391,7 +293,6 @@ mod wheel_heap_script {
 
     #[allow(clippy::type_complexity)]
     fn run_with(
-        queue: QueueImpl,
         exec: ExecMode,
         positions: [(f64, f64); 2],
         steps: &[Step],
@@ -399,9 +300,7 @@ mod wheel_heap_script {
     ) -> (FireLog, FireLog, u64) {
         let mut e = Engine::new(EngineConfig {
             seed,
-            queue,
             exec,
-            channel: ChannelMode::Grid,
             radio: RadioConfig {
                 loss: 0.02,
                 ..RadioConfig::default()
@@ -410,7 +309,7 @@ mod wheel_heap_script {
         });
         // Two nodes in range of each other: broadcasts from one arrive
         // at the other, so Deliver and Timer events interleave in the
-        // queue under test.
+        // queues under test.
         let a = e.add_node(
             Box::new(Script::new(steps.to_vec())),
             Pos::new(positions[0].0, positions[0].1),
@@ -429,27 +328,22 @@ mod wheel_heap_script {
         )
     }
 
-    fn run(queue: QueueImpl, steps: &[Step], seed: u64) -> (FireLog, FireLog, u64) {
-        run_with(
-            queue,
-            ExecMode::Single,
-            [(0.0, 0.0), (100.0, 0.0)],
-            steps,
-            seed,
-        )
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Both nodes in the first of two field bands: one shard runs
+        /// the whole script and the other idles, so every timer and
+        /// delivery goes through the window and in-window paths with
+        /// no cross-shard replay in between.
         #[test]
-        fn wheel_and_heap_fire_in_identical_order(
+        fn one_band_pair_fires_in_identical_order_when_sharded(
             steps in proptest::collection::vec((any::<u8>(), any::<u16>()), 16..96),
             seed in 0u64..512,
         ) {
-            let w = run(QueueImpl::Wheel, &steps, seed);
-            let h = run(QueueImpl::Heap, &steps, seed);
-            prop_assert_eq!(&w, &h);
-            prop_assert!(w.2 > 0, "vacuous script — nothing dispatched");
+            let pos = [(0.0, 0.0), (100.0, 0.0)];
+            let s = run_with(ExecMode::Single, pos, &steps, seed);
+            let sh = run_with(ExecMode::Sharded(2), pos, &steps, seed);
+            prop_assert_eq!(&s, &sh);
+            prop_assert!(s.2 > 0, "vacuous script — nothing dispatched");
         }
 
         /// Randomized sharded-vs-single differential over shard counts:
@@ -464,8 +358,8 @@ mod wheel_heap_script {
             k in 1usize..=8,
         ) {
             let pos = [(300.0, 0.0), (400.0, 0.0)];
-            let s = run_with(QueueImpl::Wheel, ExecMode::Single, pos, &steps, seed);
-            let sh = run_with(QueueImpl::Wheel, ExecMode::Sharded(k), pos, &steps, seed);
+            let s = run_with(ExecMode::Single, pos, &steps, seed);
+            let sh = run_with(ExecMode::Sharded(k), pos, &steps, seed);
             prop_assert_eq!(&s, &sh);
             prop_assert!(s.2 > 0, "vacuous script — nothing dispatched");
         }

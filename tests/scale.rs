@@ -5,7 +5,7 @@
 
 use manet_secure::scenario::{scale_family, Placement, ScenarioBuilder, Workload};
 use manet_secure::{attacks, SecureNode};
-use manet_sim::{ChannelMode, Field, Mobility, SimDuration, SimTime};
+use manet_sim::{Field, Mobility, SimDuration, SimTime};
 
 /// A 24-host grid bootstraps completely and carries eight simultaneous
 /// flows with high delivery.
@@ -129,12 +129,11 @@ fn late_joiners_under_traffic() {
 /// pure function of the seed.
 #[test]
 fn scale_family_smoke() {
-    let run = |channel| {
+    let run = || {
         let mut net = scale_family(150, 5)
             // One extra kill over the preset's n/50 so the count stays a
             // distinctive assertion target.
             .churn(4, (SimTime(4_000_000), SimTime(10_000_000)))
-            .channel(channel)
             .plain()
             .build();
         net.engine.run_until(SimTime(1_000_000));
@@ -164,9 +163,7 @@ fn scale_family_smoke() {
             net.engine.events_processed(),
         )
     };
-    let grid = run(ChannelMode::Grid);
-    // Differential: the linear oracle sees the identical universe.
-    assert_eq!(grid, run(ChannelMode::Linear));
+    assert_eq!(run(), run(), "same seed, same universe");
 }
 
 /// Long-duration mobile run: an hour of simulated time with periodic
