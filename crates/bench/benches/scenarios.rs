@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use manet_secure::scenario::{scale_family, Placement, ScenarioBuilder, Workload};
-use manet_sim::{SimDuration, SimTime};
+use manet_secure::Counter;
+use manet_sim::{LinkCounter, SimDuration, SimTime};
 use std::hint::black_box;
 
 /// E5-shaped: full secure bootstrap of an n-host chain network.
@@ -16,7 +17,7 @@ fn bench_bootstrap(c: &mut Criterion) {
             b.iter(|| {
                 let mut net = ScenarioBuilder::new().hosts(n).seed(1).secure().build();
                 assert!(net.bootstrap());
-                black_box(net.engine.metrics().counter("ctl.tx_bytes"))
+                black_box(net.count(Counter::CtlTxBytes))
             });
         });
     }
@@ -61,7 +62,7 @@ fn bench_grid_bootstrap(c: &mut Criterion) {
                 .secure()
                 .build();
             assert!(net.bootstrap());
-            black_box(net.engine.metrics().counter("phy.rx_frames"))
+            black_box(net.engine.metrics()[LinkCounter::RxFrames])
         });
     });
     g.finish();

@@ -5,7 +5,7 @@
 use crate::table::Table;
 use manet_crypto::KeyPair;
 use manet_secure::scenario::{Placement, ScenarioBuilder, SecureBuilder, BYPASS_ATTACKER};
-use manet_secure::{attacks, Behavior, HostIdentity, ProtocolConfig, SecureNode};
+use manet_secure::{attacks, Behavior, Counter, HostIdentity, ProtocolConfig, SecureNode};
 use manet_sim::runner;
 use manet_sim::{Engine, EngineConfig, Mobility, Pos, RadioConfig, SimDuration, SimTime};
 use rand::SeedableRng;
@@ -87,7 +87,7 @@ fn dad_duplicate_cell(hops: usize, seed: u64, loss: f64) -> (bool, f64) {
     );
     engine.run_until(SimTime(12_000_000));
     let j = engine.protocol_as::<SecureNode>(joiner_id);
-    let detected = j.stats().collisions_detected > 0;
+    let detected = j.stats()[Counter::DadCollisions] > 0;
     let latency = j
         .stats()
         .joined_at
@@ -155,12 +155,12 @@ fn e2_secure(hops: usize, seed: u64) -> E2Cell {
         .secure()
         .build();
     assert!(net.bootstrap());
-    let base = net.engine.metrics().counter("ctl.routing_bytes");
+    let base = net.count(Counter::CtlRoutingBytes);
     let report = net.run_flows(&[(0, hops)], 10, SimDuration::from_millis(300));
     let m = net.engine.metrics();
     E2Cell {
         discovery_ms: m.series("route.discovery_latency_s").mean() * 1e3,
-        ctl_bytes: m.counter("ctl.routing_bytes") - base,
+        ctl_bytes: net.count(Counter::CtlRoutingBytes) - base,
         delivery: report.delivery_or_nan(),
     }
 }
@@ -175,7 +175,7 @@ fn e2_plain(hops: usize, seed: u64) -> E2Cell {
     let m = net.engine.metrics();
     E2Cell {
         discovery_ms: m.series("route.discovery_latency_s").mean() * 1e3,
-        ctl_bytes: m.counter("ctl.routing_bytes"),
+        ctl_bytes: net.count(Counter::CtlRoutingBytes),
         delivery: report.delivery_or_nan(),
     }
 }
@@ -245,14 +245,13 @@ fn e3_secure(attack: Option<Behavior>, seed: u64) -> AttackOutcome {
     let mut net = bypass_secure(seed, attackers).build();
     assert!(net.bootstrap());
     let report = net.run_flows(&[(0, 2)], 20, SimDuration::from_millis(300));
-    let m = net.engine.metrics();
     AttackOutcome {
         delivery: report.delivery_or_nan(),
-        rejected: m.counter("sec.rrep_rejected")
-            + m.counter("sec.rreq_rejected")
-            + m.counter("sec.arep_rejected")
-            + m.counter("sec.dns_reply_rejected"),
-        stolen: net.host(BYPASS_ATTACKER).stats().data_received,
+        rejected: net.count(Counter::SecRrepRejected)
+            + net.count(Counter::SecRreqRejected)
+            + net.count(Counter::SecArepRejected)
+            + net.count(Counter::SecDnsReplyRejected),
+        stolen: net.host(BYPASS_ATTACKER).stats()[Counter::AppDataReceived],
     }
 }
 
@@ -271,7 +270,7 @@ fn e3_plain(attack: Option<Behavior>, seed: u64) -> AttackOutcome {
     AttackOutcome {
         delivery: report.delivery_or_nan(),
         rejected: 0, // plain DSR verifies nothing
-        stolen: net.host(BYPASS_ATTACKER).stats().data_received,
+        stolen: net.host(BYPASS_ATTACKER).stats()[Counter::AppDataReceived],
     }
 }
 
@@ -398,7 +397,7 @@ pub fn exhibit_e4(quick: bool) -> String {
         let mut prev_samples = 0;
         for _ in 0..buckets {
             net.run_flows(&[(0, 2)], 5, SimDuration::from_millis(300));
-            let acked = net.host(0).stats().data_acked;
+            let acked = net.host(0).stats()[Counter::AppDataAcked];
             deliveries.push((acked - prev_acked) as f64 / 5.0);
             prev_acked = acked;
             credits.push(net.host(0).credits().credit(&atk_ip));
@@ -456,7 +455,6 @@ fn e5_cell(n: usize, seed: u64) -> (bool, u64, u64, usize) {
         .secure()
         .build();
     let ok = net.bootstrap();
-    let m = net.engine.metrics();
     let committed = net
         .dns_node()
         .dns_state()
@@ -464,8 +462,8 @@ fn e5_cell(n: usize, seed: u64) -> (bool, u64, u64, usize) {
         .unwrap_or(0);
     (
         ok,
-        m.counter("ctl.tx_msgs"),
-        m.counter("ctl.tx_bytes"),
+        net.count(Counter::CtlTxMsgs),
+        net.count(Counter::CtlTxBytes),
         committed,
     )
 }

@@ -4,8 +4,8 @@
 use crate::table::Table;
 use manet_crypto::KeyPair;
 use manet_secure::scenario::{ScenarioBuilder, Workload};
-use manet_secure::{HostIdentity, ProtocolConfig, SecureNode};
-use manet_sim::{Engine, EngineConfig, Mobility, Pos, RadioConfig, SimDuration, SimTime};
+use manet_secure::{Counter, HostIdentity, ProtocolConfig, SecureNode};
+use manet_sim::{Engine, EngineConfig, Mobility, NodeId, Pos, RadioConfig, SimDuration, SimTime};
 use manet_wire::{
     sigdata, Arep, Areq, Challenge, Crep, DomainName, Drep, IdentityProof, Message, PlainRerr,
     PlainRrep, PlainRreq, Rerr, RouteRecord, Rrep, Rreq, SecureRouteRecord, Seq, SrrEntry,
@@ -355,12 +355,16 @@ pub fn exhibit_f2() -> String {
             out.push_str(&format!("{e}\n"));
         }
     }
-    let m = engine.metrics();
+    let total = |c: Counter| -> u64 {
+        (0..engine.node_count())
+            .map(|i| engine.protocol_as::<SecureNode>(NodeId(i)).stats()[c])
+            .sum()
+    };
     out.push_str(&format!(
         "\noutcome: collisions detected = {}, pending registration cancelled at DNS = {}, DAD rounds = {}\n",
-        m.counter("dad.collisions"),
-        m.counter("dns.reg_cancelled"),
-        m.counter("dad.attempts"),
+        total(Counter::DadCollisions),
+        total(Counter::DnsRegCancelled),
+        total(Counter::DadAttempts),
     ));
     out
 }
@@ -397,14 +401,13 @@ pub fn exhibit_f3() -> String {
             out.push_str(&format!("{e}\n"));
         }
     }
-    let m = net.engine.metrics();
     out.push_str(&format!(
         "\noutcome: discovered = {}, via CREP = {}, verification failures = {}\n",
-        m.counter("route.discovered"),
-        m.counter("route.discovered_via_crep"),
-        m.counter("sec.rreq_rejected")
-            + m.counter("sec.rrep_rejected")
-            + m.counter("sec.crep_rejected"),
+        net.count(Counter::RouteDiscovered),
+        net.count(Counter::RouteDiscoveredViaCrep),
+        net.count(Counter::SecRreqRejected)
+            + net.count(Counter::SecRrepRejected)
+            + net.count(Counter::SecCrepRejected),
     ));
     out
 }

@@ -11,6 +11,7 @@
 use crate::dsr::Dsr;
 use crate::fxhash::FxHashMap;
 use crate::node::SecureNode;
+use crate::stats::Counter;
 use manet_sim::{Ctx, Dir, SimTime};
 use manet_wire::{
     cga, sigdata, Arep, Areq, Challenge, DnsQuery, DnsReply, DomainName, Drep, IpChangeProof,
@@ -54,13 +55,6 @@ pub struct DnsState {
     next_pending_id: u64,
     /// IP-change sessions by domain name.
     ip_changes: FxHashMap<DomainName, IpChangeSession>,
-    // Counters for harness inspection.
-    pub committed_online: u64,
-    pub cancelled_by_warning: u64,
-    pub conflicts_rejected: u64,
-    pub queries_answered: u64,
-    pub ip_changes_accepted: u64,
-    pub ip_changes_rejected: u64,
 }
 
 impl DnsState {
@@ -154,7 +148,7 @@ impl SecureNode {
                 received_at: now,
             },
         );
-        ctx.count("dns.pending_opened", 1);
+        self.stats.bump(Counter::DnsPendingOpened);
         ctx.set_timer(window, TAG_DNS_PENDING | id);
     }
 
@@ -173,11 +167,9 @@ impl SecureNode {
             rr: rr.clone(),
             sig,
         };
-        self.stats.drep_sent += 1;
-        ctx.count("dns.drep_sent", 1);
+        self.stats.bump(Counter::DnsDrepSent);
         ctx.trace(Dir::Note, "DNS", format_args!("name {} already taken", dn));
         self.reply_along(ctx, self.ident.ip(), rr, sip, Message::Drep(drep));
-        self.dns.as_mut().expect("dns role").conflicts_rejected += 1;
     }
 
     /// Commit a pending registration whose warning window elapsed. A
@@ -204,8 +196,7 @@ impl SecureNode {
         }
         let dns = self.dns.as_mut().expect("dns role");
         dns.names.insert(dn.clone(), sip);
-        dns.committed_online += 1;
-        ctx.count("dns.names_committed", 1);
+        self.stats.bump(Counter::DnsNamesCommitted);
         ctx.trace(Dir::Note, "DNS", format_args!("committed {} → {}", dn, sip));
     }
 
@@ -225,16 +216,10 @@ impl SecureNode {
         };
         // Same two checks as the host side runs, against the stored ch.
         if self
-            .check_proof(
-                ctx,
-                &arep.sip,
-                &sigdata::arep(&arep.sip, reg.ch),
-                &arep.proof,
-            )
+            .check_proof(&arep.sip, &sigdata::arep(&arep.sip, reg.ch), &arep.proof)
             .is_err()
         {
-            self.stats.rejected_arep += 1;
-            ctx.count("sec.dns_warning_rejected", 1);
+            self.stats.bump(Counter::SecDnsWarningRejected);
             ctx.trace(Dir::Drop, "AREP", "invalid duplicate warning at DNS");
             return;
         }
@@ -246,8 +231,7 @@ impl SecureNode {
     pub(crate) fn dns_cancel_pending(&mut self, ctx: &mut Ctx, sip: &Ipv6Addr) {
         let dns = self.dns.as_mut().expect("dns role");
         if dns.pending.remove(sip).is_some() {
-            dns.cancelled_by_warning += 1;
-            ctx.count("dns.reg_cancelled", 1);
+            self.stats.bump(Counter::DnsRegCancelled);
             ctx.trace(
                 Dir::Note,
                 "DNS",
@@ -269,8 +253,7 @@ impl SecureNode {
             sig,
             route: path.reversed(),
         };
-        self.dns.as_mut().expect("dns role").queries_answered += 1;
-        ctx.count("dns.queries_answered", 1);
+        self.stats.bump(Counter::DnsQueriesAnswered);
         let back = path.reversed();
         if back.len() >= 2 {
             self.send_routed(ctx, back, Message::DnsReply(reply));
@@ -294,7 +277,7 @@ impl SecureNode {
             .map(|owner| owner == req.old_ip)
             .unwrap_or(false);
         if !plausible {
-            ctx.count("dns.ip_change_implausible", 1);
+            self.stats.bump(Counter::DnsIpChangeImplausible);
             return;
         }
         let ch = Challenge(ctx.rng().gen());
@@ -345,7 +328,6 @@ impl SecureNode {
             && cga::verify(&proof.new_ip, &proof.pk, proof.new_rn).is_ok()
             && self
                 .check_known_key(
-                    ctx,
                     &proof.pk,
                     &sigdata::ip_change(&proof.old_ip, &proof.new_ip, session.ch),
                     &proof.sig,
@@ -356,11 +338,9 @@ impl SecureNode {
             dns.ip_changes.remove(&proof.dn);
             if accepted {
                 dns.names.insert(proof.dn.clone(), proof.new_ip);
-                dns.ip_changes_accepted += 1;
-                ctx.count("dns.ip_changes_accepted", 1);
+                self.stats.bump(Counter::DnsIpChangesAccepted);
             } else {
-                dns.ip_changes_rejected += 1;
-                ctx.count("dns.ip_changes_rejected", 1);
+                self.stats.bump(Counter::DnsIpChangesRejected);
             }
         }
         let sig = self

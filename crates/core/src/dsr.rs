@@ -23,7 +23,7 @@ use crate::fxhash::FxHashMap;
 use crate::neighbor::NeighborCache;
 use crate::routecache::RouteCache;
 use crate::sendbuf::SendBuffer;
-use crate::stats::NodeStats;
+use crate::stats::{Counter, NodeStats};
 use manet_sim::{Ctx, Dir, NodeId, SimDuration, SimTime};
 use manet_wire::{Ack, Data, Ipv6Addr, Message, RouteRecord, Seq, UNSPECIFIED};
 use rand::Rng;
@@ -146,23 +146,20 @@ impl<W> DsrState<W> {
         s
     }
 
-    /// A frame from link node `src` claimed source address `ip`.
-    pub(crate) fn heard(&mut self, ctx: &mut Ctx, ip: Ipv6Addr, src: NodeId) {
-        let evicted = self.neighbors.learn(ip, src, ctx.now());
-        if evicted > 0 {
-            ctx.count("neigh.evicted", evicted as u64);
-        }
-    }
-
     /// Flood dedup: true the first time `(sip, seq)` is seen, and
     /// remembers it.
-    pub(crate) fn first_sighting(&mut self, ctx: &mut Ctx, sip: Ipv6Addr, seq: Seq) -> bool {
+    pub(crate) fn first_sighting(
+        &mut self,
+        stats: &mut NodeStats,
+        sip: Ipv6Addr,
+        seq: Seq,
+    ) -> bool {
         let key = (sip, seq.0);
         if self.seen_rreqs.get(&key).is_some() {
             return false;
         }
         if self.seen_rreqs.put(key, ()) {
-            ctx.count("route.rreq_dedup_rotations", 1);
+            stats.bump(Counter::RouteRreqDedupRotations);
         }
         true
     }
@@ -287,25 +284,23 @@ pub(crate) trait Dsr: Sized {
     /// Application entry: send `payload` to `dip`, discovering a route
     /// if needed.
     fn originate_data(&mut self, ctx: &mut Ctx, dip: Ipv6Addr, payload: Vec<u8>) {
-        self.stats_mut().data_sent += 1;
-        ctx.count("app.data_sent", 1);
+        self.stats_mut().bump(Counter::AppDataSent);
         let seq = self.dsr_mut().alloc_seq();
         if self.ready() && self.try_send_data(ctx, seq, dip, &payload, 0) {
             return;
         }
-        self.enqueue(ctx, dip, Queued::Data { seq }, &payload);
+        self.enqueue(dip, Queued::Data { seq }, &payload);
         self.ensure_route(ctx, dip);
     }
 
     /// Queue `q` for `dest`; `payload` is the data bytes of a
     /// [`Queued::Data`] entry (empty otherwise), copied into the buffer
     /// arena.
-    fn enqueue(&mut self, ctx: &mut Ctx, dest: Ipv6Addr, q: Queued<Self::Work>, payload: &[u8]) {
+    fn enqueue(&mut self, dest: Ipv6Addr, q: Queued<Self::Work>, payload: &[u8]) {
         if self.dsr().send_buffer.len() >= self.params().max_send_buffer {
             // Oldest-first drop; count the casualty if it was data.
             if let Some((_, Queued::Data { .. })) = self.dsr_mut().send_buffer.drop_front() {
-                self.stats_mut().data_failed += 1;
-                ctx.count("app.data_failed", 1);
+                self.stats_mut().bump(Counter::AppDataFailed);
             }
         }
         self.dsr_mut().send_buffer.push_back(dest, q, payload);
@@ -326,7 +321,7 @@ pub(crate) trait Dsr: Sized {
             // address-less (mid-DAD) or silent host — fall back to link
             // broadcast.
             if node.is_none() && !at_final {
-                ctx.count("route.first_hop_unresolved", 1);
+                self.stats_mut().bump(Counter::RouteFirstHopUnresolved);
                 ctx.trace(
                     Dir::Drop,
                     "ROUTE",
@@ -367,13 +362,14 @@ pub(crate) trait Dsr: Sized {
         // the frame's last receiver has been dispatched).
         let mut bytes = ctx.frame_buf();
         env.encode_into(&mut bytes);
-        ctx.count("ctl.tx_msgs", 1);
-        ctx.count("ctl.tx_bytes", bytes.len() as u64);
+        let (stats, len) = (self.stats_mut(), bytes.len() as u64);
+        stats.bump(Counter::CtlTxMsgs);
+        stats.add(Counter::CtlTxBytes, len);
         if env.msg.is_table1_control() {
-            ctx.count("ctl.table1_bytes", bytes.len() as u64);
+            stats.add(Counter::CtlTable1Bytes, len);
         }
         if !matches!(env.msg, Message::Data(_) | Message::Ack(_)) {
-            ctx.count("ctl.routing_bytes", bytes.len() as u64);
+            stats.add(Counter::CtlRoutingBytes, len);
         }
         match env.source_route.as_ref().map(|p| (p.0.last(), p.len())) {
             Some((Some(dst), n)) => {
@@ -467,8 +463,7 @@ pub(crate) trait Dsr: Sized {
 
     fn broadcast_rreq(&mut self, ctx: &mut Ctx, dip: Ipv6Addr, seq: Seq) {
         let msg = self.rreq_message(dip, seq);
-        self.stats_mut().rreq_sent += 1;
-        ctx.count("route.rreq_originated", 1);
+        self.stats_mut().bump(Counter::RouteRreqOriginated);
         let env = Envelope::broadcast(self.ip(), msg);
         self.tx(ctx, None, &env);
     }
@@ -484,12 +479,12 @@ pub(crate) trait Dsr: Sized {
         if pending.attempts >= params.rreq_retries {
             // Discovery exhausted: fail everything queued for `dip`.
             st.pending_rreqs.remove(&dip);
-            ctx.count("route.discovery_gave_up", 1);
             let dropped = st.send_buffer.remove_dest(dip) as u64;
+            let stats = self.stats_mut();
+            stats.bump(Counter::RouteDiscoveryGaveUp);
             if dropped > 0 {
-                self.stats_mut().data_failed += dropped;
-                ctx.count("app.data_failed", dropped);
-                ctx.count("route.discovery_failed", 1);
+                stats.add(Counter::AppDataFailed, dropped);
+                stats.bump(Counter::RouteDiscoveryFailed);
             }
             return;
         }
@@ -499,7 +494,7 @@ pub(crate) trait Dsr: Sized {
         let new_seq = Seq(st.next_seq);
         st.next_seq += 1;
         pending.seq = new_seq;
-        ctx.count("route.rreq_retries", 1);
+        self.stats_mut().bump(Counter::RouteRreqRetries);
         self.broadcast_rreq(ctx, dip, new_seq);
         ctx.set_timer(params.rreq_timeout, TAG_RREQ | new_seq.0);
     }
@@ -508,7 +503,7 @@ pub(crate) trait Dsr: Sized {
         let Some(pending) = self.dsr_mut().pending_acks.remove(&seq) else {
             return; // acked in time
         };
-        ctx.count("app.ack_timeouts", 1);
+        self.stats_mut().bump(Counter::AppAckTimeouts);
         self.on_ack_timeout(ctx, &pending);
         if pending.retries < self.params().data_retries {
             // Retry — possibly over a different route if the stack's
@@ -518,12 +513,11 @@ pub(crate) trait Dsr: Sized {
                 return;
             }
             // No usable route: rediscover and queue.
-            self.enqueue(ctx, pending.dip, Queued::Data { seq }, &pending.payload);
+            self.enqueue(pending.dip, Queued::Data { seq }, &pending.payload);
             self.ensure_route(ctx, pending.dip);
             return;
         }
-        self.stats_mut().data_failed += 1;
-        ctx.count("app.data_failed", 1);
+        self.stats_mut().bump(Counter::AppDataFailed);
     }
 
     // --- reception -------------------------------------------------------------
@@ -532,10 +526,11 @@ pub(crate) trait Dsr: Sized {
     /// counted) when malformed.
     fn decode_frame(&mut self, ctx: &mut Ctx, src: NodeId, bytes: &[u8]) -> Option<Envelope> {
         let Ok(env) = Envelope::decode(bytes) else {
-            ctx.count("rx.malformed", 1);
+            self.stats_mut().bump(Counter::RxMalformed);
             return None;
         };
-        self.dsr_mut().heard(ctx, env.src_ip, src);
+        let evicted = self.dsr_mut().neighbors.learn(env.src_ip, src, ctx.now());
+        self.stats_mut().add(Counter::NeighEvicted, evicted as u64);
         Some(env)
     }
 
@@ -559,8 +554,7 @@ pub(crate) trait Dsr: Sized {
     }
 
     fn handle_data(&mut self, ctx: &mut Ctx, data: Data) {
-        self.stats_mut().data_received += 1;
-        ctx.count("app.data_received", 1);
+        self.stats_mut().bump(Counter::AppDataReceived);
         ctx.sample("app.data_bytes", data.payload.len() as f64);
         let path = data.route.reversed();
         let ack = Ack {
@@ -578,8 +572,7 @@ pub(crate) trait Dsr: Sized {
         let Some(pending) = self.dsr_mut().pending_acks.remove(&ack.seq.0) else {
             return;
         };
-        self.stats_mut().data_acked += 1;
-        ctx.count("app.data_acked", 1);
+        self.stats_mut().bump(Counter::AppDataAcked);
         ctx.sample(
             "app.e2e_latency_s",
             ctx.now().since(pending.sent).as_secs_f64(),
@@ -596,8 +589,7 @@ pub(crate) trait Dsr: Sized {
         // Black/grey hole: accept and discard (Section 4's black hole).
         let drop_prob = self.behavior().data_drop_prob;
         if is_data && drop_prob > 0.0 && ctx.rng().gen::<f64>() < drop_prob {
-            self.stats_mut().atk_data_dropped += 1;
-            ctx.count("atk.data_dropped", 1);
+            self.stats_mut().bump(Counter::AtkDataDropped);
             ctx.trace(Dir::Drop, "DATA", "black hole: swallowing packet");
             return;
         }
@@ -608,7 +600,7 @@ pub(crate) trait Dsr: Sized {
         let final_next = idx + 1 == path.len() - 1;
         env.sr_index += 1;
         env.src_ip = self.ip();
-        ctx.count("route.forwarded", 1);
+        self.stats_mut().bump(Counter::RouteForwarded);
         let node = self.dsr().neighbors.lookup(&next, ctx.now());
         match node {
             Some(node) if !(final_next && final_hop_must_broadcast(&env.msg, &next)) => {
@@ -618,7 +610,7 @@ pub(crate) trait Dsr: Sized {
             // Last hop to a mid-DAD joiner (the footnote broadcast) or
             // to a host we cannot resolve: link-layer broadcast.
             _ if final_next => {
-                ctx.count("route.broadcast_fallback", 1);
+                self.stats_mut().bump(Counter::RouteBroadcastFallback);
                 self.tx(ctx, None, &env);
             }
             // Broken link with no cached neighbor: report it.
@@ -636,8 +628,7 @@ pub(crate) trait Dsr: Sized {
     /// source of a source-routed packet (this node is hop `my_idx`).
     fn originate_rerr(&mut self, ctx: &mut Ctx, path: &RouteRecord, my_idx: usize, next: Ipv6Addr) {
         let msg = self.rerr_message(next);
-        self.stats_mut().rerr_sent += 1;
-        ctx.count("route.rerr_sent", 1);
+        self.stats_mut().bump(Counter::RouteRerrSent);
         let back: Vec<Ipv6Addr> = path.0[..=my_idx].iter().rev().copied().collect();
         if back.len() >= 2 {
             self.send_routed(ctx, RouteRecord(back), msg);
@@ -664,7 +655,7 @@ pub(crate) trait Dsr: Sized {
         if path.0.first() == Some(&me) {
             // We are the source: no RERR to send; the ACK timeout will
             // retry over another route.
-            ctx.count("route.source_link_failures", 1);
+            self.stats_mut().bump(Counter::RouteSourceLinkFailures);
         } else {
             let my_idx = (env.sr_index as usize).saturating_sub(1);
             self.originate_rerr(ctx, path, my_idx, next);
@@ -678,6 +669,7 @@ mod tests {
     use crate::config::ProtocolConfig;
     use crate::identity::HostIdentity;
     use crate::plain::{PlainConfig, PlainDsrNode};
+    use crate::scenario::NodeApi;
     use crate::SecureNode;
     use manet_crypto::BackendKind;
     use manet_sim::{Engine, EngineConfig, Mobility, Pos, Protocol};
@@ -736,13 +728,13 @@ mod tests {
         assert_eq!(memo.get(&(foreign, 5)), Some(2));
 
         let (mut engine, relay) = alone(PlainDsrNode::new(PlainConfig::default(), far(0)));
-        engine.with_protocol::<PlainDsrNode, _>(relay, |n, ctx| {
-            let dsr = n.dsr_mut();
-            assert!(dsr.first_sighting(ctx, rerolled, Seq(5)));
+        engine.with_protocol::<PlainDsrNode, _>(relay, |n, _| {
+            let (dsr, stats) = (n.dsr_mut(), &mut NodeStats::default());
+            assert!(dsr.first_sighting(stats, rerolled, Seq(5)));
             assert!(!dsr.already_seen(&foreign, Seq(5)));
-            assert!(dsr.first_sighting(ctx, foreign, Seq(5)));
-            assert!(!dsr.first_sighting(ctx, rerolled, Seq(5)));
-            assert!(!dsr.first_sighting(ctx, foreign, Seq(5)));
+            assert!(dsr.first_sighting(stats, foreign, Seq(5)));
+            assert!(!dsr.first_sighting(stats, rerolled, Seq(5)));
+            assert!(!dsr.first_sighting(stats, foreign, Seq(5)));
             assert!(dsr.already_seen(&rerolled, Seq(5)) && dsr.already_seen(&foreign, Seq(5)));
         });
     }
@@ -758,8 +750,8 @@ mod tests {
 
     /// Deliver `frame` to `node`; how many frames it transmitted in
     /// response (a relayed flood or an answer is one).
-    fn hear<P: Protocol + 'static>(engine: &mut Engine, node: NodeId, frame: &[u8]) -> u64 {
-        let sent = |e: &Engine| e.metrics().counter("ctl.tx_msgs");
+    fn hear<P: NodeApi>(engine: &mut Engine, node: NodeId, frame: &[u8]) -> u64 {
+        let sent = |e: &Engine| e.protocol_as::<P>(node).node_stats()[Counter::CtlTxMsgs];
         let before = sent(engine);
         engine.with_protocol::<P, _>(node, |n, ctx| n.on_frame(ctx, node, frame));
         sent(engine) - before
@@ -784,7 +776,8 @@ mod tests {
         for seq in 1..=10_000 {
             assert_eq!(hear::<PlainDsrNode>(&mut engine, relay, &flood(seq)), 1);
         }
-        assert!(engine.metrics().counter("route.rreq_dedup_rotations") >= 4);
+        let stats = engine.protocol_as::<PlainDsrNode>(relay).stats();
+        assert!(stats[Counter::RouteRreqDedupRotations] >= 4);
         // Both generations answer the allocation-free peek path.
         let older = 10_000 - RREQ_DEDUP_CAP as u64 / 2;
         for seq in [10_000, older] {
@@ -825,7 +818,7 @@ mod tests {
         assert_eq!(neighbors.len(), NEIGHBOR_CAP);
         assert_eq!(neighbors.lookup(&far(5), now), Some(relay));
         assert_eq!(
-            engine.metrics().counter("neigh.evicted"),
+            engine.protocol_as::<PlainDsrNode>(relay).stats()[Counter::NeighEvicted],
             9 * NEIGHBOR_CAP as u64 + 1
         );
     }

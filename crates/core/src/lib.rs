@@ -52,4 +52,4 @@ pub use identity::{
 pub use node::SecureNode;
 pub use plain::PlainDsrNode;
 pub use scenario::{Network, NodeApi, RunReport, ScenarioBuilder, Workload};
-pub use stats::{NodeStats, ResolvedCache};
+pub use stats::{Counter, NodeStats, ResolvedCache};

@@ -5,6 +5,7 @@
 use super::{NodeState, QueuedWork, SecureNode, TAG_DAD, TAG_DAD_PROBE};
 use crate::dsr::{Dsr, Queued};
 use crate::envelope::Envelope;
+use crate::stats::Counter;
 use manet_sim::{Ctx, Dir};
 use manet_wire::Ipv6Addr;
 use manet_wire::{
@@ -15,8 +16,7 @@ use rand::Rng;
 
 impl SecureNode {
     pub(super) fn begin_dad(&mut self, ctx: &mut Ctx) {
-        self.stats.dad_attempts += 1;
-        ctx.count("dad.attempts", 1);
+        self.stats.bump(Counter::DadAttempts);
         // A restarted attempt invalidates the previous one's probe plan.
         for h in self.dad_probe_timers.drain(..) {
             ctx.cancel_timer(h);
@@ -50,7 +50,7 @@ impl SecureNode {
             ch,
             rr: RouteRecord::new(),
         };
-        self.stats.areq_sent += 1;
+        self.stats.bump(Counter::DadAreqSent);
         let env = Envelope::broadcast(UNSPECIFIED, Message::Areq(areq));
         self.tx(ctx, None, &env);
     }
@@ -72,7 +72,7 @@ impl SecureNode {
     fn dad_confirmed(&mut self, ctx: &mut Ctx) {
         self.state = NodeState::Ready;
         self.stats.joined_at = Some(ctx.now());
-        ctx.count("dad.confirmed", 1);
+        self.stats.bump(Counter::DadConfirmed);
         ctx.sample("dad.latency_s", ctx.now().as_secs_f64());
         ctx.trace(
             Dir::Note,
@@ -92,8 +92,8 @@ impl SecureNode {
     }
 
     fn restart_dad(&mut self, ctx: &mut Ctx) {
-        if self.stats.dad_attempts >= self.cfg.dad_max_attempts {
-            ctx.count("dad.gave_up", 1);
+        if self.stats[Counter::DadAttempts] >= u64::from(self.cfg.dad_max_attempts) {
+            self.stats.bump(Counter::DadGaveUp);
             self.state = NodeState::Boot;
             return;
         }
@@ -137,8 +137,7 @@ impl SecureNode {
         let collision = areq.sip == self.ident.ip();
         if collision || self.behavior.squat_dad {
             if !collision {
-                self.stats.atk_forged_arep += 1;
-                ctx.count("atk.forged_arep", 1);
+                self.stats.bump(Counter::AtkForgedArep);
             }
             self.send_arep(ctx, &areq);
             if collision {
@@ -158,8 +157,7 @@ impl SecureNode {
                 .find(|a| a.sip == areq.sip)
                 .cloned()
             {
-                self.stats.atk_replayed += 1;
-                ctx.count("atk.replayed_arep", 1);
+                self.stats.bump(Counter::AtkReplayedArep);
                 self.reply_along(ctx, self.ident.ip(), &areq.rr, areq.sip, Message::Arep(old));
             }
         }
@@ -181,8 +179,7 @@ impl SecureNode {
             rr: areq.rr.clone(),
             proof,
         };
-        self.stats.arep_sent += 1;
-        ctx.count("dad.arep_sent", 1);
+        self.stats.bump(Counter::DadArepSent);
         self.reply_along(
             ctx,
             self.ident.ip(),
@@ -213,7 +210,7 @@ impl SecureNode {
             self.send_routed(ctx, path, Message::Arep(warning));
         } else {
             let warning = Queued::Other(QueuedWork::ArepWarning { arep: warning });
-            self.enqueue(ctx, dns_ip, warning, &[]);
+            self.enqueue(dns_ip, warning, &[]);
             self.ensure_route(ctx, dns_ip);
         }
     }
@@ -234,10 +231,9 @@ impl SecureNode {
         }
         // The two checks of Section 3.1: CGA ownership of SIP by (RPK,
         // Rrn), and the challenge response under RSK.
-        match self.check_proof(ctx, &arep.sip, &sigdata::arep(&arep.sip, ch), &arep.proof) {
+        match self.check_proof(&arep.sip, &sigdata::arep(&arep.sip, ch), &arep.proof) {
             Ok(()) => {
-                self.stats.collisions_detected += 1;
-                ctx.count("dad.collisions", 1);
+                self.stats.bump(Counter::DadCollisions);
                 ctx.trace(
                     Dir::Note,
                     "DAD",
@@ -246,8 +242,7 @@ impl SecureNode {
                 self.restart_dad(ctx);
             }
             Err(_) => {
-                self.stats.rejected_arep += 1;
-                ctx.count("sec.arep_rejected", 1);
+                self.stats.bump(Counter::SecArepRejected);
                 ctx.trace(Dir::Drop, "AREP", "invalid proof (squat/replay attempt?)");
             }
         }
@@ -263,13 +258,12 @@ impl SecureNode {
         let Some(dn) = self.desired_dn.clone() else {
             return; // we registered no name; a DREP for us is bogus
         };
-        match self.check_dns_sig(ctx, &sigdata::drep(&dn, ch), &drep.sig) {
+        match self.check_dns_sig(&sigdata::drep(&dn, ch), &drep.sig) {
             Ok(()) => {
-                self.stats.name_conflicts += 1;
-                ctx.count("dad.name_conflicts", 1);
+                self.stats.bump(Counter::DadNameConflicts);
                 // First-come-first-serve lost: pick a decorated fallback
                 // name and retry the DAD round (Section 3.1).
-                let fallback = format!("{}-{}", dn.as_str(), self.stats.dad_attempts + 1);
+                let fallback = format!("{}-{}", dn.as_str(), self.stats[Counter::DadAttempts] + 1);
                 self.desired_dn = DomainName::new(&fallback).ok();
                 ctx.trace(
                     Dir::Note,
@@ -279,8 +273,7 @@ impl SecureNode {
                 self.restart_dad(ctx);
             }
             Err(_) => {
-                self.stats.rejected_drep += 1;
-                ctx.count("sec.drep_rejected", 1);
+                self.stats.bump(Counter::SecDrepRejected);
             }
         }
     }

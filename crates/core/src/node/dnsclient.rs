@@ -4,6 +4,7 @@
 
 use super::{PendingIpChange, QueuedWork, SecureNode};
 use crate::dsr::{Dsr, Queued};
+use crate::stats::Counter;
 use manet_sim::{Ctx, Dir};
 use manet_wire::{
     sigdata, Challenge, DnsQuery, DnsReply, DomainName, IpChangeChallenge, IpChangeProof,
@@ -31,7 +32,7 @@ impl SecureNode {
             }
         }
         let query = Queued::Other(QueuedWork::DnsQuery { qname, ch });
-        self.enqueue(ctx, dns_ip, query, &[]);
+        self.enqueue(dns_ip, query, &[]);
         if self.is_ready() {
             self.ensure_route(ctx, dns_ip);
         }
@@ -68,7 +69,7 @@ impl SecureNode {
             self.ensure_route(ctx, dns_ip);
         }
         let request = Queued::Other(QueuedWork::IpChangeRequest { dn });
-        self.enqueue(ctx, dns_ip, request, &[]);
+        self.enqueue(dns_ip, request, &[]);
     }
 
     // --- inbound ------------------------------------------------------------
@@ -78,14 +79,13 @@ impl SecureNode {
             return;
         };
         let payload = sigdata::dns_reply(&reply.qname, reply.answer.as_ref(), ch);
-        if self.check_dns_sig(ctx, &payload, &reply.sig).is_err() {
-            self.stats.rejected_dns_reply += 1;
-            ctx.count("sec.dns_reply_rejected", 1);
+        if self.check_dns_sig(&payload, &reply.sig).is_err() {
+            self.stats.bump(Counter::SecDnsReplyRejected);
             ctx.trace(Dir::Drop, "DNSR", "invalid DNS signature (impersonation?)");
             return;
         }
         self.pending_resolves.remove(&reply.qname);
-        ctx.count("dns.resolved", 1);
+        self.stats.bump(Counter::DnsResolved);
         self.stats.resolved.insert(reply.qname, reply.answer);
     }
 
@@ -133,14 +133,14 @@ impl SecureNode {
             return;
         };
         let payload = sigdata::ip_change_result(&res.dn, res.accepted, ch);
-        if self.check_dns_sig(ctx, &payload, &res.sig).is_err() {
-            ctx.count("sec.ip_change_result_rejected", 1);
+        if self.check_dns_sig(&payload, &res.sig).is_err() {
+            self.stats.bump(Counter::SecIpChangeResultRejected);
             return;
         }
         self.stats.ip_change_accepted = Some(res.accepted);
         if res.accepted {
             self.ident.set_rn(pending.new_rn);
-            ctx.count("dns.ip_changed", 1);
+            self.stats.bump(Counter::DnsIpChanged);
             ctx.trace(Dir::Note, "IPCHG", format_args!("now {}", self.ident.ip()));
             // Old routes reference the old address; peers will re-resolve.
             self.dsr.route_cache.remove_dest(&pending.old_ip);

@@ -9,7 +9,7 @@ use crate::config::Behavior;
 use crate::credit::CreditManager;
 use crate::dsr::{Dsr, DsrParams, DsrState, PendingAck};
 use crate::envelope::Envelope;
-use crate::stats::NodeStats;
+use crate::stats::{Counter, NodeStats};
 use manet_sim::Ctx;
 use manet_wire::{
     sigdata, DnsQuery, DnsReply, IpChangeRequest, Ipv6Addr, Message, Rerr, RouteRecord, Rreq,
@@ -91,7 +91,7 @@ impl Dsr for SecureNode {
                 let back: Vec<Ipv6Addr> = probe.route.reversed().0;
                 self.send_probe_ack(ctx, &probe, back);
             }
-            Message::ProbeAck(ack) => self.handle_probe_ack(ctx, ack),
+            Message::ProbeAck(ack) => self.handle_probe_ack(ack),
             Message::DnsQuery(q) => {
                 if self.dns.is_some() {
                     self.dns_on_query(ctx, q, &path);
@@ -112,7 +112,7 @@ impl Dsr for SecureNode {
             Message::IpChangeResult(r) => self.handle_ip_change_result(ctx, r),
             // Floods never arrive source-routed; plain-DSR messages are
             // not spoken by secure nodes.
-            _ => ctx.count("rx.unexpected_routed", 1),
+            _ => self.stats.bump(Counter::RxUnexpectedRouted),
         }
     }
 
@@ -194,8 +194,7 @@ impl Dsr for SecureNode {
                     && !self.behavior.evade_probes
                     && ctx.rng().gen::<f64>() < self.behavior.data_drop_prob
                 {
-                    self.stats.atk_data_dropped += 1;
-                    ctx.count("atk.probe_dropped", 1);
+                    self.stats.bump(Counter::AtkProbeDropped);
                     return true;
                 }
                 self.send_probe_ack(ctx, probe, back());
@@ -214,8 +213,7 @@ impl Dsr for SecureNode {
                         .sign(&sigdata::dns_reply(&q.qname, Some(&me), q.ch)),
                     route: RouteRecord::new(),
                 });
-                self.stats.atk_forged_dns += 1;
-                ctx.count("atk.forged_dns", 1);
+                self.stats.bump(Counter::AtkForgedDns);
                 let back = back();
                 if back.len() >= 2 {
                     self.send_routed(ctx, RouteRecord(back), reply);
@@ -235,8 +233,7 @@ impl Dsr for SecureNode {
             return;
         }
         if let (Message::Data(_), Some(path)) = (&env.msg, &env.source_route) {
-            self.stats.atk_spam_rerr += 1;
-            ctx.count("atk.rerr_spam", 1);
+            self.stats.bump(Counter::AtkRerrSpam);
             self.originate_rerr(ctx, path, idx, next);
         }
     }

@@ -41,7 +41,7 @@ use crate::envelope::Envelope;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::identity::HostIdentity;
 use crate::routecache::RouteCache;
-use crate::stats::NodeStats;
+use crate::stats::{Counter, NodeStats};
 use manet_crypto::{backend_for, BatchVerifier, CryptoBackend, PublicKey, VerifyCache};
 use manet_sim::{Ctx, NodeId, Protocol, SimTime};
 use manet_wire::{Arep, Challenge, DomainName, Ipv6Addr, Message, RouteRecord, Rrep, Seq};
@@ -382,7 +382,7 @@ impl Protocol for SecureNode {
             // address and name table before the MANET forms (Section 3).
             self.state = NodeState::Ready;
             self.stats.joined_at = Some(ctx.now());
-            ctx.count("dad.confirmed", 1);
+            self.stats.bump(Counter::DadConfirmed);
             return;
         }
         self.begin_dad(ctx);
@@ -404,7 +404,7 @@ impl Protocol for SecureNode {
             // Broadcast-fallback deliveries carry a source route and
             // are handled above; other flooded kinds are not part of
             // the protocol.
-            _ => ctx.count("rx.unexpected_flood", 1),
+            _ => self.stats.bump(Counter::RxUnexpectedFlood),
         }
     }
 
@@ -462,7 +462,7 @@ mod tests {
         assert!(!n.is_ready());
         assert!(!n.is_dns());
         assert!(n.ip().is_site_local());
-        assert_eq!(n.stats().dad_attempts, 0);
+        assert_eq!(n.stats()[Counter::DadAttempts], 0);
     }
 
     #[test]
@@ -525,7 +525,7 @@ mod tests {
         let n = mk_node(8);
         assert!(!n.cfg.probe_enabled);
         assert!(n.pending_probes.is_empty());
-        assert_eq!(n.stats().probes_sent, 0);
+        assert_eq!(n.stats()[Counter::ProbeSent], 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::dsr::Dsr;
 use crate::envelope::Envelope;
 use crate::fxhash::FxHashSet;
 use crate::routecache::CachedRoute;
+use crate::stats::Counter;
 use manet_sim::{Ctx, Dir};
 use manet_wire::{sigdata, Crep, Ipv6Addr, Message, Rerr, RouteRecord, Rrep, Rreq, SrrEntry};
 
@@ -39,12 +40,12 @@ impl SecureNode {
                 return;
             }
             if self.answered_rreqs.put(key, answered + 1) {
-                ctx.count("route.rreq_dedup_rotations", 1);
+                self.stats.bump(Counter::RouteRreqDedupRotations);
             }
             self.answer_rreq(ctx, rreq);
             return;
         }
-        if !self.dsr.first_sighting(ctx, rreq.sip, rreq.seq) {
+        if !self.dsr.first_sighting(&mut self.stats, rreq.sip, rreq.seq) {
             return;
         }
 
@@ -63,8 +64,7 @@ impl SecureNode {
                 // Splice the captured proof onto the new request: the
                 // destination signature covers (old sip, old seq, old rr)
                 // so the verifier must reject it.
-                self.stats.atk_replayed += 1;
-                ctx.count("atk.replayed_rrep", 1);
+                self.stats.bump(Counter::AtkReplayedRrep);
                 let forged = Rrep {
                     sip: rreq.sip,
                     dip: old.dip,
@@ -94,7 +94,7 @@ impl SecureNode {
             ip: self.ident.ip(),
             proof: entry_proof,
         });
-        ctx.count("route.rreq_relayed", 1);
+        self.stats.bump(Counter::RouteRreqRelayed);
         let env = Envelope::broadcast(self.ident.ip(), Message::Rreq(fwd));
         self.tx(ctx, None, &env);
     }
@@ -105,15 +105,13 @@ impl SecureNode {
         // Check 1: source validity.
         if self
             .check_proof(
-                ctx,
                 &rreq.sip,
                 &sigdata::rreq_src(&rreq.sip, rreq.seq),
                 &rreq.src_proof,
             )
             .is_err()
         {
-            self.stats.rejected_rreq += 1;
-            ctx.count("sec.rreq_rejected", 1);
+            self.stats.bump(Counter::SecRreqRejected);
             ctx.trace(
                 Dir::Drop,
                 "RREQ",
@@ -125,11 +123,10 @@ impl SecureNode {
         if self.cfg.verify_srr {
             for e in &rreq.srr.0 {
                 if self
-                    .check_proof(ctx, &e.ip, &sigdata::srr_hop(&e.ip, rreq.seq), &e.proof)
+                    .check_proof(&e.ip, &sigdata::srr_hop(&e.ip, rreq.seq), &e.proof)
                     .is_err()
                 {
-                    self.stats.rejected_rreq += 1;
-                    ctx.count("sec.rreq_rejected", 1);
+                    self.stats.bump(Counter::SecRreqRejected);
                     ctx.trace(
                         Dir::Drop,
                         "RREQ",
@@ -149,8 +146,7 @@ impl SecureNode {
             rr: rr.clone(),
             proof,
         };
-        self.stats.rrep_sent += 1;
-        ctx.count("route.rrep_sent", 1);
+        self.stats.bump(Counter::RouteRrepSent);
         self.reply_along(ctx, rreq.dip, &rr, rreq.sip, Message::Rrep(rrep));
     }
 
@@ -172,8 +168,7 @@ impl SecureNode {
             rr,
             proof,
         };
-        self.stats.atk_forged_rrep += 1;
-        ctx.count("atk.forged_rrep", 1);
+        self.stats.bump(Counter::AtkForgedRrep);
         self.reply_along(ctx, self.ident.ip(), &back, rreq.sip, Message::Rrep(rrep));
     }
 
@@ -198,8 +193,7 @@ impl SecureNode {
             rr_s_to_d: RouteRecord(cached.relays.clone()),
             d_proof,
         };
-        self.stats.crep_sent += 1;
-        ctx.count("route.crep_sent", 1);
+        self.stats.bump(Counter::RouteCrepSent);
         self.reply_along(
             ctx,
             self.ident.ip(),
@@ -230,8 +224,7 @@ impl SecureNode {
             },
         };
         if expected_seq != rrep.seq {
-            self.stats.rejected_rrep += 1;
-            ctx.count("sec.rrep_rejected", 1);
+            self.stats.bump(Counter::SecRrepRejected);
             ctx.trace(Dir::Drop, "RREP", "sequence mismatch (replay?)");
             return;
         }
@@ -241,14 +234,12 @@ impl SecureNode {
         // full CGA + signature check.
         let payload = sigdata::rrep(&rrep.sip, rrep.seq, &rrep.rr);
         let ok = if rrep.dip.is_dns_well_known() {
-            self.check_dns_sig(ctx, &payload, &rrep.proof.sig).is_ok()
+            self.check_dns_sig(&payload, &rrep.proof.sig).is_ok()
         } else {
-            self.check_proof(ctx, &rrep.dip, &payload, &rrep.proof)
-                .is_ok()
+            self.check_proof(&rrep.dip, &payload, &rrep.proof).is_ok()
         };
         if !ok {
-            self.stats.rejected_rrep += 1;
-            ctx.count("sec.rrep_rejected", 1);
+            self.stats.bump(Counter::SecRrepRejected);
             ctx.trace(
                 Dir::Drop,
                 "RREP",
@@ -263,9 +254,9 @@ impl SecureNode {
                 "route.discovery_latency_s",
                 ctx.now().since(started).as_secs_f64(),
             );
-            ctx.count("route.discovered", 1);
+            self.stats.bump(Counter::RouteDiscovered);
         } else {
-            ctx.count("route.alternate_cached", 1);
+            self.stats.bump(Counter::RouteAlternateCached);
         }
         ctx.trace(
             Dir::Note,
@@ -296,33 +287,29 @@ impl SecureNode {
             None => return,
         };
         if pending_seq != crep.seq2 {
-            self.stats.rejected_crep += 1;
-            ctx.count("sec.crep_rejected", 1);
+            self.stats.bump(Counter::SecCrepRejected);
             return;
         }
         // Verify the cache holder's identity over [S'IP, seq', RR_{S'→S}].
         let holder_payload = sigdata::crep_cache_holder(&crep.s2ip, crep.seq2, &crep.rr_s2_to_s);
         if self
-            .check_proof(ctx, &crep.sip, &holder_payload, &crep.s_proof)
+            .check_proof(&crep.sip, &holder_payload, &crep.s_proof)
             .is_err()
         {
-            self.stats.rejected_crep += 1;
-            ctx.count("sec.crep_rejected", 1);
+            self.stats.bump(Counter::SecCrepRejected);
             ctx.trace(Dir::Drop, "CREP", "invalid cache-holder proof");
             return;
         }
         // Verify the destination's original proof over [SIP, seq, RR_{S→D}].
         let d_payload = sigdata::rrep(&crep.sip, crep.orig_seq, &crep.rr_s_to_d);
         let d_ok = if crep.dip.is_dns_well_known() {
-            self.check_dns_sig(ctx, &d_payload, &crep.d_proof.sig)
-                .is_ok()
+            self.check_dns_sig(&d_payload, &crep.d_proof.sig).is_ok()
         } else {
-            self.check_proof(ctx, &crep.dip, &d_payload, &crep.d_proof)
+            self.check_proof(&crep.dip, &d_payload, &crep.d_proof)
                 .is_ok()
         };
         if !d_ok {
-            self.stats.rejected_crep += 1;
-            ctx.count("sec.crep_rejected", 1);
+            self.stats.bump(Counter::SecCrepRejected);
             ctx.trace(Dir::Drop, "CREP", "invalid destination proof");
             return;
         }
@@ -342,7 +329,7 @@ impl SecureNode {
             "route.discovery_latency_s",
             ctx.now().since(started).as_secs_f64(),
         );
-        ctx.count("route.discovered_via_crep", 1);
+        self.stats.bump(Counter::RouteDiscoveredViaCrep);
         self.dsr.route_cache.insert(
             crep.dip,
             CachedRoute {
@@ -357,15 +344,13 @@ impl SecureNode {
     pub(super) fn handle_rerr(&mut self, ctx: &mut Ctx, rerr: Rerr) {
         if self
             .check_proof(
-                ctx,
                 &rerr.iip,
                 &sigdata::rerr(&rerr.iip, &rerr.i2ip),
                 &rerr.proof,
             )
             .is_err()
         {
-            self.stats.rejected_rerr += 1;
-            ctx.count("sec.rerr_rejected", 1);
+            self.stats.bump(Counter::SecRerrRejected);
             ctx.trace(
                 Dir::Drop,
                 "RERR",
@@ -373,13 +358,13 @@ impl SecureNode {
             );
             return;
         }
-        ctx.count("route.rerr_received", 1);
+        self.stats.bump(Counter::RouteRerrReceived);
         let me = self.ident.ip();
         self.dsr.route_cache.remove_link(me, rerr.iip, rerr.i2ip);
         // Track the reporter; frequent reporters (and their next hops)
         // mark a hostile area (Section 3.4).
         if self.credits.record_rerr(&rerr.iip, &rerr.i2ip) {
-            ctx.count("credit.hostile_marked", 1);
+            self.stats.bump(Counter::CreditHostileMarked);
             ctx.trace(
                 Dir::Note,
                 "CREDIT",
@@ -417,8 +402,7 @@ impl SecureNode {
                 acked: FxHashSet::default(),
             },
         );
-        self.stats.probes_sent += 1;
-        ctx.count("probe.sent", 1);
+        self.stats.bump(Counter::ProbeSent);
         ctx.trace(Dir::Note, "PROBE", format_args!("probing route to {dip}"));
         let msg = Message::Probe(manet_wire::Probe {
             sip: self.ident.ip(),
@@ -447,33 +431,31 @@ impl SecureNode {
             hop,
             proof,
         });
-        self.stats.probe_acks_sent += 1;
-        ctx.count("probe.acks_sent", 1);
+        self.stats.bump(Counter::ProbeAcksSent);
         if back.len() >= 2 {
             self.send_routed(ctx, RouteRecord(back), ack);
         }
     }
 
-    pub(super) fn handle_probe_ack(&mut self, ctx: &mut Ctx, ack: manet_wire::ProbeAck) {
+    pub(super) fn handle_probe_ack(&mut self, ack: manet_wire::ProbeAck) {
         let Some(pending) = self.pending_probes.get(&ack.probe_seq.0) else {
             return; // expired or unsolicited
         };
         if !pending.expected.contains(&ack.hop) {
-            ctx.count("probe.ack_offroute", 1);
+            self.stats.bump(Counter::ProbeAckOffroute);
             return;
         }
         // Same identity checks as everything else: the CGA must belong
         // to the claimed hop and the signature must cover this probe.
         if self
             .check_proof(
-                ctx,
                 &ack.hop,
                 &sigdata::probe_ack(&ack.sip, ack.probe_seq, &ack.hop),
                 &ack.proof,
             )
             .is_err()
         {
-            ctx.count("sec.probe_ack_rejected", 1);
+            self.stats.bump(Counter::SecProbeAckRejected);
             return;
         }
         if let Some(pending) = self.pending_probes.get_mut(&ack.probe_seq.0) {
@@ -494,8 +476,7 @@ impl SecureNode {
             None => {
                 // Everyone answered: an evading dropper or a transient
                 // fault. Credits remain the fallback.
-                self.stats.probes_inconclusive += 1;
-                ctx.count("probe.inconclusive", 1);
+                self.stats.bump(Counter::ProbeInconclusive);
                 ctx.trace(Dir::Note, "PROBE", "all hops acked — inconclusive");
             }
             Some(i) => {
@@ -510,7 +491,7 @@ impl SecureNode {
                     self.credits.penalize_route(&pending.expected[i - 1..i]);
                 }
                 self.stats.probe_suspects.push(suspect);
-                ctx.count("probe.localized", 1);
+                self.stats.bump(Counter::ProbeLocalized);
                 ctx.trace(
                     Dir::Note,
                     "PROBE",

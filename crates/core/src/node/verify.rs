@@ -14,10 +14,8 @@
 //!    spammer pays RSA once and hash-lookups thereafter; on a node-cache
 //!    miss the network-wide [`manet_crypto::BatchVerifier`] table is
 //!    consulted before any inline execution (see `node::prefetch`),
-//! 3. account every verdict in [`NodeStats`]
-//!    (`crypto_verify_attempted` / `_cached` / `_failed`) and the engine
-//!    metrics (`sec.verify_rsa` / `sec.verify_cached` /
-//!    `sec.verify_failed`).
+//! 3. count every verdict once, in the node's [`NodeStats`]
+//!    (`sec.verify_rsa` / `sec.verify_cached` / `sec.verify_failed`).
 //!
 //! Memoization is observationally invisible: the verdict is a pure
 //! function of the triple, the cache key digests the *whole* triple
@@ -27,40 +25,30 @@
 
 use super::SecureNode;
 use crate::identity::{verify_known_key_pipeline, verify_proof_pipeline, ProofError};
-use crate::stats::NodeStats;
+use crate::stats::{Counter, NodeStats};
 use manet_crypto::{Provenance, PublicKey, Signature};
-use manet_sim::Ctx;
 use manet_wire::{IdentityProof, Ipv6Addr};
 
-/// Account one pipeline verdict in the node stats and engine metrics.
+/// Count one pipeline verdict in the node stats.
 fn record(
     stats: &mut NodeStats,
-    ctx: &mut Ctx,
     outcome: (Result<(), ProofError>, Provenance),
 ) -> Result<(), ProofError> {
     let (result, provenance) = outcome;
     if matches!(result, Err(ProofError::Cga(_))) {
         // The CGA check short-circuited before any RSA ran (one SHA-256
         // of work, nothing cacheable): a failed verdict, not an executed
-        // verification — `crypto_verify_attempted` stays an exact count
-        // of RSA operations.
-        stats.crypto_verify_failed += 1;
-        ctx.count("sec.verify_failed", 1);
+        // verification — `sec.verify_rsa` stays an exact count of RSA
+        // operations.
+        stats.bump(Counter::SecVerifyFailed);
         return result;
     }
-    match provenance {
-        Provenance::Cached => {
-            stats.crypto_verify_cached += 1;
-            ctx.count("sec.verify_cached", 1);
-        }
-        Provenance::Computed => {
-            stats.crypto_verify_attempted += 1;
-            ctx.count("sec.verify_rsa", 1);
-        }
-    }
+    stats.bump(match provenance {
+        Provenance::Cached => Counter::SecVerifyCached,
+        Provenance::Computed => Counter::SecVerifyRsa,
+    });
     if result.is_err() {
-        stats.crypto_verify_failed += 1;
-        ctx.count("sec.verify_failed", 1);
+        stats.bump(Counter::SecVerifyFailed);
     }
     result
 }
@@ -70,7 +58,6 @@ impl SecureNode {
     /// signature over `payload`, memoized and counted.
     pub(crate) fn check_proof(
         &mut self,
-        ctx: &mut Ctx,
         claimed: &Ipv6Addr,
         payload: &[u8],
         proof: &IdentityProof,
@@ -91,14 +78,13 @@ impl SecureNode {
             crypto.as_ref(),
             batch.as_deref(),
         );
-        record(stats, ctx, outcome)
+        record(stats, outcome)
     }
 
     /// Verify a signature under a key carried by the message itself
     /// (e.g. the IP-change proof's `XPK`), memoized and counted.
     pub(crate) fn check_known_key(
         &mut self,
-        ctx: &mut Ctx,
         pk: &PublicKey,
         payload: &[u8],
         sig: &Signature,
@@ -118,7 +104,7 @@ impl SecureNode {
             crypto.as_ref(),
             batch.as_deref(),
         );
-        record(stats, ctx, outcome)
+        record(stats, outcome)
     }
 
     /// Verify a signature under the pre-configured DNS public key —
@@ -126,7 +112,6 @@ impl SecureNode {
     /// routes to the anycast address).
     pub(crate) fn check_dns_sig(
         &mut self,
-        ctx: &mut Ctx,
         payload: &[u8],
         sig: &Signature,
     ) -> Result<(), ProofError> {
@@ -147,6 +132,6 @@ impl SecureNode {
             crypto.as_ref(),
             batch.as_deref(),
         );
-        record(stats, ctx, outcome)
+        record(stats, outcome)
     }
 }

@@ -17,7 +17,7 @@ use crate::credit::CreditManager;
 use crate::dsr::{Dsr, DsrParams, DsrState, TAG_ACK, TAG_KIND_MASK, TAG_RREQ};
 use crate::envelope::Envelope;
 use crate::routecache::{CachedRoute, RouteCache};
-use crate::stats::NodeStats;
+use crate::stats::{Counter, NodeStats};
 use manet_sim::{Ctx, NodeId, Protocol, SimDuration};
 use manet_wire::{Ipv6Addr, Message, PlainRerr, PlainRrep, PlainRreq, RouteRecord, Seq};
 use rand::Rng;
@@ -55,7 +55,7 @@ pub struct PlainDsrNode {
     cfg: PlainConfig,
     ip: Ipv6Addr,
     behavior: Behavior,
-    /// Per-node counters, boxed so the 368 bytes stay out of the node's
+    /// Per-node counters, boxed so the table stays out of the node's
     /// slab entry (S3 holds 100k of these).
     stats: Box<NodeStats>,
     /// The shared data plane's state; plain DSR queues nothing but data.
@@ -120,18 +120,16 @@ impl PlainDsrNode {
     }
 
     fn handle_rreq(&mut self, ctx: &mut Ctx, rreq: PlainRreq) {
-        if rreq.sip == self.ip || !self.dsr.first_sighting(ctx, rreq.sip, rreq.seq) {
+        if rreq.sip == self.ip || !self.dsr.first_sighting(&mut self.stats, rreq.sip, rreq.seq) {
             return;
         }
         // No verification anywhere: an attacker impersonating the target
         // address simply answers (the paper's impersonation attack).
         if self.accepts_addr(&rreq.dip) {
             if rreq.dip != self.ip {
-                self.stats.atk_forged_rrep += 1;
-                ctx.count("atk.impersonated_rrep", 1);
+                self.stats.bump(Counter::AtkImpersonatedRrep);
             }
-            self.stats.rrep_sent += 1;
-            ctx.count("route.rrep_sent", 1);
+            self.stats.bump(Counter::RouteRrepSent);
             self.send_rrep(ctx, &rreq, rreq.dip, rreq.rr.clone());
             return;
         }
@@ -143,8 +141,7 @@ impl PlainDsrNode {
         };
         if self.behavior.forge_rrep {
             // Classic black hole: claim a one-hop route to the target.
-            self.stats.atk_forged_rrep += 1;
-            ctx.count("atk.forged_rrep", 1);
+            self.stats.bump(Counter::AtkForgedRrep);
             self.send_rrep(ctx, &rreq, self.ip, extended(&rreq.rr, self.ip));
             return;
         }
@@ -155,8 +152,7 @@ impl PlainDsrNode {
                 // the request's recorded path. Unverifiable by design.
                 let mut rr = extended(&rreq.rr, self.ip);
                 rr.0.extend(cached.relays.iter().copied());
-                self.stats.crep_sent += 1;
-                ctx.count("route.cached_reply", 1);
+                self.stats.bump(Counter::RouteCachedReply);
                 self.send_rrep(ctx, &rreq, self.ip, rr);
                 return;
             }
@@ -179,7 +175,7 @@ impl PlainDsrNode {
         }
         let started = pending.started;
         self.dsr.pending_rreqs.remove(&rrep.dip);
-        ctx.count("route.discovered", 1);
+        self.stats.bump(Counter::RouteDiscovered);
         ctx.sample(
             "route.discovery_latency_s",
             ctx.now().since(started).as_secs_f64(),
@@ -195,10 +191,10 @@ impl PlainDsrNode {
         self.flush_buffer(ctx, rrep.dip);
     }
 
-    fn handle_rerr(&mut self, ctx: &mut Ctx, rerr: PlainRerr) {
+    fn handle_rerr(&mut self, rerr: PlainRerr) {
         // Believed unconditionally — no identity to verify (the paper's
         // forged-RERR attack surface).
-        ctx.count("route.rerr_received", 1);
+        self.stats.bump(Counter::RouteRerrReceived);
         self.dsr
             .route_cache
             .remove_link(self.ip, rerr.iip, rerr.i2ip);
@@ -265,8 +261,8 @@ impl Dsr for PlainDsrNode {
     fn deliver_control(&mut self, ctx: &mut Ctx, env: Envelope) {
         match env.msg {
             Message::PlainRrep(r) => self.handle_rrep(ctx, r),
-            Message::PlainRerr(r) => self.handle_rerr(ctx, r),
-            _ => ctx.count("rx.unexpected_routed", 1),
+            Message::PlainRerr(r) => self.handle_rerr(r),
+            _ => self.stats.bump(Counter::RxUnexpectedRouted),
         }
     }
     fn send_queued(&mut self, _: &mut Ctx, _: Ipv6Addr, work: Infallible) -> Option<Infallible> {
@@ -290,7 +286,8 @@ impl Protocol for PlainDsrNode {
         // to the counting path below.
         if let Some((src_ip, h)) = Envelope::peek_broadcast_rreq(bytes) {
             if h.sip == self.ip || self.dsr.already_seen(&h.sip, h.seq) {
-                self.dsr.heard(ctx, src_ip, src);
+                let evicted = self.dsr.neighbors.learn(src_ip, src, ctx.now());
+                self.stats.add(Counter::NeighEvicted, evicted as u64);
                 return;
             }
         }
@@ -302,7 +299,7 @@ impl Protocol for PlainDsrNode {
         }
         match env.msg {
             Message::PlainRreq(r) => self.handle_rreq(ctx, r),
-            _ => ctx.count("rx.unexpected_flood", 1),
+            _ => self.stats.bump(Counter::RxUnexpectedFlood),
         }
     }
 
@@ -348,7 +345,7 @@ mod tests {
         let ip = PlainDsrNode::random_ip(&mut rng);
         let n = PlainDsrNode::new(PlainConfig::default(), ip);
         assert_eq!(n.ip(), ip);
-        assert_eq!(n.stats().data_sent, 0);
+        assert_eq!(n.stats()[Counter::AppDataSent], 0);
     }
 
     /// S3 runs 100k of these. 728 bytes before the fold; the second

@@ -61,7 +61,8 @@ pub use workload::Workload;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_sim::SimDuration;
+    use crate::Counter;
+    use manet_sim::{LinkCounter, SimDuration};
 
     fn chain(n: usize, seed: u64) -> SecureBuilder {
         ScenarioBuilder::new().hosts(n).seed(seed).secure()
@@ -74,7 +75,7 @@ mod tests {
         for i in 0..4 {
             let n = net.host(i);
             assert!(n.is_ready());
-            assert_eq!(n.stats().dad_attempts, 1, "no collisions expected");
+            assert_eq!(n.stats()[Counter::DadAttempts], 1, "no collisions expected");
             assert!(n.ip().is_site_local());
         }
         // All addresses distinct.
@@ -110,7 +111,7 @@ mod tests {
         let ratio = report.delivery_ratio.expect("packets were sent");
         assert!(ratio > 0.9, "delivery ratio {ratio} too low");
         // The receiving host actually saw the packets.
-        assert!(net.host(4).stats().data_received >= 9);
+        assert!(net.host(4).stats()[Counter::AppDataReceived] >= 9);
         assert_eq!(report.totals.data_received, report.totals.data_acked);
     }
 
@@ -219,7 +220,7 @@ mod tests {
             .plain()
             .build();
         net.engine.run_until(manet_sim::SimTime(1_000_000));
-        assert_eq!(net.engine.metrics().counter("sim.nodes_killed"), 3);
+        assert_eq!(net.engine.metrics()[LinkCounter::NodesKilled], 3);
         assert_eq!(net.mean_degree(), None, "no alive host — no degree");
         let report = net.report(0.0);
         assert_eq!(report.mean_degree, None);

@@ -11,9 +11,9 @@ use super::report::{CryptoTotals, RunReport, StatTotals};
 use super::workload::{Workload, DEFAULT_PAYLOAD};
 use crate::node::SecureNode;
 use crate::plain::PlainDsrNode;
-use crate::stats::NodeStats;
+use crate::stats::{Counter, NodeStats};
 use manet_crypto::{BatchVerifier, CryptoBackend};
-use manet_sim::{Ctx, Engine, NodeId, Protocol, SimTime};
+use manet_sim::{Ctx, Engine, LinkCounter, NodeId, Protocol, SimTime};
 use manet_wire::{DomainName, Ipv6Addr};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -189,37 +189,38 @@ impl<P: NodeApi> Network<P> {
         (alive > 0).then(|| total as f64 / alive as f64)
     }
 
-    /// Per-node protocol counters summed over all hosts: the one source
-    /// of a report's totals.
+    /// Network-wide total of counter `c`: the sum over every node of the
+    /// engine that runs stack `P` — the hosts, the DNS node, and any node
+    /// added straight to `engine` after the build. Nodes of another
+    /// protocol keep no `NodeStats` and add nothing.
+    pub fn count(&self, c: Counter) -> u64 {
+        (0..self.engine.node_count())
+            .filter_map(|i| {
+                let p = self.engine.protocol(NodeId(i)).as_any();
+                p.downcast_ref::<P>()
+            })
+            .map(|p| p.node_stats()[c])
+            .sum()
+    }
+
+    /// Per-node protocol counters summed over all hosts (the DNS node
+    /// excluded): the one source of a report's totals.
     pub fn stat_totals(&self) -> StatTotals {
         let mut t = StatTotals::default();
         for &h in &self.hosts {
-            let s = self.engine.protocol_as::<P>(h).node_stats();
-            t.data_sent += s.data_sent;
-            t.data_acked += s.data_acked;
-            t.data_received += s.data_received;
-            t.data_failed += s.data_failed;
-            t.rreq_sent += s.rreq_sent;
-            t.rrep_sent += s.rrep_sent;
-            t.crep_sent += s.crep_sent;
-            t.rerr_sent += s.rerr_sent;
-            t.rejected += s.total_rejected();
-            t.collisions_detected += s.collisions_detected as u64;
+            t.add(self.engine.protocol_as::<P>(h).node_stats());
         }
         t
     }
 
-    /// Network-wide crypto-pipeline totals summed over every host and
-    /// the DNS node (zero across the board for plain stacks).
+    /// Network-wide crypto-pipeline totals, [`Network::count`]s: the
+    /// DNS node included (zero across the board for plain stacks).
     pub fn crypto_totals(&self) -> CryptoTotals {
-        let mut t = CryptoTotals::default();
-        for &id in self.hosts.iter().chain(self.dns.iter()) {
-            let s = self.engine.protocol_as::<P>(id).node_stats();
-            t.executed += s.crypto_verify_attempted;
-            t.cached += s.crypto_verify_cached;
-            t.failed += s.crypto_verify_failed;
+        CryptoTotals {
+            executed: self.count(Counter::SecVerifyRsa),
+            cached: self.count(Counter::SecVerifyCached),
+            failed: self.count(Counter::SecVerifyFailed),
         }
-        t
     }
 
     /// Snapshot the whole universe into a [`RunReport`]. `wall_s` is
@@ -250,9 +251,9 @@ impl<P: NodeApi> Network<P> {
             },
             exec_mode: self.engine.exec_mode().name(),
             shards: self.engine.exec_mode().shard_count(),
-            tx_bytes: m.counter("ctl.tx_bytes"),
-            rx_frames: m.counter("phy.rx_frames"),
-            nodes_killed: m.counter("sim.nodes_killed"),
+            tx_bytes: self.count(Counter::CtlTxBytes),
+            rx_frames: m[LinkCounter::RxFrames],
+            nodes_killed: m[LinkCounter::NodesKilled],
             peak_rss_bytes: manet_sim::mem::peak_rss_bytes(),
             alloc_bytes: manet_sim::mem::alloc_totals().map(|(b, _)| b),
             alloc_count: manet_sim::mem::alloc_totals().map(|(_, c)| c),

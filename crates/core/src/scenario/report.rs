@@ -8,6 +8,8 @@
 //! ones depend on the machine — [`RunReport::fingerprint`] masks those
 //! for determinism assertions. [`FIELDS`] is the one list of them all.
 
+use crate::stats::{Counter, NodeStats};
+
 /// Per-node protocol counters summed over all hosts (the DNS node, which
 /// originates no application traffic, is excluded).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -24,6 +26,24 @@ pub struct StatTotals {
     /// [`NodeStats::total_rejected`](crate::stats::NodeStats::total_rejected)).
     pub rejected: u64,
     pub collisions_detected: u64,
+}
+
+impl StatTotals {
+    /// Add one node's counters. A total that sums several counters
+    /// names them here.
+    pub(crate) fn add(&mut self, s: &NodeStats) {
+        self.data_sent += s[Counter::AppDataSent];
+        self.data_acked += s[Counter::AppDataAcked];
+        self.data_received += s[Counter::AppDataReceived];
+        self.data_failed += s[Counter::AppDataFailed];
+        self.rreq_sent += s[Counter::RouteRreqOriginated];
+        self.rrep_sent += s[Counter::RouteRrepSent];
+        // Secure CREPs and plain DSR's unsigned cached replies.
+        self.crep_sent += s[Counter::RouteCrepSent] + s[Counter::RouteCachedReply];
+        self.rerr_sent += s[Counter::RouteRerrSent];
+        self.rejected += s.total_rejected();
+        self.collisions_detected += s[Counter::DadCollisions];
+    }
 }
 
 /// Crypto-pipeline totals summed over every host **and** the DNS node:

@@ -1,10 +1,113 @@
 //! Per-node statistics, readable by harnesses after a run via
 //! [`manet_sim::Engine::protocol_as`].
+//!
+//! Every protocol event is counted once, in the node's own
+//! [`NodeStats`], under a [`Counter`]. Network-wide numbers are sums
+//! over nodes ([`crate::scenario::Network::count`]); the engine keeps
+//! only its link-layer counters ([`manet_sim::LinkCounter`]).
+//! `docs/OBSERVABILITY.md` says where each counter is counted and what
+//! it means.
 
 use crate::fxhash::FxHashMap;
 use manet_sim::SimTime;
 use manet_wire::{DomainName, Ipv6Addr};
 use std::collections::VecDeque;
+
+manet_sim::counters! {
+    /// One protocol counter: a row of every node's [`NodeStats`] table.
+    pub enum Counter {
+        AppAckTimeouts = "app.ack_timeouts",
+        AppDataAcked = "app.data_acked",
+        AppDataFailed = "app.data_failed",
+        AppDataReceived = "app.data_received",
+        AppDataSent = "app.data_sent",
+        AtkDataDropped = "atk.data_dropped",
+        AtkForgedArep = "atk.forged_arep",
+        AtkForgedDns = "atk.forged_dns",
+        AtkForgedRrep = "atk.forged_rrep",
+        AtkImpersonatedRrep = "atk.impersonated_rrep",
+        AtkProbeDropped = "atk.probe_dropped",
+        AtkReplayedArep = "atk.replayed_arep",
+        AtkReplayedRrep = "atk.replayed_rrep",
+        AtkRerrSpam = "atk.rerr_spam",
+        CreditHostileMarked = "credit.hostile_marked",
+        CtlRoutingBytes = "ctl.routing_bytes",
+        CtlTable1Bytes = "ctl.table1_bytes",
+        CtlTxBytes = "ctl.tx_bytes",
+        CtlTxMsgs = "ctl.tx_msgs",
+        DadArepSent = "dad.arep_sent",
+        DadAreqSent = "dad.areq_sent",
+        DadAttempts = "dad.attempts",
+        DadCollisions = "dad.collisions",
+        DadConfirmed = "dad.confirmed",
+        DadGaveUp = "dad.gave_up",
+        DadNameConflicts = "dad.name_conflicts",
+        DnsDrepSent = "dns.drep_sent",
+        DnsIpChangeImplausible = "dns.ip_change_implausible",
+        DnsIpChanged = "dns.ip_changed",
+        DnsIpChangesAccepted = "dns.ip_changes_accepted",
+        DnsIpChangesRejected = "dns.ip_changes_rejected",
+        DnsNamesCommitted = "dns.names_committed",
+        DnsPendingOpened = "dns.pending_opened",
+        DnsQueriesAnswered = "dns.queries_answered",
+        DnsRegCancelled = "dns.reg_cancelled",
+        DnsResolved = "dns.resolved",
+        NeighEvicted = "neigh.evicted",
+        ProbeAckOffroute = "probe.ack_offroute",
+        ProbeAcksSent = "probe.acks_sent",
+        ProbeInconclusive = "probe.inconclusive",
+        ProbeLocalized = "probe.localized",
+        ProbeSent = "probe.sent",
+        RouteAlternateCached = "route.alternate_cached",
+        RouteBroadcastFallback = "route.broadcast_fallback",
+        RouteCachedReply = "route.cached_reply",
+        RouteCrepSent = "route.crep_sent",
+        RouteDiscovered = "route.discovered",
+        RouteDiscoveredViaCrep = "route.discovered_via_crep",
+        RouteDiscoveryFailed = "route.discovery_failed",
+        RouteDiscoveryGaveUp = "route.discovery_gave_up",
+        RouteFirstHopUnresolved = "route.first_hop_unresolved",
+        RouteForwarded = "route.forwarded",
+        RouteRerrReceived = "route.rerr_received",
+        RouteRerrSent = "route.rerr_sent",
+        RouteRrepSent = "route.rrep_sent",
+        RouteRreqDedupRotations = "route.rreq_dedup_rotations",
+        RouteRreqOriginated = "route.rreq_originated",
+        RouteRreqRelayed = "route.rreq_relayed",
+        RouteRreqRetries = "route.rreq_retries",
+        RouteSourceLinkFailures = "route.source_link_failures",
+        RxMalformed = "rx.malformed",
+        RxUnexpectedFlood = "rx.unexpected_flood",
+        RxUnexpectedRouted = "rx.unexpected_routed",
+        SecArepRejected = "sec.arep_rejected",
+        SecCrepRejected = "sec.crep_rejected",
+        SecDnsReplyRejected = "sec.dns_reply_rejected",
+        SecDnsWarningRejected = "sec.dns_warning_rejected",
+        SecDrepRejected = "sec.drep_rejected",
+        SecIpChangeResultRejected = "sec.ip_change_result_rejected",
+        SecProbeAckRejected = "sec.probe_ack_rejected",
+        SecRerrRejected = "sec.rerr_rejected",
+        SecRrepRejected = "sec.rrep_rejected",
+        SecRreqRejected = "sec.rreq_rejected",
+        SecVerifyCached = "sec.verify_cached",
+        SecVerifyFailed = "sec.verify_failed",
+        SecVerifyRsa = "sec.verify_rsa",
+    }
+}
+
+/// The counters [`NodeStats::total_rejected`] sums: every message a
+/// handler dropped on a failed proof, the DNS's rejected duplicate
+/// warnings included.
+const REJECTED: [Counter; 8] = [
+    Counter::SecArepRejected,
+    Counter::SecCrepRejected,
+    Counter::SecDnsReplyRejected,
+    Counter::SecDnsWarningRejected,
+    Counter::SecDrepRejected,
+    Counter::SecRerrRejected,
+    Counter::SecRrepRejected,
+    Counter::SecRreqRejected,
+];
 
 /// Default bound on the per-node resolved-name cache.
 pub const RESOLVED_CACHE_CAP: usize = 256;
@@ -72,74 +175,16 @@ impl ResolvedCache {
     }
 }
 
-/// Everything a node counts about its own behaviour.
-#[derive(Debug, Default, Clone)]
+/// Everything a node counts about its own behaviour: one row per
+/// [`Counter`], read as `stats[counter]`, plus the few facts that are
+/// not counts.
+#[derive(Debug, Clone)]
 pub struct NodeStats {
-    // --- bootstrap ---
-    /// DAD rounds run (1 = first address stuck).
-    pub dad_attempts: u32,
+    counts: [u64; Counter::COUNT],
     /// When the address was confirmed and the node became operational.
     pub joined_at: Option<SimTime>,
-    /// Genuine address collisions detected (valid AREP received).
-    pub collisions_detected: u32,
-    /// Name conflicts reported by the DNS (valid DREP received).
-    pub name_conflicts: u32,
-
-    // --- application data ---
-    pub data_sent: u64,
-    pub data_acked: u64,
-    pub data_failed: u64,
-    /// Data packets received as final destination.
-    pub data_received: u64,
-
-    // --- control traffic originated ---
-    pub areq_sent: u64,
-    pub arep_sent: u64,
-    pub drep_sent: u64,
-    pub rreq_sent: u64,
-    pub rrep_sent: u64,
-    pub crep_sent: u64,
-    pub rerr_sent: u64,
-
-    // --- security verdicts (messages rejected by verification) ---
-    pub rejected_arep: u64,
-    pub rejected_drep: u64,
-    pub rejected_rreq: u64,
-    pub rejected_rrep: u64,
-    pub rejected_crep: u64,
-    pub rejected_rerr: u64,
-    pub rejected_dns_reply: u64,
-
-    // --- attacker-side counters (zero on honest nodes) ---
-    pub atk_data_dropped: u64,
-    pub atk_forged_rrep: u64,
-    pub atk_forged_arep: u64,
-    pub atk_replayed: u64,
-    pub atk_forged_dns: u64,
-    pub atk_spam_rerr: u64,
-
-    // --- crypto pipeline (node::verify) ---
-    /// RSA verifications actually executed (cache misses + uncached
-    /// runs; CGA short-circuits are excluded — no RSA ran for those).
-    pub crypto_verify_attempted: u64,
-    /// Verification verdicts served from the verify cache.
-    pub crypto_verify_cached: u64,
-    /// Pipeline checks that rejected their input: bad CGA (counted only
-    /// here) or bad signature (also counted under attempted/cached).
-    pub crypto_verify_failed: u64,
-
-    // --- route probing (Section 3.4 extension) ---
-    /// Probes launched after persistent ack timeouts.
-    pub probes_sent: u64,
-    /// Per-hop probe acknowledgements we produced as a relay.
-    pub probe_acks_sent: u64,
     /// Hops this node localized as packet-swallowing suspects.
     pub probe_suspects: Vec<Ipv6Addr>,
-    /// Probes whose hops all acknowledged (no suspect — an evader or a
-    /// transient fault).
-    pub probes_inconclusive: u64,
-
-    // --- DNS client ---
     /// Answers received for [`crate::node::SecureNode::resolve`] calls,
     /// keyed by name (`None` = authenticated NXDOMAIN). Bounded:
     /// inserting past [`RESOLVED_CACHE_CAP`] evicts the oldest entry.
@@ -148,17 +193,41 @@ pub struct NodeStats {
     pub ip_change_accepted: Option<bool>,
 }
 
+impl Default for NodeStats {
+    fn default() -> Self {
+        NodeStats {
+            counts: [0; Counter::COUNT],
+            joined_at: None,
+            probe_suspects: Vec::new(),
+            resolved: ResolvedCache::default(),
+            ip_change_accepted: None,
+        }
+    }
+}
+
+impl std::ops::Index<Counter> for NodeStats {
+    type Output = u64;
+
+    fn index(&self, c: Counter) -> &u64 {
+        &self.counts[c as usize]
+    }
+}
+
 impl NodeStats {
+    /// Count one `c` event.
+    pub(crate) fn bump(&mut self, c: Counter) {
+        self.add(c, 1);
+    }
+
+    /// Count `by` units of `c` (bytes, or several events at once).
+    pub(crate) fn add(&mut self, c: Counter, by: u64) {
+        self.counts[c as usize] += by;
+    }
+
     /// Sum of all rejected-message counters — the node's evidence of
     /// attack traffic.
     pub fn total_rejected(&self) -> u64 {
-        self.rejected_arep
-            + self.rejected_drep
-            + self.rejected_rreq
-            + self.rejected_rrep
-            + self.rejected_crep
-            + self.rejected_rerr
-            + self.rejected_dns_reply
+        REJECTED.iter().map(|&c| self[c]).sum()
     }
 }
 
@@ -168,13 +237,34 @@ mod tests {
 
     #[test]
     fn total_rejected_sums_all_kinds() {
-        let s = NodeStats {
-            rejected_arep: 1,
-            rejected_rrep: 2,
-            rejected_dns_reply: 4,
-            ..NodeStats::default()
-        };
-        assert_eq!(s.total_rejected(), 7);
+        let mut s = NodeStats::default();
+        s.add(Counter::SecArepRejected, 1);
+        s.add(Counter::SecRrepRejected, 2);
+        s.add(Counter::SecDnsReplyRejected, 4);
+        s.add(Counter::SecDnsWarningRejected, 8);
+        s.bump(Counter::SecProbeAckRejected);
+        assert_eq!(
+            s.total_rejected(),
+            15,
+            "probe-ack rejections are not messages"
+        );
+    }
+
+    /// One `u64` per counter plus the non-count facts; every node holds
+    /// one (boxed in `PlainDsrNode`, inline in `SecureNode`).
+    #[test]
+    fn node_stats_size_only_ratchets_down() {
+        assert!(std::mem::size_of::<NodeStats>() <= 728);
+    }
+
+    #[test]
+    fn counters_run_in_strict_name_order() {
+        for pair in Counter::ALL.windows(2) {
+            assert!(pair[0].name() < pair[1].name(), "{pair:?}");
+        }
+        for (i, c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i, "{c:?} indexes its own row");
+        }
     }
 
     fn dn(s: &str) -> DomainName {

@@ -20,9 +20,8 @@
 //! one only wastes a backend op.
 
 use crate::backend::CryptoBackend;
-use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::rsa::{PublicKey, Signature};
-use crate::verifycache::VerifyKey;
+use crate::verifycache::{KeyMap, KeySet, VerifyKey};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -60,7 +59,7 @@ struct PendingItem {
 #[derive(Default)]
 struct Pending {
     /// Dedup set over `items` (one entry per unique triple per tick).
-    keys: FxHashSet<VerifyKey>,
+    keys: KeySet,
     items: Vec<PendingItem>,
 }
 
@@ -87,7 +86,7 @@ pub struct BatchStats {
 /// which the engine's tick hook guarantees.
 pub struct BatchVerifier {
     pending: Mutex<Pending>,
-    verdicts: RwLock<FxHashMap<VerifyKey, bool>>,
+    verdicts: RwLock<KeyMap<bool>>,
     /// Verdict-table bound. At capacity the table is cleared *entirely*
     /// (not LRU-trimmed): crude, but deterministic regardless of hash
     /// iteration order, and correctness never depends on table content.
@@ -105,7 +104,7 @@ impl BatchVerifier {
         let capacity = capacity.max(1);
         BatchVerifier {
             pending: Mutex::new(Pending::default()),
-            verdicts: RwLock::new(FxHashMap::with_capacity_and_hasher(
+            verdicts: RwLock::new(KeyMap::with_capacity_and_hasher(
                 capacity.min(4096),
                 Default::default(),
             )),

@@ -26,7 +26,6 @@
 
 pub mod backend;
 pub mod batch;
-pub mod fxhash;
 pub mod limb;
 pub mod modular;
 pub mod prime;

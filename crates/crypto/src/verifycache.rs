@@ -16,17 +16,61 @@
 //! for material that was not itself verified (see the poisoning
 //! proptests in `tests/properties.rs`).
 
-use crate::fxhash::FxHashMap;
 use crate::rsa::{PublicKey, Signature};
 use crate::sha256::sha256;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Cache key: digests of the exact verification inputs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct VerifyKey {
     pk: [u8; 32],
     payload: [u8; 32],
     sig: [u8; 32],
 }
+
+/// A key hashes to the first eight bytes of its three digests, XORed:
+/// they are SHA-256 outputs, uniform already, so there is nothing left
+/// to mix.
+impl Hash for VerifyKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let word = |digest: &[u8; 32]| {
+            let mut w = [0; 8];
+            w.copy_from_slice(&digest[..8]);
+            u64::from_le_bytes(w)
+        };
+        state.write_u64(word(&self.pk) ^ word(&self.payload) ^ word(&self.sig));
+    }
+}
+
+/// The pass-through hasher of the [`VerifyKey`] tables: `finish` is the
+/// word the key wrote. Nothing iterates those tables (the verify cache
+/// only looks up; the batch verifier's set and map are only probed and
+/// cleared whole), so their order never reaches a verdict.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `VerifyKey` hashes into this, through `write_u64`.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `HashMap` / `HashSet` over [`VerifyKey`] on the [`KeyHasher`].
+// lint: allow(default-hasher) — alias definition site: keys are SHA-256 digests, hashed by the pass-through KeyHasher
+pub(crate) type KeyMap<V> = std::collections::HashMap<VerifyKey, V, BuildHasherDefault<KeyHasher>>;
+// lint: allow(default-hasher) — alias definition site: keys are SHA-256 digests, hashed by the pass-through KeyHasher
+pub(crate) type KeySet = std::collections::HashSet<VerifyKey, BuildHasherDefault<KeyHasher>>;
 
 impl VerifyKey {
     /// Digest the `(key, payload, signature)` triple. Each component is
@@ -66,7 +110,7 @@ const NIL: usize = usize::MAX;
 /// caching never perturbs a seeded simulation.
 #[derive(Debug)]
 pub struct VerifyCache {
-    map: FxHashMap<VerifyKey, usize>,
+    map: KeyMap<usize>,
     slots: Vec<Slot>,
     /// Most-recently-used slot index (NIL when empty).
     head: usize,
@@ -91,7 +135,7 @@ impl VerifyCache {
         let capacity = capacity.max(1);
         let reserve = capacity.min(INITIAL_SLOTS);
         VerifyCache {
-            map: FxHashMap::with_capacity_and_hasher(reserve, Default::default()),
+            map: KeyMap::with_capacity_and_hasher(reserve, Default::default()),
             slots: Vec::with_capacity(reserve),
             head: NIL,
             tail: NIL,
@@ -272,6 +316,20 @@ mod tests {
             payload: [tag.wrapping_add(1); 32],
             sig: [tag.wrapping_add(2); 32],
         }
+    }
+
+    #[test]
+    fn keys_differing_in_one_digest_hash_apart() {
+        use std::hash::BuildHasher;
+        let hash = |k: &VerifyKey| BuildHasherDefault::<KeyHasher>::default().hash_one(k);
+        let base = key(7);
+        let mut payload = base;
+        payload.payload[3] ^= 1;
+        let mut sig = base;
+        sig.sig[0] ^= 0x80;
+        assert_ne!(hash(&base), hash(&payload), "payload digest alone");
+        assert_ne!(hash(&base), hash(&sig), "signature digest alone");
+        assert_ne!(hash(&payload), hash(&sig));
     }
 
     #[test]

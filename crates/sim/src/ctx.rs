@@ -7,11 +7,12 @@
 //! protocol code can never observe (or corrupt) engine internals
 //! mid-event.
 
-use crate::metrics::Metrics;
+use crate::metrics::Series;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Dir, TraceEvent, Tracer};
 use rand_chacha::ChaCha12Rng;
 use std::any::Any;
+use std::collections::BTreeMap;
 
 /// Identifies a node (index into the engine's node table). This is the
 /// *link-layer* identity; IP addresses live entirely in the protocol layer.
@@ -79,6 +80,16 @@ pub(crate) struct CtxOut {
     pub(crate) cancels: Vec<u64>,
 }
 
+/// Where a callback's samples go.
+pub(crate) enum Samples<'a> {
+    /// Straight into the global series (serial dispatch).
+    Series(&'a mut BTreeMap<&'static str, Series>),
+    /// Buffered: the sharded executor's parallel phase logs samples per
+    /// shard and applies them in merge order during replay, so the
+    /// global series see the exact single-threaded sequence.
+    Log(&'a mut Vec<(&'static str, f64)>),
+}
+
 /// The protocol's window onto the world during a callback.
 pub struct Ctx<'a> {
     /// The node being called.
@@ -86,15 +97,10 @@ pub struct Ctx<'a> {
     pub(crate) now: SimTime,
     pub(crate) out: &'a mut CtxOut,
     pub(crate) rng: &'a mut ChaCha12Rng,
-    pub(crate) metrics: &'a mut Metrics,
+    pub(crate) samples: Samples<'a>,
     pub(crate) tracer: &'a mut Tracer,
     pub(crate) next_handle: &'a mut u64,
     pub(crate) frame_pool: &'a mut Vec<Vec<u8>>,
-    /// When `Some`, samples are buffered here instead of hitting
-    /// `metrics` directly — the sharded executor's parallel phase logs
-    /// samples per shard and applies them in merge order during replay,
-    /// so the global series see the exact single-threaded sequence.
-    pub(crate) sample_log: Option<&'a mut Vec<(&'static str, f64)>>,
 }
 
 impl Ctx<'_> {
@@ -145,16 +151,11 @@ impl Ctx<'_> {
         self.rng
     }
 
-    /// Bump a counter.
-    pub fn count(&mut self, name: &'static str, by: u64) {
-        self.metrics.count(name, by);
-    }
-
     /// Record a sample.
     pub fn sample(&mut self, name: &'static str, v: f64) {
-        match self.sample_log.as_deref_mut() {
-            Some(log) => log.push((name, v)),
-            None => self.metrics.sample(name, v),
+        match &mut self.samples {
+            Samples::Series(series) => series.entry(name).or_default().record(v),
+            Samples::Log(log) => log.push((name, v)),
         }
     }
 

@@ -97,7 +97,7 @@ mod single;
 use crate::geom::{Field, Pos};
 use crate::grid::SpatialGrid;
 use crate::link::LinkEnv;
-use crate::metrics::Metrics;
+use crate::metrics::{LinkCounter, Metrics};
 use crate::mobility::{Mobility, MobilityState};
 use crate::queue::Event;
 use crate::radio::RadioConfig;
@@ -558,7 +558,7 @@ impl Engine {
             Event::Kill(id) => {
                 self.hot[id.0].alive = false;
                 self.grid.remove(id);
-                self.metrics.count("sim.nodes_killed", 1);
+                self.metrics.count(LinkCounter::NodesKilled, 1);
             }
             _ => unreachable!("node-owned events were dispatched on their shard"),
         }

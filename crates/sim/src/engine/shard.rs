@@ -9,9 +9,9 @@
 //! outputs go. `Single` has exactly one shard; `Sharded(K)` has K.
 
 use super::HotNode;
-use crate::ctx::{Ctx, CtxOut, NodeId, Protocol};
+use crate::ctx::{Ctx, CtxOut, NodeId, Protocol, Samples};
 use crate::link::{transmit_into, LinkEnv};
-use crate::metrics::Metrics;
+use crate::metrics::{LinkCounter, Metrics};
 use crate::mobility::MobilityState;
 use crate::queue::{Event, EventQueue, TimerTable};
 use crate::time::SimTime;
@@ -249,12 +249,12 @@ impl Shard {
                 let up = self.is_up(to, env.hot, local);
                 let metrics = sink.metrics(&mut self.metrics);
                 if !up {
-                    metrics.count("phy.rx_dropped_dead", 1);
+                    metrics.count(LinkCounter::RxDroppedDead, 1);
                     self.recycle_frame(bytes);
                     return;
                 }
-                metrics.count("phy.rx_frames", 1);
-                metrics.count("phy.rx_bytes", bytes.len() as u64);
+                metrics.count(LinkCounter::RxFrames, 1);
+                metrics.count(LinkCounter::RxBytes, bytes.len() as u64);
                 self.fire(time, to, env, local, sink, |p, ctx| {
                     p.on_frame(ctx, src, &bytes)
                 });
@@ -269,7 +269,7 @@ impl Shard {
             Event::LinkFailure { node, to, bytes } => {
                 if self.is_up(node, env.hot, local) {
                     sink.metrics(&mut self.metrics)
-                        .count("phy.link_failures", 1);
+                        .count(LinkCounter::LinkFailures, 1);
                     self.fire(time, node, env, local, sink, |p, ctx| {
                         p.on_link_failure(ctx, to, &bytes)
                     });
@@ -298,14 +298,15 @@ impl Shard {
         let mut proto = self.nodes.protos[li]
             .take()
             .expect("re-entrant protocol call");
-        let (metrics, tracer, sample_log, window) = match sink {
-            Sink::Direct { metrics, tracer } => (metrics, tracer, None, None),
-            Sink::Window { w_end, seq } => (
-                &mut self.metrics,
-                &mut self.tracer,
-                Some(&mut self.log.samples),
-                Some((w_end, seq)),
-            ),
+        let (metrics, tracer, window) = match sink {
+            Sink::Direct { metrics, tracer } => (metrics, tracer, None),
+            Sink::Window { w_end, seq } => {
+                (&mut self.metrics, &mut self.tracer, Some((w_end, seq)))
+            }
+        };
+        let samples = match window {
+            None => Samples::Series(&mut metrics.series),
+            Some(_) => Samples::Log(&mut self.log.samples),
         };
         let cmds = &mut self.ctx_scratch;
         let r = f(
@@ -315,11 +316,10 @@ impl Shard {
                 now: time,
                 out: &mut *cmds,
                 rng: &mut self.nodes.rngs[li],
-                metrics: &mut *metrics,
+                samples,
                 tracer,
                 next_handle: &mut self.nodes.next_handles[li],
                 frame_pool: &mut self.frame_pool,
-                sample_log,
             },
         );
         self.nodes.protos[li] = Some(proto);

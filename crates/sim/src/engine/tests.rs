@@ -169,7 +169,7 @@ fn unicast_delivers_and_fails_over_range() {
     assert_eq!(e.protocol_as::<Echo>(a).link_failures.len(), 0);
     assert!(e.protocol_as::<Echo>(d).frames.is_empty());
     assert_eq!(e.protocol_as::<Echo>(c).link_failures, vec![d]);
-    assert_eq!(e.metrics().counter("phy.tx_unicast_unreachable"), 1);
+    assert_eq!(e.metrics()[LinkCounter::TxUnicastUnreachable], 1);
 }
 
 #[test]
@@ -304,7 +304,7 @@ struct Observed {
     /// `(phy.rx_frames, phy.rx_dropped_loss, final x positions)`.
     summary: (u64, u64, Vec<u64>),
     events: u64,
-    counters: Vec<(&'static str, u64)>,
+    counters: [u64; LinkCounter::ALL.len()],
     samples: Vec<(&'static str, Vec<f64>)>,
     trace: String,
 }
@@ -359,12 +359,12 @@ fn lossy_mobile_run_hooked(
     let m = e.metrics();
     let observed = Observed {
         summary: (
-            m.counter("phy.rx_frames"),
-            m.counter("phy.rx_dropped_loss"),
+            m[LinkCounter::RxFrames],
+            m[LinkCounter::RxDroppedLoss],
             (0..10).map(|i| e.position(NodeId(i)).x.to_bits()).collect(),
         ),
         events: e.events_processed(),
-        counters: m.counter_names().map(|n| (n, m.counter(n))).collect(),
+        counters: LinkCounter::ALL.map(|c| m[c]),
         samples: m
             .series_names()
             .map(|n| (n, m.series(n).samples().to_vec()))
@@ -449,9 +449,13 @@ fn broadcast_round(
         .map(|&id| e.protocol_as::<Echo>(id).frames.clone())
         .collect();
     let m = e.metrics();
-    let counters = ["phy.rx_frames", "phy.rx_dropped_loss", "phy.tx_broadcasts"]
-        .map(|name| m.counter(name))
-        .to_vec();
+    let counters = [
+        LinkCounter::RxFrames,
+        LinkCounter::RxDroppedLoss,
+        LinkCounter::TxBroadcasts,
+    ]
+    .map(|c| m[c])
+    .to_vec();
     (frames, counters, e.tracer().render())
 }
 
@@ -636,10 +640,10 @@ fn metrics_track_tx_rx() {
     e.add_node(Box::new(Echo::new()), Pos::new(10.0, 0.0), Mobility::Static);
     e.add_node(Box::new(Echo::new()), Pos::new(20.0, 0.0), Mobility::Static);
     e.run_until(SimTime(1_000_000));
-    assert_eq!(e.metrics().counter("phy.tx_frames"), 1);
-    assert_eq!(e.metrics().counter("phy.tx_bytes"), 50);
-    assert_eq!(e.metrics().counter("phy.rx_frames"), 2);
-    assert_eq!(e.metrics().counter("phy.rx_bytes"), 100);
+    assert_eq!(e.metrics()[LinkCounter::TxFrames], 1);
+    assert_eq!(e.metrics()[LinkCounter::TxBytes], 50);
+    assert_eq!(e.metrics()[LinkCounter::RxFrames], 2);
+    assert_eq!(e.metrics()[LinkCounter::RxBytes], 100);
 }
 
 #[test]
@@ -762,7 +766,7 @@ fn gray_zone_sizes_grid_cells_to_max_range() {
         );
         e.run_until(SimTime(1_000_000));
         let heard = e.protocol_as::<Echo>(b).frames.len()
-            + e.metrics().counter("phy.rx_dropped_loss") as usize;
+            + e.metrics()[LinkCounter::RxDroppedLoss] as usize;
         assert_eq!(
             heard, 1,
             "one_cell={one_cell}: gray-zone receiver never considered"

@@ -12,9 +12,9 @@
 //! and golden-trace suites, and statically by manet-lint's
 //! `unordered-iter` rule).
 //!
-//! This module is the canonical copy; `manet-secure` re-exports it as
-//! `crate::fxhash`, and `manet-crypto` (which sits below this crate in
-//! the dependency graph) carries a byte-for-byte mirror.
+//! `manet-secure` re-exports this module as `crate::fxhash`.
+//! `manet-crypto`, which sits below this crate, needs no copy: its only
+//! tables are keyed by SHA-256 digests and pass a digest word through.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

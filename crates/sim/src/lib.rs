@@ -37,7 +37,7 @@ mod wheel;
 
 pub use engine::{Ctx, Engine, EngineConfig, ExecMode, LinkDst, NodeId, Protocol, TimerHandle};
 pub use geom::{Field, Pos};
-pub use metrics::{Metrics, Series};
+pub use metrics::{LinkCounter, Metrics, Series};
 pub use mobility::{placement, Mobility};
 pub use radio::RadioConfig;
 pub use time::{SimDuration, SimTime};

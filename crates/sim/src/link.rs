@@ -21,7 +21,7 @@
 use crate::ctx::{LinkDst, NodeId};
 use crate::engine::{Engine, HotNode};
 use crate::grid::SpatialGrid;
-use crate::metrics::Metrics;
+use crate::metrics::{LinkCounter, Metrics};
 use crate::queue::Event;
 use crate::radio::RadioConfig;
 use crate::time::SimTime;
@@ -64,13 +64,13 @@ pub(crate) fn transmit_into(
     if !env.hot[src.0].alive {
         return;
     }
-    metrics.count("phy.tx_frames", 1);
-    metrics.count("phy.tx_bytes", bytes.len() as u64);
+    metrics.count(LinkCounter::TxFrames, 1);
+    metrics.count(LinkCounter::TxBytes, bytes.len() as u64);
     let bytes = Arc::new(bytes);
     let src_pos = env.hot[src.0].pos;
     match dst {
         LinkDst::Broadcast => {
-            metrics.count("phy.tx_broadcasts", 1);
+            metrics.count(LinkCounter::TxBroadcasts, 1);
             env.grid.candidates_into(&src_pos, cand);
             for &to in cand.iter() {
                 if to == src {
@@ -89,7 +89,7 @@ pub(crate) fn transmit_into(
                     continue;
                 }
                 if !env.radio.sample_broadcast_reception(d, rng) {
-                    metrics.count("phy.rx_dropped_loss", 1);
+                    metrics.count(LinkCounter::RxDroppedLoss, 1);
                     continue;
                 }
                 let delay = env.radio.sample_delay(bytes.len(), rng);
@@ -104,7 +104,7 @@ pub(crate) fn transmit_into(
             }
         }
         LinkDst::Unicast(to) => {
-            metrics.count("phy.tx_unicasts", 1);
+            metrics.count(LinkCounter::TxUnicasts, 1);
             let reachable = {
                 let n = &env.hot[to.0];
                 n.alive && n.join_at <= now && env.radio.in_range(src_pos.dist(&n.pos))
@@ -121,7 +121,7 @@ pub(crate) fn transmit_into(
                     },
                 ));
             } else {
-                metrics.count("phy.tx_unicast_unreachable", 1);
+                metrics.count(LinkCounter::TxUnicastUnreachable, 1);
                 // ACK-timeout feedback after ~MAC retry budget.
                 let delay = env.radio.sample_delay(bytes.len(), rng);
                 let t = now + delay + env.radio.base_delay + env.radio.base_delay;

@@ -1,11 +1,58 @@
 //! Measurement collection.
 //!
-//! Counters and sample series keyed by static names. Protocols record
-//! into this through [`crate::engine::Ctx`]; experiment harnesses read it
-//! out after the run. Everything is plain data so results can cross
-//! thread boundaries in the parallel runner.
+//! The engine's own counters — the link layer's and node deaths — and
+//! the sample series protocols record through [`crate::engine::Ctx`].
+//! Protocol counters are not kept here: each protocol counts its own
+//! events in its own state. Everything is plain data so results can
+//! cross thread boundaries in the parallel runner.
 
 use std::collections::BTreeMap;
+
+/// `counters! { pub enum Name { Variant = "dotted.name", … } }`: a
+/// counter enum listed in name order, with its `ALL` table, `COUNT` and
+/// the dotted name each variant reports under. The engine's
+/// [`LinkCounter`] and the protocol layer's per-node counters are both
+/// declared with it.
+#[macro_export]
+macro_rules! counters {
+    ($(#[$doc:meta])* pub enum $ty:ident { $($variant:ident = $name:literal,)+ }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum $ty {
+            $($variant,)+
+        }
+
+        impl $ty {
+            /// Every counter, in name order.
+            pub const ALL: [$ty; $ty::COUNT] = [$($ty::$variant,)+];
+            pub const COUNT: usize = [$($name,)+].len();
+
+            /// The dotted name reports use.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// One engine counter: the link layer's, and node deaths.
+    pub enum LinkCounter {
+        LinkFailures = "phy.link_failures",
+        RxBytes = "phy.rx_bytes",
+        RxDroppedDead = "phy.rx_dropped_dead",
+        RxDroppedLoss = "phy.rx_dropped_loss",
+        RxFrames = "phy.rx_frames",
+        TxBroadcasts = "phy.tx_broadcasts",
+        TxBytes = "phy.tx_bytes",
+        TxFrames = "phy.tx_frames",
+        TxUnicastUnreachable = "phy.tx_unicast_unreachable",
+        TxUnicasts = "phy.tx_unicasts",
+        NodesKilled = "sim.nodes_killed",
+    }
+}
 
 /// A series of f64 samples with summary accessors.
 #[derive(Clone, Debug, Default)]
@@ -74,20 +121,20 @@ impl Series {
     }
 }
 
-/// All measurements of one simulation run.
-///
-/// Counters are a small flat table scanned with pointer-first equality
-/// and a move-toward-front heuristic: `count` runs several times per
-/// dispatched event, and the B-tree's string comparisons used to show
-/// up in scale-run profiles. A simulation touches a few dozen distinct
-/// counter names, the hot `phy.*`/`ctl.*` handful settles at the head,
-/// and `&'static str` call sites make the pointer test hit virtually
-/// always (the `==` fallback keeps correctness if two call sites carry
-/// duplicate literals at different addresses).
+/// All measurements of one simulation run: the [`LinkCounter`] table,
+/// read as `metrics[counter]`, and the sample series.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    counters: Vec<(&'static str, u64)>,
-    series: BTreeMap<&'static str, Series>,
+    counts: [u64; LinkCounter::COUNT],
+    pub(crate) series: BTreeMap<&'static str, Series>,
+}
+
+impl std::ops::Index<LinkCounter> for Metrics {
+    type Output = u64;
+
+    fn index(&self, c: LinkCounter) -> &u64 {
+        &self.counts[c as usize]
+    }
 }
 
 impl Metrics {
@@ -95,29 +142,19 @@ impl Metrics {
         Self::default()
     }
 
-    /// Add `by` to counter `name`.
+    /// Add `by` to counter `c`.
     #[inline]
-    pub fn count(&mut self, name: &'static str, by: u64) {
-        for i in 0..self.counters.len() {
-            let (key, v) = &mut self.counters[i];
-            if std::ptr::eq(*key, name) || *key == name {
-                *v += by;
-                if i > 3 {
-                    self.counters.swap(i, i / 2);
-                }
-                return;
-            }
-        }
-        self.counters.push((name, by));
+    pub(crate) fn count(&mut self, c: LinkCounter, by: u64) {
+        self.counts[c as usize] += by;
     }
 
-    /// Read a counter (0 if never touched).
+    /// Read a counter by its dotted name (0 for a name no engine
+    /// counter has). Typed readers index with a [`LinkCounter`].
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
+        LinkCounter::ALL
             .iter()
-            .find(|(k, _)| *k == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
+            .find(|c| c.name() == name)
+            .map_or(0, |&c| self[c])
     }
 
     /// Record a sample into series `name`.
@@ -130,30 +167,17 @@ impl Metrics {
         self.series.get(name).cloned().unwrap_or_default()
     }
 
-    /// All counter names, sorted.
-    pub fn counter_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        let mut names: Vec<&'static str> = self.counters.iter().map(|&(k, _)| k).collect();
-        names.sort_unstable();
-        names.into_iter()
-    }
-
     /// All series names, sorted.
     pub fn series_names(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.series.keys().copied()
     }
 
-    /// Drain this instance's counter totals into `dst`, zeroing them
-    /// here but keeping the table (names, order, capacity) so the hot
-    /// `count` path stays warm. The sharded executor calls this per
-    /// epoch to fold order-insensitive per-shard counts into the global
-    /// metrics without reallocating.
+    /// Add this instance's counters into `dst` and zero them here. The
+    /// sharded executor calls this per epoch to fold order-insensitive
+    /// per-shard counts into the global metrics.
     pub(crate) fn drain_counts_into(&mut self, dst: &mut Metrics) {
-        for i in 0..self.counters.len() {
-            let (k, v) = self.counters[i];
-            if v > 0 {
-                dst.count(k, v);
-                self.counters[i].1 = 0;
-            }
+        for (d, s) in dst.counts.iter_mut().zip(&mut self.counts) {
+            *d += std::mem::take(s);
         }
     }
 }
@@ -165,10 +189,10 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = Metrics::new();
-        m.count("tx", 1);
-        m.count("tx", 2);
-        assert_eq!(m.counter("tx"), 3);
-        assert_eq!(m.counter("never"), 0);
+        m.count(LinkCounter::TxFrames, 1);
+        m.count(LinkCounter::TxFrames, 2);
+        assert_eq!(m[LinkCounter::TxFrames], 3);
+        assert_eq!(m[LinkCounter::RxFrames], 0);
     }
 
     #[test]
@@ -202,47 +226,35 @@ mod tests {
     }
 
     #[test]
-    fn counter_names_stay_sorted_regardless_of_touch_order() {
+    fn link_counters_run_in_name_order_and_resolve_by_name() {
         let mut m = Metrics::new();
-        for name in ["zz", "aa", "mm", "aa", "zz", "zz"] {
-            m.count(name, 1);
+        for (i, &c) in LinkCounter::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?} indexes its own row");
+            m.count(c, i as u64 + 1);
         }
-        let names: Vec<&str> = m.counter_names().collect();
-        assert_eq!(names, vec!["aa", "mm", "zz"]);
-        assert_eq!(m.counter("zz"), 3);
-        assert_eq!(m.counter("aa"), 2);
+        for pair in LinkCounter::ALL.windows(2) {
+            assert!(pair[0].name() < pair[1].name(), "{pair:?}");
+        }
+        for (i, &c) in LinkCounter::ALL.iter().enumerate() {
+            assert_eq!(m.counter(c.name()), i as u64 + 1);
+        }
+        let protocol_counter = "ctl.tx_bytes";
+        assert_eq!(m.counter(protocol_counter), 0, "not an engine counter");
     }
 
     #[test]
     fn drain_counts_zeroes_source_and_accumulates_dest() {
+        let (tx, rx) = (LinkCounter::TxFrames, LinkCounter::RxFrames);
         let mut src = Metrics::new();
         let mut dst = Metrics::new();
-        src.count("tx", 3);
-        src.count("rx", 1);
+        src.count(tx, 3);
+        src.count(rx, 1);
         src.drain_counts_into(&mut dst);
-        assert_eq!(dst.counter("tx"), 3);
-        assert_eq!(src.counter("tx"), 0, "source zeroed, not dropped");
-        src.count("tx", 2);
+        assert_eq!(dst[tx], 3);
+        assert_eq!(src[tx], 0, "source zeroed");
+        src.count(tx, 2);
         src.drain_counts_into(&mut dst);
-        assert_eq!(dst.counter("tx"), 5);
-        assert_eq!(dst.counter("rx"), 1);
-    }
-
-    #[test]
-    fn hot_counters_move_toward_front_without_losing_counts() {
-        let mut m = Metrics::new();
-        // Ten distinct names, then hammer the last one: totals must stay
-        // exact whatever the internal reordering does.
-        let names = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "hot"];
-        for n in names {
-            m.count(n, 1);
-        }
-        for _ in 0..1000 {
-            m.count("hot", 2);
-        }
-        assert_eq!(m.counter("hot"), 2001);
-        for n in &names[..9] {
-            assert_eq!(m.counter(n), 1, "{n} clobbered");
-        }
+        assert_eq!(dst[tx], 5);
+        assert_eq!(dst[rx], 1);
     }
 }

@@ -10,7 +10,7 @@
 //! ```
 
 use manet_secure::scenario::{Placement, ScenarioBuilder, Workload, BYPASS_ATTACKER};
-use manet_secure::{attacks, Behavior};
+use manet_secure::{attacks, Behavior, Counter};
 use manet_sim::SimDuration;
 
 fn workload() -> Workload {
@@ -32,7 +32,7 @@ fn plain_run(behavior: Option<Behavior>) -> (f64, u64) {
         .plain()
         .build();
     let report = net.run(&workload());
-    let dropped = net.host(BYPASS_ATTACKER).stats().atk_data_dropped;
+    let dropped = net.host(BYPASS_ATTACKER).stats()[Counter::AtkDataDropped];
     (report.delivery_or_nan(), dropped)
 }
 
@@ -50,8 +50,8 @@ fn secure_run(behavior: Option<Behavior>, credits: bool) -> (f64, u64, u64) {
         .build();
     assert!(net.bootstrap());
     let report = net.run(&workload());
-    let rejected = net.engine.metrics().counter("sec.rrep_rejected");
-    let dropped = net.host(BYPASS_ATTACKER).stats().atk_data_dropped;
+    let rejected = net.count(Counter::SecRrepRejected);
+    let dropped = net.host(BYPASS_ATTACKER).stats()[Counter::AtkDataDropped];
     (report.delivery_or_nan(), rejected, dropped)
 }
 

@@ -11,8 +11,8 @@
 //! cargo run --release --example bootstrap_storm
 //! ```
 
-use manet_secure::attacks;
 use manet_secure::scenario::{Placement, ScenarioBuilder, Workload};
+use manet_secure::{attacks, Counter};
 use manet_sim::Field;
 
 fn form(n: usize, squatter: bool) -> (bool, f64, u64, u64, u64) {
@@ -42,7 +42,6 @@ fn form(n: usize, squatter: bool) -> (bool, f64, u64, u64, u64) {
         }
     }
     let mean_latency = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
-    let m = net.engine.metrics();
     let committed = net
         .dns_node()
         .dns_state()
@@ -51,7 +50,7 @@ fn form(n: usize, squatter: bool) -> (bool, f64, u64, u64, u64) {
     (
         ok,
         mean_latency,
-        m.counter("ctl.tx_msgs"),
+        net.count(Counter::CtlTxMsgs),
         report.tx_bytes,
         committed,
     )

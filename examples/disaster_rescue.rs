@@ -11,7 +11,7 @@
 //! ```
 
 use manet_secure::scenario::{host_name, Placement, ScenarioBuilder, Workload};
-use manet_secure::SecureNode;
+use manet_secure::{Counter, SecureNode};
 use manet_sim::{Field, Mobility, SimDuration};
 use manet_wire::DomainName;
 
@@ -67,15 +67,14 @@ fn main() {
 
     println!(
         "  coordinator received {} reports; network delivery ratio {:.2}",
-        net.host(0).stats().data_received,
+        net.host(0).stats()[Counter::AppDataReceived],
         report.delivery_or_nan(),
     );
-    let m = net.engine.metrics();
     println!(
         "  discoveries: {} (+{} served from caches via CREP), RERRs: {}",
-        m.counter("route.discovered"),
-        m.counter("route.discovered_via_crep"),
-        m.counter("route.rerr_received"),
+        net.count(Counter::RouteDiscovered),
+        net.count(Counter::RouteDiscoveredViaCrep),
+        net.count(Counter::RouteRerrReceived),
     );
 
     // A rescuer's radio is replaced mid-operation: same key pair, new

@@ -6,7 +6,7 @@
 //! ```
 
 use manet_secure::scenario::{host_name, ScenarioBuilder, Workload};
-use manet_secure::SecureNode;
+use manet_secure::{Counter, SecureNode};
 use manet_sim::SimDuration;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
             "  {}  {}  (DAD rounds: {}, joined at t={:.2}s)",
             host_name(i),
             n.ip(),
-            n.stats().dad_attempts,
+            n.stats()[Counter::DadAttempts],
             n.stats().joined_at.expect("ready").as_secs_f64(),
         );
     }
@@ -67,9 +67,9 @@ fn main() {
     let m = net.engine.metrics();
     println!(
         "  control traffic: {} messages, {} bytes ({} bytes Table-1 control)",
-        m.counter("ctl.tx_msgs"),
+        net.count(Counter::CtlTxMsgs),
         report.tx_bytes,
-        m.counter("ctl.table1_bytes"),
+        net.count(Counter::CtlTable1Bytes),
     );
     println!(
         "  discovery latency: mean {:.1} ms over {} discoveries",

@@ -4,10 +4,10 @@
 //! into assertions; the `tables` binary (exhibit E3) prints the same
 //! scenarios as a table.
 
-use manet_secure::attacks;
 use manet_secure::scenario::{
     Placement, PlainBuilder, ScenarioBuilder, SecureBuilder, BYPASS_ATTACKER,
 };
+use manet_secure::{attacks, Counter};
 use manet_sim::SimDuration;
 
 fn grid_secure(seed: u64, attackers: Vec<(usize, manet_secure::Behavior)>) -> SecureBuilder {
@@ -64,9 +64,12 @@ fn black_hole_collapses_plain_but_not_secure() {
     // The defense was cryptographic: forged RREPs were produced and
     // rejected.
     let atk = secure.host(5);
-    assert!(atk.stats().atk_forged_rrep > 0, "attacker actually forged");
     assert!(
-        secure.engine.metrics().counter("sec.rrep_rejected") > 0,
+        atk.stats()[Counter::AtkForgedRrep] > 0,
+        "attacker actually forged"
+    );
+    assert!(
+        secure.count(Counter::SecRrepRejected) > 0,
         "forgeries were rejected by verification"
     );
 }
@@ -86,7 +89,7 @@ fn impersonation_steals_traffic_only_in_plain() {
     let mut plain = grid_plain(32, vec![(2, attacks::impersonator(victim_ip))]).build();
     assert_eq!(plain.host_ip(11), victim_ip, "same seed, same addresses");
     plain.run_flows(&[(0, 11)], 12, SimDuration::from_millis(300));
-    let stolen = plain.host(2).stats().data_received;
+    let stolen = plain.host(2).stats()[Counter::AppDataReceived];
     assert!(
         stolen > 0,
         "plain impersonator should receive the victim's traffic"
@@ -103,12 +106,12 @@ fn impersonation_steals_traffic_only_in_plain() {
     let report = secure.run_flows(&[(0, 10)], 12, SimDuration::from_millis(300));
     let atk = secure.host(2);
     assert_eq!(
-        atk.stats().data_received,
+        atk.stats()[Counter::AppDataReceived],
         0,
         "secure impersonator must never receive victim traffic"
     );
     assert!(
-        secure.host(10).stats().data_received > 0,
+        secure.host(10).stats()[Counter::AppDataReceived] > 0,
         "the real victim keeps receiving"
     );
     assert!(report.delivery_ratio.expect("packets sent") > 0.8);
@@ -143,10 +146,11 @@ fn replayed_rrep_rejected_by_sequence_binding() {
     let report = net.run_flows(&[(0, 4)], 3, SimDuration::from_millis(300));
 
     let atk = net.host(2);
-    assert!(atk.stats().atk_replayed > 0, "replayer actually replayed");
+    let replayed = atk.stats()[Counter::AtkReplayedArep] + atk.stats()[Counter::AtkReplayedRrep];
+    assert!(replayed > 0, "replayer actually replayed");
     let h0 = net.host(0);
     assert!(
-        h0.stats().rejected_rrep > 0,
+        h0.stats()[Counter::SecRrepRejected] > 0,
         "stale replies rejected at the source"
     );
     assert!(
@@ -171,9 +175,16 @@ fn rerr_spammer_identified_by_frequency_tracking() {
 
     let atk_ip = net.host_ip(2);
     let atk = net.host(2);
-    assert!(atk.stats().atk_spam_rerr >= 3, "spammer kept reporting");
+    assert!(
+        atk.stats()[Counter::AtkRerrSpam] >= 3,
+        "spammer kept reporting"
+    );
     let h0 = net.host(0);
-    assert_eq!(h0.stats().rejected_rerr, 0, "spam *verifies* (honest sig)");
+    assert_eq!(
+        h0.stats()[Counter::SecRerrRejected],
+        0,
+        "spam *verifies* (honest sig)"
+    );
     assert!(
         h0.credits().hostile_hosts().contains(&atk_ip),
         "frequency threshold marked the spammer hostile"
@@ -200,7 +211,7 @@ fn credits_route_around_data_dropper() {
         let report = net.run_flows(&[(0, 2)], 30, SimDuration::from_millis(350));
         (
             report.delivery_ratio.expect("packets sent"),
-            net.host(BYPASS_ATTACKER).stats().atk_data_dropped,
+            net.host(BYPASS_ATTACKER).stats()[Counter::AtkDataDropped],
             net.host(0).credits().credit(&net.host_ip(BYPASS_ATTACKER)),
         )
     };
@@ -276,7 +287,7 @@ fn garbage_frames_are_ignored() {
     );
     let until = net.engine.now() + SimDuration::from_secs(2);
     net.engine.run_until(until); // must not panic
-    assert!(net.engine.metrics().counter("rx.malformed") > 0);
+    assert!(net.count(Counter::RxMalformed) > 0);
 
     // And the network still works afterwards.
     let report = net.run_flows(&[(0, 1)], 3, SimDuration::from_millis(300));
@@ -303,11 +314,10 @@ fn forged_proofs_rejected_identically_with_and_without_verify_cache() {
             .build();
         assert!(net.bootstrap());
         let report = net.run_flows(&[(0, 10)], 15, SimDuration::from_millis(300));
-        let m = net.engine.metrics();
         (
             report.delivery_ratio,
-            m.counter("sec.rrep_rejected"),
-            m.counter("sec.verify_failed"),
+            net.count(Counter::SecRrepRejected),
+            net.count(Counter::SecVerifyFailed),
             net.engine.events_processed(),
             report.crypto,
         )

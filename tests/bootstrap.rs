@@ -4,7 +4,7 @@
 
 use manet_crypto::KeyPair;
 use manet_secure::scenario::{host_name, Placement, ScenarioBuilder};
-use manet_secure::{attacks, HostIdentity, ProtocolConfig, SecureNode};
+use manet_secure::{attacks, Counter, HostIdentity, ProtocolConfig, SecureNode};
 use manet_sim::{Engine, EngineConfig, Mobility, Pos, RadioConfig, SimTime};
 use manet_wire::DomainName;
 use rand::SeedableRng;
@@ -73,11 +73,11 @@ fn genuine_collision_detected_and_rerolled() {
     assert!(na.is_ready() && nb.is_ready());
     assert_eq!(na.ip(), shared_ip, "first claimant keeps the address");
     assert_ne!(nb.ip(), shared_ip, "second claimant re-rolled");
-    assert_eq!(nb.stats().collisions_detected, 1);
-    assert_eq!(nb.stats().dad_attempts, 2);
+    assert_eq!(nb.stats()[Counter::DadCollisions], 1);
+    assert_eq!(nb.stats()[Counter::DadAttempts], 2);
     // The owner answers each probe retransmission it hears (distinct
     // seq), all for the same collision.
-    assert!(na.stats().arep_sent >= 1);
+    assert!(na.stats()[Counter::DadArepSent] >= 1);
 }
 
 /// A DAD squatter answers every AREQ claiming the announced address, but
@@ -94,20 +94,23 @@ fn dad_squatter_cannot_deny_addresses() {
         .build();
     assert!(net.bootstrap());
     let squatter = net.host(0);
-    assert!(squatter.stats().atk_forged_arep > 0, "squatter was active");
+    assert!(
+        squatter.stats()[Counter::AtkForgedArep] > 0,
+        "squatter was active"
+    );
     for i in 1..5 {
         let n = net.host(i);
         assert!(n.is_ready());
         assert_eq!(
-            n.stats().dad_attempts,
+            n.stats()[Counter::DadAttempts],
             1,
             "h{i} kept its first address despite squatting"
         );
         assert!(
-            n.stats().rejected_arep > 0,
+            n.stats()[Counter::SecArepRejected] > 0,
             "h{i} saw and rejected a forged AREP"
         );
-        assert_eq!(n.stats().collisions_detected, 0);
+        assert_eq!(n.stats()[Counter::DadCollisions], 0);
     }
 }
 
@@ -125,7 +128,7 @@ fn name_conflict_resolved_first_come_first_serve() {
     assert!(net.bootstrap());
     let loser = net.host(2);
     assert_eq!(
-        loser.stats().name_conflicts,
+        loser.stats()[Counter::DadNameConflicts],
         1,
         "DREP received and verified"
     );
@@ -175,10 +178,10 @@ fn clean_join_costs_one_attempt() {
     let mut net = scenario.build();
     assert!(net.bootstrap());
     for i in 0..4 {
-        assert_eq!(net.host(i).stats().areq_sent, probes);
-        assert_eq!(net.host(i).stats().dad_attempts, 1);
+        assert_eq!(net.host(i).stats()[Counter::DadAreqSent], probes);
+        assert_eq!(net.host(i).stats()[Counter::DadAttempts], 1);
     }
     // The engine-wide AREQ originations match.
-    assert_eq!(net.engine.metrics().counter("dad.attempts"), 4);
-    assert_eq!(net.engine.metrics().counter("dad.collisions"), 0);
+    assert_eq!(net.count(Counter::DadAttempts), 4);
+    assert_eq!(net.count(Counter::DadCollisions), 0);
 }

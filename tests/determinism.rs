@@ -5,7 +5,7 @@
 //! reproduction, so it gets its own regression gate.
 
 use manet_secure::scenario::{Placement, ScenarioBuilder};
-use manet_secure::HostIdentity;
+use manet_secure::{Counter, HostIdentity};
 use manet_sim::{ExecMode, Field, Mobility, SimDuration};
 
 /// One full run: bootstrap, two crossing flows, then the observables.
@@ -18,12 +18,11 @@ fn run(seed: u64) -> (f64, usize, u64, u64) {
         .build();
     assert!(net.bootstrap(), "seed {seed}: bootstrap failed");
     let report = net.run_flows(&[(0, 4), (1, 3)], 4, SimDuration::from_millis(300));
-    let m = net.engine.metrics();
     (
         report.delivery_or_nan(),
         net.engine.tracer().events().len(),
-        m.counter("ctl.tx_bytes"),
-        m.counter("data.tx"),
+        net.count(Counter::CtlTxBytes),
+        net.count(Counter::RouteForwarded),
     )
 }
 
@@ -35,6 +34,7 @@ fn same_seed_same_universe() {
     // Guard against the trivial-pass failure mode (nothing simulated).
     assert!(a.0 > 0.0, "no traffic delivered: {a:?}");
     assert!(a.1 > 0, "no trace events recorded: {a:?}");
+    assert!(a.3 > 0, "no relay forwarded anything: {a:?}");
 }
 
 /// The executor gate, one level up from the engine's unit test: a full
@@ -197,8 +197,8 @@ fn key_streams_differ_from_the_engine_and_every_node_stream() {
 /// `manet-sim`'s `wheel.rs`.)
 mod wheel_heap_script {
     use manet_sim::{
-        Ctx, Engine, EngineConfig, ExecMode, Mobility, NodeId, Pos, Protocol, RadioConfig,
-        SimDuration, SimTime, TimerHandle,
+        Ctx, Engine, EngineConfig, ExecMode, LinkCounter, Mobility, NodeId, Pos, Protocol,
+        RadioConfig, SimDuration, SimTime, TimerHandle,
     };
     use proptest::prelude::*;
     use std::any::Any;
@@ -466,8 +466,8 @@ mod wheel_heap_script {
             (
                 e.protocol_as::<Script>(a).log.clone(),
                 e.protocol_as::<Script>(b).log.clone(),
-                m.counter("phy.rx_frames"),
-                m.counter("phy.rx_dropped_dead"),
+                m[LinkCounter::RxFrames],
+                m[LinkCounter::RxDroppedDead],
                 e.events_processed(),
             )
         };

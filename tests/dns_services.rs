@@ -3,7 +3,7 @@
 //! response IP-change flow, and their attack surfaces.
 
 use manet_secure::scenario::{host_name, Network, ScenarioBuilder};
-use manet_secure::{attacks, SecureNode};
+use manet_secure::{attacks, Counter, SecureNode};
 use manet_sim::SimDuration;
 use manet_wire::{sigdata, Challenge, DomainName, IpChangeProof, Message, RouteRecord};
 
@@ -31,7 +31,7 @@ fn resolve_registered_name() {
         Some(&Some(net.host_ip(0))),
         "signed answer matches the registered address"
     );
-    assert_eq!(n3.stats().rejected_dns_reply, 0);
+    assert_eq!(n3.stats()[Counter::SecDnsReplyRejected], 0);
 }
 
 /// Unknown names produce an authenticated NXDOMAIN (`None` answer) — the
@@ -67,8 +67,12 @@ fn preregistered_server_name_is_immovable() {
     assert!(net.bootstrap());
     let dns = net.dns_node().dns_state().expect("dns");
     assert_eq!(dns.lookup(&host_name(0)), Some(net.host_ip(0)));
-    assert_eq!(net.host(2).stats().name_conflicts, 1, "claimant got a DREP");
-    assert!(dns.conflicts_rejected >= 1);
+    assert_eq!(
+        net.host(2).stats()[Counter::DadNameConflicts],
+        1,
+        "claimant got a DREP"
+    );
+    assert!(net.dns_node().stats()[Counter::DnsDrepSent] >= 1);
 }
 
 /// The full Section 3.2 IP-change flow: request → challenge → proof →
@@ -91,7 +95,8 @@ fn ip_change_happy_path() {
     assert_ne!(new_ip, old_ip, "host switched to the new CGA");
     let dns = net.dns_node().dns_state().expect("dns");
     assert_eq!(dns.lookup(&host_name(1)), Some(new_ip), "mapping moved");
-    assert_eq!(dns.ip_changes_accepted, 1);
+    let accepted = net.dns_node().stats()[Counter::DnsIpChangesAccepted];
+    assert_eq!(accepted, 1);
 }
 
 /// An attacker cannot move someone else's name: its IP-change proof is
@@ -140,7 +145,7 @@ fn ip_change_with_wrong_key_rejected() {
         Some(victim_ip),
         "the victim's mapping must not move"
     );
-    assert_eq!(dns.ip_changes_accepted, 0);
+    assert_eq!(net.dns_node().stats()[Counter::DnsIpChangesAccepted], 0);
 }
 
 /// A forged IP-change *proof* (valid session, wrong key) is rejected by
@@ -187,7 +192,7 @@ fn forged_ip_change_proof_rejected() {
     net.engine.run_until(until);
 
     let dns = net.dns_node().dns_state().expect("dns");
-    assert_eq!(dns.ip_changes_accepted, 0);
+    assert_eq!(net.dns_node().stats()[Counter::DnsIpChangesAccepted], 0);
     assert_eq!(dns.lookup(&host_name(0)), Some(victim_ip));
 }
 
@@ -218,9 +223,9 @@ fn forged_dns_reply_rejected() {
 
     let n3 = net.host(3);
     let atk = net.host(1);
-    if atk.stats().atk_forged_dns > 0 {
+    if atk.stats()[Counter::AtkForgedDns] > 0 {
         assert!(
-            n3.stats().rejected_dns_reply > 0,
+            n3.stats()[Counter::SecDnsReplyRejected] > 0,
             "forged DNS reply must be rejected"
         );
         // Whatever was resolved (if the genuine answer got through on a
@@ -254,5 +259,5 @@ fn multi_hop_resolution_is_end_to_end_authentic() {
         net.host(5).stats().resolved.get(&host_name(1)),
         Some(&Some(net.host_ip(1)))
     );
-    assert!(net.dns_node().dns_state().unwrap().queries_answered >= 1);
+    assert!(net.dns_node().stats()[Counter::DnsQueriesAnswered] >= 1);
 }

@@ -13,7 +13,7 @@
 
 use manet_crypto::KeyPair;
 use manet_secure::scenario::ScenarioBuilder;
-use manet_secure::{HostIdentity, ProtocolConfig, SecureNode};
+use manet_secure::{Counter, HostIdentity, ProtocolConfig, SecureNode};
 use manet_sim::{Dir, Engine, EngineConfig, Mobility, Pos, RadioConfig, SimDuration, SimTime};
 use manet_wire::DomainName;
 use rand::SeedableRng;
@@ -80,9 +80,9 @@ fn figure2_secure_dad_trace() {
     let s = engine.protocol_as::<SecureNode>(s_id);
     let r = engine.protocol_as::<SecureNode>(r_id);
     assert!(s.is_ready());
-    assert_eq!(s.stats().collisions_detected, 1);
-    assert_eq!(s.stats().dad_attempts, 2);
-    assert_eq!(r.stats().arep_sent, 1);
+    assert_eq!(s.stats()[Counter::DadCollisions], 1);
+    assert_eq!(s.stats()[Counter::DadAttempts], 2);
+    assert_eq!(r.stats()[Counter::DadArepSent], 1);
 
     let tracer = engine.tracer();
     println!("--- Figure 2 trace ---\n{}", tracer.render());
@@ -120,17 +120,14 @@ fn figure2_secure_dad_trace() {
 fn figure2_dns_side() {
     let (mut engine, _r_id, s_id) = figure2_engine();
     engine.run_until(SimTime(10_000_000));
-    let m = engine.metrics();
+    let dns_node = engine.protocol_as::<SecureNode>(manet_sim::NodeId(0));
     assert!(
-        m.counter("dns.reg_cancelled") >= 1,
+        dns_node.stats()[Counter::DnsRegCancelled] >= 1,
         "warning AREP cancelled the pending entry"
     );
     // The reroll succeeded and its name got committed.
     let s_ip = engine.protocol_as::<SecureNode>(s_id).ip();
-    let dns = engine
-        .protocol_as::<SecureNode>(manet_sim::NodeId(0))
-        .dns_state()
-        .expect("dns");
+    let dns = dns_node.dns_state().expect("dns");
     assert_eq!(dns.lookup(&DomainName::new("s.manet").unwrap()), Some(s_ip));
 }
 
@@ -176,10 +173,9 @@ fn figure3_route_discovery_trace() {
     assert!(rrep_t < crep_t, "CREP belongs to the second discovery");
 
     // All signatures verified along the way.
-    let m = net.engine.metrics();
-    assert_eq!(m.counter("sec.rreq_rejected"), 0);
-    assert_eq!(m.counter("sec.rrep_rejected"), 0);
-    assert_eq!(m.counter("sec.crep_rejected"), 0);
+    assert_eq!(net.count(Counter::SecRreqRejected), 0);
+    assert_eq!(net.count(Counter::SecRrepRejected), 0);
+    assert_eq!(net.count(Counter::SecCrepRejected), 0);
     assert!(report.delivery_ratio.expect("packets sent") > 0.9);
 }
 

@@ -4,7 +4,6 @@
 //! iteration, wall clock in the engine, undocumented unsafe, …) fails
 //! the build even for contributors who never look at the CI config.
 
-use std::hash::Hasher;
 use std::path::Path;
 
 #[test]
@@ -23,36 +22,6 @@ fn workspace_is_lint_clean() {
     );
 }
 
-/// `manet-crypto` sits below `manet-sim` and carries a mirror of the
-/// canonical Fx hasher. The two copies must stay byte-identical in
-/// behavior; neither crate can see the other, so the equality is pinned
-/// here at the workspace level.
-#[test]
-fn crypto_fxhash_mirror_matches_canonical() {
-    let inputs: [&[u8]; 4] = [
-        b"",
-        b"fec0::13",
-        b"hello world!!",
-        b"0123456789abcdef0123456789abcdef~",
-    ];
-    for input in inputs {
-        let mut canonical = manet_sim::fxhash::FxHasher::default();
-        let mut mirror = manet_crypto::fxhash::FxHasher::default();
-        canonical.write(input);
-        mirror.write(input);
-        assert_eq!(
-            canonical.finish(),
-            mirror.finish(),
-            "fxhash copies diverge on {input:?}"
-        );
-    }
-    let mut canonical = manet_sim::fxhash::FxHasher::default();
-    let mut mirror = manet_crypto::fxhash::FxHasher::default();
-    canonical.write_u64(0xfec0_0000_0000_000d);
-    mirror.write_u64(0xfec0_0000_0000_000d);
-    assert_eq!(canonical.finish(), mirror.finish());
-}
-
 /// One DSR data plane: each data-plane and discovery-bookkeeping
 /// function is defined exactly once under `crates/core/src` (in
 /// `dsr.rs`), so the plain and secure stacks cannot drift apart again.
@@ -69,27 +38,13 @@ fn data_plane_functions_are_defined_once() {
         "fn handle_ack",
         "fn handle_data",
     ];
-    fn sources(dir: &Path, out: &mut Vec<String>) {
-        for entry in std::fs::read_dir(dir).expect("source directory") {
-            let path = entry.expect("directory entry").path();
-            if path.is_dir() {
-                sources(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(std::fs::read_to_string(&path).expect("source file"));
-            }
-        }
-    }
-    let mut files = Vec::new();
-    sources(
-        &Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src"),
-        &mut files,
-    );
+    let files = sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src"));
     for name in ONCE {
         // `fn forward` must not match `fn forward_x`: require the
         // parameter list (or a generic list) right after the name.
         let defs: usize = files
             .iter()
-            .map(|src| {
+            .map(|(_, src)| {
                 src.match_indices(name)
                     .filter(|(at, _)| src[at + name.len()..].starts_with(['(', '<']))
                     .count()
@@ -100,4 +55,59 @@ fn data_plane_functions_are_defined_once() {
             "`{name}` is defined {defs} times under crates/core/src"
         );
     }
+}
+
+/// Every `.rs` file under `dir`, with its path.
+fn sources(dir: &Path) -> Vec<(std::path::PathBuf, String)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            out.extend(sources(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let src = std::fs::read_to_string(&path).expect("source file");
+            out.push((path, src));
+        }
+    }
+    out
+}
+
+/// Counters are read through their types — `stats()[Counter::X]`,
+/// `Network::count`, `metrics()[LinkCounter::X]` — so a misspelt name
+/// is a compile error, not a silent 0. The frozen benchmark harness
+/// under `bench/harness/` is the one reader left that goes by name.
+#[test]
+fn no_counter_is_read_by_name_in_tree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let needle = concat!(".counter", "(\"");
+    let readers: Vec<_> = ["crates", "tests", "examples"]
+        .iter()
+        .flat_map(|dir| sources(&root.join(dir)))
+        .filter(|(_, src)| src.contains(needle))
+        .map(|(path, _)| path)
+        .collect();
+    assert!(readers.is_empty(), "counters read by name in {readers:?}");
+}
+
+/// docs/OBSERVABILITY.md has one table row per counter, protocol
+/// counters in `Counter::ALL` order, then the engine's in
+/// `LinkCounter::ALL` order.
+#[test]
+fn observability_doc_lists_every_counter_in_order() {
+    use manet_secure::Counter;
+    use manet_sim::LinkCounter;
+    let doc = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/OBSERVABILITY.md"),
+    )
+    .expect("docs/OBSERVABILITY.md");
+    let rows: Vec<&str> = doc
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .collect();
+    let names: Vec<&str> = Counter::ALL
+        .iter()
+        .map(|c| c.name())
+        .chain(LinkCounter::ALL.iter().map(|c| c.name()))
+        .collect();
+    assert_eq!(rows, names);
 }

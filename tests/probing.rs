@@ -5,7 +5,7 @@
 //! are never slashed by a probe verdict.
 
 use manet_secure::scenario::{Placement, ScenarioBuilder, SecureBuilder, BYPASS_ATTACKER};
-use manet_secure::{attacks, Behavior};
+use manet_secure::{attacks, Behavior, Counter};
 use manet_sim::SimDuration;
 
 fn probing_scenario(attacker: Behavior, seed: u64) -> SecureBuilder {
@@ -29,7 +29,7 @@ fn naive_dropper_localized_exactly() {
     let atk_ip = net.host_ip(BYPASS_ATTACKER);
     let h0 = net.host(0);
     assert!(
-        h0.stats().probes_sent >= 1,
+        h0.stats()[Counter::ProbeSent] >= 1,
         "persistent loss triggered a probe"
     );
     assert!(
@@ -68,9 +68,9 @@ fn evading_dropper_is_inconclusive_but_credits_still_work() {
     net.run_flows(&[(0, 2)], 25, SimDuration::from_millis(300));
 
     let h0 = net.host(0);
-    assert!(h0.stats().probes_sent >= 1);
+    assert!(h0.stats()[Counter::ProbeSent] >= 1);
     assert!(
-        h0.stats().probes_inconclusive >= 1,
+        h0.stats()[Counter::ProbeInconclusive] >= 1,
         "the evader answered every probe"
     );
     assert!(
@@ -78,7 +78,7 @@ fn evading_dropper_is_inconclusive_but_credits_still_work() {
         "no one was (wrongly) localized"
     );
     // The attacker acknowledged probes as a relay.
-    assert!(net.host(BYPASS_ATTACKER).stats().probe_acks_sent >= 1);
+    assert!(net.host(BYPASS_ATTACKER).stats()[Counter::ProbeAcksSent] >= 1);
     // Credits still shift traffic off the dead path.
     assert!(net.delivery_ratio().expect("packets sent") > 0.7);
 }
@@ -90,8 +90,8 @@ fn healthy_route_never_probed() {
     let mut net = probing_scenario(Behavior::default(), 72).build();
     assert!(net.bootstrap());
     net.run_flows(&[(0, 2)], 15, SimDuration::from_millis(300));
-    assert_eq!(net.host(0).stats().probes_sent, 0);
-    assert_eq!(net.engine.metrics().counter("probe.sent"), 0);
+    assert_eq!(net.host(0).stats()[Counter::ProbeSent], 0);
+    assert_eq!(net.count(Counter::ProbeSent), 0);
     assert!(net.delivery_ratio().expect("packets sent") > 0.95);
 }
 

@@ -3,8 +3,8 @@
 //! link breakage, route re-discovery under mobility.
 
 use manet_secure::scenario::{Network, Placement, ScenarioBuilder};
-use manet_secure::SecureNode;
-use manet_sim::{Field, Mobility, SimDuration, SimTime};
+use manet_secure::{Counter, SecureNode};
+use manet_sim::{Field, LinkCounter, Mobility, SimDuration, SimTime};
 
 fn chain(n: usize, seed: u64) -> Network<SecureNode> {
     ScenarioBuilder::new().hosts(n).seed(seed).secure().build()
@@ -35,14 +35,17 @@ fn rreq_relays_sign_and_destination_accepts() {
     let mut net = chain(5, 21);
     assert!(net.bootstrap());
     net.run_flows(&[(0, 4)], 2, SimDuration::from_millis(400));
-    let m = net.engine.metrics();
-    assert!(m.counter("route.discovered") >= 1);
-    assert_eq!(m.counter("sec.rreq_rejected"), 0, "honest SRRs all verify");
+    assert!(net.count(Counter::RouteDiscovered) >= 1);
+    assert_eq!(
+        net.count(Counter::SecRreqRejected),
+        0,
+        "honest SRRs all verify"
+    );
     assert!(
-        m.counter("route.rreq_relayed") >= 3,
+        net.count(Counter::RouteRreqRelayed) >= 3,
         "h1..h3 relayed with signatures"
     );
-    assert_eq!(net.host(4).stats().rejected_rreq, 0);
+    assert_eq!(net.host(4).stats()[Counter::SecRreqRejected], 0);
 }
 
 /// A node holding a self-discovered route answers a later requester with
@@ -53,16 +56,15 @@ fn cached_route_served_as_crep() {
     assert!(net.bootstrap());
     // h0 discovers a route to h5 first.
     net.run_flows(&[(0, 5)], 2, SimDuration::from_millis(400));
-    let before = net.engine.metrics().counter("route.crep_sent");
+    let before = net.count(Counter::RouteCrepSent);
     // h1's request can now be answered from h0's cache (h0 is adjacent).
     net.run_flows(&[(1, 5)], 2, SimDuration::from_millis(400));
-    let m = net.engine.metrics();
     assert!(
-        m.counter("route.crep_sent") > before,
+        net.count(Counter::RouteCrepSent) > before,
         "some node served a cached route"
     );
     assert!(net.delivery_ratio().expect("packets sent") > 0.9);
-    assert_eq!(m.counter("sec.crep_rejected"), 0);
+    assert_eq!(net.count(Counter::SecCrepRejected), 0);
 }
 
 /// Killing a relay mid-flow produces a verified RERR at the source and
@@ -83,11 +85,20 @@ fn node_death_triggers_rerr_and_cache_eviction() {
     net.engine.kill_at(h2, kill_at);
     net.run_flows(&[(0, 4)], 5, SimDuration::from_millis(300));
 
-    let m = net.engine.metrics();
-    assert!(m.counter("route.rerr_sent") >= 1, "h1 reported the break");
-    assert_eq!(m.counter("sec.rerr_rejected"), 0, "the report verified");
+    assert!(
+        net.count(Counter::RouteRerrSent) >= 1,
+        "h1 reported the break"
+    );
+    assert_eq!(
+        net.count(Counter::SecRerrRejected),
+        0,
+        "the report verified"
+    );
     let h0 = net.host(0);
-    assert!(h0.stats().data_failed > 0, "chain is partitioned now");
+    assert!(
+        h0.stats()[Counter::AppDataFailed] > 0,
+        "chain is partitioned now"
+    );
     let h4 = net.host_ip(4);
     assert!(
         h0.cached_route(&h4, net.engine.now()).is_none(),
@@ -111,13 +122,12 @@ fn route_diversity_from_multiple_rreps() {
         .build();
     assert!(net.bootstrap());
     net.run_flows(&[(0, 10)], 3, SimDuration::from_millis(400));
-    let m = net.engine.metrics();
     // rrep_multi = 3 by default: at least one extra RREP should have been
     // produced and cached beyond the first.
     assert!(
-        m.counter("route.alternate_cached") >= 1,
+        net.count(Counter::RouteAlternateCached) >= 1,
         "alternate routes cached: {}",
-        m.counter("route.alternate_cached")
+        net.count(Counter::RouteAlternateCached)
     );
     assert!(net.delivery_ratio().expect("packets sent") > 0.9);
 }
@@ -178,14 +188,14 @@ fn rediscovery_after_relay_death_with_alternate_path() {
     let kill_at = net.engine.now() + SimDuration::from_millis(50);
     net.engine.kill_at(net.hosts[victim_idx], kill_at);
 
-    let acked_before = net.host(0).stats().data_acked;
+    let acked_before = net.host(0).stats()[Counter::AppDataAcked];
     net.run_flows(&[(0, 7)], 8, SimDuration::from_millis(400));
     let h0 = net.host(0);
     assert!(
-        h0.stats().data_acked > acked_before + 4,
+        h0.stats()[Counter::AppDataAcked] > acked_before + 4,
         "delivery resumed over an alternate path ({} → {})",
         acked_before,
-        h0.stats().data_acked
+        h0.stats()[Counter::AppDataAcked]
     );
 }
 
@@ -206,10 +216,14 @@ fn send_buffer_flushes_after_discovery() {
     let until = net.engine.now() + SimDuration::from_secs(6);
     net.engine.run_until(until);
     let h0 = net.host(0);
-    assert_eq!(h0.stats().data_sent, 3);
-    assert_eq!(h0.stats().data_acked, 3, "all flushed and acknowledged");
+    assert_eq!(h0.stats()[Counter::AppDataSent], 3);
     assert_eq!(
-        h0.stats().rreq_sent,
+        h0.stats()[Counter::AppDataAcked],
+        3,
+        "all flushed and acknowledged"
+    );
+    assert_eq!(
+        h0.stats()[Counter::RouteRreqOriginated],
         1,
         "a single discovery served all three"
     );
@@ -230,13 +244,12 @@ fn unreachable_destination_fails_cleanly() {
     let until = net.engine.now() + SimDuration::from_secs(10);
     net.engine.run_until(until);
     let h0 = net.host(0);
-    assert_eq!(h0.stats().data_failed, 1);
-    assert_eq!(h0.stats().data_acked, 0);
-    let m = net.engine.metrics();
-    assert_eq!(m.counter("route.discovery_gave_up"), 1);
+    assert_eq!(h0.stats()[Counter::AppDataFailed], 1);
+    assert_eq!(h0.stats()[Counter::AppDataAcked], 0);
+    assert_eq!(net.count(Counter::RouteDiscoveryGaveUp), 1);
     assert_eq!(
-        m.counter("route.rreq_retries"),
-        (h0.stats().rreq_sent - 1),
+        net.count(Counter::RouteRreqRetries),
+        (h0.stats()[Counter::RouteRreqOriginated] - 1),
         "retries counted consistently"
     );
 }
@@ -251,7 +264,7 @@ fn whole_stack_is_deterministic() {
         net.run_flows(&[(0, 4)], 5, SimDuration::from_millis(300));
         (
             net.delivery_ratio(),
-            net.engine.metrics().counter("ctl.tx_bytes"),
+            net.count(Counter::CtlTxBytes),
             (0..5).map(|i| net.host_ip(i)).collect::<Vec<_>>(),
         )
     };
@@ -289,7 +302,7 @@ fn partition_and_heal() {
         report.delivery_ratio.expect("packets sent") > 0.9,
         "healthy before the walk"
     );
-    let acked_healthy = net.host(0).stats().data_acked;
+    let acked_healthy = net.host(0).stats()[Counter::AppDataAcked];
 
     // Script h1's walk: far off-axis (breaking both links), then home.
     // Walking is slow; run the engine while it happens.
@@ -302,12 +315,12 @@ fn partition_and_heal() {
     assert!(!net.engine.is_connected(), "h1's absence splits the chain");
 
     net.run_flows(&[(0, 2)], 4, SimDuration::from_millis(300));
-    let acked_partitioned = net.host(0).stats().data_acked;
+    let acked_partitioned = net.host(0).stats()[Counter::AppDataAcked];
     assert!(
         acked_partitioned - acked_healthy <= 1,
         "partition must stop (almost) all delivery"
     );
-    assert!(net.host(0).stats().data_failed > 0);
+    assert!(net.host(0).stats()[Counter::AppDataFailed] > 0);
 
     // Heal and resume.
     net.engine.set_position(h1, home);
@@ -315,7 +328,7 @@ fn partition_and_heal() {
     net.engine.run_until(t);
     assert!(net.engine.is_connected());
     net.run_flows(&[(0, 2)], 5, SimDuration::from_millis(300));
-    let acked_healed = net.host(0).stats().data_acked;
+    let acked_healed = net.host(0).stats()[Counter::AppDataAcked];
     assert!(
         acked_healed >= acked_partitioned + 4,
         "delivery resumed after healing ({acked_partitioned} → {acked_healed})"
@@ -344,10 +357,10 @@ fn gray_zone_radio_degrades_gracefully() {
     assert!(ratio > 0.8, "delivery {ratio} with gray-zone floods");
     let m = net.engine.metrics();
     // Some broadcasts genuinely died in the gray band…
-    assert!(m.counter("phy.rx_dropped_loss") > 0);
+    assert!(m[LinkCounter::RxDroppedLoss] > 0);
     // …but nothing ever failed verification (noise ≠ forgery).
-    assert_eq!(m.counter("sec.rreq_rejected"), 0);
-    assert_eq!(m.counter("sec.rrep_rejected"), 0);
+    assert_eq!(net.count(Counter::SecRreqRejected), 0);
+    assert_eq!(net.count(Counter::SecRrepRejected), 0);
 }
 
 /// run_until with nothing to do still advances the clock (regression
@@ -370,12 +383,12 @@ fn idle_time_advances() {
 fn plain_and_secure_chains_forward_alike() {
     fn traffic<P: manet_secure::NodeApi>(mut net: Network<P>) -> (u64, u64, usize) {
         assert!(net.bootstrap());
-        let before = net.engine.metrics().counter("route.forwarded");
+        let before = net.count(Counter::RouteForwarded);
         net.run_flows(&[(0, 4)], 5, SimDuration::from_millis(300));
         let m = net.engine.metrics();
         (
-            m.counter("route.forwarded") - before,
-            m.counter("app.data_acked"),
+            net.count(Counter::RouteForwarded) - before,
+            net.count(Counter::AppDataAcked),
             m.series("app.e2e_latency_s").len(),
         )
     }

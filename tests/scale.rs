@@ -4,8 +4,8 @@
 //! growth, buffer exhaustion, cross-flow interference).
 
 use manet_secure::scenario::{scale_family, Placement, ScenarioBuilder, Workload};
-use manet_secure::{attacks, SecureNode};
-use manet_sim::{Field, Mobility, SimDuration, SimTime};
+use manet_secure::{attacks, Counter, SecureNode};
+use manet_sim::{Field, LinkCounter, Mobility, SimDuration, SimTime};
 
 /// A 24-host grid bootstraps completely and carries eight simultaneous
 /// flows with high delivery.
@@ -41,7 +41,10 @@ fn large_grid_bootstrap_and_traffic() {
     assert!(ratio > 0.9, "delivery {ratio} under 8-flow load");
     // Every destination actually received data.
     for &(_, dst) in &flows {
-        assert!(net.host(dst).stats().data_received > 0, "h{dst} starved");
+        assert!(
+            net.host(dst).stats()[Counter::AppDataReceived] > 0,
+            "h{dst} starved"
+        );
     }
 }
 
@@ -120,7 +123,10 @@ fn late_joiners_under_traffic() {
     let until = net.engine.now() + SimDuration::from_secs(6);
     net.engine.run_until(until);
     let late = net.engine.protocol_as::<SecureNode>(new_ids[0]);
-    assert!(late.stats().data_received > 0, "late joiner reachable");
+    assert!(
+        late.stats()[Counter::AppDataReceived] > 0,
+        "late joiner reachable"
+    );
 }
 
 /// The `scale` scenario family end-to-end at test size: uniform
@@ -148,7 +154,7 @@ fn scale_family_smoke() {
         // Run past the end of the churn window so every kill fires.
         net.engine.run_until(SimTime(11_000_000));
         assert_eq!(
-            net.engine.metrics().counter("sim.nodes_killed"),
+            net.engine.metrics()[LinkCounter::NodesKilled],
             4,
             "churn kills must all fire inside the run window"
         );
@@ -159,7 +165,7 @@ fn scale_family_smoke() {
         );
         (
             ratio,
-            net.engine.metrics().counter("phy.rx_frames"),
+            net.engine.metrics()[LinkCounter::RxFrames],
             net.engine.events_processed(),
         )
     };
@@ -194,9 +200,8 @@ fn long_running_mobile_network() {
     }
     let ratio = net.delivery_ratio().expect("packets sent");
     assert!(ratio > 0.6, "long-run delivery {ratio}");
-    let m = net.engine.metrics();
     assert!(
-        m.counter("route.rreq_originated") >= 20,
+        net.count(Counter::RouteRreqOriginated) >= 20,
         "route expiry forced rediscovery each round"
     );
 }

@@ -4,39 +4,51 @@
 //! `ScenarioBuilder` — so a pass proves the layered node stack, the
 //! verify cache, *and* the scenario-API redesign all left the byte-exact
 //! trace stream untouched. Any divergence is a determinism regression,
-//! not a formatting nit.
+//! not a formatting nit. Each universe also pins the network total of
+//! every counter (`counters_*.txt`, recorded from the engine-wide string
+//! table that counted them before each node owned its counts, plus
+//! `dad.areq_sent`, which that table never had).
 //!
 //! Regenerate (only for an *intentional* protocol change) with:
 //! `UPDATE_GOLDEN=1 cargo test --test trace_golden`
 
 use manet_crypto::BackendKind;
 use manet_secure::scenario::{Network, ScenarioBuilder, Workload};
-use manet_secure::{attacks, Behavior, NodeApi};
-use manet_sim::SimDuration;
+use manet_secure::{attacks, Behavior, Counter, NodeApi};
+use manet_sim::{LinkCounter, SimDuration};
 
 /// One deterministic universe rendered to text: the full trace stream
 /// plus the headline observables (so a silent metric drift is caught
-/// even if it never changes a trace line).
-fn render<P: NodeApi>(seed: u64, mut net: Network<P>, workload: &Workload) -> String {
+/// even if it never changes a trace line), and every nonzero counter's
+/// network total, one `name=value` line each in name order — the
+/// protocol counters summed over all nodes, then the engine's own.
+fn render<P: NodeApi>(seed: u64, mut net: Network<P>, workload: &Workload) -> (String, String) {
     net.bootstrap();
     let report = net.run(workload);
-    let m = net.engine.metrics();
-    format!(
+    let trace = format!(
         "seed={} events={} ctl.tx_bytes={} app.data_sent={} delivery={:.6}\n{}",
         seed,
         net.engine.events_processed(),
-        m.counter("ctl.tx_bytes"),
-        m.counter("app.data_sent"),
+        net.count(Counter::CtlTxBytes),
+        net.count(Counter::AppDataSent),
         report.delivery_or_nan(),
         net.engine.tracer().render(),
-    )
+    );
+    let protocol = Counter::ALL.iter().map(|&c| (c.name(), net.count(c)));
+    let link = LinkCounter::ALL
+        .iter()
+        .map(|&c| (c.name(), net.engine.metrics()[c]));
+    let mut totals: Vec<_> = protocol.chain(link).filter(|&(_, v)| v > 0).collect();
+    totals.sort_unstable();
+    let counters = totals.iter().map(|(n, v)| format!("{n}={v}\n")).collect();
+    (trace, counters)
 }
 
 fn chain(seed: u64) -> ScenarioBuilder {
     ScenarioBuilder::new().hosts(5).seed(seed).trace(true)
 }
 
-fn render_universe(seed: u64, attackers: Vec<(usize, Behavior)>) -> String {
+fn render_universe(seed: u64, attackers: Vec<(usize, Behavior)>) -> (String, String) {
     let net = chain(seed)
         .adversaries(attackers)
         .secure()
@@ -54,7 +66,7 @@ fn render_universe(seed: u64, attackers: Vec<(usize, Behavior)>) -> String {
 
 /// The plain-DSR baseline on the same chain: pins the data plane the
 /// two stacks share from the side that signs nothing.
-fn render_plain_chain(seed: u64) -> String {
+fn render_plain_chain(seed: u64) -> (String, String) {
     let flows = Workload::flows(vec![(0, 4)], 5, SimDuration::from_millis(300));
     render(seed, chain(seed).plain().build(), &flows)
 }
@@ -94,20 +106,23 @@ fn check_golden(name: &str, rendered: &str) {
 
 #[test]
 fn honest_universe_matches_pre_refactor_trace() {
-    check_golden("trace_honest_seed42.txt", &render_universe(42, Vec::new()));
+    let (trace, counters) = render_universe(42, Vec::new());
+    check_golden("trace_honest_seed42.txt", &trace);
+    check_golden("counters_honest.txt", &counters);
 }
 
 #[test]
 fn attacked_universe_matches_pre_refactor_trace() {
     // A black-hole route forger on the chain: exercises the verification
     // reject paths (forged RREPs) whose verdicts the cache must preserve.
-    check_golden(
-        "trace_forge_seed7.txt",
-        &render_universe(7, vec![(2, attacks::black_hole())]),
-    );
+    let (trace, counters) = render_universe(7, vec![(2, attacks::black_hole())]);
+    check_golden("trace_forge_seed7.txt", &trace);
+    check_golden("counters_black_hole.txt", &counters);
 }
 
 #[test]
 fn plain_chain_matches_golden_trace() {
-    check_golden("trace_plain_chain.txt", &render_plain_chain(42));
+    let (trace, counters) = render_plain_chain(42);
+    check_golden("trace_plain_chain.txt", &trace);
+    check_golden("counters_plain_chain.txt", &counters);
 }
