@@ -164,8 +164,8 @@ impl<W> DsrState<W> {
         true
     }
 
-    /// Non-mutating [`Self::first_sighting`] for allocation-free peek
-    /// paths.
+    /// Non-mutating [`Self::first_sighting`].
+    #[cfg(test)]
     pub(crate) fn already_seen(&self, sip: &Ipv6Addr, seq: Seq) -> bool {
         self.seen_rreqs.get(&(*sip, seq.0)).is_some()
     }
@@ -529,9 +529,14 @@ pub(crate) trait Dsr: Sized {
             self.stats_mut().bump(Counter::RxMalformed);
             return None;
         };
-        let evicted = self.dsr_mut().neighbors.learn(env.src_ip, src, ctx.now());
-        self.stats_mut().add(Counter::NeighEvicted, evicted as u64);
+        self.heard(ctx, env.src_ip, src);
         Some(env)
+    }
+
+    /// Learn that `tx_ip` transmits as link node `src`.
+    fn heard(&mut self, ctx: &Ctx, tx_ip: Ipv6Addr, src: NodeId) {
+        let evicted = self.dsr_mut().neighbors.learn(tx_ip, src, ctx.now());
+        self.stats_mut().add(Counter::NeighEvicted, evicted as u64);
     }
 
     /// A source-routed frame arrived: deliver, forward, or ignore it.

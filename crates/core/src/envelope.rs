@@ -14,7 +14,7 @@
 //!   per-message `RR` fields from Table 1 stay untouched payload.
 
 use bytes::BufMut;
-use manet_wire::{CodecError, Ipv6Addr, Message, RouteRecord};
+use manet_wire::{CodecError, FloodHeader, Ipv6Addr, Message, RouteRecord};
 
 /// A framed packet.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -99,19 +99,23 @@ impl Envelope {
         self.msg.encode_into(out);
     }
 
-    /// If `buf` is a broadcast-enveloped (routeless) [`PlainRreq`]
-    /// frame, return the transmitter address and the request's fixed
-    /// fields without allocating. Layout validation is as strict as the
-    /// full [`Envelope::decode`]; `None` means "different frame kind or
-    /// malformed — take the full decode path". This powers the
-    /// duplicate-flood fast path in the plain-DSR receiver.
-    pub fn peek_broadcast_rreq(buf: &[u8]) -> Option<(Ipv6Addr, manet_wire::PlainRreqHeader)> {
-        if buf.len() < 17 || buf[16] != 0 {
+    /// If `buf` is a broadcast-enveloped (routeless) flood — AREQ,
+    /// RREQ or plain RREQ — return the transmitter address and the
+    /// message's [`FloodHeader`] without allocating. Validation is as
+    /// strict as the full [`Envelope::decode`]; `None` means "different
+    /// frame kind or malformed — take the full decode path". This
+    /// powers both stacks' duplicate-flood fast path.
+    ///
+    /// Always inlined, like [`Message::peek_flood`]: out of line, the
+    /// header comes back through memory, which on the duplicate path
+    /// costs as much as the peek itself (docs/PERF.md, "PR 30").
+    #[inline(always)]
+    pub fn peek_flood(buf: &[u8]) -> Option<(Ipv6Addr, FloodHeader)> {
+        let (src_ip, rest) = buf.split_first_chunk::<16>()?;
+        let (&0, msg) = rest.split_first()? else {
             return None;
-        }
-        let src_ip = Ipv6Addr(buf[..16].try_into().expect("16 bytes"));
-        let hdr = Message::peek_plain_rreq(&buf[17..])?;
-        Some((src_ip, hdr))
+        };
+        Some((Ipv6Addr(*src_ip), Message::peek_flood(msg)?))
     }
 
     /// Byte offset of the enveloped message within `buf`, validating
@@ -268,16 +272,74 @@ mod tests {
         assert_eq!(Envelope::decode(&bytes), Err(CodecError::LengthOverflow));
     }
 
-    /// The offset peek must agree with the strict decode: `Some(off)`
-    /// exactly when the header parses, with the message starting at
-    /// `off` — across broadcast and routed frames and every truncation.
+    /// The three flooded kinds, the secure RREQ with one signed hop.
+    fn floods() -> Vec<Message> {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(5);
+        let id = crate::identity::HostIdentity::generate(512, &mut rng);
+        let proof = id.prove(b"hop");
+        vec![
+            msg(),
+            Message::Areq(manet_wire::Areq {
+                sip: ip(1),
+                seq: Seq(3),
+                dn: Some(manet_wire::DomainName::new("host.manet").unwrap()),
+                ch: manet_wire::Challenge(9),
+                rr: RouteRecord(vec![ip(4)]),
+            }),
+            Message::Rreq(manet_wire::Rreq {
+                sip: ip(1),
+                dip: ip(2),
+                seq: Seq(3),
+                srr: manet_wire::SecureRouteRecord(vec![manet_wire::SrrEntry {
+                    ip: ip(4),
+                    proof: proof.clone(),
+                }]),
+                src_proof: proof,
+            }),
+        ]
+    }
+
+    /// Both header peeks must agree with the strict decode. The offset
+    /// peek: `Some(off)` exactly when the header parses, with the
+    /// message starting at `off`. The flood peek: a transmitter and
+    /// header exactly when the frame decodes to a broadcast flood, and
+    /// then the decoded ones. Across broadcast and routed frames of each
+    /// flooded kind, every truncation and every bit flip.
     #[test]
     fn msg_offset_peek_matches_decode() {
-        for e in [
-            Envelope::broadcast(ip(1), msg()),
-            Envelope::routed(ip(1), RouteRecord(vec![ip(1), ip(2), ip(3)]), msg()),
-        ] {
+        let flood_of = |bytes: &[u8]| {
+            let e = Envelope::decode(bytes).ok()?;
+            e.source_route.is_none().then_some(())?;
+            Some((e.src_ip, e.msg.flood_header()?))
+        };
+        for e in floods().into_iter().flat_map(|m| {
+            [
+                Envelope::broadcast(ip(1), m.clone()),
+                Envelope::routed(ip(1), RouteRecord(vec![ip(1), ip(2), ip(3)]), m),
+            ]
+        }) {
             let bytes = e.encode();
+            assert_eq!(Envelope::peek_flood(&bytes), flood_of(&bytes));
+            assert_eq!(
+                Envelope::peek_flood(&bytes).is_some(),
+                e.source_route.is_none(),
+                "{}: only broadcast floods peek",
+                e.msg.kind()
+            );
+            for cut in 0..bytes.len() {
+                assert_eq!(Envelope::peek_flood(&bytes[..cut]), None, "cut={cut}");
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(
+                    Envelope::peek_flood(&flipped),
+                    flood_of(&flipped),
+                    "{} with bit {bit} flipped",
+                    e.msg.kind()
+                );
+            }
             let off = Envelope::peek_msg_offset(&bytes).expect("well-formed header");
             assert_eq!(&bytes[off..], &e.msg.encode()[..], "message starts at off");
             for cut in 0..bytes.len() {

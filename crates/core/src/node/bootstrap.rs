@@ -9,8 +9,8 @@ use crate::stats::Counter;
 use manet_sim::{Ctx, Dir};
 use manet_wire::Ipv6Addr;
 use manet_wire::{
-    sigdata, Arep, Areq, Challenge, DomainName, Drep, Message, RouteRecord, Seq, DNS_WELL_KNOWN,
-    UNSPECIFIED,
+    sigdata, Arep, Areq, Challenge, DomainName, Drep, FloodHeader, Message, RouteRecord, Seq,
+    DNS_WELL_KNOWN, UNSPECIFIED,
 };
 use rand::Rng;
 
@@ -103,22 +103,27 @@ impl SecureNode {
 
     // --- flood handling ----------------------------------------------------
 
+    /// Every early return of AREQ handling, taken on the header alone so
+    /// that a dropped copy is never decoded: true for a first sighting
+    /// of a foreign AREQ at a ready node.
+    pub(super) fn admit_areq(&mut self, areq: &FloodHeader, ch: Challenge) -> bool {
+        if self.my_dad_probes.contains(&(areq.seq.0, ch.0)) {
+            return false; // an echo of our own probe
+        }
+        // Look before inserting: an insert reserves room first, so a
+        // duplicate could grow a full table.
+        let key = (areq.sip, areq.seq.0, ch.0);
+        if self.seen_areqs.contains(&key) {
+            return false;
+        }
+        self.seen_areqs.insert(key);
+        // Mid-DAD — our own flood coming back, or another joining host —
+        // a node neither answers nor relays.
+        self.is_ready()
+    }
+
+    /// An AREQ [`Self::admit_areq`] let through.
     pub(super) fn handle_areq(&mut self, ctx: &mut Ctx, areq: Areq) {
-        if self.my_dad_probes.contains(&(areq.seq.0, areq.ch.0)) {
-            return; // an echo of our own probe
-        }
-        if !self.seen_areqs.insert((areq.sip, areq.seq.0, areq.ch.0)) {
-            return;
-        }
-        if let NodeState::Dad { seq, .. } = self.state {
-            // Our own flood coming back — or another joining host; either
-            // way a mid-DAD node neither answers nor relays.
-            let _ = seq;
-            return;
-        }
-        if self.state != NodeState::Ready {
-            return;
-        }
         ctx.trace(
             Dir::Rx,
             "AREQ",

@@ -44,7 +44,9 @@ use crate::routecache::RouteCache;
 use crate::stats::{Counter, NodeStats};
 use manet_crypto::{backend_for, BatchVerifier, CryptoBackend, PublicKey, VerifyCache};
 use manet_sim::{Ctx, NodeId, Protocol, SimTime};
-use manet_wire::{Arep, Challenge, DomainName, Ipv6Addr, Message, RouteRecord, Rrep, Seq};
+use manet_wire::{
+    Arep, Challenge, DomainName, FloodHeader, FloodKind, Ipv6Addr, Message, RouteRecord, Rrep, Seq,
+};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -54,6 +56,10 @@ const TAG_DAD: u64 = 1 << 56;
 const TAG_DNS_PENDING: u64 = 4 << 56;
 const TAG_DAD_PROBE: u64 = 5 << 56;
 const TAG_ROUTE_PROBE: u64 = 6 << 56;
+
+/// AREPs and RREPs a replay attacker captures per kind: the first ones
+/// it overhears, never replaced by later ones.
+const REPLAY_CAPTURE: usize = 32;
 
 /// Bootstrap state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,7 +154,8 @@ pub struct SecureNode {
     /// when the attempt restarts.
     dad_probe_timers: Vec<manet_sim::TimerHandle>,
 
-    /// Replay attacker's capture buffers.
+    /// Replay attacker's capture buffers (the first [`REPLAY_CAPTURE`]
+    /// of each kind).
     observed_areps: Vec<Arep>,
     observed_rreps: Vec<Rrep>,
 }
@@ -359,16 +366,28 @@ impl SecureNode {
         self.answered_rreqs.len()
     }
 
-    /// The replay attacker records everything verifiable it overhears.
+    /// The header gate every flooded copy passes before it is decoded:
+    /// each handler's early returns, run on the header once.
+    fn admit_flood(&mut self, ctx: &mut Ctx, flood: &FloodHeader) -> bool {
+        match flood.kind {
+            FloodKind::Areq { ch } => self.admit_areq(flood, ch),
+            FloodKind::Rreq { dip } => self.admit_rreq(ctx, flood, dip),
+            FloodKind::PlainRreq { .. } => {
+                self.stats.bump(Counter::RxUnexpectedFlood);
+                false
+            }
+        }
+    }
+
+    /// The replay attacker records the verifiable replies it overhears:
+    /// the first [`REPLAY_CAPTURE`] of each kind, kept for the run.
     fn observe_for_replay(&mut self, env: &Envelope) {
         match &env.msg {
-            Message::Arep(a) => {
+            Message::Arep(a) if self.observed_areps.len() < REPLAY_CAPTURE => {
                 self.observed_areps.push(a.clone());
-                self.observed_areps.truncate(32);
             }
-            Message::Rrep(r) => {
+            Message::Rrep(r) if self.observed_rreps.len() < REPLAY_CAPTURE => {
                 self.observed_rreps.push(r.clone());
-                self.observed_rreps.truncate(32);
             }
             _ => {}
         }
@@ -389,6 +408,23 @@ impl Protocol for SecureNode {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx, src: NodeId, bytes: &[u8]) {
+        // Floods first, on their header: most copies are duplicates
+        // dropped without decoding their keys and signatures. The peek
+        // is as strict as `decode`, so malformed frames fall through to
+        // the counting path below.
+        if let Some((tx_ip, flood)) = Envelope::peek_flood(bytes) {
+            self.heard(ctx, tx_ip, src);
+            if self.admit_flood(ctx, &flood) {
+                match Envelope::decode(bytes).map(|env| env.msg) {
+                    Ok(Message::Areq(areq)) => self.handle_areq(ctx, areq),
+                    Ok(Message::Rreq(rreq)) => self.handle_rreq(ctx, rreq),
+                    // Unreachable: only AREQs and RREQs are admitted,
+                    // and whatever peeks decodes.
+                    _ => self.stats.bump(Counter::RxMalformed),
+                }
+            }
+            return;
+        }
         let Some(env) = self.decode_frame(ctx, src, bytes) else {
             return;
         };
@@ -398,14 +434,9 @@ impl Protocol for SecureNode {
         if env.source_route.is_some() {
             return self.receive_routed(ctx, env);
         }
-        match env.msg {
-            Message::Areq(areq) => self.handle_areq(ctx, areq),
-            Message::Rreq(rreq) => self.handle_rreq(ctx, rreq),
-            // Broadcast-fallback deliveries carry a source route and
-            // are handled above; other flooded kinds are not part of
-            // the protocol.
-            _ => self.stats.bump(Counter::RxUnexpectedFlood),
-        }
+        // Broadcast-fallback deliveries carry a source route and are
+        // handled above; the protocol's floods were taken first.
+        self.stats.bump(Counter::RxUnexpectedFlood);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {

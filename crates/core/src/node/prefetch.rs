@@ -9,10 +9,14 @@
 //! cost only performance. Each gate below is an *approximation* of the
 //! handler it shadows — state may change between prefetch and dispatch
 //! (an earlier frame in the same tick can satisfy a pending entry), and
-//! some dispatch-time gates (flood dedup, answer quotas) are
-//! deliberately not mirrored. A spurious enqueue
-//! wastes one backend op in the drain; a missed one falls back to an
-//! inline execution at dispatch. Verdict purity makes both invisible.
+//! the destination's answer quota is deliberately not mirrored. A
+//! spurious enqueue wastes one backend op in the drain; a missed one
+//! falls back to an inline execution at dispatch. Verdict purity makes
+//! both invisible.
+//!
+//! A flooded RREQ is gated on its header, as at dispatch: only its
+//! destination verifies it, so only the destination decodes it, and the
+//! relays' flood dedup needs no mirror.
 //!
 //! CGA checks are mirrored exactly (they are cheap SHA-256s): the
 //! dispatch path short-circuits on a CGA failure *before* any signature
@@ -24,7 +28,7 @@ use crate::dsr::Dsr;
 use crate::envelope::Envelope;
 use manet_crypto::{BatchVerifier, PublicKey, Signature, VerifyKey};
 use manet_sim::NodeId;
-use manet_wire::{cga, sigdata, IdentityProof, Message, Rreq};
+use manet_wire::{cga, sigdata, FloodKind, IdentityProof, Message, Rreq};
 
 impl SecureNode {
     pub(super) fn prefetch_frame_impl(&self, _src: NodeId, bytes: &[u8]) {
@@ -41,6 +45,16 @@ impl SecureNode {
         };
         if !Message::peek_may_verify(&bytes[off..]) {
             return;
+        }
+        // A flooded RREQ is verified only by its destination, which the
+        // header names: relays skip their copies undecoded.
+        if let Some((_, flood)) = Envelope::peek_flood(bytes) {
+            let FloodKind::Rreq { dip } = flood.kind else {
+                return;
+            };
+            if !self.is_ready() || flood.sip == self.ident.ip() || !self.is_my_addr(&dip) {
+                return;
+            }
         }
         let Ok(env) = Envelope::decode(bytes) else {
             return;
@@ -68,15 +82,12 @@ impl SecureNode {
         }
     }
 
-    /// Flooded RREQ: only the destination verifies (source proof, then
-    /// every SRR hop). The `answered_rreqs` quota is not mirrored, so
-    /// late extra copies past `rrep_multi` prefetch spuriously — their
-    /// triples are already in the verdict table from the first copy,
-    /// making the waste a dedup lookup, not an op.
+    /// Flooded RREQ at its destination (the header gate above): source
+    /// proof, then every SRR hop. The `answered_rreqs` quota is not
+    /// mirrored, so late extra copies past `rrep_multi` prefetch
+    /// spuriously — their triples are already in the verdict table from
+    /// the first copy, making the waste a dedup lookup, not an op.
     fn prefetch_rreq(&self, batch: &BatchVerifier, rreq: &Rreq) {
-        if !self.is_ready() || rreq.sip == self.ident.ip() || !self.is_my_addr(&rreq.dip) {
-            return;
-        }
         self.enqueue_proof(
             batch,
             &rreq.sip,

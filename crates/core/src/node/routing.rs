@@ -9,46 +9,49 @@ use crate::fxhash::FxHashSet;
 use crate::routecache::CachedRoute;
 use crate::stats::Counter;
 use manet_sim::{Ctx, Dir};
-use manet_wire::{sigdata, Crep, Ipv6Addr, Message, Rerr, RouteRecord, Rrep, Rreq, SrrEntry};
+use manet_wire::{
+    sigdata, Crep, FloodHeader, Ipv6Addr, Message, Rerr, RouteRecord, Rrep, Rreq, SrrEntry,
+};
 
 impl SecureNode {
-    pub(super) fn handle_rreq(&mut self, ctx: &mut Ctx, rreq: Rreq) {
+    /// Every early return of RREQ handling, taken on the header alone so
+    /// that a dropped copy is never decoded: true for a first sighting
+    /// to relay and for a copy addressed to us within the answer quota.
+    pub(super) fn admit_rreq(&mut self, ctx: &mut Ctx, rreq: &FloodHeader, dip: Ipv6Addr) -> bool {
         if !self.is_ready() {
-            return;
+            return false;
         }
         if rreq.sip == self.ident.ip() {
-            return; // our own flood echoed back
+            return false; // our own flood echoed back
         }
         ctx.trace(
             Dir::Rx,
             "RREQ",
-            format_args!(
-                "{}→{} seq={} hops={}",
-                rreq.sip,
-                rreq.dip,
-                rreq.seq.0,
-                rreq.srr.len()
-            ),
+            format_args!("{}→{} seq={} hops={}", rreq.sip, dip, rreq.seq.0, rreq.hops),
         );
 
-        if self.is_my_addr(&rreq.dip) {
+        if self.is_my_addr(&dip) {
             // Answer several copies (arriving over distinct paths) so the
             // source gets route diversity to select among.
             let key = (rreq.sip, rreq.seq.0);
             let answered = self.answered_rreqs.get(&key).unwrap_or(0);
             if answered >= self.cfg.rrep_multi {
-                return;
+                return false;
             }
             if self.answered_rreqs.put(key, answered + 1) {
                 self.stats.bump(Counter::RouteRreqDedupRotations);
             }
-            self.answer_rreq(ctx, rreq);
-            return;
+            return true;
         }
-        if !self.dsr.first_sighting(&mut self.stats, rreq.sip, rreq.seq) {
-            return;
-        }
+        self.dsr.first_sighting(&mut self.stats, rreq.sip, rreq.seq)
+    }
 
+    /// An RREQ [`Self::admit_rreq`] let through: answer it as its
+    /// destination, or relay it.
+    pub(super) fn handle_rreq(&mut self, ctx: &mut Ctx, rreq: Rreq) {
+        if self.is_my_addr(&rreq.dip) {
+            return self.answer_rreq(ctx, rreq);
+        }
         if self.behavior.forge_rrep {
             self.forge_rrep(ctx, &rreq);
             return; // attracts the route; no honest relaying

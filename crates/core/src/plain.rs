@@ -19,7 +19,7 @@ use crate::envelope::Envelope;
 use crate::routecache::{CachedRoute, RouteCache};
 use crate::stats::{Counter, NodeStats};
 use manet_sim::{Ctx, NodeId, Protocol, SimDuration};
-use manet_wire::{Ipv6Addr, Message, PlainRerr, PlainRrep, PlainRreq, RouteRecord, Seq};
+use manet_wire::{FloodKind, Ipv6Addr, Message, PlainRerr, PlainRrep, PlainRreq, RouteRecord, Seq};
 use rand::Rng;
 use std::any::Any;
 use std::convert::Infallible;
@@ -119,10 +119,9 @@ impl PlainDsrNode {
         self.reply_along(ctx, from, &rreq.rr, rreq.sip, Message::PlainRrep(rrep));
     }
 
+    /// A first sighting of a foreign request (`on_frame` dropped the
+    /// rest on its header).
     fn handle_rreq(&mut self, ctx: &mut Ctx, rreq: PlainRreq) {
-        if rreq.sip == self.ip || !self.dsr.first_sighting(&mut self.stats, rreq.sip, rreq.seq) {
-            return;
-        }
         // No verification anywhere: an attacker impersonating the target
         // address simply answers (the paper's impersonation attack).
         if self.accepts_addr(&rreq.dip) {
@@ -279,17 +278,28 @@ impl Protocol for PlainDsrNode {
     fn on_frame(&mut self, ctx: &mut Ctx, src: NodeId, bytes: &[u8]) {
         // Duplicate-flood fast path: in a dense RREQ flood most
         // receptions are copies of a request this node already relayed
-        // (or its own request echoed back). Those need the neighbor
-        // learned and nothing else — skip the route-record allocation
-        // the full decode would do. The peek validates the layout as
-        // strictly as `decode`, so malformed frames still fall through
-        // to the counting path below.
-        if let Some((src_ip, h)) = Envelope::peek_broadcast_rreq(bytes) {
-            if h.sip == self.ip || self.dsr.already_seen(&h.sip, h.seq) {
-                let evicted = self.dsr.neighbors.learn(src_ip, src, ctx.now());
-                self.stats.add(Counter::NeighEvicted, evicted as u64);
+        // (or its own request echoed back). Those are dropped on the
+        // header, which the peek reads without building the route
+        // record and validates as strictly as `decode`; malformed
+        // frames fall through to the counting path below.
+        if let Some((tx_ip, flood)) = Envelope::peek_flood(bytes) {
+            self.heard(ctx, tx_ip, src);
+            let FloodKind::PlainRreq { .. } = flood.kind else {
+                return self.stats.bump(Counter::RxUnexpectedFlood);
+            };
+            if flood.sip == self.ip
+                || !self
+                    .dsr
+                    .first_sighting(&mut self.stats, flood.sip, flood.seq)
+            {
                 return;
             }
+            match Envelope::decode(bytes).map(|env| env.msg) {
+                Ok(Message::PlainRreq(rreq)) => self.handle_rreq(ctx, rreq),
+                // Unreachable: whatever peeks decodes.
+                _ => self.stats.bump(Counter::RxMalformed),
+            }
+            return;
         }
         let Some(env) = self.decode_frame(ctx, src, bytes) else {
             return;
@@ -297,10 +307,8 @@ impl Protocol for PlainDsrNode {
         if env.source_route.is_some() {
             return self.receive_routed(ctx, env);
         }
-        match env.msg {
-            Message::PlainRreq(r) => self.handle_rreq(ctx, r),
-            _ => self.stats.bump(Counter::RxUnexpectedFlood),
-        }
+        // The only flood plain DSR speaks was taken above.
+        self.stats.bump(Counter::RxUnexpectedFlood);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {

@@ -107,13 +107,7 @@ impl fmt::Debug for PublicKey {
 impl PublicKey {
     /// Construct from raw modulus and exponent.
     pub fn from_parts(n: Ubig, e: Ubig) -> Result<Self, RsaError> {
-        if n.is_even()
-            || !(MIN_MODULUS_BITS..=MAX_MODULUS_BITS).contains(&n.bit_len())
-            || e.is_even() // 0 counts as even
-            || e.bit_len() > MAX_EXPONENT_BITS
-        {
-            return Err(RsaError::InvalidKey);
-        }
+        check_shape(n.bit_len(), !n.is_even(), e.bit_len(), !e.is_even())?;
         Ok(PublicKey {
             n,
             e,
@@ -137,24 +131,37 @@ impl PublicKey {
 
     /// Serialize as `len(n) || n_be || len(e) || e_be` (u16 lengths).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.n.to_be_bytes();
-        let e = self.e.to_be_bytes();
-        let mut out = Vec::with_capacity(4 + n.len() + e.len());
-        out.extend_from_slice(&(n.len() as u16).to_be_bytes());
-        out.extend_from_slice(&n);
-        out.extend_from_slice(&(e.len() as u16).to_be_bytes());
-        out.extend_from_slice(&e);
+        let mut out = Vec::with_capacity(4 + self.n.byte_len() + self.e.byte_len());
+        self.write_to(&mut out);
         out
+    }
+
+    /// Append the [`Self::to_bytes`] encoding to `out` without an
+    /// intermediate buffer.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        for x in [&self.n, &self.e] {
+            out.extend_from_slice(&(x.byte_len() as u16).to_be_bytes());
+            x.write_be_bytes(out);
+        }
+    }
+
+    /// Would [`Self::from_bytes`] accept `data`? Reads the bit lengths
+    /// and parities from the bytes, so a frame's key is checked without
+    /// building the integers.
+    pub fn check_bytes(data: &[u8]) -> Result<(), RsaError> {
+        let (n, e) = key_chunks(data)?;
+        check_shape(be_bit_len(n), be_is_odd(n), be_bit_len(e), be_is_odd(e))
     }
 
     /// Parse the [`Self::to_bytes`] encoding.
     pub fn from_bytes(data: &[u8]) -> Result<Self, RsaError> {
-        let (n, rest) = read_chunk(data).ok_or(RsaError::InvalidKey)?;
-        let (e, rest) = read_chunk(rest).ok_or(RsaError::InvalidKey)?;
-        if !rest.is_empty() {
-            return Err(RsaError::InvalidKey);
-        }
-        PublicKey::from_parts(Ubig::from_be_bytes(n), Ubig::from_be_bytes(e))
+        Self::check_bytes(data)?;
+        let (n, e) = key_chunks(data)?;
+        Ok(PublicKey {
+            n: Ubig::from_be_bytes(n),
+            e: Ubig::from_be_bytes(e),
+            memo: Arc::default(),
+        })
     }
 
     /// Verify `sig` over `msg`. The paper's "decrypt `[msg]XSK` with `XPK`
@@ -193,6 +200,32 @@ impl PublicKey {
     }
 }
 
+/// The one definition of a usable key: odd modulus of
+/// [`MIN_MODULUS_BITS`]..=[`MAX_MODULUS_BITS`], odd exponent of at most
+/// one limb (0 counts as even).
+fn check_shape(n_bits: u32, n_odd: bool, e_bits: u32, e_odd: bool) -> Result<(), RsaError> {
+    if n_odd
+        && (MIN_MODULUS_BITS..=MAX_MODULUS_BITS).contains(&n_bits)
+        && e_odd
+        && e_bits <= MAX_EXPONENT_BITS
+    {
+        Ok(())
+    } else {
+        Err(RsaError::InvalidKey)
+    }
+}
+
+/// Split `len(n) || n || len(e) || e` into its two chunks, rejecting
+/// short input and trailing bytes.
+fn key_chunks(data: &[u8]) -> Result<(&[u8], &[u8]), RsaError> {
+    let (n, rest) = read_chunk(data).ok_or(RsaError::InvalidKey)?;
+    let (e, rest) = read_chunk(rest).ok_or(RsaError::InvalidKey)?;
+    if !rest.is_empty() {
+        return Err(RsaError::InvalidKey);
+    }
+    Ok((n, e))
+}
+
 fn read_chunk(data: &[u8]) -> Option<(&[u8], &[u8])> {
     if data.len() < 2 {
         return None;
@@ -204,6 +237,20 @@ fn read_chunk(data: &[u8]) -> Option<(&[u8], &[u8])> {
     Some((&data[2..2 + len], &data[2 + len..]))
 }
 
+/// [`Ubig::bit_len`] of the big-endian integer `b`, leading zero bytes
+/// allowed.
+fn be_bit_len(b: &[u8]) -> u32 {
+    match b.iter().position(|&x| x != 0) {
+        None => 0,
+        Some(i) => (b.len() - i - 1) as u32 * 8 + (8 - b[i].leading_zeros()),
+    }
+}
+
+/// Is the big-endian integer `b` odd (the empty integer is 0)?
+fn be_is_odd(b: &[u8]) -> bool {
+    b.last().is_some_and(|x| x & 1 == 1)
+}
+
 /// An RSA signature (an integer modulo `n`).
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Signature(pub(crate) Ubig);
@@ -212,6 +259,12 @@ impl Signature {
     /// Serialize as minimal big-endian bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.0.to_be_bytes()
+    }
+
+    /// Append the [`Self::to_bytes`] encoding to `out` without an
+    /// intermediate buffer.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        self.0.write_be_bytes(out);
     }
 
     /// Parse from big-endian bytes.
@@ -497,6 +550,19 @@ mod tests {
         assert_eq!(clone.digest(), pk.digest());
         let reparsed = PublicKey::from_bytes(&pk.to_bytes()).unwrap();
         assert_eq!(*reparsed.digest(), fresh);
+    }
+
+    #[test]
+    fn write_to_appends_the_to_bytes_encoding() {
+        let kp = keypair();
+        let sig = kp.sign(b"frame");
+        let mut frame = vec![0xaa];
+        kp.public().write_to(&mut frame);
+        sig.write_to(&mut frame);
+        assert_eq!(
+            frame,
+            [vec![0xaa], kp.public().to_bytes(), sig.to_bytes()].concat()
+        );
     }
 
     #[test]

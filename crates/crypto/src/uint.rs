@@ -111,22 +111,29 @@ impl Ubig {
         Self::from_limbs(limbs)
     }
 
+    /// Length of the minimal big-endian encoding (0 for 0).
+    pub fn byte_len(&self) -> usize {
+        (self.bit_len() as usize).div_ceil(8)
+    }
+
+    /// Append the minimal big-endian bytes to `out` (nothing for 0): the
+    /// allocation-free form of [`Self::to_be_bytes`] for encoders that
+    /// write into a caller-owned buffer.
+    pub fn write_be_bytes(&self, out: &mut Vec<u8>) {
+        let Some((top, rest)) = self.limbs.split_last() else {
+            return;
+        };
+        // The top limb is non-zero, so at most 7 of its bytes are zero.
+        out.extend_from_slice(&top.to_be_bytes()[(top.leading_zeros() / 8) as usize..]);
+        for w in rest.iter().rev() {
+            out.extend_from_slice(&w.to_be_bytes());
+        }
+    }
+
     /// Serialize to minimal big-endian bytes (empty for 0).
     pub fn to_be_bytes(&self) -> Vec<u8> {
-        if self.is_zero() {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(self.limbs.len() * 8);
-        for (i, w) in self.limbs.iter().enumerate().rev() {
-            let bytes = w.to_be_bytes();
-            if i == self.limbs.len() - 1 {
-                // skip leading zeros of the top limb
-                let skip = (w.leading_zeros() / 8) as usize;
-                out.extend_from_slice(&bytes[skip.min(7)..]);
-            } else {
-                out.extend_from_slice(&bytes);
-            }
-        }
+        let mut out = Vec::with_capacity(self.byte_len());
+        self.write_be_bytes(&mut out);
         out
     }
 

@@ -144,11 +144,17 @@ impl<'a> Reader<'a> {
         Ok(IdentityProof { pk, rn, sig })
     }
 
-    fn rr(&mut self) -> Result<RouteRecord, CodecError> {
+    /// A route record's entry count, bounded by [`MAX_ROUTE_LEN`].
+    fn route_len(&mut self) -> Result<usize, CodecError> {
         let n = self.u16()? as usize;
         if n > MAX_ROUTE_LEN {
             return Err(CodecError::LengthOverflow);
         }
+        Ok(n)
+    }
+
+    fn rr(&mut self) -> Result<RouteRecord, CodecError> {
+        let n = self.route_len()?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.addr()?);
@@ -157,10 +163,7 @@ impl<'a> Reader<'a> {
     }
 
     fn srr(&mut self) -> Result<SecureRouteRecord, CodecError> {
-        let n = self.u16()? as usize;
-        if n > MAX_ROUTE_LEN {
-            return Err(CodecError::LengthOverflow);
-        }
+        let n = self.route_len()?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             let ip = self.addr()?;
@@ -170,18 +173,62 @@ impl<'a> Reader<'a> {
         Ok(SecureRouteRecord(v))
     }
 
+    fn name_str(&mut self) -> Result<&'a str, CodecError> {
+        core::str::from_utf8(self.blob16()?).map_err(|_| CodecError::BadDomainName)
+    }
+
     fn dn(&mut self) -> Result<DomainName, CodecError> {
-        let raw = self.blob16()?;
-        let s = core::str::from_utf8(raw).map_err(|_| CodecError::BadDomainName)?;
-        DomainName::new(s).map_err(|_| CodecError::BadDomainName)
+        DomainName::new(self.name_str()?).map_err(|_| CodecError::BadDomainName)
+    }
+
+    fn has_dn(&mut self) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::BadDomainName),
+        }
     }
 
     fn dn_opt(&mut self) -> Result<Option<DomainName>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.dn()?)),
-            _ => Err(CodecError::BadDomainName),
+        if self.has_dn()? {
+            self.dn().map(Some)
+        } else {
+            Ok(None)
         }
+    }
+
+    // The `skip_*` readers validate exactly what their building
+    // counterparts above do, and build nothing.
+
+    fn skip_dn_opt(&mut self) -> Result<(), CodecError> {
+        if self.has_dn()? {
+            DomainName::check(self.name_str()?).map_err(|_| CodecError::BadDomainName)?;
+        }
+        Ok(())
+    }
+
+    /// Skip a route record; its entry count.
+    fn skip_rr(&mut self) -> Result<u16, CodecError> {
+        let n = self.route_len()?;
+        self.take(n * 16)?;
+        Ok(n as u16)
+    }
+
+    fn skip_proof(&mut self) -> Result<(), CodecError> {
+        PublicKey::check_bytes(self.blob16()?).map_err(|_| CodecError::BadKey)?;
+        self.u64()?;
+        self.blob16()?; // any bytes are a `Signature`
+        Ok(())
+    }
+
+    /// Skip a secure route record; its entry count.
+    fn skip_srr(&mut self) -> Result<u16, CodecError> {
+        let n = self.route_len()?;
+        for _ in 0..n {
+            self.addr()?;
+            self.skip_proof()?;
+        }
+        Ok(n as u16)
     }
 
     fn addr_opt(&mut self) -> Result<Option<Ipv6Addr>, CodecError> {
@@ -217,12 +264,24 @@ fn put_blob16(out: &mut Vec<u8>, blob: &[u8]) {
     out.put_slice(blob);
 }
 
+/// A u16 length prefix, then the blob `write` appends: the length is
+/// patched in afterwards, so keys and signatures encode straight into
+/// the frame.
+fn put_blob16_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.put_u16(0);
+    write(out);
+    let len = out.len() - at - 2;
+    debug_assert!(len <= u16::MAX as usize);
+    out[at..at + 2].copy_from_slice(&(len as u16).to_be_bytes());
+}
+
 fn put_sig(out: &mut Vec<u8>, sig: &Signature) {
-    put_blob16(out, &sig.to_bytes());
+    put_blob16_with(out, |out| sig.write_to(out));
 }
 
 fn put_pk(out: &mut Vec<u8>, pk: &PublicKey) {
-    put_blob16(out, &pk.to_bytes());
+    put_blob16_with(out, |out| pk.write_to(out));
 }
 
 fn put_proof(out: &mut Vec<u8>, p: &IdentityProof) {
@@ -270,13 +329,26 @@ fn put_addr_opt(out: &mut Vec<u8>, a: &Option<Ipv6Addr>) {
     }
 }
 
-/// The fixed fields of a [`PlainRreq`], read without allocating — see
-/// [`Message::peek_plain_rreq`].
+/// The header of a flooded message — what a relay needs to drop a
+/// duplicate copy — read without allocating by [`Message::peek_flood`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlainRreqHeader {
+pub struct FloodHeader {
+    pub kind: FloodKind,
     pub sip: Ipv6Addr,
-    pub dip: Ipv6Addr,
     pub seq: Seq,
+    /// Route record length: the relays the copy has crossed.
+    pub hops: u16,
+}
+
+/// The flooded message kinds and the header field each adds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FloodKind {
+    /// [`Areq`], by its challenge.
+    Areq { ch: Challenge },
+    /// Secure [`Rreq`], for `dip`.
+    Rreq { dip: Ipv6Addr },
+    /// [`PlainRreq`], for `dip`.
+    PlainRreq { dip: Ipv6Addr },
 }
 
 impl Message {
@@ -450,30 +522,82 @@ impl Message {
         self.encode().len()
     }
 
-    /// If `buf` is a complete, well-formed [`PlainRreq`] encoding,
-    /// return its fixed fields without allocating the route record.
-    /// Validates the full layout — length prefix, bounds, trailing
-    /// bytes — exactly as strictly as [`Message::decode`], so a `Some`
-    /// here guarantees `decode` would succeed and a `None` means
-    /// "not a PlainRreq or malformed; take the full decode path".
+    /// If `buf` is a complete, well-formed AREQ, RREQ or plain RREQ,
+    /// its header, read without allocating: route records, keys and
+    /// signatures are skipped, not built. Validates the whole layout —
+    /// lengths, bounds, key shapes, domain names, trailing bytes —
+    /// exactly as strictly as [`Message::decode`], so `Some(h)` holds
+    /// exactly when `decode` succeeds with a message whose
+    /// [`Message::flood_header`] is `h`, and `None` means "another kind,
+    /// or malformed: take the full decode path".
     ///
-    /// This is the flood hot path: in a dense RREQ flood most
-    /// receptions are duplicates whose route record is never looked at.
-    pub fn peek_plain_rreq(buf: &[u8]) -> Option<PlainRreqHeader> {
+    /// This is the flood hot path: in a dense flood most receptions are
+    /// duplicates a node drops on these fields alone, so it is always
+    /// inlined into its callers.
+    #[inline(always)]
+    pub fn peek_flood(buf: &[u8]) -> Option<FloodHeader> {
         let mut r = Reader::new(buf);
-        if r.u8().ok()? != tag::P_RREQ {
-            return None;
-        }
+        let t = r.u8().ok()?;
         let sip = r.addr().ok()?;
-        let dip = r.addr().ok()?;
-        let seq = r.seq().ok()?;
-        let n = r.u16().ok()? as usize;
-        if n > MAX_ROUTE_LEN {
+        let (kind, seq, hops) = match t {
+            tag::AREQ => {
+                let seq = r.seq().ok()?;
+                r.skip_dn_opt().ok()?;
+                let ch = r.challenge().ok()?;
+                (FloodKind::Areq { ch }, seq, r.skip_rr().ok()?)
+            }
+            tag::RREQ => {
+                let dip = r.addr().ok()?;
+                let seq = r.seq().ok()?;
+                let hops = r.skip_srr().ok()?;
+                r.skip_proof().ok()?;
+                (FloodKind::Rreq { dip }, seq, hops)
+            }
+            tag::P_RREQ => {
+                let dip = r.addr().ok()?;
+                let seq = r.seq().ok()?;
+                (FloodKind::PlainRreq { dip }, seq, r.skip_rr().ok()?)
+            }
+            _ => return None,
+        };
+        r.finish().ok()?;
+        Some(FloodHeader {
+            kind,
+            sip,
+            seq,
+            hops,
+        })
+    }
+
+    /// [`Message::peek_flood`] narrowed to [`PlainRreq`] (the benchmark
+    /// times the plain flood peek through this name).
+    pub fn peek_plain_rreq(buf: &[u8]) -> Option<FloodHeader> {
+        if buf.first() != Some(&tag::P_RREQ) {
             return None;
         }
-        r.take(n * 16).ok()?;
-        r.finish().ok()?;
-        Some(PlainRreqHeader { sip, dip, seq })
+        Self::peek_flood(buf)
+    }
+
+    /// The header [`Message::peek_flood`] reads from this message's
+    /// encoding: `Some` for the three flooded kinds.
+    pub fn flood_header(&self) -> Option<FloodHeader> {
+        let (kind, sip, seq, hops) = match self {
+            Message::Areq(m) => (FloodKind::Areq { ch: m.ch }, m.sip, m.seq, m.rr.len()),
+            Message::Rreq(m) => (FloodKind::Rreq { dip: m.dip }, m.sip, m.seq, m.srr.len()),
+            Message::PlainRreq(m) => (
+                FloodKind::PlainRreq { dip: m.dip },
+                m.sip,
+                m.seq,
+                m.rr.len(),
+            ),
+            _ => return None,
+        };
+        Some(FloodHeader {
+            kind,
+            sip,
+            seq,
+            hops: hops as u16,
+        })
     }
 
     /// Can the message starting at `buf` (first byte: the kind tag)
@@ -854,6 +978,25 @@ mod tests {
     }
 
     #[test]
+    fn flood_peek_reads_the_decoded_header() {
+        let mut floods = 0;
+        for msg in sample_messages() {
+            let bytes = msg.encode();
+            assert_eq!(
+                Message::peek_flood(&bytes),
+                msg.flood_header(),
+                "{}",
+                msg.kind()
+            );
+            floods += usize::from(msg.flood_header().is_some());
+            for cut in 0..bytes.len() {
+                assert_eq!(Message::peek_flood(&bytes[..cut]), None, "{}", msg.kind());
+            }
+        }
+        assert_eq!(floods, 4, "two AREQs, the RREQ and the plain RREQ");
+    }
+
+    #[test]
     fn all_messages_roundtrip() {
         for msg in sample_messages() {
             let bytes = msg.encode();
@@ -909,6 +1052,7 @@ mod tests {
         bytes.extend_from_slice(&300u16.to_be_bytes());
         bytes.extend_from_slice(&vec![0u8; 300 * 16]);
         assert_eq!(Message::decode(&bytes), Err(CodecError::LengthOverflow));
+        assert_eq!(Message::peek_flood(&bytes), None);
     }
 
     #[test]
@@ -944,6 +1088,7 @@ mod tests {
             });
             hostile.extend_from_slice(&frame[at + blob.len()..]);
             assert_eq!(Message::decode(&hostile), Err(CodecError::BadKey));
+            assert_eq!(Message::peek_flood(&hostile), None);
         }
         // Microseconds each when it is only a parse and a bit count.
         assert!(started.elapsed() < std::time::Duration::from_millis(50));
@@ -952,17 +1097,27 @@ mod tests {
     #[test]
     fn bad_domain_name_on_wire_rejected() {
         let dn = DomainName::new("ok.name").unwrap();
-        let msg = Message::DnsQuery(DnsQuery {
+        let query = Message::DnsQuery(DnsQuery {
             requester: ip(1),
-            qname: dn,
+            qname: dn.clone(),
             ch: Challenge(0),
             route: RouteRecord::new(),
         });
-        let mut bytes = msg.encode();
-        // Corrupt the first character of the name ('o' -> '!').
-        let pos = bytes.iter().position(|&b| b == b'o').unwrap();
-        bytes[pos] = b'!';
-        assert_eq!(Message::decode(&bytes), Err(CodecError::BadDomainName));
+        let areq = Message::Areq(Areq {
+            sip: ip(1),
+            seq: Seq(2),
+            dn: Some(dn),
+            ch: Challenge(0),
+            rr: RouteRecord::new(),
+        });
+        for msg in [query, areq] {
+            let mut bytes = msg.encode();
+            // Corrupt the first character of the name ('o' -> '!').
+            let pos = bytes.iter().position(|&b| b == b'o').unwrap();
+            bytes[pos] = b'!';
+            assert_eq!(Message::decode(&bytes), Err(CodecError::BadDomainName));
+            assert_eq!(Message::peek_flood(&bytes), None);
+        }
     }
 
     #[test]

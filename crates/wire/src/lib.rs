@@ -18,7 +18,7 @@ pub mod sigdata;
 
 pub use addr::{Ipv6Addr, DNS_WELL_KNOWN, UNSPECIFIED};
 pub use cga::CgaError;
-pub use codec::{CodecError, PlainRreqHeader};
+pub use codec::{CodecError, FloodHeader, FloodKind};
 pub use msg::{
     Ack, Arep, Areq, Challenge, Crep, Data, DnsQuery, DnsReply, DomainName, Drep, IdentityProof,
     IpChangeChallenge, IpChangeProof, IpChangeRequest, IpChangeResult, Message, PlainRerr,

@@ -38,6 +38,13 @@ pub enum DomainNameError {
 impl DomainName {
     /// Validate and construct.
     pub fn new(s: &str) -> Result<Self, DomainNameError> {
+        Self::check(s)?;
+        Ok(DomainName(s.to_owned()))
+    }
+
+    /// Would [`Self::new`] accept `s`? The one definition of a valid
+    /// name, also run by the codec's allocation-free peek.
+    pub fn check(s: &str) -> Result<(), DomainNameError> {
         if s.is_empty() {
             return Err(DomainNameError::Empty);
         }
@@ -58,7 +65,7 @@ impl DomainName {
                 return Err(DomainNameError::BadCharacter);
             }
         }
-        Ok(DomainName(s.to_owned()))
+        Ok(())
     }
 
     /// The textual name.

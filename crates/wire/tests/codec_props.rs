@@ -243,6 +243,100 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// The flood peek's contract: it reads a header exactly when the strict
+/// decode yields a flooded message, and then the same header.
+fn peek_matches_decode(bytes: &[u8]) -> Result<(), proptest::TestCaseError> {
+    let decoded = Message::decode(bytes).ok().and_then(|m| m.flood_header());
+    prop_assert_eq!(Message::peek_flood(bytes), decoded);
+    Ok(())
+}
+
+/// Length-prefixed chunk, the key encoding's building block.
+fn chunk(body: &[u8]) -> Vec<u8> {
+    let mut out = (body.len() as u16).to_be_bytes().to_vec();
+    out.extend_from_slice(body);
+    out
+}
+
+/// An odd big-endian integer of exactly `bits` bits.
+fn odd_of(bits: usize) -> Vec<u8> {
+    let mut b = vec![0u8; bits.div_ceil(8)];
+    b[0] = 1 << ((bits - 1) % 8);
+    *b.last_mut().expect("bits > 0") |= 1;
+    b
+}
+
+/// Key encodings on both sides of every validity rule: modulus even,
+/// zero, empty, below `MIN_MODULUS_BITS` (256) or above
+/// `MAX_MODULUS_BITS`; exponent even, zero or above one limb; chunks
+/// zero-padded, short or followed by trailing bytes. Each comes with
+/// its verdict from the integers: both chunks intact, nothing after
+/// them, and `PublicKey::from_parts` accepting what they hold.
+fn arb_hostile_key() -> impl Strategy<Value = (Vec<u8>, bool)> {
+    let max = manet_crypto::rsa::MAX_MODULUS_BITS as usize;
+    let modulus = prop_oneof![
+        Just(odd_of(512)),
+        Just(odd_of(256)),
+        Just(odd_of(255)),
+        Just(odd_of(max)),
+        Just(odd_of(max + 1)),
+        Just({
+            let mut even = odd_of(512);
+            *even.last_mut().expect("non-empty") &= !1;
+            even
+        }),
+        Just(vec![0u8; 64]),
+        Just(Vec::new()),
+        (1usize..4).prop_map(|pad| [vec![0u8; pad], odd_of(256)].concat()),
+        (1usize..4).prop_map(|pad| [vec![0u8; pad], odd_of(255)].concat()),
+    ];
+    let exponent = prop_oneof![
+        Just(vec![1, 0, 1]),
+        Just(vec![1, 0, 0]),
+        Just(vec![0]),
+        Just(Vec::new()),
+        Just(vec![0xff; 8]),
+        Just(odd_of(65)),
+        Just(vec![0, 0, 1, 0, 1]),
+        Just([vec![0u8; 3], vec![0xff; 8]].concat()),
+    ];
+    let tail = prop_oneof![Just(Vec::new()), Just(vec![0u8]), Just(vec![0xff, 0xff])];
+    (modulus, exponent, tail, 0usize..3).prop_map(|(n, e, tail, cut)| {
+        use manet_crypto::{uint::Ubig, PublicKey};
+        // Cutting exactly the tail leaves a clean encoding.
+        let valid = cut == tail.len()
+            && PublicKey::from_parts(Ubig::from_be_bytes(&n), Ubig::from_be_bytes(&e)).is_ok();
+        let mut key = [chunk(&n), chunk(&e), tail].concat();
+        key.truncate(key.len() - cut);
+        (key, valid)
+    })
+}
+
+/// An RREQ whose source proof carries `key` in place of its public key.
+fn rreq_with_key(key: &[u8]) -> Vec<u8> {
+    let mut frame = vec![0x04]; // RREQ
+    frame.extend_from_slice(&[0xfe; 16]); // sip
+    frame.extend_from_slice(&[0xfd; 16]); // dip
+    frame.extend_from_slice(&7u64.to_be_bytes()); // seq
+    frame.extend_from_slice(&0u16.to_be_bytes()); // empty SRR
+    frame.extend_from_slice(&chunk(key)); // src_proof: key
+    frame.extend_from_slice(&42u64.to_be_bytes()); // rn
+    frame.extend_from_slice(&chunk(&[0x5a; 64])); // signature
+    frame
+}
+
+/// An AREQ claiming the domain name `name`.
+fn areq_with_name(name: &[u8]) -> Vec<u8> {
+    let mut frame = vec![0x01]; // AREQ
+    frame.extend_from_slice(&[0xfe; 16]); // sip
+    frame.extend_from_slice(&7u64.to_be_bytes()); // seq
+    frame.push(1); // name present
+    frame.extend_from_slice(&chunk(name));
+    frame.extend_from_slice(&9u64.to_be_bytes()); // ch
+    frame.extend_from_slice(&0u16.to_be_bytes()); // empty RR
+    frame
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -277,6 +371,91 @@ proptest! {
             let pos = (bytes.len() as f64 * pos_frac) as usize;
             bytes[pos] ^= 1 << bit;
             let _ = Message::decode(&bytes); // decode may fail or yield a different message
+        }
+    }
+
+    #[test]
+    fn flood_peek_matches_decode_on_generated_frames(msg in arb_message()) {
+        let bytes = msg.encode();
+        prop_assert_eq!(Message::peek_flood(&bytes), msg.flood_header());
+        peek_matches_decode(&bytes)?;
+    }
+
+    #[test]
+    fn flood_peek_matches_decode_on_truncated_frames(msg in arb_message(), frac in 0.0f64..1.0) {
+        let bytes = msg.encode();
+        peek_matches_decode(&bytes[..(bytes.len() as f64 * frac) as usize])?;
+    }
+
+    #[test]
+    fn flood_peek_matches_decode_on_bit_flips(
+        msg in arb_message(),
+        pos_frac in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let mut bytes = msg.encode();
+        let pos = (bytes.len() as f64 * pos_frac) as usize;
+        bytes[pos] ^= 1 << bit;
+        peek_matches_decode(&bytes)?;
+    }
+
+    #[test]
+    fn flood_peek_matches_decode_on_spliced_frames(
+        a in arb_message(),
+        b in arb_message(),
+        fa in 0.0f64..=1.0,
+        fb in 0.0f64..=1.0,
+    ) {
+        // The head of one frame on the tail of another: length fields
+        // that disagree with what follows them.
+        let (a, b) = (a.encode(), b.encode());
+        let spliced = [
+            &a[..(a.len() as f64 * fa) as usize],
+            &b[(b.len() as f64 * fb) as usize..],
+        ]
+        .concat();
+        peek_matches_decode(&spliced)?;
+    }
+
+    #[test]
+    fn flood_peek_matches_decode_on_byte_soup(
+        tag in prop_oneof![Just(0x01u8), Just(0x04), Just(0x40), any::<u8>()],
+        rest in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        peek_matches_decode(&[&[tag][..], &rest].concat())?;
+    }
+
+    #[test]
+    fn key_check_matches_key_parse(case in arb_hostile_key()) {
+        use manet_crypto::PublicKey;
+        let (key, valid) = case;
+        prop_assert_eq!(PublicKey::check_bytes(&key).is_ok(), valid);
+        prop_assert_eq!(PublicKey::from_bytes(&key).is_ok(), valid);
+        let frame = rreq_with_key(&key);
+        peek_matches_decode(&frame)?;
+        prop_assert_eq!(Message::peek_flood(&frame).is_some(), valid);
+    }
+
+    #[test]
+    fn name_check_matches_name_parse(
+        name in prop_oneof![
+            "[a-z0-9.-]{0,20}",
+            "[ -~]{0,12}",
+            Just("a".repeat(64)),
+            Just(format!("{}.{}", "a".repeat(63), "b".repeat(200))),
+        ],
+        utf8 in any::<bool>(),
+    ) {
+        prop_assert_eq!(DomainName::check(&name).is_ok(), DomainName::new(&name).is_ok());
+        let mut bytes = name.into_bytes();
+        if !utf8 {
+            bytes.push(0xff); // never valid UTF-8
+        }
+        let frame = areq_with_name(&bytes);
+        peek_matches_decode(&frame)?;
+        // Names the checker rejects are malformed frames to both.
+        if !utf8 {
+            prop_assert!(Message::peek_flood(&frame).is_none());
         }
     }
 

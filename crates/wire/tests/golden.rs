@@ -144,6 +144,33 @@ fn golden_vectors_decode_back() {
     }
 }
 
+/// The flood peek reads a header from exactly the golden frames, and
+/// their truncations and bit flips, that decode to a flooded message —
+/// and the decoded message's header.
+#[test]
+fn golden_vectors_peek_as_strictly_as_they_decode() {
+    let agrees = |bytes: &[u8]| {
+        Message::peek_flood(bytes) == Message::decode(bytes).ok().and_then(|m| m.flood_header())
+    };
+    let mut floods = 0;
+    for (name, ghex) in GOLDEN {
+        let bytes: Vec<u8> = (0..ghex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&ghex[i..i + 2], 16).expect("hex"))
+            .collect();
+        floods += usize::from(Message::peek_flood(&bytes).is_some());
+        for cut in 0..=bytes.len() {
+            assert!(agrees(&bytes[..cut]), "{name} cut to {cut} bytes");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(agrees(&flipped), "{name} with bit {bit} flipped");
+        }
+    }
+    assert_eq!(floods, 3, "two AREQs and the plain RREQ");
+}
+
 /// Prints fresh vectors; run manually after an intentional format change.
 #[test]
 #[ignore]
