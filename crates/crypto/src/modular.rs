@@ -7,7 +7,10 @@
 //! whose table and two alternating accumulators are carved out of one
 //! workspace buffer. The kernel body is compiled twice — over `[u64; 4]`
 //! for the 256-bit primes of an RSA-512 key, over slices for every other
-//! width — and [`MontgomeryCtx::mul`] picks. The remaining operations
+//! width — and [`mont_mul`] picks. Key generation's composites are
+//! rejected before any of that exists: a Miller–Rabin round to base 2
+//! ([`is_base_two_strong_probable_prime`]) needs only the kernel, a
+//! doubling and three lanes of scratch. The remaining operations
 //! (inverse, plain reduction) are cold and use the generic [`Ubig`]
 //! division.
 
@@ -55,8 +58,14 @@ fn mul_reduce(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n_prime: u64) {
         }
         (out[k - 1], top) = adc(top, c_mul, c_red);
     }
-    // The value is top·R + out < 2n: subtract n once if it is ≥ n. With
-    // `top` set the borrow out of the low k limbs cancels it.
+    reduce_once(out, top, n);
+}
+
+/// `top·R + out`, a value below `2n`, becomes `out` fully reduced:
+/// subtract `n` once if the value is ≥ `n`. With `top` set the borrow
+/// out of the low limbs cancels it.
+#[inline(always)]
+fn reduce_once(out: &mut [u64], top: u64, n: &[u64]) {
     let below_n = top == 0 && out.iter().rev().lt(n.iter().rev());
     if !below_n {
         let mut borrow = 0;
@@ -78,6 +87,109 @@ fn mul_reduce_fixed(out: &mut Fixed, a: &Fixed, b: &Fixed, n: &Fixed, n_prime: u
 /// [`mul_reduce`] at whatever width the modulus has.
 fn mul_reduce_slices(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n_prime: u64) {
     mul_reduce(out, a, b, n, n_prime);
+}
+
+/// `out = a·b·R^-1 mod n` through the kernel instantiation for the
+/// modulus' width.
+fn mont_mul(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n_prime: u64) {
+    if let (Ok(out), Ok(a), Ok(b), Ok(n)) = (
+        <&mut Fixed>::try_from(&mut *out),
+        <&Fixed>::try_from(a),
+        <&Fixed>::try_from(b),
+        <&Fixed>::try_from(n),
+    ) {
+        mul_reduce_fixed(out, a, b, n, n_prime);
+    } else {
+        mul_reduce_slices(out, a, b, n, n_prime);
+    }
+}
+
+/// `x = 2x mod n` for `x < n`: a shift and a conditional subtract.
+fn double_mod(x: &mut [u64], n: &[u64]) {
+    let mut top = 0;
+    for w in x.iter_mut() {
+        (*w, top) = (*w << 1 | top, *w >> 63);
+    }
+    reduce_once(x, top, n);
+}
+
+/// `x ≡ -1` for Montgomery-form `x`, i.e. `x + (R mod n) = n`.
+fn is_minus_one(x: &[u64], one_m: &[u64], n: &[u64]) -> bool {
+    let mut carry = 0;
+    for ((&x_j, &one_j), &n_j) in x.iter().zip(one_m).zip(n) {
+        let (sum, c) = adc(x_j, one_j, carry);
+        if sum != n_j {
+            return false;
+        }
+        carry = c;
+    }
+    carry == 0
+}
+
+/// One Miller–Rabin round to base 2 for the odd `n ≥ 3` given by its
+/// normalized limbs: the verdict of [`MontgomeryCtx::is_strong_probable_prime`]
+/// with `a = 2`, without the context. In Montgomery form, multiplying by
+/// 2 is [`double_mod`], so `2^d` is squarings and doublings: no `R²`, no
+/// window table, no `Ubig`. At the fixed width the three lanes (`R mod
+/// n`, the running value, the spare) live on the stack; other widths
+/// carve them out of `ws`, which a prime search keeps across candidates.
+pub(crate) fn is_base_two_strong_probable_prime(n: &[u64], ws: &mut Vec<u64>) -> bool {
+    let k = n.len();
+    if k == FIXED_LIMBS {
+        base_two_round(n, &mut [0; 3 * FIXED_LIMBS])
+    } else {
+        ws.clear();
+        ws.resize(3 * k, 0);
+        base_two_round(n, ws)
+    }
+}
+
+/// [`is_base_two_strong_probable_prime`] over `3k` limbs of scratch.
+fn base_two_round(n: &[u64], lanes: &mut [u64]) -> bool {
+    let k = n.len();
+    assert!(
+        k > 0 && n[0] & 1 == 1 && n[k - 1] != 0 && (k > 1 || n[0] >= 3),
+        "base-2 round needs a normalized odd n >= 3"
+    );
+    let (one_m, rest) = lanes.split_at_mut(k);
+    let (mut acc, mut spare) = rest.split_at_mut(k);
+    let n_prime = inv_limb_neg(n[0]);
+    let bits = k as u32 * LIMB_BITS - n[k - 1].leading_zeros();
+    let bit = |i: u32| n[(i / LIMB_BITS) as usize] >> (i % LIMB_BITS) & 1 == 1;
+    // R mod n: 2^(bits-1) is below n; double it up to R = 2^(64k). One
+    // doubling, R - n, when the top bit of the top limb is set.
+    one_m.fill(0);
+    one_m[((bits - 1) / LIMB_BITS) as usize] = 1 << ((bits - 1) % LIMB_BITS);
+    for _ in bits - 1..k as u32 * LIMB_BITS {
+        double_mod(one_m, n);
+    }
+    // n - 1 = d·2^s. n is odd, so n - 1 shares n's bits above bit 0: d
+    // is n's bits from s up, and its top bit is n's.
+    let mut s = 1;
+    while !bit(s) {
+        s += 1;
+    }
+    // 2^d left to right, starting at d's top bit: 2.
+    acc.copy_from_slice(one_m);
+    double_mod(acc, n);
+    for i in (s..bits - 1).rev() {
+        mont_mul(spare, acc, acc, n, n_prime);
+        core::mem::swap(&mut acc, &mut spare);
+        if bit(i) {
+            double_mod(acc, n);
+        }
+    }
+    if *acc == *one_m || is_minus_one(acc, one_m, n) {
+        return true;
+    }
+    for _ in 1..s {
+        mont_mul(spare, acc, acc, n, n_prime);
+        core::mem::swap(&mut acc, &mut spare);
+        if is_minus_one(acc, one_m, n) {
+            return true;
+        }
+    }
+    false
 }
 
 /// Precomputed state for repeated arithmetic modulo an odd modulus `n`
@@ -162,20 +274,9 @@ impl MontgomeryCtx {
         Lanes { table, acc, spare }
     }
 
-    /// `out = a·b·R^-1 mod n` for reduced `k`-limb `a` and `b`, through
-    /// the kernel instantiation for this modulus' width.
+    /// `out = a·b·R^-1 mod n` for reduced `k`-limb `a` and `b`.
     fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
-        let n = self.n.limbs();
-        if let (Ok(out), Ok(a), Ok(b), Ok(n)) = (
-            <&mut Fixed>::try_from(&mut *out),
-            <&Fixed>::try_from(a),
-            <&Fixed>::try_from(b),
-            <&Fixed>::try_from(n),
-        ) {
-            mul_reduce_fixed(out, a, b, n, self.n_prime);
-        } else {
-            mul_reduce_slices(out, a, b, n, self.n_prime);
-        }
+        mont_mul(out, a, b, self.n.limbs(), self.n_prime);
     }
 
     /// `acc = acc·table[d-1]·R^-1 mod n`, i.e. `acc·base^d`.
@@ -267,29 +368,16 @@ impl MontgomeryCtx {
     pub fn is_strong_probable_prime(&self, ws: &mut [u64], a: &Ubig, d: &Ubig, s: u32) -> bool {
         let mut l = self.lanes(ws);
         self.pow_mont(&mut l, a, d);
-        if *l.acc == *self.one_m || self.is_minus_one(l.acc) {
+        if *l.acc == *self.one_m || is_minus_one(l.acc, &self.one_m, self.n.limbs()) {
             return true;
         }
         for _ in 1..s {
             self.sqr_assign(&mut l);
-            if self.is_minus_one(l.acc) {
+            if is_minus_one(l.acc, &self.one_m, self.n.limbs()) {
                 return true;
             }
         }
         false
-    }
-
-    /// `x ≡ -1` for Montgomery-form `x`, i.e. `x + (R mod n) = n`.
-    fn is_minus_one(&self, x: &[u64]) -> bool {
-        let mut carry = 0;
-        for ((&x_j, &one_j), &n_j) in x.iter().zip(&self.one_m).zip(self.n.limbs()) {
-            let (sum, c) = adc(x_j, one_j, carry);
-            if sum != n_j {
-                return false;
-            }
-            carry = c;
-        }
-        carry == 0
     }
 }
 
@@ -526,6 +614,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The round [`is_base_two_strong_probable_prime`] replaces: a
+    /// Montgomery context, its workspace and `a = 2`.
+    fn context_round_to_base_two(n: &Ubig) -> bool {
+        let n_minus_1 = n - &Ubig::one();
+        let s = n_minus_1.trailing_zeros();
+        let ctx = MontgomeryCtx::new(n);
+        ctx.is_strong_probable_prime(&mut ctx.workspace(), &u(2), &(n_minus_1 >> s), s)
+    }
+
+    /// Both rounds' verdict on `n`, which must agree.
+    fn base_two_verdict(n: &Ubig, ws: &mut Vec<u64>) -> bool {
+        let stack = is_base_two_strong_probable_prime(n.limbs(), ws);
+        assert_eq!(stack, context_round_to_base_two(n), "n = {n}");
+        stack
+    }
+
+    /// What `gen_prime(256)` tests: 256 uniform bits, the top two and
+    /// the lowest set.
+    fn candidate_256(rng: &mut impl rand::Rng) -> Ubig {
+        let mut limbs: Fixed = rng.gen();
+        limbs[0] |= 1;
+        limbs[3] |= 3 << 62;
+        Ubig::from_limbs(limbs.to_vec())
+    }
+
+    #[test]
+    fn base_two_round_matches_the_context_round() {
+        use crate::prime::gen_prime;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(2);
+        let mut ws = Vec::new();
+        // Random candidates: about one in 90 is prime.
+        let passed = (0..2_000)
+            .filter(|_| base_two_verdict(&candidate_256(&mut rng), &mut ws))
+            .count();
+        assert!((5..60).contains(&passed), "{passed} of 2,000 passed");
+        // Primes pass at every width: 256 bits on the stack; 192 (three
+        // full limbs), 100 and 320 (a partial top limb, so R mod n takes
+        // more than one doubling) and 512 bits in `ws`.
+        for bits in [256, 256, 256, 256, 192, 100, 320, 512] {
+            for _ in 0..4 {
+                let p = gen_prime(bits, &mut rng);
+                assert!(base_two_verdict(&p, &mut ws), "prime {p}");
+            }
+        }
+        // Products of two primes fail, at 256 bits and across widths.
+        for bits in [128, 128, 128, 96, 160, 256] {
+            for _ in 0..4 {
+                let pq = &gen_prime(bits, &mut rng) * &gen_prime(bits, &mut rng);
+                assert!(!base_two_verdict(&pq, &mut ws), "p·q = {pq}");
+            }
+        }
+        // Every odd number up to 5,000: the strong pseudoprimes to base
+        // 2 among them (2047, 3277, 4033, 4681) pass both rounds.
+        let liars = (3..5_000u64)
+            .step_by(2)
+            .filter(|&n| base_two_verdict(&u(n), &mut ws))
+            .filter(|&n| (3..n).take_while(|d| d * d <= n).any(|d| n % d == 0))
+            .collect::<Vec<_>>();
+        assert_eq!(liars, [2047, 3277, 4033, 4681]);
+    }
+
+    /// The same comparison over 100,000 candidates drawn as
+    /// `gen_prime(256)` draws them (about 3 s in release).
+    #[test]
+    #[ignore]
+    fn base_two_round_matches_the_context_round_over_100k_candidates() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(100_000);
+        let mut ws = Vec::new();
+        let passed = (0..100_000)
+            .filter(|_| base_two_verdict(&candidate_256(&mut rng), &mut ws))
+            .count();
+        assert!((900..1_400).contains(&passed), "{passed} of 100,000 passed");
     }
 
     #[test]

@@ -11,8 +11,19 @@
 //! of the number under test ([`Witnesses`]), so the key generator is
 //! consumed by candidate draws only: changing a round count changes no
 //! key, address, golden trace or fingerprint.
+//!
+//! In front of the counted rounds runs one round to base 2, a filter: it
+//! needs no Montgomery context (at 256 bits it allocates nothing), and
+//! nearly every composite that gets past the sieve fails it, so only a
+//! prime or a rare strong pseudoprime to base 2 pays for a context and a
+//! witness stream. Primes always pass it, so it rejects nothing the
+//! counted rounds would accept except a composite, and no key moves
+//! unless a composite had passed every hash-derived round (below 2^-80).
+//! The round counts, and the error bounds behind them, count the
+//! hash-derived rounds only: a fixed base is no random round, and the
+//! filter is not credited.
 
-use crate::modular::MontgomeryCtx;
+use crate::modular::{is_base_two_strong_probable_prime, MontgomeryCtx};
 use crate::sha256::Sha256;
 use crate::uint::Ubig;
 use rand::{Rng, RngCore};
@@ -86,11 +97,12 @@ pub fn rounds_for_random(bits: u32) -> usize {
 /// hash-derived bases still takes a 2^80 search; draw the bases from a
 /// secret generator before pointing this at hostile input all the same.
 pub fn is_prime(n: &Ubig) -> bool {
-    probable_prime(n, WORST_CASE_ROUNDS)
+    probable_prime(n, WORST_CASE_ROUNDS, &mut Vec::new())
 }
 
-/// Trial division by the primes below 1000, then `rounds` rounds.
-fn probable_prime(n: &Ubig, rounds: usize) -> bool {
+/// Trial division by the primes below 1000, then `rounds` rounds after
+/// the base-2 filter; `ws` is the filter's scratch (see [`miller_rabin`]).
+fn probable_prime(n: &Ubig, rounds: usize, ws: &mut Vec<u64>) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }
@@ -111,17 +123,22 @@ fn probable_prime(n: &Ubig, rounds: usize) -> bool {
         }
         primes = &primes[taken..];
     }
-    miller_rabin(n, rounds)
+    miller_rabin(n, rounds, ws)
 }
 
-/// Miller–Rabin on the first `rounds` [`Witnesses`] of `n`. Every base
-/// lies in `[2, n-2]`, so every counted round tests.
+/// Miller–Rabin on the first `rounds` [`Witnesses`] of `n`, behind the
+/// uncounted base-2 filter (module doc), whose scratch at widths other
+/// than 4 limbs is `ws`. Every base lies in `[2, n-2]`, so every counted
+/// round tests.
 ///
 /// # Panics
 /// If `n` is even or below 5. `probable_prime` hands over only numbers
 /// without a prime factor below 1000.
-fn miller_rabin(n: &Ubig, rounds: usize) -> bool {
+fn miller_rabin(n: &Ubig, rounds: usize, ws: &mut Vec<u64>) -> bool {
     assert!(!n.is_even(), "Miller–Rabin needs an odd n, got {n}");
+    if !is_base_two_strong_probable_prime(n.limbs(), ws) {
+        return false;
+    }
     let witnesses = Witnesses::new(n);
     let n_minus_1 = n - &Ubig::one();
     let s = n_minus_1.trailing_zeros();
@@ -247,7 +264,8 @@ fn draw_bits<R: Rng>(limbs: &mut Vec<u64>, bits: u32, rng: &mut R) {
 /// Candidates are independent uniform draws — not `candidate += 2`, which
 /// would favour primes after long gaps — each tested with
 /// [`rounds_for_random`]`(bits)` rounds; `rng` is consumed by the draws
-/// alone. One limb buffer serves every candidate.
+/// alone. One limb buffer serves every candidate, and one scratch buffer
+/// every base-2 round.
 ///
 /// # Panics
 /// Panics if `bits < 16`: such tiny primes make no sense for the RSA layer
@@ -256,13 +274,14 @@ pub fn gen_prime<R: Rng>(bits: u32, rng: &mut R) -> Ubig {
     assert!(bits >= 16, "prime size too small: {bits} bits");
     let rounds = rounds_for_random(bits);
     let mut limbs = Vec::new();
+    let mut ws = Vec::new();
     loop {
         draw_bits(&mut limbs, bits, rng);
         let mut candidate = Ubig::from_limbs(limbs);
         candidate.set_bit(bits - 1);
         candidate.set_bit(bits - 2);
         candidate.set_bit(0);
-        if probable_prime(&candidate, rounds) {
+        if probable_prime(&candidate, rounds, &mut ws) {
             return candidate;
         }
         limbs = candidate.into_limbs();
@@ -350,21 +369,21 @@ mod tests {
             }
         }
         // Tiny odd numbers get past the sieve only in this test.
-        assert!(miller_rabin(&Ubig::from(5u64), 40));
-        assert!(miller_rabin(&Ubig::from(7u64), 40));
-        assert!(!miller_rabin(&Ubig::from(9u64), 40));
+        assert!(miller_rabin(&Ubig::from(5u64), 40, &mut Vec::new()));
+        assert!(miller_rabin(&Ubig::from(7u64), 40, &mut Vec::new()));
+        assert!(!miller_rabin(&Ubig::from(9u64), 40, &mut Vec::new()));
     }
 
     #[test]
     #[should_panic(expected = "odd n")]
     fn miller_rabin_refuses_an_even_number_in_release_too() {
-        miller_rabin(&Ubig::from(1000u64), 1);
+        miller_rabin(&Ubig::from(1000u64), 1, &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "no Miller–Rabin base")]
     fn miller_rabin_refuses_three() {
-        miller_rabin(&Ubig::from(3u64), 1);
+        miller_rabin(&Ubig::from(3u64), 1, &mut Vec::new());
     }
 
     #[test]

@@ -328,9 +328,11 @@ impl KeyPair {
             debug_assert_eq!(n.bit_len(), bits);
             let d_p = d.div_rem(&(&p - &one)).1;
             let d_q = d.div_rem(&(&q - &one)).1;
-            let q_inv = invmod(&q, &p).expect("p, q distinct primes");
             let public = PublicKey::from_parts(n, e.clone()).expect("valid by construction");
             let ctx_p = MontgomeryCtx::new(&p);
+            // Fermat: q^(p-2) = q^-1 mod p, through the context signing
+            // needs anyway.
+            let q_inv = ctx_p.modpow(&q, &(&p - &Ubig::from(2u64)));
             let ctx_q = MontgomeryCtx::new(&q);
             return KeyPair {
                 public,

@@ -14,7 +14,7 @@
 //! the blocks the old one spent on bases, and for this seed none of
 //! those happens to be prime. The 512-bit vector moved.
 
-use manet_crypto::{h_pk_rn, KeyPair};
+use manet_crypto::{h_pk_rn, KeyPair, Sha256};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -77,4 +77,25 @@ fn seeded_keys_and_signatures_match_recorded_vectors() {
         assert_eq!(h_pk_rn(pk, 42), v.h_pk_rn_42, "{} bits", v.bits);
         assert!(pk.verify(MSG, &sig).is_ok());
     }
+}
+
+/// SHA-256 over `modulus ‖ signature of MSG` (minimal big-endian bytes,
+/// each behind a two-byte length) of the RSA-512 keys of seeds 0..64.
+/// Recorded before the base-2 filter and the stack Miller–Rabin round
+/// went in: neither may move one key or one CRT signature.
+const SEEDS_0_TO_64_DIGEST: &str =
+    "298e0eeb6c51151dad8d8f85a64698f3cf45c42327043d353b1bc29a0fa1411b";
+
+#[test]
+fn sixty_four_seeded_keys_match_recorded_digest() {
+    let mut h = Sha256::new();
+    for seed in 0..64 {
+        let kp = KeyPair::generate(512, &mut ChaCha12Rng::seed_from_u64(seed));
+        let sig = kp.sign(MSG);
+        for bytes in [kp.public().modulus().to_be_bytes(), sig.to_bytes()] {
+            h.update(&(bytes.len() as u16).to_be_bytes());
+            h.update(&bytes);
+        }
+    }
+    assert_eq!(hex(&h.finalize()), SEEDS_0_TO_64_DIGEST);
 }
