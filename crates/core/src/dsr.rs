@@ -536,7 +536,9 @@ pub(crate) trait Dsr: Sized {
     /// Learn that `tx_ip` transmits as link node `src`.
     fn heard(&mut self, ctx: &Ctx, tx_ip: Ipv6Addr, src: NodeId) {
         let evicted = self.dsr_mut().neighbors.learn(tx_ip, src, ctx.now());
-        self.stats_mut().add(Counter::NeighEvicted, evicted as u64);
+        if evicted > 0 {
+            self.stats_mut().add(Counter::NeighEvicted, evicted as u64);
+        }
     }
 
     /// A source-routed frame arrived: deliver, forward, or ignore it.

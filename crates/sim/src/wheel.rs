@@ -4,8 +4,8 @@
 //! range: a slot at level `l` spans `64^l` ticks, so an event lands at
 //! the lowest level whose slot span still separates it from the wheel's
 //! cursor (`level_for`, the hashed-wheel trick of taking the highest
-//! bit where `elapsed ^ when` differ). Scheduling is a push onto a
-//! slot's `Vec` plus one bitmask OR; advancing skips empty slots with
+//! bit where `elapsed ^ when` differ). Scheduling is an append to the
+//! slot's list plus one bitmask OR; advancing skips empty slots with
 //! `trailing_zeros` on the per-level occupancy masks instead of walking
 //! ticks one by one.
 //!
@@ -28,14 +28,27 @@
 //! drives both through random interleavings of pushes (at the tick
 //! being dispatched, far in the future, and within a few slot spans of
 //! `u64::MAX` on every level — the top-level shift arithmetic flirts
-//! with the 64-bit boundary, so it is computed in `u128`), peeks and
+//! with the 64-bit boundary, so it is computed in `u128`), bursts of
+//! more than three chunks into one tick or one coarse slot, peeks and
 //! pops at random horizons, and cursor-free hints, and requires
 //! identical answers. The unit tests cover the wheel's own edges
-//! (far-future times, same-tick ties, re-entrant pushes).
+//! (far-future times, same-tick ties, re-entrant pushes, chunk reuse).
 //!
-//! Steady state allocates nothing: slot `Vec`s keep their capacity, the
-//! firing buffer is a reused `VecDeque`, and cascades drain through one
-//! scratch `Vec`.
+//! ## Memory: the events in flight
+//!
+//! As in Varghese & Lauck's hashed hierarchical wheel (SOSP '87), a
+//! slot is a list: here a chain of fixed-size chunks of `CHUNK` items,
+//! linked by index. Every slot draws its chunks from one LIFO free list
+//! that the wheel owns; firing or cascading a slot drains each chunk and
+//! returns it. So the wheel holds the peak number of events in flight
+//! plus at most one partial chunk per non-empty slot, and allocates only
+//! when it needs more chunks than it has ever held at once. A slot that
+//! kept a growable array's capacity after draining would instead hold
+//! the largest burst it ever took: a flood storm would leave a multi-MiB
+//! buffer in every 4 ms level-2 slot it passed through, and grow a fresh
+//! one in the next. The firing buffer is a reused `VecDeque`. The unit
+//! tests count chunks: a second burst reuses the first one's, and a
+//! drained wheel has every chunk on the free list.
 
 use crate::queue::Event;
 use crate::time::SimTime;
@@ -53,19 +66,39 @@ struct WheelItem {
     event: Event,
 }
 
+/// Items per chunk: 32 × 48 bytes, 1.5 KiB. The smallest size at which
+/// allocating chunks adds under 1 % to the allocation calls of a
+/// 3,000-host flood storm; larger ones leave more of each slot's tail
+/// chunk unused (sizes 16 to 128 are measured in docs/PERF.md).
+const CHUNK: usize = 32;
+/// End of a chunk chain: an empty slot's head and tail, the last
+/// chunk's `next`, an empty free list.
+const NIL: usize = usize::MAX;
+
+/// A fixed-size run of a slot's items, linked to the slot's next one.
+/// `items` is allocated at `CHUNK` capacity and never grows.
+struct Chunk {
+    items: Vec<WheelItem>,
+    next: usize,
+}
+
+/// A slot's chain of chunks, oldest first; every chunk but the tail is
+/// full.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: usize,
+    tail: usize,
+}
+
+const EMPTY: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
+
 struct Level {
     /// Bit `s` set ⇔ slot `s` is non-empty.
     occupied: u64,
-    slots: Vec<Vec<WheelItem>>,
-}
-
-impl Level {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-        }
-    }
+    slots: [Slot; SLOTS],
 }
 
 /// Level an event at `when` belongs to, seen from cursor `elapsed`:
@@ -94,18 +127,27 @@ pub(crate) struct TimerWheel {
     len: usize,
     /// The tick currently being dispatched, sorted by `seq`.
     firing: VecDeque<WheelItem>,
-    /// Reused drain buffer for cascades.
-    cascade_scratch: Vec<WheelItem>,
+    /// Every chunk ever allocated, each in one slot's chain or on the
+    /// free list.
+    chunks: Vec<Chunk>,
+    /// Head of the LIFO free list, chained through `Chunk::next`.
+    free: usize,
 }
 
 impl TimerWheel {
     pub(crate) fn new() -> Self {
         TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            levels: (0..LEVELS)
+                .map(|_| Level {
+                    occupied: 0,
+                    slots: [EMPTY; SLOTS],
+                })
+                .collect(),
             elapsed: 0,
             len: 0,
             firing: VecDeque::new(),
-            cascade_scratch: Vec::new(),
+            chunks: Vec::new(),
+            free: NIL,
         }
     }
 
@@ -125,12 +167,38 @@ impl TimerWheel {
         self.len += 1;
     }
 
+    /// Append to the slot's tail chunk, or link a chunk from the free
+    /// list (allocating one only when the free list is empty).
     fn insert(&mut self, item: WheelItem) {
         let level = level_for(self.elapsed, item.time.0);
-        let slot = slot_of(item.time.0, level);
+        let s = slot_of(item.time.0, level);
         let lvl = &mut self.levels[level];
-        lvl.slots[slot].push(item);
-        lvl.occupied |= 1 << slot;
+        lvl.occupied |= 1 << s;
+        let slot = &mut lvl.slots[s];
+        if slot.tail != NIL {
+            let tail = &mut self.chunks[slot.tail];
+            if tail.items.len() < CHUNK {
+                tail.items.push(item);
+                return;
+            }
+        }
+        let c = if self.free == NIL {
+            self.chunks.push(Chunk {
+                items: Vec::with_capacity(CHUNK),
+                next: NIL,
+            });
+            self.chunks.len() - 1
+        } else {
+            let c = self.free;
+            self.free = std::mem::replace(&mut self.chunks[c].next, NIL);
+            c
+        };
+        self.chunks[c].items.push(item);
+        match slot.tail {
+            NIL => slot.head = c,
+            tail => self.chunks[tail].next = c,
+        }
+        slot.tail = c;
     }
 
     /// Earliest `(deadline, level)` across all levels, preferring the
@@ -207,24 +275,35 @@ impl TimerWheel {
             let cursor_slot = slot_of(deadline, level);
             let lvl = &mut self.levels[level];
             lvl.occupied &= !(1 << cursor_slot);
+            let mut c = std::mem::replace(&mut lvl.slots[cursor_slot], EMPTY).head;
+            debug_assert!(level > 0 || self.firing.is_empty());
+            // Drain the chain chunk by chunk, each back to the free list
+            // once empty: a level-0 slot into the firing buffer, a coarse
+            // one down a level (or several).
+            while c != NIL {
+                let chunk = &mut self.chunks[c];
+                let next = chunk.next;
+                let mut items = std::mem::take(&mut chunk.items);
+                if level == 0 {
+                    self.firing.extend(items.drain(..));
+                } else {
+                    for item in items.drain(..) {
+                        debug_assert!(item.time.0 >= self.elapsed);
+                        self.insert(item);
+                    }
+                }
+                let chunk = &mut self.chunks[c];
+                chunk.items = items;
+                chunk.next = self.free;
+                self.free = c;
+                c = next;
+            }
             if level == 0 {
                 // One tick's worth of events: restore sequence order.
-                debug_assert!(self.firing.is_empty());
-                self.firing.extend(lvl.slots[cursor_slot].drain(..));
                 self.firing
                     .make_contiguous()
                     .sort_unstable_by_key(|i| i.seq);
                 debug_assert!(self.firing.iter().all(|i| i.time.0 == deadline));
-            } else {
-                // Cascade one coarse slot down a level (or several).
-                let mut scratch = std::mem::take(&mut self.cascade_scratch);
-                debug_assert!(scratch.is_empty());
-                std::mem::swap(&mut scratch, &mut lvl.slots[cursor_slot]);
-                for item in scratch.drain(..) {
-                    debug_assert!(item.time.0 >= self.elapsed);
-                    self.insert(item);
-                }
-                self.cascade_scratch = scratch;
             }
         }
     }
@@ -449,6 +528,58 @@ mod tests {
         assert_eq!(drain(&mut w, SimTime(u64::MAX)), expect);
     }
 
+    /// Pushes in one burst: more than three chunks' worth.
+    const BURST: usize = 3 * CHUNK + 1;
+
+    /// Chunks on the free list.
+    fn free_chunks(w: &TimerWheel) -> usize {
+        std::iter::successors(Some(w.free).filter(|&c| c != NIL), |&c| {
+            Some(w.chunks[c].next).filter(|&c| c != NIL)
+        })
+        .count()
+    }
+
+    #[test]
+    fn drained_chunks_serve_the_next_burst() {
+        let level2 = 1u64 << (2 * SLOT_BITS);
+        let mut w = TimerWheel::new();
+        let mut p = Pusher::new();
+        // Two equal bursts, each filling one level-2 slot across several
+        // level-1 slots and level-0 ticks.
+        let burst = |w: &mut TimerWheel, p: &mut Pusher, slot: u64| {
+            for i in 0..BURST {
+                p.push(w, slot * level2 + (i as u64 * 97) % level2, i);
+            }
+        };
+        burst(&mut w, &mut p, 1);
+        assert_eq!(
+            w.chunks.len(),
+            BURST.div_ceil(CHUNK),
+            "tail chunks are filled first"
+        );
+        assert_eq!(drain(&mut w, SimTime(2 * level2 - 1)).len(), BURST);
+        let allocated = w.chunks.len();
+        assert_eq!(
+            free_chunks(&w),
+            allocated,
+            "fired chunks return to the free list"
+        );
+
+        burst(&mut w, &mut p, 3);
+        assert_eq!(
+            w.chunks.len(),
+            allocated,
+            "the second burst allocated a chunk"
+        );
+        assert_eq!(drain(&mut w, SimTime(u64::MAX)).len(), BURST);
+        assert_eq!(
+            w.chunks.len(),
+            allocated,
+            "the second drain allocated a chunk"
+        );
+        assert_eq!(free_chunks(&w), allocated);
+    }
+
     #[test]
     fn empty_wheel_is_cheap_and_none() {
         let mut w = TimerWheel::new();
@@ -485,19 +616,33 @@ mod tests {
         }
     }
 
+    /// The `i`-th push time of a burst seen from `floor`: all in one
+    /// level-0 tick, or spread over one coarse slot of level 1 to 3.
+    fn burst_time(floor: u64, kind: u8, r: u64, i: u64) -> u64 {
+        if kind < 2 {
+            return floor.saturating_add(r % 64);
+        }
+        let span = 1u64 << (SLOT_BITS as u64 * (1 + r % 3));
+        let slot = (floor / span).saturating_add(1 + (r >> 8) % 8);
+        slot.saturating_mul(span)
+            .saturating_add((r >> 16).wrapping_add(i * 37) % span)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// The wheel against its reference, the binary heap, over random
-        /// interleavings of pushes, peeks, pops and hints, then a drain
-        /// to the end of time: every answer must be identical, and
+        /// interleavings of pushes, bursts, peeks, pops and hints, then a
+        /// drain to the end of time: every answer must be identical, and
         /// `next_time_hint` a lower bound on the heap's exact head that
         /// moves no cursor. Pushes never precede `floor`, the highest
         /// horizon asked so far — the wheel's cursor never passes it —
         /// so a push at `floor` is the engine's delay-0 timer set while
-        /// its tick is dispatched.
+        /// its tick is dispatched. A burst fills several chunks of one
+        /// slot, so cascades and the seq sort of a fired tick cross chunk
+        /// boundaries; after the drain every chunk is free again.
         #[test]
         fn wheel_matches_heap_on_random_interleavings(
-            ops in proptest::collection::vec((0u8..4, 0u8..5, any::<u64>()), 1..200),
+            ops in proptest::collection::vec((0u8..5, 0u8..5, any::<u64>()), 1..200),
         ) {
             let mut w = TimerWheel::new();
             let mut h = EventQueue::new();
@@ -521,7 +666,7 @@ mod tests {
                         floor = floor.max(until.0);
                         prop_assert_eq!(w.pop_due_seq(until).map(key), h.pop_due_seq(until).map(key));
                     }
-                    _ => {
+                    3 => {
                         let cursor = w.elapsed;
                         let hint = w.next_time_hint();
                         prop_assert!(w.elapsed == cursor, "the hint moved the cursor");
@@ -531,6 +676,14 @@ mod tests {
                             (hint, head) => prop_assert!(false, "hint {hint:?} vs head {head:?}"),
                         }
                     }
+                    _ => {
+                        for i in 0..BURST as u64 {
+                            let t = SimTime(burst_time(floor, kind, r, i));
+                            w.push_seq(t, seq, start(seq as usize));
+                            h.push_seq(t, seq, start(seq as usize));
+                            seq += 1;
+                        }
+                    }
                 }
             }
             let end = SimTime(u64::MAX);
@@ -538,6 +691,7 @@ mod tests {
             let reference: Vec<_> = std::iter::from_fn(|| h.pop_due_seq(end)).map(key).collect();
             prop_assert_eq!(drained, reference);
             prop_assert_eq!(w.len(), 0);
+            prop_assert_eq!(free_chunks(&w), w.chunks.len());
         }
     }
 }

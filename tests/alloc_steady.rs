@@ -16,7 +16,10 @@
 //! covers a relay answering an RREQ from its hop-signature memo. The
 //! flood path is held at zero: a duplicate RREQ or AREQ copy, a relay's
 //! prefetch of an RREQ it does not answer, and the encode of a relayed
-//! RREQ into a sized frame allocate nothing.
+//! RREQ into a sized frame allocate nothing. One ratchet is on bytes,
+//! not calls: a second round of network-wide floods must reuse
+//! the memory the first one drained (the timer wheel's chunks) instead
+//! of regrowing it.
 //!
 //! Opt-in (`--features alloc-metrics`) because a counting global
 //! allocator perturbs every other test in the same binary for no
@@ -27,9 +30,9 @@
 use manet_crypto::prime::{gen_prime, is_prime};
 use manet_crypto::KeyPair;
 use manet_secure::scenario::{Network, Placement, ScenarioBuilder, Workload};
-use manet_secure::{Envelope, HostIdentity, SecureNode};
+use manet_secure::{Envelope, HostIdentity, PlainDsrNode, SecureNode};
 use manet_sim::mem::{alloc_since, alloc_snapshot, CountingAlloc};
-use manet_sim::{NodeId, Protocol, SimDuration};
+use manet_sim::{ExecMode, LinkCounter, NodeId, Protocol, SimDuration};
 use manet_wire::{
     sigdata, Areq, Challenge, DomainName, Ipv6Addr, Message, RouteRecord, Rreq, SecureRouteRecord,
     Seq, SrrEntry,
@@ -262,6 +265,65 @@ fn steady_state_forwarding_alloc_bound() {
     assert!(
         report.alloc_count.is_some(),
         "RunReport should surface alloc totals when the counter is live"
+    );
+}
+
+/// Bytes allocated per frame delivery while a second round of floods
+/// crosses a plain network on top of the first. Measured at 59 (1.81 MB
+/// over 30,490 deliveries); 171 while every timer-wheel slot grew its
+/// own `Vec` and kept it after draining, so a storm passing through
+/// fresh slots regrew megabytes that the last ones still held. The
+/// sharded executors read 84–94 here and 179–195 before (their
+/// in-window heaps and shard buffers come on top), so the test pins the
+/// single one.
+const MAX_BYTES_PER_DELIVERY: u64 = 77;
+
+#[test]
+fn flood_storm_bytes_per_delivery_bound() {
+    let _metered = metered();
+    const FLOODS: usize = 4;
+    let mut net = ScenarioBuilder::new()
+        .hosts(300)
+        .placement(Placement::Uniform)
+        .density(15.0)
+        .seed(29)
+        .exec(ExecMode::Single)
+        .plain()
+        .build();
+    let flows = net.scale_flows(2 * FLOODS);
+    let (first, second) = flows.split_at(FLOODS);
+    let rx = |net: &Network<PlainDsrNode>| net.engine.metrics()[LinkCounter::RxFrames];
+    let round = |net: &mut Network<PlainDsrNode>, flows: &[(usize, usize)], run: SimDuration| {
+        for &(a, b) in flows {
+            net.send(a, b, vec![0; 64]);
+        }
+        let until = net.engine.now() + run;
+        net.engine.run_until(until);
+    };
+
+    // Unrouted destinations: every packet floods an RREQ over the whole
+    // network, which takes ≈25 ms. The second round starts one level-2
+    // slot of the wheel (64² µs) after the first and is metered until
+    // both have drained.
+    round(&mut net, first, SimDuration::from_micros(4096));
+    let rx_before = rx(&net);
+    let before = alloc_snapshot();
+    round(&mut net, second, SimDuration::from_millis(50));
+    let traffic = alloc_since(&before);
+    let delivered = rx(&net) - rx_before;
+    assert!(
+        delivered > 10_000,
+        "only {delivered} deliveries: the floods did not cross the network"
+    );
+    let per_delivery = traffic.bytes / delivered;
+    eprintln!(
+        "flood storm: {} allocs / {} bytes over {delivered} deliveries = {per_delivery} bytes each",
+        traffic.count, traffic.bytes
+    );
+    assert!(
+        per_delivery <= MAX_BYTES_PER_DELIVERY,
+        "{per_delivery} bytes allocated per flood delivery (bound {MAX_BYTES_PER_DELIVERY}): \
+         drained memory is not being reused"
     );
 }
 
