@@ -25,7 +25,9 @@ use crate::routecache::RouteCache;
 use crate::sendbuf::SendBuffer;
 use crate::stats::{Counter, NodeStats};
 use manet_sim::{Ctx, Dir, NodeId, SimDuration, SimTime};
-use manet_wire::{Ack, Data, Ipv6Addr, Message, RouteRecord, Seq, UNSPECIFIED};
+use manet_wire::{
+    Ack, Data, FloodHeader, FloodKind, Ipv6Addr, Message, RouteRecord, Seq, UNSPECIFIED,
+};
 use rand::Rng;
 
 // Timer tag layout: kind in the top byte, payload below. Kinds 2 and 3
@@ -168,6 +170,40 @@ impl<W> DsrState<W> {
     #[cfg(test)]
     pub(crate) fn already_seen(&self, sip: &Ipv6Addr, seq: Seq) -> bool {
         self.seen_rreqs.get(&(*sip, seq.0)).is_some()
+    }
+}
+
+/// How a transmitted frame counts: the message kind its trace line
+/// names, and whether its bytes are Table 1 control and routing
+/// overhead.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct TxKind {
+    name: &'static str,
+    table1: bool,
+    routing: bool,
+}
+
+impl TxKind {
+    fn of(msg: &Message) -> Self {
+        TxKind {
+            name: msg.kind(),
+            table1: msg.is_table1_control(),
+            routing: !matches!(msg, Message::Data(_) | Message::Ack(_)),
+        }
+    }
+
+    /// [`TxKind::of`] a flooded message, from its peeked header.
+    fn of_flood(kind: FloodKind) -> Self {
+        let (name, table1) = match kind {
+            FloodKind::Areq { .. } => ("AREQ", true),
+            FloodKind::Rreq { .. } => ("RREQ", true),
+            FloodKind::PlainRreq { .. } => ("P-RREQ", false),
+        };
+        TxKind {
+            name,
+            table1,
+            routing: true,
+        }
     }
 }
 
@@ -356,26 +392,57 @@ pub(crate) trait Dsr: Sized {
 
     /// Put `env` on the air: unicast to `to`, or link broadcast.
     fn tx(&mut self, ctx: &mut Ctx, to: Option<NodeId>, env: &Envelope) {
-        let kind = env.msg.kind();
-        // Encode into a recycled frame buffer: steady-state transmit
-        // allocates nothing (the buffer returns to the engine pool once
-        // the frame's last receiver has been dispatched).
+        // Encode into a recycled frame buffer (it returns to the engine
+        // pool once the frame's last receiver has been dispatched).
         let mut bytes = ctx.frame_buf();
         env.encode_into(&mut bytes);
+        let routed = env
+            .source_route
+            .as_ref()
+            .and_then(|p| Some((*p.0.last()?, p.len() - 1)));
+        self.send_frame(ctx, to, bytes, TxKind::of(&env.msg), routed);
+    }
+
+    /// Rebroadcast the flood `bytes`, whose header
+    /// [`Envelope::peek_flood`] read as `flood`, with this node appended
+    /// to its route record. The frame is spliced
+    /// ([`Envelope::relay_flood_into`]), not decoded and re-encoded, so
+    /// with a warm frame pool a relay allocates nothing. False, with
+    /// nothing sent, for a secure RREQ: its relays sign their hop.
+    fn relay_flood(&mut self, ctx: &mut Ctx, bytes: &[u8], flood: &FloodHeader) -> bool {
+        let mut frame = ctx.frame_buf();
+        if !Envelope::relay_flood_into(bytes, flood, self.ip(), &mut frame) {
+            return false;
+        }
+        self.send_frame(ctx, None, frame, TxKind::of_flood(flood.kind), None);
+        true
+    }
+
+    /// Count and trace a frame this node transmits, then queue it:
+    /// unicast to `to`, or link broadcast. `routed` is the source
+    /// route's destination and hop count.
+    fn send_frame(
+        &mut self,
+        ctx: &mut Ctx,
+        to: Option<NodeId>,
+        bytes: Vec<u8>,
+        kind: TxKind,
+        routed: Option<(Ipv6Addr, usize)>,
+    ) {
         let (stats, len) = (self.stats_mut(), bytes.len() as u64);
         stats.bump(Counter::CtlTxMsgs);
         stats.add(Counter::CtlTxBytes, len);
-        if env.msg.is_table1_control() {
+        if kind.table1 {
             stats.add(Counter::CtlTable1Bytes, len);
         }
-        if !matches!(env.msg, Message::Data(_) | Message::Ack(_)) {
+        if kind.routing {
             stats.add(Counter::CtlRoutingBytes, len);
         }
-        match env.source_route.as_ref().map(|p| (p.0.last(), p.len())) {
-            Some((Some(dst), n)) => {
-                ctx.trace(Dir::Tx, kind, format_args!("→{dst} ({} hops)", n - 1))
+        match routed {
+            Some((dst, hops)) => {
+                ctx.trace(Dir::Tx, kind.name, format_args!("→{dst} ({hops} hops)"))
             }
-            _ => ctx.trace(Dir::Tx, kind, "flood"),
+            None => ctx.trace(Dir::Tx, kind.name, "flood"),
         }
         match to {
             Some(node) => ctx.unicast(node, bytes),
@@ -680,7 +747,7 @@ mod tests {
     use crate::SecureNode;
     use manet_crypto::BackendKind;
     use manet_sim::{Engine, EngineConfig, Mobility, Pos, Protocol};
-    use manet_wire::{sigdata, PlainRreq, Rreq, SecureRouteRecord};
+    use manet_wire::{sigdata, Areq, Challenge, PlainRreq, Rreq, SecureRouteRecord};
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
 
@@ -766,6 +833,44 @@ mod tests {
 
     fn far(i: u16) -> Ipv6Addr {
         Ipv6Addr::from_groups([0xfec0, 0, 0, 0, 9, 9, 9, i])
+    }
+
+    /// A spliced relay counts and traces as its encoded copy would.
+    #[test]
+    fn a_flood_header_counts_as_its_message() {
+        let mut rng = ChaCha12Rng::seed_from_u64(3);
+        let src = HostIdentity::generate(512, &mut rng);
+        let floods = [
+            Message::Areq(Areq {
+                sip: far(1),
+                seq: Seq(1),
+                dn: None,
+                ch: Challenge(2),
+                rr: RouteRecord::new(),
+            }),
+            Message::Rreq(Rreq {
+                sip: src.ip(),
+                dip: far(2),
+                seq: Seq(1),
+                srr: SecureRouteRecord::new(),
+                src_proof: src.prove(b"src"),
+            }),
+            Message::PlainRreq(PlainRreq {
+                sip: far(1),
+                dip: far(2),
+                seq: Seq(1),
+                rr: RouteRecord::new(),
+            }),
+        ];
+        for msg in floods {
+            let flood = msg.flood_header().expect("a flooded kind");
+            assert_eq!(
+                TxKind::of_flood(flood.kind),
+                TxKind::of(&msg),
+                "{}",
+                msg.kind()
+            );
+        }
     }
 
     #[test]

@@ -118,6 +118,35 @@ impl Envelope {
         Some((Ipv6Addr(*src_ip), Message::peek_flood(msg)?))
     }
 
+    /// Append to `out` the frame a relay rebroadcasts for the flood
+    /// `buf`, spliced rather than re-encoded: `relay` as the
+    /// transmitter, then the received message with `relay` appended to
+    /// its route record ([`Message::relay_flood_into`]) — byte for byte
+    /// what [`Envelope::decode`], the push and [`Envelope::encode_into`]
+    /// write for a broadcast from `relay`. `flood` must be
+    /// [`Envelope::peek_flood`]'s header of `buf`. The final length is
+    /// reserved once, up front, so a recycled frame grows at most once.
+    /// `false`, with nothing written, for a secure RREQ.
+    pub fn relay_flood_into(
+        buf: &[u8],
+        flood: &FloodHeader,
+        relay: Ipv6Addr,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        let Some((_, [0, msg @ ..])) = buf.split_first_chunk::<16>() else {
+            return false;
+        };
+        let start = out.len();
+        out.reserve(buf.len() + relay.0.len());
+        out.put_slice(&relay.0);
+        out.put_u8(0);
+        if Message::relay_flood_into(msg, flood, &relay, out) {
+            return true;
+        }
+        out.truncate(start);
+        false
+    }
+
     /// Byte offset of the enveloped message within `buf`, validating
     /// the header exactly as strictly as [`Envelope::decode`]: `None`
     /// means the full decode would fail before reaching the message.
@@ -147,13 +176,10 @@ impl Envelope {
 
     /// Strict decode.
     pub fn decode(buf: &[u8]) -> Result<Envelope, CodecError> {
-        if buf.len() < 17 {
+        let Some((src_ip, [has_route, rest @ ..])) = buf.split_first_chunk::<16>() else {
             return Err(CodecError::Truncated);
-        }
-        let src_ip = Ipv6Addr(buf[..16].try_into().expect("16 bytes"));
-        let mut rest = &buf[16..];
-        let has_route = rest[0];
-        rest = &rest[1..];
+        };
+        let mut rest = rest;
         let (source_route, sr_index) = match has_route {
             0 => (None, 0),
             1 => {
@@ -172,12 +198,8 @@ impl Envelope {
                 if rest.len() < n * 16 {
                     return Err(CodecError::Truncated);
                 }
-                let mut path = Vec::with_capacity(n);
-                for i in 0..n {
-                    path.push(Ipv6Addr(
-                        rest[i * 16..(i + 1) * 16].try_into().expect("16 bytes"),
-                    ));
-                }
+                let (addrs, _) = rest[..n * 16].as_chunks::<16>();
+                let path = addrs.iter().map(|a| Ipv6Addr(*a)).collect();
                 rest = &rest[n * 16..];
                 (Some(RouteRecord(path)), idx)
             }
@@ -185,7 +207,7 @@ impl Envelope {
         };
         let msg = Message::decode(rest)?;
         Ok(Envelope {
-            src_ip,
+            src_ip: Ipv6Addr(*src_ip),
             source_route,
             sr_index,
             msg,
@@ -355,6 +377,86 @@ mod tests {
             bad[16] = 7;
             assert_eq!(Envelope::peek_msg_offset(&bad), None);
         }
+    }
+
+    /// What a relay rebroadcasts for the frame `bytes`: spliced, and
+    /// decoded, pushed and re-encoded. The splice runs on what the flood
+    /// peek admits; the re-encode on broadcast AREQs and plain RREQs.
+    fn relayed(bytes: &[u8], relay: Ipv6Addr) -> (Option<Vec<u8>>, Option<Vec<u8>>) {
+        let spliced = Envelope::peek_flood(bytes).and_then(|(_, flood)| {
+            let mut out = Vec::new();
+            Envelope::relay_flood_into(bytes, &flood, relay, &mut out).then_some(out)
+        });
+        let reencoded = Envelope::decode(bytes)
+            .ok()
+            .filter(|e| e.source_route.is_none())
+            .and_then(|e| match e.msg {
+                Message::Areq(mut m) => {
+                    m.rr.push(relay);
+                    Some(Message::Areq(m))
+                }
+                Message::PlainRreq(mut m) => {
+                    m.rr.push(relay);
+                    Some(Message::PlainRreq(m))
+                }
+                _ => None,
+            })
+            .map(|msg| Envelope::broadcast(relay, msg).encode());
+        (spliced, reencoded)
+    }
+
+    /// The relay splice writes the frame a decode, a push onto the
+    /// route record and an encode write, or refuses where they do not
+    /// relay: secure RREQs, routed frames, and every truncation and bit
+    /// flip the strict decode rejects.
+    #[test]
+    fn relay_splice_matches_reencode() {
+        let relay = ip(99);
+        for e in floods().into_iter().flat_map(|m| {
+            [
+                Envelope::broadcast(ip(1), m.clone()),
+                Envelope::routed(ip(1), RouteRecord(vec![ip(1), ip(2), ip(3)]), m),
+            ]
+        }) {
+            let bytes = e.encode();
+            let (spliced, reencoded) = relayed(&bytes, relay);
+            assert_eq!(spliced, reencoded, "{}", e.msg.kind());
+            let relays = e.source_route.is_none() && !matches!(e.msg, Message::Rreq(_));
+            assert_eq!(spliced.is_some(), relays, "{}", e.msg.kind());
+            for cut in 0..bytes.len() {
+                assert_eq!(relayed(&bytes[..cut], relay), (None, None), "cut={cut}");
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let (spliced, reencoded) = relayed(&flipped, relay);
+                assert_eq!(
+                    spliced,
+                    reencoded,
+                    "{} with bit {bit} flipped",
+                    e.msg.kind()
+                );
+            }
+        }
+    }
+
+    /// Like the encode, the splice writes a 256-hop record's count as
+    /// 257, and receivers refuse the copy.
+    #[test]
+    fn relay_splice_of_a_full_record_is_refused_downstream() {
+        let rreq = manet_wire::PlainRreq {
+            sip: ip(1),
+            dip: ip(2),
+            seq: Seq(3),
+            rr: RouteRecord((0..256).map(ip).collect()),
+        };
+        let bytes = Envelope::broadcast(ip(1), Message::PlainRreq(rreq)).encode();
+        let (spliced, reencoded) = relayed(&bytes, ip(99));
+        assert!(spliced.is_some());
+        assert_eq!(spliced, reencoded);
+        let out = spliced.unwrap_or_default();
+        assert_eq!(Envelope::decode(&out), Err(CodecError::LengthOverflow));
+        assert_eq!(Envelope::peek_flood(&out), None);
     }
 
     #[test]

@@ -53,8 +53,17 @@ impl NeighborCache {
         if ip.is_unspecified() {
             return 0;
         }
-        let full = self.entries.len() >= NEIGHBOR_CAP && !self.entries.contains_key(&ip);
-        let evicted = if full { self.make_room(now) } else { 0 };
+        // Update in place: an insert reserves room first, so hearing a
+        // known neighbour again could grow a full table.
+        if let Some(entry) = self.entries.get_mut(&ip) {
+            *entry = (node, now);
+            return 0;
+        }
+        let evicted = if self.entries.len() >= NEIGHBOR_CAP {
+            self.make_room(now)
+        } else {
+            0
+        };
         self.entries.insert(ip, (node, now));
         evicted
     }

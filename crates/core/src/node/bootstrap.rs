@@ -13,6 +13,7 @@ use manet_wire::{
     DNS_WELL_KNOWN, UNSPECIFIED,
 };
 use rand::Rng;
+use std::fmt;
 
 impl SecureNode {
     pub(super) fn begin_dad(&mut self, ctx: &mut Ctx) {
@@ -122,21 +123,41 @@ impl SecureNode {
         self.is_ready()
     }
 
-    /// An AREQ [`Self::admit_areq`] let through.
-    pub(super) fn handle_areq(&mut self, ctx: &mut Ctx, areq: Areq) {
-        ctx.trace(
-            Dir::Rx,
-            "AREQ",
-            format_args!(
-                "for {} dn={:?}",
-                areq.sip,
-                areq.dn.as_ref().map(|d| d.as_str())
-            ),
-        );
+    /// An AREQ [`Self::admit_areq`] let through, as received (`flood`
+    /// is its peeked header): answer it where this node has an answer,
+    /// then relay it. Only an answer decodes the frame — a DNS server
+    /// books the name, the address's holder (or a squatter) sends an
+    /// AREP, a replaying adversary an old one; the relay splices it.
+    pub(super) fn handle_areq(&mut self, ctx: &mut Ctx, bytes: &[u8], flood: &FloodHeader) {
+        ctx.trace(Dir::Rx, "AREQ", RxAreq(bytes));
+        let answers = self.dns.is_some()
+            || flood.sip == self.ident.ip()
+            || self.behavior.squat_dad
+            || self.behavior.replay;
+        if answers {
+            let Ok(Envelope {
+                msg: Message::Areq(areq),
+                ..
+            }) = Envelope::decode(bytes)
+            else {
+                // Unreachable: whatever peeks decodes.
+                return self.stats.bump(Counter::RxMalformed);
+            };
+            self.answer_areq(ctx, &areq);
+        }
+        // "Every host should … properly rebroadcast the AREQ": append
+        // our address to the route record and rebroadcast — past the
+        // collision holder too, so the DNS hears the request and
+        // holds/cancels the registration.
+        if !self.relay_flood(ctx, bytes, flood) {
+            self.stats.bump(Counter::RxMalformed); // unreachable: an AREQ splices
+        }
+    }
 
+    fn answer_areq(&mut self, ctx: &mut Ctx, areq: &Areq) {
         // DNS server: name bookkeeping (conflict DREP / pending commit).
         if self.dns.is_some() {
-            self.dns_on_areq(ctx, &areq);
+            self.dns_on_areq(ctx, areq);
         }
 
         let collision = areq.sip == self.ident.ip();
@@ -144,13 +165,10 @@ impl SecureNode {
             if !collision {
                 self.stats.bump(Counter::AtkForgedArep);
             }
-            self.send_arep(ctx, &areq);
+            self.send_arep(ctx, areq);
             if collision {
-                self.warn_dns(ctx, &areq);
+                self.warn_dns(ctx, areq);
             }
-            // "Every host should … properly rebroadcast the AREQ": the
-            // flood continues past the collision holder so the DNS hears
-            // the request and holds/cancels the registration.
         }
 
         // Replay attacker: answer with a previously captured AREP for
@@ -166,12 +184,6 @@ impl SecureNode {
                 self.reply_along(ctx, self.ident.ip(), &areq.rr, areq.sip, Message::Arep(old));
             }
         }
-
-        // Relay: append our address to the route record and rebroadcast.
-        let mut fwd = areq;
-        fwd.rr.push(self.ident.ip());
-        let env = Envelope::broadcast(self.ident.ip(), Message::Areq(fwd));
-        self.tx(ctx, None, &env);
     }
 
     /// Answer an AREQ whose address collides with ours (Section 3.1):
@@ -280,6 +292,25 @@ impl SecureNode {
             Err(_) => {
                 self.stats.bump(Counter::SecDrepRejected);
             }
+        }
+    }
+}
+
+/// The `Rx AREQ` trace detail of a received frame, decoded only when a
+/// tracer formats it: a relay that splices the frame never builds the
+/// message.
+struct RxAreq<'a>(&'a [u8]);
+
+impl fmt::Display for RxAreq<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match Envelope::decode(self.0).map(|env| env.msg) {
+            Ok(Message::Areq(areq)) => write!(
+                f,
+                "for {} dn={:?}",
+                areq.sip,
+                areq.dn.as_ref().map(|d| d.as_str())
+            ),
+            _ => Ok(()),
         }
     }
 }

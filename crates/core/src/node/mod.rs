@@ -414,14 +414,17 @@ impl Protocol for SecureNode {
         // the counting path below.
         if let Some((tx_ip, flood)) = Envelope::peek_flood(bytes) {
             self.heard(ctx, tx_ip, src);
-            if self.admit_flood(ctx, &flood) {
-                match Envelope::decode(bytes).map(|env| env.msg) {
-                    Ok(Message::Areq(areq)) => self.handle_areq(ctx, areq),
-                    Ok(Message::Rreq(rreq)) => self.handle_rreq(ctx, rreq),
-                    // Unreachable: only AREQs and RREQs are admitted,
-                    // and whatever peeks decodes.
-                    _ => self.stats.bump(Counter::RxMalformed),
-                }
+            if !self.admit_flood(ctx, &flood) {
+                return;
+            }
+            if let FloodKind::Areq { .. } = flood.kind {
+                return self.handle_areq(ctx, bytes, &flood);
+            }
+            match Envelope::decode(bytes).map(|env| env.msg) {
+                Ok(Message::Rreq(rreq)) => self.handle_rreq(ctx, rreq),
+                // Unreachable: only AREQs and RREQs are admitted, and
+                // whatever peeks decodes.
+                _ => self.stats.bump(Counter::RxMalformed),
             }
             return;
         }

@@ -19,7 +19,9 @@ use crate::envelope::Envelope;
 use crate::routecache::{CachedRoute, RouteCache};
 use crate::stats::{Counter, NodeStats};
 use manet_sim::{Ctx, NodeId, Protocol, SimDuration};
-use manet_wire::{FloodKind, Ipv6Addr, Message, PlainRerr, PlainRrep, PlainRreq, RouteRecord, Seq};
+use manet_wire::{
+    FloodHeader, FloodKind, Ipv6Addr, Message, PlainRerr, PlainRrep, PlainRreq, RouteRecord, Seq,
+};
 use rand::Rng;
 use std::any::Any;
 use std::convert::Infallible;
@@ -119,47 +121,58 @@ impl PlainDsrNode {
         self.reply_along(ctx, from, &rreq.rr, rreq.sip, Message::PlainRrep(rrep));
     }
 
-    /// A first sighting of a foreign request (`on_frame` dropped the
-    /// rest on its header).
-    fn handle_rreq(&mut self, ctx: &mut Ctx, rreq: PlainRreq) {
+    /// A first sighting of a foreign request for `dip` (`on_frame`
+    /// dropped the rest on its header): answer it, or relay it. Only an
+    /// answer decodes the frame; a relay splices it.
+    fn handle_rreq(&mut self, ctx: &mut Ctx, bytes: &[u8], flood: &FloodHeader, dip: Ipv6Addr) {
         // No verification anywhere: an attacker impersonating the target
         // address simply answers (the paper's impersonation attack).
-        if self.accepts_addr(&rreq.dip) {
-            if rreq.dip != self.ip {
+        let answers = self.accepts_addr(&dip);
+        // Classic black hole: claim a one-hop route to the target.
+        let forges = !answers && self.behavior.forge_rrep;
+        let cached = if answers || forges || !self.cfg.cached_replies {
+            None
+        } else {
+            self.dsr.route_cache.best(&dip, credits(), ctx.now())
+        };
+        if !answers && !forges && cached.is_none() {
+            if !self.relay_flood(ctx, bytes, flood) {
+                self.stats.bump(Counter::RxMalformed); // unreachable: a plain RREQ splices
+            }
+            return;
+        }
+        let Ok(Envelope {
+            msg: Message::PlainRreq(rreq),
+            ..
+        }) = Envelope::decode(bytes)
+        else {
+            // Unreachable: whatever peeks decodes.
+            return self.stats.bump(Counter::RxMalformed);
+        };
+        let mut rr = rreq.rr.clone();
+        let from = if answers {
+            if dip != self.ip {
                 self.stats.bump(Counter::AtkImpersonatedRrep);
             }
             self.stats.bump(Counter::RouteRrepSent);
-            self.send_rrep(ctx, &rreq, rreq.dip, rreq.rr.clone());
-            return;
-        }
-        // A relay's reply extends the recorded path with its own address.
-        let extended = |rr: &RouteRecord, ip| {
-            let mut rr = rr.clone();
-            rr.push(ip);
-            rr
-        };
-        if self.behavior.forge_rrep {
-            // Classic black hole: claim a one-hop route to the target.
-            self.stats.bump(Counter::AtkForgedRrep);
-            self.send_rrep(ctx, &rreq, self.ip, extended(&rreq.rr, self.ip));
-            return;
-        }
-        if self.cfg.cached_replies {
-            let cached = self.dsr.route_cache.best(&rreq.dip, credits(), ctx.now());
-            if let Some(cached) = cached {
-                // Standard DSR cached reply: splice our cached tail onto
-                // the request's recorded path. Unverifiable by design.
-                let mut rr = extended(&rreq.rr, self.ip);
-                rr.0.extend(cached.relays.iter().copied());
-                self.stats.bump(Counter::RouteCachedReply);
-                self.send_rrep(ctx, &rreq, self.ip, rr);
-                return;
+            dip
+        } else {
+            // A relay's reply extends the recorded path with its own
+            // address.
+            rr.push(self.ip);
+            match cached {
+                None => self.stats.bump(Counter::AtkForgedRrep),
+                Some(cached) => {
+                    // Standard DSR cached reply: splice our cached tail
+                    // onto the request's recorded path. Unverifiable by
+                    // design.
+                    rr.0.extend(cached.relays.iter().copied());
+                    self.stats.bump(Counter::RouteCachedReply);
+                }
             }
-        }
-        let mut fwd = rreq;
-        fwd.rr.push(self.ip);
-        let env = Envelope::broadcast(self.ip, Message::PlainRreq(fwd));
-        self.tx(ctx, None, &env);
+            self.ip
+        };
+        self.send_rrep(ctx, &rreq, from, rr);
     }
 
     fn handle_rrep(&mut self, ctx: &mut Ctx, rrep: PlainRrep) {
@@ -284,7 +297,7 @@ impl Protocol for PlainDsrNode {
         // frames fall through to the counting path below.
         if let Some((tx_ip, flood)) = Envelope::peek_flood(bytes) {
             self.heard(ctx, tx_ip, src);
-            let FloodKind::PlainRreq { .. } = flood.kind else {
+            let FloodKind::PlainRreq { dip } = flood.kind else {
                 return self.stats.bump(Counter::RxUnexpectedFlood);
             };
             if flood.sip == self.ip
@@ -294,12 +307,7 @@ impl Protocol for PlainDsrNode {
             {
                 return;
             }
-            match Envelope::decode(bytes).map(|env| env.msg) {
-                Ok(Message::PlainRreq(rreq)) => self.handle_rreq(ctx, rreq),
-                // Unreachable: whatever peeks decodes.
-                _ => self.stats.bump(Counter::RxMalformed),
-            }
-            return;
+            return self.handle_rreq(ctx, bytes, &flood, dip);
         }
         let Some(env) = self.decode_frame(ctx, src, bytes) else {
             return;

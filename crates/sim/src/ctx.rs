@@ -110,10 +110,12 @@ impl Ctx<'_> {
     }
 
     /// An empty byte buffer for encoding an outgoing frame — recycled
-    /// from a previously delivered frame when one is available, so the
-    /// encode→transmit→deliver cycle reuses storage instead of
-    /// allocating per frame. Hand the filled buffer to
-    /// [`Ctx::broadcast`] / [`Ctx::unicast`] as usual.
+    /// from a previously delivered frame when one is available. Hand
+    /// the filled buffer to [`Ctx::broadcast`] / [`Ctx::unicast`] as
+    /// usual; the engine wraps it in a recycled `Arc` too, so the
+    /// encode→transmit→deliver cycle allocates only when the pool is
+    /// empty or the buffer must grow past what its last frame needed
+    /// (reserve the frame's length once, up front, to grow it once).
     pub fn frame_buf(&mut self) -> Vec<u8> {
         self.frame_pool.pop().unwrap_or_default()
     }

@@ -18,6 +18,7 @@ use crate::time::SimTime;
 use crate::trace::Tracer;
 use crate::wheel::TimerWheel;
 use rand_chacha::ChaCha12Rng;
+use std::sync::Arc;
 
 /// Cold per-node state: touched once per dispatched callback (protocol)
 /// or once per mobility tick (mobility), never in the candidate-filter
@@ -60,9 +61,10 @@ impl NodeSlab {
     }
 }
 
-/// Recycled frame buffers kept at most this many deep per shard
-/// (largest scale exhibit uses a few hundred in flight; frames are
-/// ~100–300 bytes).
+/// Recycled frame buffers, and the emptied `Arc` shells that held
+/// them, kept at most this many deep per shard, each. A 3,000-host
+/// plain flood fills all 1,024; a cap of 4,096 allocated no less.
+/// Frames are ~100–300 bytes.
 const FRAME_POOL_CAP: usize = 1024;
 
 /// Marks a provisional sequence number (assigned inside a window,
@@ -166,6 +168,9 @@ pub(super) struct Shard {
     /// every dispatch; [`Sink::Window`]: logged before `fire` returns.
     pub(super) out: Vec<(SimTime, Event)>,
     frame_pool: Vec<Vec<u8>>,
+    /// Emptied `Arc`s of delivered frames, refilled by [`Shard::fire`]
+    /// instead of allocating a fresh one per transmission.
+    frame_shells: Vec<Arc<Vec<u8>>>,
     bcast_scratch: Vec<NodeId>,
     ctx_scratch: CtxOut,
 }
@@ -185,6 +190,7 @@ impl Shard {
             batch: Vec::new(),
             out: Vec::new(),
             frame_pool: Vec::new(),
+            frame_shells: Vec::new(),
             bcast_scratch: Vec::new(),
             ctx_scratch: CtxOut::default(),
         }
@@ -336,6 +342,12 @@ impl Shard {
             self.timers.cancel(h);
         }
         for (dst, bytes) in cmds.sends.drain(..) {
+            let mut frame = self.frame_shells.pop().unwrap_or_default();
+            match Arc::get_mut(&mut frame) {
+                Some(slot) => *slot = bytes,
+                // Unreachable: a pooled shell has no other reference.
+                None => frame = Arc::new(bytes),
+            }
             let rng = &mut self.nodes.rngs[li];
             let cand = &mut self.bcast_scratch;
             transmit_into(
@@ -343,7 +355,7 @@ impl Shard {
                 time,
                 node,
                 dst,
-                bytes,
+                frame,
                 rng,
                 metrics,
                 cand,
@@ -383,14 +395,21 @@ impl Shard {
         r
     }
 
-    /// Return a delivered frame's buffer to the pool once this was its
-    /// last outstanding reference (i.e. the broadcast fan-out is fully
-    /// dispatched). The next [`Ctx::frame_buf`] hands it back out.
-    fn recycle_frame(&mut self, bytes: std::sync::Arc<Vec<u8>>) {
-        if let Some(mut buf) = std::sync::Arc::into_inner(bytes) {
-            if self.frame_pool.len() < FRAME_POOL_CAP {
-                buf.clear();
-                self.frame_pool.push(buf);
+    /// Once this was a delivered frame's last outstanding reference
+    /// (the broadcast fan-out is fully dispatched), return its buffer
+    /// to the pool and keep the emptied `Arc` beside it: the next
+    /// [`Ctx::frame_buf`] hands the buffer back out, and the next
+    /// transmission refills the shell.
+    fn recycle_frame(&mut self, mut bytes: Arc<Vec<u8>>) {
+        let Some(buf) = Arc::get_mut(&mut bytes) else {
+            return;
+        };
+        if self.frame_pool.len() < FRAME_POOL_CAP {
+            let mut buf = std::mem::take(buf);
+            buf.clear();
+            self.frame_pool.push(buf);
+            if self.frame_shells.len() < FRAME_POOL_CAP {
+                self.frame_shells.push(bytes);
             }
         }
     }

@@ -41,7 +41,9 @@ pub(crate) struct LinkEnv<'a> {
 /// `env` at time `now`, and append the resulting future events (with
 /// their times) to `out` instead of scheduling them directly. `rng`
 /// must be the *sender's* deterministic stream and `cand` is a reused
-/// scratch buffer.
+/// scratch buffer. The frame comes already in its `Arc` (a recycled
+/// shell, in steady state): each receiver's event holds a clone, so a
+/// transmission allocates nothing.
 ///
 /// Every delay this emits is `>= radio.base_delay` (see
 /// `RadioConfig::sample_delay`), which is the lookahead guarantee the
@@ -55,7 +57,7 @@ pub(crate) fn transmit_into(
     now: SimTime,
     src: NodeId,
     dst: LinkDst,
-    bytes: Vec<u8>,
+    bytes: Arc<Vec<u8>>,
     rng: &mut ChaCha12Rng,
     metrics: &mut Metrics,
     cand: &mut Vec<NodeId>,
@@ -66,7 +68,6 @@ pub(crate) fn transmit_into(
     }
     metrics.count(LinkCounter::TxFrames, 1);
     metrics.count(LinkCounter::TxBytes, bytes.len() as u64);
-    let bytes = Arc::new(bytes);
     let src_pos = env.hot[src.0].pos;
     match dst {
         LinkDst::Broadcast => {

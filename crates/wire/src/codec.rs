@@ -600,6 +600,42 @@ impl Message {
         })
     }
 
+    /// Append to `out` the copy of the flood `buf` that `relay`
+    /// rebroadcasts, without decoding it: byte for byte what
+    /// [`Message::decode`], a push of `relay` onto the route record and
+    /// [`Message::encode_into`] write. `flood` must be
+    /// [`Message::peek_flood`]'s header of `buf`. In an [`Areq`] and a
+    /// [`PlainRreq`] the route record is the last field (a `u16` count,
+    /// then 16-byte entries), so the splice copies `buf`, bumps the
+    /// count at `len − 2 − 16·hops` and appends the address. Like
+    /// `encode`, it writes a 256-hop record's count as 257, which every
+    /// receiver refuses. `false`, with nothing written, for a secure
+    /// [`Rreq`] — its relays sign their hop — or a `buf` shorter than
+    /// `flood`'s record.
+    pub fn relay_flood_into(
+        buf: &[u8],
+        flood: &FloodHeader,
+        relay: &Ipv6Addr,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        if matches!(flood.kind, FloodKind::Rreq { .. }) {
+            return false;
+        }
+        let (Some(at), Some(count)) = (
+            buf.len().checked_sub(2 + 16 * usize::from(flood.hops)),
+            flood.hops.checked_add(1),
+        ) else {
+            return false;
+        };
+        let (head, record) = buf.split_at(at);
+        out.reserve(buf.len() + relay.0.len());
+        out.put_slice(head);
+        out.put_u16(count);
+        out.put_slice(&record[2..]);
+        out.put_slice(&relay.0);
+        true
+    }
+
     /// Can the message starting at `buf` (first byte: the kind tag)
     /// carry signature material its *receiver* verifies? Data, acks,
     /// probes, AREQ floods, queries/challenges, and the plain-DSR kinds
@@ -994,6 +1030,52 @@ mod tests {
             }
         }
         assert_eq!(floods, 4, "two AREQs, the RREQ and the plain RREQ");
+    }
+
+    /// The relayed copy a splice writes, or `None` where it refuses.
+    fn spliced(bytes: &[u8], relay: &Ipv6Addr) -> Option<Vec<u8>> {
+        let flood = Message::peek_flood(bytes)?;
+        let mut out = Vec::new();
+        Message::relay_flood_into(bytes, &flood, relay, &mut out).then_some(out)
+    }
+
+    #[test]
+    fn relay_splice_writes_the_reencoded_copy() {
+        let relay = ip(99);
+        let mut relayed = 0;
+        for msg in sample_messages() {
+            let bytes = msg.encode();
+            let expected = match msg {
+                Message::Areq(mut m) => {
+                    m.rr.push(relay);
+                    Some(Message::Areq(m).encode())
+                }
+                Message::PlainRreq(mut m) => {
+                    m.rr.push(relay);
+                    Some(Message::PlainRreq(m).encode())
+                }
+                _ => None,
+            };
+            relayed += usize::from(expected.is_some());
+            assert_eq!(spliced(&bytes, &relay), expected);
+        }
+        assert_eq!(relayed, 3, "two AREQs and the plain RREQ; the RREQ signs");
+    }
+
+    #[test]
+    fn relay_splice_of_a_full_record_writes_what_receivers_refuse() {
+        let mut rreq = PlainRreq {
+            sip: ip(1),
+            dip: ip(2),
+            seq: Seq(3),
+            rr: RouteRecord((0..MAX_ROUTE_LEN as u16).map(ip).collect()),
+        };
+        let out = spliced(&Message::PlainRreq(rreq.clone()).encode(), &ip(99))
+            .expect("a 256-hop record is valid");
+        rreq.rr.push(ip(99));
+        assert_eq!(out, Message::PlainRreq(rreq).encode());
+        assert_eq!(Message::decode(&out), Err(CodecError::LengthOverflow));
+        assert_eq!(Message::peek_flood(&out), None);
     }
 
     #[test]

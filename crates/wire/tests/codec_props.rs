@@ -251,6 +251,72 @@ fn peek_matches_decode(bytes: &[u8]) -> Result<(), proptest::TestCaseError> {
     Ok(())
 }
 
+/// Route records from empty up to the 256 hops receivers accept.
+fn arb_flood_rr() -> impl Strategy<Value = RouteRecord> {
+    prop_oneof![
+        arb_rr(),
+        proptest::collection::vec(arb_addr(), 250..=256).prop_map(RouteRecord),
+    ]
+}
+
+/// The three flooded kinds, the relayed ones with long records too.
+fn arb_flood() -> impl Strategy<Value = Message> {
+    prop_oneof![
+        (
+            arb_addr(),
+            arb_seq(),
+            proptest::option::of(arb_dn()),
+            arb_ch(),
+            arb_flood_rr()
+        )
+            .prop_map(|(sip, seq, dn, ch, rr)| Message::Areq(Areq {
+                sip,
+                seq,
+                dn,
+                ch,
+                rr
+            })),
+        (arb_addr(), arb_addr(), arb_seq(), arb_srr(), arb_proof()).prop_map(
+            |(sip, dip, seq, srr, src_proof)| Message::Rreq(Rreq {
+                sip,
+                dip,
+                seq,
+                srr,
+                src_proof
+            })
+        ),
+        (arb_addr(), arb_addr(), arb_seq(), arb_flood_rr())
+            .prop_map(|(sip, dip, seq, rr)| Message::PlainRreq(PlainRreq { sip, dip, seq, rr })),
+    ]
+}
+
+/// The relay splice's contract: on whatever the flood peek admits, it
+/// writes byte for byte what decoding, pushing `relay` onto the route
+/// record and encoding write; it refuses every secure RREQ, and
+/// whatever does not decode to an AREQ or a plain RREQ.
+fn splice_matches_reencode(bytes: &[u8], relay: &Ipv6Addr) -> Result<(), proptest::TestCaseError> {
+    let mut spliced = None;
+    if let Some(flood) = Message::peek_flood(bytes) {
+        let mut out = Vec::new();
+        let relayed = Message::relay_flood_into(bytes, &flood, relay, &mut out);
+        prop_assert_eq!(relayed, !out.is_empty());
+        spliced = Some(out).filter(|_| relayed);
+    }
+    let reencoded = match Message::decode(bytes) {
+        Ok(Message::Areq(mut m)) => {
+            m.rr.push(*relay);
+            Some(Message::Areq(m).encode())
+        }
+        Ok(Message::PlainRreq(mut m)) => {
+            m.rr.push(*relay);
+            Some(Message::PlainRreq(m).encode())
+        }
+        _ => None,
+    };
+    prop_assert_eq!(spliced, reencoded);
+    Ok(())
+}
+
 /// Length-prefixed chunk, the key encoding's building block.
 fn chunk(body: &[u8]) -> Vec<u8> {
     let mut out = (body.len() as u16).to_be_bytes().to_vec();
@@ -423,6 +489,59 @@ proptest! {
         rest in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         peek_matches_decode(&[&[tag][..], &rest].concat())?;
+    }
+
+    #[test]
+    fn relay_splice_matches_reencode_on_generated_floods(
+        msg in prop_oneof![arb_flood(), arb_message()],
+        relay in arb_addr(),
+    ) {
+        let bytes = msg.encode();
+        splice_matches_reencode(&bytes, &relay)?;
+        if let Message::Rreq(_) = msg {
+            let flood = Message::peek_flood(&bytes).expect("an RREQ peeks");
+            prop_assert!(!Message::relay_flood_into(&bytes, &flood, &relay, &mut Vec::new()));
+        }
+    }
+
+    #[test]
+    fn relay_splice_matches_reencode_on_truncated_floods(
+        msg in arb_flood(),
+        frac in 0.0f64..1.0,
+        relay in arb_addr(),
+    ) {
+        let bytes = msg.encode();
+        splice_matches_reencode(&bytes[..(bytes.len() as f64 * frac) as usize], &relay)?;
+    }
+
+    #[test]
+    fn relay_splice_matches_reencode_on_bit_flips(
+        msg in arb_flood(),
+        pos_frac in 0.0f64..1.0,
+        bit in 0u8..8,
+        relay in arb_addr(),
+    ) {
+        let mut bytes = msg.encode();
+        let pos = (bytes.len() as f64 * pos_frac) as usize;
+        bytes[pos] ^= 1 << bit;
+        splice_matches_reencode(&bytes, &relay)?;
+    }
+
+    #[test]
+    fn relay_splice_matches_reencode_on_spliced_frames(
+        a in arb_flood(),
+        b in prop_oneof![arb_flood(), arb_message()],
+        fa in 0.0f64..=1.0,
+        fb in 0.0f64..=1.0,
+        relay in arb_addr(),
+    ) {
+        let (a, b) = (a.encode(), b.encode());
+        let spliced = [
+            &a[..(a.len() as f64 * fa) as usize],
+            &b[(b.len() as f64 * fb) as usize..],
+        ]
+        .concat();
+        splice_matches_reencode(&spliced, &relay)?;
     }
 
     #[test]

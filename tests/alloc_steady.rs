@@ -15,11 +15,12 @@
 //! fails the base-2 round is held at zero), and a third one
 //! covers a relay answering an RREQ from its hop-signature memo. The
 //! flood path is held at zero: a duplicate RREQ or AREQ copy, a relay's
-//! prefetch of an RREQ it does not answer, and the encode of a relayed
-//! RREQ into a sized frame allocate nothing. One ratchet is on bytes,
-//! not calls: a second round of network-wide floods must reuse
-//! the memory the first one drained (the timer wheel's chunks) instead
-//! of regrowing it.
+//! prefetch of an RREQ it does not answer, the encode of a relayed RREQ
+//! into a sized frame, and the splice that relays a first AREQ or plain
+//! RREQ copy allocate nothing. The flood storm is held on bytes and on
+//! calls: a second round of network-wide floods must reuse the memory
+//! the first one drained (the timer wheel's chunks, the frame pool and
+//! its `Arc`s) instead of regrowing it.
 //!
 //! Opt-in (`--features alloc-metrics`) because a counting global
 //! allocator perturbs every other test in the same binary for no
@@ -30,12 +31,12 @@
 use manet_crypto::prime::{gen_prime, is_prime};
 use manet_crypto::KeyPair;
 use manet_secure::scenario::{Network, Placement, ScenarioBuilder, Workload};
-use manet_secure::{Envelope, HostIdentity, PlainDsrNode, SecureNode};
+use manet_secure::{Counter, Envelope, HostIdentity, NodeApi, PlainDsrNode, SecureNode};
 use manet_sim::mem::{alloc_since, alloc_snapshot, CountingAlloc};
 use manet_sim::{ExecMode, LinkCounter, NodeId, Protocol, SimDuration};
 use manet_wire::{
-    sigdata, Areq, Challenge, DomainName, Ipv6Addr, Message, RouteRecord, Rreq, SecureRouteRecord,
-    Seq, SrrEntry,
+    sigdata, Areq, Challenge, DomainName, Ipv6Addr, Message, PlainRreq, RouteRecord, Rreq,
+    SecureRouteRecord, Seq, SrrEntry,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -55,12 +56,13 @@ fn metered() -> MutexGuard<'static, ()> {
 }
 
 /// Allocations allowed per delivered payload once the route is cached.
-/// Measured at 58 on the 8-host chain (the steady path still decodes
-/// each relayed frame into owned route/payload buffers at every hop —
-/// 7 hops × ~2 Vecs each way — plus ack bookkeeping); 150 leaves real
-/// headroom while still tripping on an accidental per-frame clone of a
-/// neighbor table or stats map, which lands in the thousands.
-const MAX_ALLOCS_PER_DELIVERY: u64 = 150;
+/// Measured at 42 on the 8-host chain (× 1.3): the steady path still
+/// decodes each relayed frame into owned route/payload buffers at every
+/// hop — 7 hops × ~2 Vecs each way — plus ack bookkeeping. It read 56
+/// while every transmission allocated the `Arc` around its frame; an
+/// accidental per-frame clone of a neighbor table or stats map lands in
+/// the thousands.
+const MAX_ALLOCS_PER_DELIVERY: u64 = 55;
 
 /// Ceilings per RSA-512 operation over what the in-place kernel
 /// measures: 178 per key (× 1.3 — the Montgomery context and witness
@@ -82,9 +84,10 @@ const MAX_ALLOCS_PER_VERIFY: u64 = 12;
 /// signatures: the middle host relays it, both ends hear that and relay
 /// in turn, the middle host drops those two as duplicates on their
 /// header — three decodes, three SRR entries (key and signature clones),
-/// three encodes and the broadcasts' events. Measured at 61 (256 while
-/// every copy was decoded and keys were encoded through temporary
-/// vectors); 95 keeps the old bound's half again of headroom. A
+/// three encodes and the broadcasts' events. Measured at 52 (55 while
+/// each transmission allocated its `Arc`, 256 while every copy was
+/// decoded and keys were encoded through temporary vectors); 95 keeps
+/// the old bound's half again of headroom. A
 /// signature costs 27 more per relay, but the assertion that matters is
 /// that the backend's sign counter does not move at all.
 const MAX_ALLOCS_PER_MEMO_HIT_FLOOD: u64 = 95;
@@ -269,14 +272,23 @@ fn steady_state_forwarding_alloc_bound() {
 }
 
 /// Bytes allocated per frame delivery while a second round of floods
-/// crosses a plain network on top of the first. Measured at 59 (1.81 MB
-/// over 30,490 deliveries); 171 while every timer-wheel slot grew its
-/// own `Vec` and kept it after draining, so a storm passing through
-/// fresh slots regrew megabytes that the last ones still held. The
-/// sharded executors read 84–94 here and 179–195 before (their
-/// in-window heaps and shard buffers come on top), so the test pins the
-/// single one.
-const MAX_BYTES_PER_DELIVERY: u64 = 77;
+/// crosses a plain network on top of the first. Measured at 38 (1.19 MB
+/// over 30,490 deliveries; × 1.3); 59 while every relay decoded and
+/// re-encoded its copy into a pooled buffer that then grew, and 171
+/// while every timer-wheel slot grew its own `Vec` and kept it after
+/// draining, so a storm passing through fresh slots regrew megabytes
+/// that the last ones still held. The sharded executors' in-window
+/// heaps and shard buffers come on top (docs/PERF.md has their
+/// figures), so the test pins the single one.
+const MAX_BYTES_PER_DELIVERY: u64 = 50;
+
+/// Allocations per thousand deliveries in the same storm: 121 measured
+/// (3,714 over 30,490; × 1.3). Relays splice their copy into a pooled
+/// frame and recycle its `Arc`, so what is left is mostly the dedup
+/// tables' and the wheel's growth. It read 367 (11,206) while each
+/// relay decoded its copy's route record and each transmission
+/// allocated an `Arc`.
+const MAX_ALLOCS_PER_KILO_DELIVERY: u64 = 157;
 
 #[test]
 fn flood_storm_bytes_per_delivery_bound() {
@@ -316,8 +328,10 @@ fn flood_storm_bytes_per_delivery_bound() {
         "only {delivered} deliveries: the floods did not cross the network"
     );
     let per_delivery = traffic.bytes / delivered;
+    let per_kilo = traffic.count * 1000 / delivered;
     eprintln!(
-        "flood storm: {} allocs / {} bytes over {delivered} deliveries = {per_delivery} bytes each",
+        "flood storm: {} allocs / {} bytes over {delivered} deliveries = {per_delivery} bytes \
+         each, {per_kilo} allocs per thousand",
         traffic.count, traffic.bytes
     );
     assert!(
@@ -325,16 +339,50 @@ fn flood_storm_bytes_per_delivery_bound() {
         "{per_delivery} bytes allocated per flood delivery (bound {MAX_BYTES_PER_DELIVERY}): \
          drained memory is not being reused"
     );
+    assert!(
+        per_kilo <= MAX_ALLOCS_PER_KILO_DELIVERY,
+        "{per_kilo} allocations per thousand flood deliveries (bound \
+         {MAX_ALLOCS_PER_KILO_DELIVERY}): something allocates per relay again"
+    );
 }
 
-/// A frame `via` hears from `from`, delivered outside the event loop;
-/// the allocations the handler made.
-fn deliver(net: &mut Network<SecureNode>, via: NodeId, from: NodeId, frame: &[u8]) -> u64 {
-    net.engine.with_protocol::<SecureNode, _>(via, |n, ctx| {
+/// A frame `via` hears from `from`, delivered outside the event loop:
+/// the allocations the handler made, and the frames it sent.
+fn deliver<P: NodeApi>(
+    net: &mut Network<P>,
+    via: NodeId,
+    from: NodeId,
+    frame: &[u8],
+) -> (u64, u64) {
+    net.engine.with_protocol::<P, _>(via, |n, ctx| {
+        let sent = n.node_stats()[Counter::CtlTxMsgs];
         let before = alloc_snapshot();
         n.on_frame(ctx, from, frame);
-        alloc_since(&before).count
+        let allocs = alloc_since(&before).count;
+        (allocs, n.node_stats()[Counter::CtlTxMsgs] - sent)
     })
+}
+
+/// Let every frame in the air land, so the shard's frame pool holds the
+/// buffers and `Arc`s of what was just sent.
+fn drain<P: NodeApi>(net: &mut Network<P>) {
+    let until = net.engine.now() + SimDuration::from_millis(50);
+    net.engine.run_until(until);
+}
+
+/// A flood from a source the network has not heard of.
+fn areq_frame(tx: Ipv6Addr, seq: u64) -> Vec<u8> {
+    Envelope::broadcast(
+        tx,
+        Message::Areq(Areq {
+            sip: Ipv6Addr::from_groups([0xfec0, 0, 0, 0, 8, 8, 8, 8]),
+            seq: Seq(seq),
+            dn: Some(DomainName::new("newcomer").unwrap()),
+            ch: Challenge(77),
+            rr: RouteRecord::new(),
+        }),
+    )
+    .encode()
 }
 
 #[test]
@@ -363,27 +411,34 @@ fn duplicate_flood_copies_and_relay_prefetch_allocate_nothing() {
     };
     let nobody = Ipv6Addr::from_groups([0xfec0, 0, 0, 0, 9, 9, 9, 9]);
     let rreq = rreq_for(nobody);
-    let areq = Envelope::broadcast(
-        src.ip(),
-        Message::Areq(Areq {
-            sip: Ipv6Addr::from_groups([0xfec0, 0, 0, 0, 8, 8, 8, 8]),
-            seq: Seq(1),
-            dn: Some(DomainName::new("newcomer").unwrap()),
-            ch: Challenge(77),
-            rr: RouteRecord::new(),
-        }),
-    )
-    .encode();
+    let areq = areq_frame(src.ip(), 1);
 
     for (kind, frame) in [("RREQ", &rreq), ("AREQ", &areq)] {
-        let first = deliver(&mut net, relay, neighbour, frame);
-        assert!(first > 0, "the first {kind} copy is relayed");
-        let second = deliver(&mut net, relay, neighbour, frame);
+        let (_, sent) = deliver(&mut net, relay, neighbour, frame);
+        assert_eq!(sent, 1, "the first {kind} copy is relayed");
+        let (second, sent) = deliver(&mut net, relay, neighbour, frame);
+        assert_eq!(sent, 0, "a duplicate {kind} copy is dropped");
         assert_eq!(
             second, 0,
             "a duplicate {kind} copy allocated {second} times"
         );
     }
+
+    // A first AREQ copy is relayed by splicing its frame into a pooled
+    // buffer: with the pool warm, relaying it allocates nothing. What a
+    // first copy may still allocate is the growth of the table that
+    // remembers it, which doubles its room: of two consecutive first
+    // copies, at most one.
+    drain(&mut net);
+    let firsts = [2, 3].map(|seq| {
+        let (allocs, sent) = deliver(&mut net, relay, neighbour, &areq_frame(src.ip(), seq));
+        assert_eq!(sent, 1, "the first copy of AREQ {seq} is relayed");
+        allocs
+    });
+    assert!(
+        firsts.iter().sum::<u64>() <= 1,
+        "relaying two first AREQ copies allocated {firsts:?} times"
+    );
 
     // The prefetch pass decodes an RREQ only at its destination.
     let prefetch = |net: &Network<SecureNode>, frame: &[u8]| {
@@ -398,6 +453,48 @@ fn duplicate_flood_copies_and_relay_prefetch_allocate_nothing() {
     assert!(
         prefetch(&net, &mine) > 0,
         "the destination's prefetch is live"
+    );
+}
+
+#[test]
+fn relayed_plain_rreq_first_copy_allocates_nothing() {
+    let _metered = metered();
+    let mut net = ScenarioBuilder::new()
+        .hosts(3)
+        .placement(Placement::Chain { spacing: 200.0 })
+        .seed(27)
+        .plain()
+        .build();
+    let (neighbour, relay) = (net.hosts[0], net.hosts[1]);
+    let far = Ipv6Addr::from_groups([0xfec0, 0, 0, 0, 7, 7, 7, 7]);
+    let nobody = Ipv6Addr::from_groups([0xfec0, 0, 0, 0, 9, 9, 9, 9]);
+    let rreq = |seq| {
+        let rreq = PlainRreq {
+            sip: far,
+            dip: nobody,
+            seq: Seq(seq),
+            rr: RouteRecord(vec![far]),
+        };
+        Envelope::broadcast(far, Message::PlainRreq(rreq)).encode()
+    };
+
+    // The first flood meets a cold node: its dedup table, neighbour
+    // cache and the frame pool grow once.
+    let (_, sent) = deliver(&mut net, relay, neighbour, &rreq(1));
+    assert_eq!(sent, 1, "the first copy is relayed");
+    drain(&mut net);
+    let frame = rreq(2);
+    let (first, sent) = deliver(&mut net, relay, neighbour, &frame);
+    assert_eq!(sent, 1, "the next flood's first copy is relayed");
+    assert_eq!(
+        first, 0,
+        "relaying a first plain RREQ copy allocated {first} times"
+    );
+    let (second, sent) = deliver(&mut net, relay, neighbour, &frame);
+    assert_eq!(
+        (second, sent),
+        (0, 0),
+        "a duplicate copy is dropped, allocating nothing"
     );
 }
 
