@@ -2,8 +2,7 @@
 //!
 //! The benchmark and exhibit harness: every table and figure of the
 //! paper (and the quantified versions of its claims) is regenerated by a
-//! function here. The `tables` binary prints them; the Criterion benches
-//! under `benches/` time the performance-shaped ones.
+//! function here. The `tables` binary prints them.
 //!
 //! | exhibit | function |
 //! |---------|----------|

@@ -91,18 +91,6 @@ impl Workload {
         self.warmup = warmup;
         self
     }
-
-    /// Builder-style drain override.
-    pub fn with_drain(mut self, drain: SimDuration) -> Self {
-        self.drain = drain;
-        self
-    }
-
-    /// Builder-style payload-size override.
-    pub fn with_payload_len(mut self, payload_len: usize) -> Self {
-        self.payload_len = payload_len;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -134,11 +122,9 @@ mod tests {
     #[test]
     fn with_overrides_compose() {
         let w = Workload::flows(vec![(0, 1)], 1, SimDuration::from_millis(50))
-            .with_warmup(SimDuration::from_secs(1))
-            .with_drain(SimDuration::from_secs(2))
-            .with_payload_len(16);
+            .with_warmup(SimDuration::from_secs(1));
         assert_eq!(w.warmup, SimDuration::from_secs(1));
-        assert_eq!(w.drain, SimDuration::from_secs(2));
-        assert_eq!(w.payload_len, 16);
+        assert_eq!(w.drain, SimDuration::from_secs(5));
+        assert_eq!(w.payload_len, 64);
     }
 }

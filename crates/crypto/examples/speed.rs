@@ -10,8 +10,8 @@
 //! cargo run --release -p manet-crypto --example speed
 //! ```
 //!
-//! For statistically careful numbers use the Criterion benches:
-//! `cargo bench -p manet-bench --bench crypto`.
+//! The repo benchmark's `crypto.*` probes time the 512-bit operations
+//! under its own repetition and statistics (`bench/harness/README.md`).
 
 use manet_crypto::{sha256, KeyPair};
 use rand::SeedableRng;

@@ -48,8 +48,7 @@ pub fn h_pk_rn(pk: &PublicKey, rn: u64) -> u64 {
     h.update(b"CGA-IID-v1");
     h.update(&pk.to_bytes());
     h.update(&rn.to_be_bytes());
-    let digest = h.finalize();
-    u64::from_be_bytes(digest[..8].try_into().expect("8 bytes"))
+    sha256::digest_head(&h.finalize())
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 
 use crate::modular::{invmod, MontgomeryCtx};
 use crate::prime::gen_prime;
-use crate::sha256::{sha256, DIGEST_LEN};
+use crate::sha256::{digest_head, sha256, DIGEST_LEN};
 use crate::uint::Ubig;
 use rand::Rng;
 use std::fmt;
@@ -196,7 +196,7 @@ impl PublicKey {
     /// A short fingerprint of the key (first 8 digest bytes), used for
     /// logging and credit-table indexing.
     pub fn fingerprint(&self) -> u64 {
-        u64::from_be_bytes(self.digest()[..8].try_into().expect("8 bytes"))
+        digest_head(self.digest())
     }
 }
 

@@ -59,11 +59,6 @@ impl RadioConfig {
         self.gray_zone.unwrap_or(self.range).max(self.range)
     }
 
-    /// Sample whether a given reception is lost.
-    pub fn sample_loss<R: Rng>(&self, rng: &mut R) -> bool {
-        self.loss > 0.0 && rng.gen::<f64>() < self.loss
-    }
-
     /// Probability that a broadcast is received at distance `d`.
     pub fn reception_prob(&self, d: f64) -> f64 {
         if d <= self.range {
@@ -125,7 +120,7 @@ mod tests {
             ..RadioConfig::default()
         };
         let mut rng = ChaCha12Rng::seed_from_u64(1);
-        assert!((0..1000).all(|_| !r.sample_loss(&mut rng)));
+        assert!((0..1000).all(|_| r.sample_broadcast_reception(r.range, &mut rng)));
     }
 
     #[test]
@@ -135,7 +130,9 @@ mod tests {
             ..RadioConfig::default()
         };
         let mut rng = ChaCha12Rng::seed_from_u64(2);
-        let drops = (0..10_000).filter(|_| r.sample_loss(&mut rng)).count();
+        let drops = (0..10_000)
+            .filter(|_| !r.sample_broadcast_reception(r.range, &mut rng))
+            .count();
         let rate = drops as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.02, "observed {rate}");
     }

@@ -55,11 +55,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0, "negative duration");
-        SimDuration((s * 1e6) as u64)
-    }
-
     pub fn as_micros(self) -> u64 {
         self.0
     }
@@ -129,7 +124,6 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_micros(), 500_000);
         assert_eq!(SimDuration::from_secs(2).as_secs_f64(), 2.0);
         assert_eq!(SimTime(1_500_000).as_secs_f64(), 1.5);
     }

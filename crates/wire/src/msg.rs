@@ -166,10 +166,6 @@ impl SecureRouteRecord {
         self.0.is_empty()
     }
 
-    pub fn contains_ip(&self, a: &Ipv6Addr) -> bool {
-        self.0.iter().any(|e| e.ip == *a)
-    }
-
     /// Drop the proofs, keeping only the traversed addresses (the `RR`
     /// that D extracts from the SRR when building the RREP).
     pub fn to_route_record(&self) -> RouteRecord {
@@ -532,10 +528,8 @@ mod tests {
 
     #[test]
     fn srr_projects_to_rr() {
-        let a = Ipv6Addr::from_groups([0xfec0, 0, 0, 0, 0, 0, 0, 1]);
         let srr = SecureRouteRecord(vec![]);
         assert!(srr.to_route_record().is_empty());
-        assert!(!srr.contains_ip(&a));
     }
 
     #[test]
