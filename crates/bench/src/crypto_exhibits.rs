@@ -17,7 +17,7 @@
 //! cache hit rate on this workload drops to half or below.
 //!
 //! The network and its flows are `campaigns/v1_flood.json`, run through
-//! [`crate::cell`]; `…proto.verify_cache`, `…proto.crypto_backend` and
+//! `crate::cell`; `…proto.verify_cache`, `…proto.crypto_backend` and
 //! `…proto.batch_verify` are the exhibit's knobs.
 
 use crate::documents::V1_FLOOD;

@@ -23,8 +23,8 @@
 //! | V1 (verify pipeline) | [`crypto_exhibits::exhibit_v1`] |
 //!
 //! S1–S3, V1 and the perf gate run committed scenario documents
-//! ([`documents`], embedded from `campaigns/`) down the campaigns' own
-//! path: [`cell`] overrides a document by dotted path, parses it into a
+//! (`documents`, embedded from `campaigns/`) down the campaigns' own
+//! path: `cell` overrides a document by dotted path, parses it into a
 //! `ScenarioSpec`, builds, and drives it with `WorkloadSpec::drive`.
 //! Exhibits print tables and nothing else; the numbers that count are
 //! committed in `bench/history.jsonl` and `bench/baselines/`.

@@ -17,7 +17,7 @@
 //!
 //! S1's quick cell is short, so its rate is taken best-of-two; S2 and
 //! S3 run several wall-seconds and are stable as single samples. Every
-//! cell is a committed document run through [`crate::cell`], as in the
+//! cell is a committed document run through `crate::cell`, as in the
 //! exhibits.
 //!
 //! Knobs (environment):

@@ -24,8 +24,8 @@
 //! committed baseline.
 //!
 //! Every cell is a committed scenario document run through
-//! [`crate::cell`]: S1 is `campaigns/s1_base.json`, S2-plain and S3 are
-//! that document at another population ([`s2_sizes`], [`s3_sizes`]),
+//! `crate::cell`: S1 is `campaigns/s1_base.json`, S2-plain and S3 are
+//! that document at another population (`s2_sizes`, `s3_sizes`),
 //! the secure storm and the secure-scale cell have documents of their
 //! own. A document is its quick cell; `--full` is a handful of
 //! overrides, and a cell's differential knob (`scenario.exec`,

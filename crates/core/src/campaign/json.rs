@@ -117,7 +117,7 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: u32 = 64;
 
 /// Parse one JSON document. Strict: duplicate object keys, trailing
-/// characters, and depth past [`MAX_DEPTH`] are errors.
+/// characters, and depth past `MAX_DEPTH` are errors.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),

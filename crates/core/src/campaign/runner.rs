@@ -26,7 +26,7 @@ use std::path::Path;
 use std::time::Instant;
 
 /// The flat metric keys every run contributes, in report order: the
-/// [`Class::Metric`] rows of the report's field table. Each maps to a
+/// `Class::Metric` rows of the report's field table. Each maps to a
 /// machine-independent `RunReport` field; the wall-derived fields are
 /// *not* here — they appear in the canonical report only as
 /// fingerprint-style masked constants.

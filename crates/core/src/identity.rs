@@ -139,7 +139,7 @@ impl HostIdentity {
     /// sequence number but not the requesting source, and the signature
     /// is deterministic, so every discovery that shares a `seq` gets the
     /// same entry from this relay: it is signed once and remembered, up
-    /// to [`HOP_SIG_MEMO_CAP`] sequence numbers, oldest dropped first.
+    /// to `HOP_SIG_MEMO_CAP` sequence numbers, oldest dropped first.
     pub fn prove_srr_hop(&mut self, seq: Seq) -> IdentityProof {
         let sig = match self.hop_sigs.iter().find(|(s, _)| *s == seq) {
             Some((_, sig)) => sig.clone(),

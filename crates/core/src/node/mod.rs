@@ -4,17 +4,17 @@
 //! One struct covers every role, but the behaviour is split by protocol
 //! layer:
 //!
-//! * [`bootstrap`] — CGA identity, the secure-DAD state machine
+//! * `bootstrap` — CGA identity, the secure-DAD state machine
 //!   (AREQ/AREP/DREP floods and timers, Section 3.1);
-//! * [`routing`] — secure DSR discovery and maintenance
+//! * `routing` — secure DSR discovery and maintenance
 //!   (RREQ/RREP/CREP/RERR plus route probing, Sections 3.3–3.4);
-//! * [`forwarding`] — what the secure stack adds to the shared DSR data
-//!   plane ([`crate::dsr`], which owns source-routed transmission,
+//! * `forwarding` — what the secure stack adds to the shared DSR data
+//!   plane (`crate::dsr`, which owns source-routed transmission,
 //!   Data/Ack retries and the pre-route send buffer for both stacks):
 //!   its hook overrides, local delivery and its non-data queued work;
-//! * [`dnsclient`] — the host side of the DNS services (resolution and
+//! * `dnsclient` — the host side of the DNS services (resolution and
 //!   IP change, Section 3.2); the *server* side lives in [`crate::dns`];
-//! * [`verify`] — the security pipeline every inbound proof passes
+//! * `verify` — the security pipeline every inbound proof passes
 //!   through, backed by a [`manet_crypto::VerifyCache`] that memoizes
 //!   signature verdicts.
 //!

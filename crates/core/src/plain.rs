@@ -2,7 +2,7 @@
 //! experiment.
 //!
 //! The forwarding machinery is not a copy of the secure stack's but the
-//! same code: [`crate::dsr`] moves every source-routed packet for both
+//! same code: `crate::dsr` moves every source-routed packet for both
 //! stacks (envelope source routes, route cache, send buffer, Data/Ack
 //! retries, RERR on link failure), and `PlainDsrNode` runs it with
 //! every hook at its default. What lives here is what plain DSR words

@@ -237,7 +237,7 @@ pub(crate) const FIELDS: &[ReportField] = &[
 
 impl RunReport {
     /// The machine-independent view: every field that must be a pure
-    /// function of (spec, seed), with each [`Class::Machine`] field
+    /// function of (spec, seed), with each `Class::Machine` field
     /// reset to its default. Two runs of the same scenario must compare
     /// equal here.
     pub fn fingerprint(&self) -> RunReport {
@@ -255,7 +255,7 @@ impl RunReport {
     }
 
     /// Hand-rolled JSON (the workspace is offline — no serde), every
-    /// [`FIELDS`] row in table order, rendered into one `String`.
+    /// `FIELDS` row in table order, rendered into one `String`.
     ///
     /// JSON has no NaN or infinity literals, so non-finite floats (an
     /// empty-flow report's ratios, a zero-wall run's infinite rate)

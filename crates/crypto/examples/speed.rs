@@ -48,7 +48,7 @@ fn main() {
         }
         let verify_us = t2.elapsed().as_secs_f64() * 1e6 / iters as f64;
 
-        println!("{bits:>6} {keygen_ms:>14.1} {sign_us:>12.0} {verify_us:>12.0}");
+        println!("{bits:>6} {keygen_ms:>14.2} {sign_us:>12.0} {verify_us:>12.0}");
     }
 
     // SHA-256 throughput (the CGA hash H and every digest-before-sign).

@@ -4,9 +4,10 @@
 //!
 //! * [`uint::Ubig`] — arbitrary-precision unsigned integers (schoolbook
 //!   multiplication, Knuth Algorithm-D division);
-//! * [`modular`] — Montgomery-form modular exponentiation and modular
-//!   inverse;
-//! * [`prime`] — Miller–Rabin testing and random prime generation;
+//! * [`modular`] — Montgomery-form modular exponentiation, the two
+//!   halves of the Baillie–PSW primality test, and modular inverse;
+//! * [`prime`] — Baillie–PSW primality testing and random prime
+//!   generation;
 //! * [`rsa`] — RSA signatures with message recovery, the paper's
 //!   `[msg]XSK` primitive;
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256, the paper's hash `H`;

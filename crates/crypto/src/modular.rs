@@ -1,20 +1,36 @@
-//! Modular arithmetic: Montgomery-form exponentiation and modular inverse.
+//! Modular arithmetic: Montgomery-form exponentiation, the two halves
+//! of the Baillie–PSW primality test, and modular inverse.
 //!
-//! RSA and Miller–Rabin spend essentially all of their time in `modpow`,
-//! so that path is one in-place kernel: a Montgomery multiply that
-//! interleaves multiplication and reduction limb by limb and ends in the
-//! conditional subtract ([`mul_reduce`]), under a fixed 4-bit window
-//! whose table and two alternating accumulators are carved out of one
-//! workspace buffer. The kernel body is compiled twice — over `[u64; 4]`
-//! for the 256-bit primes of an RSA-512 key, over slices for every other
-//! width — and [`mont_mul`] picks. Key generation's composites are
-//! rejected before any of that exists: a Miller–Rabin round to base 2
-//! ([`is_base_two_strong_probable_prime`]) needs only the kernel, a
-//! doubling and three lanes of scratch. The remaining operations
-//! (inverse, plain reduction) are cold and use the generic [`Ubig`]
-//! division.
+//! RSA spends essentially all of its time in `modpow`, and key
+//! generation in the primality test, so both run on one in-place kernel:
+//! a Montgomery multiply that interleaves multiplication and reduction
+//! limb by limb and ends in the conditional subtract (`mul_reduce`).
+//! Exponentiation puts a fixed 4-bit window over it, whose table and two
+//! alternating accumulators are carved out of one workspace buffer. The
+//! kernel body is compiled twice — over `[u64; 4]` for the 256-bit primes
+//! of an RSA-512 key, over slices for every other width — and `mont_mul`
+//! picks.
+//!
+//! The primality test needs no [`MontgomeryCtx`]: both halves keep every
+//! value in Montgomery form and reach it from `R mod n` by doublings and
+//! additions, so neither needs `R²`, a window table or a [`Ubig`]. At the
+//! fixed width their lanes live on the stack; other widths carve them out
+//! of a caller's buffer, which a prime search keeps across candidates.
+//!
+//! - The Miller–Rabin round to base 2 (`is_base_two_strong_probable_prime`)
+//!   computes `2^d` by squarings and doublings, on three lanes: `R mod n`,
+//!   the running value and the spare.
+//! - The strong Lucas test (`is_strong_lucas_probable_prime`) runs the
+//!   sequences `U` and `V` for Selfridge's parameters, on six lanes:
+//!   `R mod n`, `D` and `Q` in Montgomery form, `U`, `V` and `Q^k`, and
+//!   reuses the first as the spare once `D` and `Q` are built. Its
+//!   halvings add `n` to an odd value and shift. Selfridge's search for
+//!   `D` takes one `u64` Jacobi symbol per try, over `n mod |D|`.
+//!
+//! The remaining operations (inverse, plain reduction) are cold and use
+//! the generic [`Ubig`] division.
 
-use crate::limb::{adc, mac, sbb, LIMB_BITS};
+use crate::limb::{adc, add_assign, mac, sbb, shr_small, sub_assign, LIMB_BITS};
 use crate::uint::Ubig;
 
 /// Window table size: `base^1 ..= base^15`, one per non-zero 4-bit digit.
@@ -22,8 +38,8 @@ const TABLE_ENTRIES: usize = 15;
 
 /// The width the kernel is also compiled at with its loops unrolled and
 /// its limbs in registers: the simulator's default RSA-512 keys make
-/// every Miller–Rabin round of key generation and both CRT halves of
-/// every signature a 4-limb exponentiation. Measured per multiply
+/// every primality test of key generation a 4-limb one, and both CRT
+/// halves of every signature a 4-limb exponentiation. Measured per multiply
 /// (docs/ARCHITECTURE.md has the table): 30 → 17 ns at 4 limbs. Fixing
 /// 8 limbs would gain 18 % there, but only RSA-512 verifies run at that
 /// width (2.5 µs each, under a hundred per benchmark rep); at 16 and 32
@@ -113,6 +129,28 @@ fn double_mod(x: &mut [u64], n: &[u64]) {
     reduce_once(x, top, n);
 }
 
+/// `x = x + y mod n` for `x, y < n`.
+fn add_mod(x: &mut [u64], y: &[u64], n: &[u64]) {
+    let carry = add_assign(x, y);
+    reduce_once(x, carry, n);
+}
+
+/// `x = x - y mod n` for `x, y < n`.
+fn sub_mod(x: &mut [u64], y: &[u64], n: &[u64]) {
+    if sub_assign(x, y) != 0 {
+        add_assign(x, n);
+    }
+}
+
+/// `x = x/2 mod n` for `x < n` and odd `n`: an odd `x` becomes the even
+/// `x + n` first, whose carry is the top bit of the shifted value.
+fn half_mod(x: &mut [u64], n: &[u64]) {
+    let top = if x[0] & 1 == 1 { add_assign(x, n) } else { 0 };
+    shr_small(x, 1);
+    let k = x.len();
+    x[k - 1] |= top << (LIMB_BITS - 1);
+}
+
 /// `x ≡ -1` for Montgomery-form `x`, i.e. `x + (R mod n) = n`.
 fn is_minus_one(x: &[u64], one_m: &[u64], n: &[u64]) -> bool {
     let mut carry = 0;
@@ -126,13 +164,60 @@ fn is_minus_one(x: &[u64], one_m: &[u64], n: &[u64]) -> bool {
     carry == 0
 }
 
+/// `x ≡ 0`, in Montgomery form as in any other.
+fn is_zero(x: &[u64]) -> bool {
+    x.iter().all(|&w| w == 0)
+}
+
+/// The bits of a normalized odd `n ≥ 3`, checked the way both halves of
+/// the primality test need it.
+fn odd_modulus_bits(n: &[u64], test: &str) -> u32 {
+    let k = n.len();
+    assert!(
+        k > 0 && n[0] & 1 == 1 && n[k - 1] != 0 && (k > 1 || n[0] >= 3),
+        "{test} needs a normalized odd n >= 3"
+    );
+    k as u32 * LIMB_BITS - n[k - 1].leading_zeros()
+}
+
+/// `one_m = R mod n` for an odd `n` of `bits` bits: `2^(bits-1)` is below
+/// `n`; double it up to `R = 2^(64k)`. One doubling, `R - n`, when the
+/// top bit of the top limb is set.
+fn r_mod_n(one_m: &mut [u64], n: &[u64], bits: u32) {
+    one_m.fill(0);
+    one_m[((bits - 1) / LIMB_BITS) as usize] = 1 << ((bits - 1) % LIMB_BITS);
+    for _ in bits - 1..n.len() as u32 * LIMB_BITS {
+        double_mod(one_m, n);
+    }
+}
+
+/// `x = v·R mod n` for a small signed `v`: `|v|` in Montgomery form by
+/// doubling and adding `R mod n`, negated for a negative `v`.
+fn small_to_mont(x: &mut [u64], v: i64, one_m: &[u64], n: &[u64]) {
+    let magnitude = v.unsigned_abs();
+    x.fill(0);
+    for i in (0..LIMB_BITS - magnitude.leading_zeros()).rev() {
+        double_mod(x, n);
+        if magnitude >> i & 1 == 1 {
+            add_mod(x, one_m, n);
+        }
+    }
+    if v < 0 && !is_zero(x) {
+        let mut borrow = 0;
+        for (w, &n_j) in x.iter_mut().zip(n) {
+            (*w, borrow) = sbb(n_j, *w, borrow);
+        }
+    }
+}
+
 /// One Miller–Rabin round to base 2 for the odd `n ≥ 3` given by its
-/// normalized limbs: the verdict of [`MontgomeryCtx::is_strong_probable_prime`]
-/// with `a = 2`, without the context. In Montgomery form, multiplying by
-/// 2 is [`double_mod`], so `2^d` is squarings and doublings: no `R²`, no
-/// window table, no `Ubig`. At the fixed width the three lanes (`R mod
-/// n`, the running value, the spare) live on the stack; other widths
-/// carve them out of `ws`, which a prime search keeps across candidates.
+/// normalized limbs: true iff `2^d ≡ 1` or `2^(d·2^r) ≡ -1 (mod n)` for
+/// some `r < s`, where `n - 1 = d·2^s` and `d` is odd. In Montgomery form,
+/// multiplying by 2 is a doubling, so `2^d` is squarings and doublings:
+/// no `R²`, no window table, no `Ubig`. At the fixed width the three lanes
+/// (`R mod n`, the running value, the spare) live on the stack; other
+/// widths carve them out of `ws`, which a prime search keeps across
+/// candidates.
 pub(crate) fn is_base_two_strong_probable_prime(n: &[u64], ws: &mut Vec<u64>) -> bool {
     let k = n.len();
     if k == FIXED_LIMBS {
@@ -147,22 +232,12 @@ pub(crate) fn is_base_two_strong_probable_prime(n: &[u64], ws: &mut Vec<u64>) ->
 /// [`is_base_two_strong_probable_prime`] over `3k` limbs of scratch.
 fn base_two_round(n: &[u64], lanes: &mut [u64]) -> bool {
     let k = n.len();
-    assert!(
-        k > 0 && n[0] & 1 == 1 && n[k - 1] != 0 && (k > 1 || n[0] >= 3),
-        "base-2 round needs a normalized odd n >= 3"
-    );
+    let bits = odd_modulus_bits(n, "base-2 round");
     let (one_m, rest) = lanes.split_at_mut(k);
     let (mut acc, mut spare) = rest.split_at_mut(k);
     let n_prime = inv_limb_neg(n[0]);
-    let bits = k as u32 * LIMB_BITS - n[k - 1].leading_zeros();
     let bit = |i: u32| n[(i / LIMB_BITS) as usize] >> (i % LIMB_BITS) & 1 == 1;
-    // R mod n: 2^(bits-1) is below n; double it up to R = 2^(64k). One
-    // doubling, R - n, when the top bit of the top limb is set.
-    one_m.fill(0);
-    one_m[((bits - 1) / LIMB_BITS) as usize] = 1 << ((bits - 1) % LIMB_BITS);
-    for _ in bits - 1..k as u32 * LIMB_BITS {
-        double_mod(one_m, n);
-    }
+    r_mod_n(one_m, n, bits);
     // n - 1 = d·2^s. n is odd, so n - 1 shares n's bits above bit 0: d
     // is n's bits from s up, and its top bit is n's.
     let mut s = 1;
@@ -188,6 +263,164 @@ fn base_two_round(n: &[u64], lanes: &mut [u64]) -> bool {
         if is_minus_one(acc, one_m, n) {
             return true;
         }
+    }
+    false
+}
+
+/// The Jacobi symbol `(a/m)` for odd `m`: the binary algorithm, with
+/// `(2/m) = -1` for `m ≡ ±3 (mod 8)` and reciprocity's sign flip when
+/// both are `3 (mod 4)`.
+fn jacobi(mut a: u64, mut m: u64) -> i32 {
+    debug_assert!(m & 1 == 1);
+    let mut sign = 1;
+    a %= m;
+    while a != 0 {
+        let twos = a.trailing_zeros();
+        a >>= twos;
+        if twos & 1 == 1 && matches!(m & 7, 3 | 5) {
+            sign = -sign;
+        }
+        if a & 3 == 3 && m & 3 == 3 {
+            sign = -sign;
+        }
+        (a, m) = (m % a, a);
+    }
+    if m == 1 {
+        sign
+    } else {
+        0
+    }
+}
+
+/// Once Selfridge's search reaches this `|D|` it asks whether `n` is a
+/// perfect square, for which no `D` gives `(D/n) = -1`. A non-square
+/// almost never gets this far: half of all `n` stop at `D = 5`, and each
+/// further try stops about half of the rest.
+const SQUARE_CHECK_AT: u64 = 65;
+
+/// Selfridge's parameter for `n`: the first `D` of 5, -7, 9, -11, 13, …
+/// with `(D/n) = -1`. `Err` carries the verdict on `n` when the search
+/// decides it instead: `(D/n) = 0` means `n` shares a factor with `|D|`,
+/// and a perfect square has no such `D`.
+fn selfridge_d(n: &Ubig) -> Result<i64, bool> {
+    let mut abs_d = 5u64;
+    loop {
+        // Every D in the sequence is 1 (mod 4), so reciprocity gives
+        // (D/n) = (n/|D|) whatever the signs: no correction is needed.
+        match jacobi(n.rem_limb(abs_d), abs_d) {
+            -1 => {
+                let d = abs_d as i64;
+                return Ok(if abs_d & 3 == 3 { -d } else { d });
+            }
+            // Every odd prime is some |D|, and no earlier |D| shared a
+            // factor with n, so n = |D| is prime — unless it is 9 = 3².
+            0 => return Err(n.to_u64() == Some(abs_d) && abs_d != 9),
+            _ if abs_d == SQUARE_CHECK_AT && is_square(n) => return Err(false),
+            _ => abs_d += 2,
+        }
+    }
+}
+
+/// Whether `n` is a perfect square: Newton's iteration for `⌊√n⌋`,
+/// falling from `2^⌈bits/2⌉`. It allocates, but runs only for the rare
+/// `n` that [`SQUARE_CHECK_AT`] lets through.
+fn is_square(n: &Ubig) -> bool {
+    let mut root = Ubig::one() << n.bit_len().div_ceil(2);
+    loop {
+        let next = (&root + &(n / &root)) >> 1;
+        if next >= root {
+            return &root * &root == *n;
+        }
+        root = next;
+    }
+}
+
+/// The strong Lucas probable-prime test with Selfridge's parameters
+/// (Baillie and Wagstaff, "Lucas pseudoprimes", Math. Comp. 35, 1980;
+/// FIPS 186-4 C.3.3) for an odd `n ≥ 3`: `P = 1` and `Q = (1 - D)/4` for
+/// the `D` of `selfridge_d`. With `n + 1 = d·2^s`, `d` odd, `n` passes iff
+/// `U_d ≡ 0` or `V_(d·2^r) ≡ 0 (mod n)` for some `r < s`. A prime always
+/// passes, and no composite is known to pass both this and the base-2
+/// round. Lanes as for the base-2 round: on the stack at the fixed width,
+/// in `ws` at every other.
+pub(crate) fn is_strong_lucas_probable_prime(n: &Ubig, ws: &mut Vec<u64>) -> bool {
+    let d = match selfridge_d(n) {
+        Ok(d) => d,
+        Err(verdict) => return verdict,
+    };
+    let n = n.limbs();
+    let k = n.len();
+    if k == FIXED_LIMBS {
+        lucas_round(n, d, &mut [0; 6 * FIXED_LIMBS])
+    } else {
+        ws.clear();
+        ws.resize(6 * k, 0);
+        lucas_round(n, d, ws)
+    }
+}
+
+/// [`is_strong_lucas_probable_prime`] for parameter `d` over `6k` limbs
+/// of scratch. Left to right over `d`'s bits, from `U_1 = V_1 = 1`:
+/// `U_2j = U_j·V_j` and `V_2j = V_j² - 2Q^j`; a set bit then steps to
+/// `U_2j+1 = (U_2j + V_2j)/2` and `V_2j+1 = (D·U_2j + V_2j)/2`.
+fn lucas_round(n: &[u64], d: i64, lanes: &mut [u64]) -> bool {
+    let k = n.len();
+    let bits = odd_modulus_bits(n, "Lucas test");
+    let (mut spare, rest) = lanes.split_at_mut(k);
+    let (d_m, rest) = rest.split_at_mut(k);
+    let (q_m, rest) = rest.split_at_mut(k);
+    let (mut u, rest) = rest.split_at_mut(k);
+    let (mut v, mut q_k) = rest.split_at_mut(k);
+    let n_prime = inv_limb_neg(n[0]);
+    let bit = |i: u32| n[(i / LIMB_BITS) as usize] >> (i % LIMB_BITS) & 1 == 1;
+    // R mod n is 1 in Montgomery form: U_1 and V_1. D and Q are built
+    // from it; then its lane is the spare.
+    r_mod_n(spare, n, bits);
+    small_to_mont(d_m, d, spare, n);
+    small_to_mont(q_m, (1 - d) / 4, spare, n);
+    u.copy_from_slice(spare);
+    v.copy_from_slice(spare);
+    q_k.copy_from_slice(q_m);
+    // n + 1 = d·2^s: n's s trailing ones carry into the zero above them.
+    // So d's lowest bit is set and its bit j > 0 is n's bit s + j; d is
+    // 1 when n is all ones.
+    let mut s = 1;
+    while s < bits && bit(s) {
+        s += 1;
+    }
+    let d_bits = bits.saturating_sub(s);
+    for j in (0..d_bits.saturating_sub(1)).rev() {
+        mont_mul(spare, u, v, n, n_prime);
+        core::mem::swap(&mut u, &mut spare);
+        mont_mul(spare, v, v, n, n_prime);
+        core::mem::swap(&mut v, &mut spare);
+        sub_mod(v, q_k, n);
+        sub_mod(v, q_k, n);
+        mont_mul(spare, q_k, q_k, n, n_prime);
+        core::mem::swap(&mut q_k, &mut spare);
+        if j == 0 || bit(s + j) {
+            mont_mul(spare, d_m, u, n, n_prime);
+            add_mod(u, v, n);
+            half_mod(u, n);
+            add_mod(v, spare, n);
+            half_mod(v, n);
+            mont_mul(spare, q_k, q_m, n, n_prime);
+            core::mem::swap(&mut q_k, &mut spare);
+        }
+    }
+    if is_zero(u) || is_zero(v) {
+        return true;
+    }
+    for _ in 1..s {
+        mont_mul(spare, v, v, n, n_prime);
+        core::mem::swap(&mut v, &mut spare);
+        sub_mod(v, q_k, n);
+        sub_mod(v, q_k, n);
+        if is_zero(v) {
+            return true;
+        }
+        mont_mul(spare, q_k, q_k, n, n_prime);
+        core::mem::swap(&mut q_k, &mut spare);
     }
     false
 }
@@ -254,11 +487,9 @@ impl MontgomeryCtx {
         &self.n
     }
 
-    /// A zeroed scratch buffer for one exponentiation at a time: window
-    /// table and two accumulators. `modpow` makes one per call;
-    /// [`Self::is_strong_probable_prime`] takes the caller's, so
-    /// Miller–Rabin reuses one across its rounds.
-    pub fn workspace(&self) -> Vec<u64> {
+    /// A zeroed scratch buffer for one exponentiation: window table and
+    /// two accumulators.
+    fn workspace(&self) -> Vec<u64> {
         vec![0; self.workspace_len()]
     }
 
@@ -360,24 +591,6 @@ impl MontgomeryCtx {
         l.table[0] = 1;
         self.mul_assign(&mut l, 1);
         Ubig::from_limbs(l.acc.to_vec())
-    }
-
-    /// One Miller–Rabin round for `n - 1 = d·2^s` (`d` odd, `s ≥ 1`):
-    /// true iff `a^d ≡ 1` or `a^(d·2^r) ≡ -1 (mod n)` for some `r < s`.
-    /// `x` stays in Montgomery form through the squarings.
-    pub fn is_strong_probable_prime(&self, ws: &mut [u64], a: &Ubig, d: &Ubig, s: u32) -> bool {
-        let mut l = self.lanes(ws);
-        self.pow_mont(&mut l, a, d);
-        if *l.acc == *self.one_m || is_minus_one(l.acc, &self.one_m, self.n.limbs()) {
-            return true;
-        }
-        for _ in 1..s {
-            self.sqr_assign(&mut l);
-            if is_minus_one(l.acc, &self.one_m, self.n.limbs()) {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -616,19 +829,25 @@ mod tests {
         }
     }
 
-    /// The round [`is_base_two_strong_probable_prime`] replaces: a
-    /// Montgomery context, its workspace and `a = 2`.
-    fn context_round_to_base_two(n: &Ubig) -> bool {
+    /// The textbook round to base 2 over the division-based
+    /// [`naive_modpow`]: no Montgomery kernel, no lanes.
+    fn textbook_round_to_base_two(n: &Ubig) -> bool {
         let n_minus_1 = n - &Ubig::one();
         let s = n_minus_1.trailing_zeros();
-        let ctx = MontgomeryCtx::new(n);
-        ctx.is_strong_probable_prime(&mut ctx.workspace(), &u(2), &(n_minus_1 >> s), s)
+        let mut x = naive_modpow(&u(2), &(n_minus_1.clone() >> s), n);
+        if x.is_one() || x == n_minus_1 {
+            return true;
+        }
+        (1..s).any(|_| {
+            x = (&x * &x).div_rem(n).1;
+            x == n_minus_1
+        })
     }
 
     /// Both rounds' verdict on `n`, which must agree.
     fn base_two_verdict(n: &Ubig, ws: &mut Vec<u64>) -> bool {
         let stack = is_base_two_strong_probable_prime(n.limbs(), ws);
-        assert_eq!(stack, context_round_to_base_two(n), "n = {n}");
+        assert_eq!(stack, textbook_round_to_base_two(n), "n = {n}");
         stack
     }
 
@@ -641,8 +860,14 @@ mod tests {
         Ubig::from_limbs(limbs.to_vec())
     }
 
+    fn is_composite(n: u64) -> bool {
+        (2..n)
+            .take_while(|d| d * d <= n)
+            .any(|d| n.is_multiple_of(d))
+    }
+
     #[test]
-    fn base_two_round_matches_the_context_round() {
+    fn base_two_round_matches_the_textbook_round() {
         use crate::prime::gen_prime;
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(2);
@@ -673,16 +898,16 @@ mod tests {
         let liars = (3..5_000u64)
             .step_by(2)
             .filter(|&n| base_two_verdict(&u(n), &mut ws))
-            .filter(|&n| (3..n).take_while(|d| d * d <= n).any(|d| n % d == 0))
+            .filter(|&n| is_composite(n))
             .collect::<Vec<_>>();
         assert_eq!(liars, [2047, 3277, 4033, 4681]);
     }
 
     /// The same comparison over 100,000 candidates drawn as
-    /// `gen_prime(256)` draws them (about 3 s in release).
+    /// `gen_prime(256)` draws them.
     #[test]
     #[ignore]
-    fn base_two_round_matches_the_context_round_over_100k_candidates() {
+    fn base_two_round_matches_the_textbook_round_over_100k_candidates() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(100_000);
         let mut ws = Vec::new();
@@ -690,6 +915,237 @@ mod tests {
             .filter(|_| base_two_verdict(&candidate_256(&mut rng), &mut ws))
             .count();
         assert!((900..1_400).contains(&passed), "{passed} of 100,000 passed");
+    }
+
+    /// `(a/p)` for an odd prime `p` by Euler's criterion, `a^((p-1)/2)`.
+    fn legendre(a: u64, p: u64) -> i32 {
+        match naive_modpow(&u(a), &u((p - 1) / 2), &u(p)).to_u64() {
+            Some(0) => 0,
+            Some(1) => 1,
+            _ => -1,
+        }
+    }
+
+    #[test]
+    fn jacobi_is_the_product_of_legendre_symbols_over_the_factors() {
+        for m in (3..400u64).step_by(2) {
+            for a in 0..500 {
+                let (mut rest, mut expect) = (m, 1);
+                for p in (3..=m).step_by(2) {
+                    while rest % p == 0 {
+                        expect *= legendre(a, p);
+                        rest /= p;
+                    }
+                }
+                assert_eq!(jacobi(a, m), expect, "({a}/{m})");
+            }
+        }
+    }
+
+    /// `(d/n)` over `Ubig` by the general rules: `(-1/n)` for a negative
+    /// `d`, then halving and reciprocity.
+    fn textbook_jacobi(d: i64, n: &Ubig) -> i32 {
+        let mut sign = if d < 0 && n.rem_limb(4) == 3 { -1 } else { 1 };
+        let mut a = &u(d.unsigned_abs()) % n;
+        let mut m = n.clone();
+        while !a.is_zero() {
+            while a.is_even() {
+                a = a >> 1;
+                if matches!(m.rem_limb(8), 3 | 5) {
+                    sign = -sign;
+                }
+            }
+            if a.rem_limb(4) == 3 && m.rem_limb(4) == 3 {
+                sign = -sign;
+            }
+            (a, m) = (&m % &a, a);
+        }
+        if m.is_one() {
+            sign
+        } else {
+            0
+        }
+    }
+
+    /// `x·y mod n` for two-by-two matrices over `Ubig`.
+    fn mat_mul(x: &[[Ubig; 2]; 2], y: &[[Ubig; 2]; 2], n: &Ubig) -> [[Ubig; 2]; 2] {
+        let entry = |i: usize, j: usize| &(&(&x[i][0] * &y[0][j]) + &(&x[i][1] * &y[1][j])) % n;
+        [[entry(0, 0), entry(0, 1)], [entry(1, 0), entry(1, 1)]]
+    }
+
+    /// The strong Lucas test from its definition, over `Ubig` and with no
+    /// halving: Selfridge's `D` by [`textbook_jacobi`], then powers of
+    /// `M = [[P, -Q], [1, 0]]`, whose `m`-th power has first column
+    /// `(U_(m+1), U_m)`, so that `V_m = 2·U_(m+1) - P·U_m`. Loops forever
+    /// on a perfect square with no factor below its root's: keep those
+    /// out.
+    fn textbook_lucas(n: &Ubig) -> bool {
+        let mut d = 5i64;
+        loop {
+            match textbook_jacobi(d, n) {
+                -1 => break,
+                0 => {
+                    let abs_d = d.unsigned_abs();
+                    return n.to_u64() == Some(abs_d) && !is_composite(abs_d);
+                }
+                _ => d = if d > 0 { -(d + 2) } else { 2 - d },
+            }
+        }
+        let signed = |v: i64| {
+            let m = &u(v.unsigned_abs()) % n;
+            if v < 0 && !m.is_zero() {
+                n - &m
+            } else {
+                m
+            }
+        };
+        let (one, zero) = (Ubig::one(), Ubig::zero());
+        let m = [
+            [signed(1), signed((d - 1) / 4)],
+            [one.clone(), zero.clone()],
+        ];
+        let n_plus_1 = n + &one;
+        let s = n_plus_1.trailing_zeros();
+        let exp = n_plus_1 >> s;
+        let mut power = [[one.clone(), zero.clone()], [zero, one]];
+        for i in (0..exp.bit_len()).rev() {
+            power = mat_mul(&power, &power, n);
+            if exp.bit(i) {
+                power = mat_mul(&power, &m, n);
+            }
+        }
+        let v_is_zero = |power: &[[Ubig; 2]; 2]| {
+            let two_u_next = &(&power[0][0] + &power[0][0]) % n;
+            two_u_next == power[1][0]
+        };
+        if power[1][0].is_zero() || v_is_zero(&power) {
+            return true;
+        }
+        (1..s).any(|_| {
+            power = mat_mul(&power, &power, n);
+            v_is_zero(&power)
+        })
+    }
+
+    /// Both Lucas tests' verdict on `n`, which must agree.
+    fn lucas_verdict(n: &Ubig, ws: &mut Vec<u64>) -> bool {
+        let lanes = is_strong_lucas_probable_prime(n, ws);
+        assert_eq!(lanes, textbook_lucas(n), "n = {n}");
+        lanes
+    }
+
+    #[test]
+    fn lucas_test_matches_its_definition() {
+        use crate::prime::gen_prime;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(3);
+        let mut ws = Vec::new();
+        // Every odd number from 3 up to the third strong Lucas
+        // pseudoprime, 10877.
+        for n in (3..11_000u64).step_by(2) {
+            lucas_verdict(&u(n), &mut ws);
+        }
+        // Primes at every width pass; products of two primes fail.
+        for bits in [256, 256, 192, 100, 320, 512] {
+            let p = gen_prime(bits, &mut rng);
+            assert!(lucas_verdict(&p, &mut ws), "prime {p}");
+            let pq = &gen_prime(bits / 2, &mut rng) * &gen_prime(bits / 2, &mut rng);
+            assert!(!lucas_verdict(&pq, &mut ws), "p·q = {pq}");
+        }
+    }
+
+    /// Each half of Baillie–PSW catches what the other lets through.
+    #[test]
+    fn each_half_rejects_the_other_halfs_pseudoprimes() {
+        let mut ws = Vec::new();
+        // The strong pseudoprimes to base 2 below 5,000, and one that is
+        // also strong to the eight other primes up to 23.
+        for n in [2047u64, 3277, 4033, 4681, 3825123056546413051] {
+            assert!(is_base_two_strong_probable_prime(&[n], &mut ws), "{n}");
+            assert!(!is_strong_lucas_probable_prime(&u(n), &mut ws), "{n}");
+        }
+        // The first strong Lucas pseudoprimes (OEIS A217255).
+        for n in [5459u64, 5777, 10877] {
+            assert!(is_strong_lucas_probable_prime(&u(n), &mut ws), "{n}");
+            assert!(!is_base_two_strong_probable_prime(&[n], &mut ws), "{n}");
+        }
+    }
+
+    /// The composites below 100,000 that pass the Lucas test are exactly
+    /// the strong Lucas pseudoprimes of OEIS A217255.
+    #[test]
+    fn strong_lucas_pseudoprimes_below_100k_are_oeis_a217255() {
+        let mut ws = Vec::new();
+        let liars = (3..100_000u64)
+            .step_by(2)
+            .filter(|&n| is_strong_lucas_probable_prime(&u(n), &mut ws))
+            .filter(|&n| is_composite(n))
+            .collect::<Vec<_>>();
+        assert_eq!(
+            liars,
+            [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+        );
+    }
+
+    /// The Lucas test against its definition on every odd number below
+    /// 2^18, on 2,000 candidates drawn as `gen_prime(256)` draws them and
+    /// on primes and products of two primes across widths.
+    #[test]
+    #[ignore]
+    fn lucas_test_matches_its_definition_over_a_sweep() {
+        use crate::prime::gen_prime;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(18);
+        let mut ws = Vec::new();
+        let passed = (3..1u64 << 18)
+            .step_by(2)
+            .filter(|&n| lucas_verdict(&u(n), &mut ws))
+            .count();
+        // The 22,999 odd primes below 2^18 and its 30 strong Lucas
+        // pseudoprimes.
+        assert_eq!(passed, 22_999 + 30);
+        for _ in 0..2_000 {
+            lucas_verdict(&candidate_256(&mut rng), &mut ws);
+        }
+        for bits in [64, 100, 128, 192, 256, 320, 384, 512] {
+            for _ in 0..16 {
+                let p = gen_prime(bits, &mut rng);
+                assert!(lucas_verdict(&p, &mut ws), "prime {p}");
+                let pq = &gen_prime(bits / 2, &mut rng) * &gen_prime(bits / 2, &mut rng);
+                assert!(!lucas_verdict(&pq, &mut ws), "p·q = {pq}");
+            }
+        }
+    }
+
+    /// A perfect square has no `D` with `(D/n) = -1`: the search must
+    /// refuse it rather than run on. Checked on a thread, so that a
+    /// search that never ends fails the test instead of hanging it.
+    #[test]
+    fn perfect_squares_end_the_d_search() {
+        use crate::prime::gen_prime;
+        use rand::SeedableRng;
+        let p = gen_prime(128, &mut rand_chacha::ChaCha12Rng::seed_from_u64(128));
+        let squares = [
+            &p * &p,
+            u(1009 * 1009),
+            u(9),
+            u(25),
+            u(3 * 3 * 5 * 5 * 7 * 7),
+        ];
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut ws = Vec::new();
+            for n in &squares {
+                let _ = tx.send((n.clone(), is_strong_lucas_probable_prime(n, &mut ws)));
+            }
+        });
+        for _ in 0..5 {
+            let (n, verdict) = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("the D search did not end"));
+            assert!(!verdict, "the square {n} passed");
+        }
+        assert!(is_square(&(&p * &p)) && !is_square(&(&(&p * &p) - &Ubig::one())));
     }
 
     #[test]

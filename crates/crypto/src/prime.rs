@@ -1,32 +1,35 @@
-//! Probabilistic primality testing and random prime generation.
+//! Primality testing and random prime generation.
 //!
-//! Miller–Rabin with a small-prime pre-sieve. Prime generation is the
+//! Baillie–PSW behind a small-prime pre-sieve. Prime generation is the
 //! dominant cost of RSA key generation; the sieve rejects ~80% of odd
-//! candidates before any modular exponentiation runs.
+//! candidates before any modular arithmetic runs.
 //!
-//! Two round counts. [`is_prime`] answers for a number of unknown origin
-//! and runs the worst-case 40 rounds. [`gen_prime`] tests candidates it
-//! drew uniformly itself, for which [`rounds_for_random`] rounds reach
-//! the same 2^-80 (12 at 256 bits). Either way the bases are a function
-//! of the number under test ([`Witnesses`]), so the key generator is
-//! consumed by candidate draws only: changing a round count changes no
-//! key, address, golden trace or fingerprint.
+//! Baillie–PSW is two tests that fail in different places: a Miller–Rabin
+//! round to base 2, then a strong Lucas probable-prime test with
+//! Selfridge's parameters (both in [`crate::modular`]). Every prime passes
+//! both. No composite is known to pass both: none exists below 2^64,
+//! where the test has been checked exhaustively, and in the forty-odd
+//! years since Baillie and Wagstaff none has been found above, although
+//! the test carries no proven error bound. [`is_prime`] and [`gen_prime`]
+//! run the same test; which number is tested changes nothing in it.
 //!
-//! In front of the counted rounds runs one round to base 2, a filter: it
-//! needs no Montgomery context (at 256 bits it allocates nothing), and
-//! nearly every composite that gets past the sieve fails it, so only a
-//! prime or a rare strong pseudoprime to base 2 pays for a context and a
-//! witness stream. Primes always pass it, so it rejects nothing the
-//! counted rounds would accept except a composite, and no key moves
-//! unless a composite had passed every hash-derived round (below 2^-80).
-//! The round counts, and the error bounds behind them, count the
-//! hash-derived rounds only: a fixed base is no random round, and the
-//! filter is not credited.
+//! Nearly every composite that gets past the sieve fails the base-2 round,
+//! so the Lucas test runs about once per prime found. At 256 bits both
+//! halves work on the stack and allocate nothing.
+//!
+//! The test draws nothing, so the key generator is consumed by candidate
+//! draws only: every key, address, golden trace and fingerprint depends on
+//! which candidates are drawn, and the test only has to accept the first
+//! prime among them.
+//!
+//! Nothing points [`is_prime`] at a received value: `PublicKey::from_parts`
+//! sees public keys only, and no node tests a number it was sent. A test
+//! with fixed parameters would need its own review before it met numbers
+//! an adversary picks.
 
-use crate::modular::{is_base_two_strong_probable_prime, MontgomeryCtx};
-use crate::sha256::Sha256;
+use crate::modular::{is_base_two_strong_probable_prime, is_strong_lucas_probable_prime};
 use crate::uint::Ubig;
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// Primes below 1000, used for trial-division sieving.
 const SMALL_PRIMES: [u64; 168] = [
@@ -41,68 +44,15 @@ const SMALL_PRIMES: [u64; 168] = [
     937, 941, 947, 953, 967, 971, 977, 983, 991, 997,
 ];
 
-/// Miller–Rabin rounds for a number of unknown origin. A round passes a
-/// composite with probability at most 1/4 whatever the composite, so 40
-/// rounds give the worst-case bound 4^-40 = 2^-80.
-const WORST_CASE_ROUNDS: usize = 40;
-
-/// Lower edge in bits → rounds, widest first (see [`rounds_for_random`]).
-const AVERAGE_CASE_ROUNDS: [(u32, usize); 12] = [
-    (1300, 2),
-    (850, 3),
-    (650, 4),
-    (550, 5),
-    (450, 6),
-    (400, 7),
-    (350, 8),
-    (300, 9),
-    (250, 12),
-    (200, 15),
-    (150, 18),
-    (100, 27),
-];
-
-/// Miller–Rabin rounds that leave a *uniformly drawn* odd `bits`-bit
-/// number composite with probability below 2^-80: the average-case
-/// estimates of Damgård, Landrock and Pomerance ("Average case error
-/// estimates for the strong probable prime test", Math. Comp. 61, 1993;
-/// tabulated as Table 4.4 of the Handbook of Applied Cryptography). Most
-/// composites have far fewer strong liars than the worst case's quarter
-/// of all bases, and a random draw rarely lands on the bad ones. Below
-/// 100 bits the estimates say nothing and the worst-case count stands.
-///
-/// `gen_prime` fixes the second-highest bit of its candidates, halving
-/// the set it draws from, which in the worst accounting doubles the
-/// error. The 256-bit primes of the default RSA-512 key keep four bits
-/// in hand for that (2^-84.6; `tests/properties.rs` evaluates the
-/// estimates row by row); a size on a row's lower edge reads 2^-79, as
-/// it does under FIPS 186-4 Table C.2, which applies the same estimates
-/// to primes drawn from the top of their range. The pre-sieve only
-/// removes composites, so it cannot raise the error.
-pub fn rounds_for_random(bits: u32) -> usize {
-    AVERAGE_CASE_ROUNDS
-        .iter()
-        .find(|&&(edge, _)| bits >= edge)
-        .map_or(WORST_CASE_ROUNDS, |&(_, rounds)| rounds)
-}
-
-/// Primality of an arbitrary `n`: trial division, then the worst-case
-/// 40 Miller–Rabin rounds, error ≤ 4^-40 per composite.
-///
-/// A pure function of `n`: the bases are [`Witnesses`] of `n`, not draws
-/// from a caller's generator. That is enough today because nothing tests
-/// *adversarial* numbers — `PublicKey::from_parts` sees public keys
-/// only, and no received value is ever tested for primality. Whoever
-/// picks `n` also knows its bases, yet a composite that fools 40
-/// hash-derived bases still takes a 2^80 search; draw the bases from a
-/// secret generator before pointing this at hostile input all the same.
+/// Primality of an arbitrary `n`: trial division, then Baillie–PSW
+/// (module doc).
 pub fn is_prime(n: &Ubig) -> bool {
-    probable_prime(n, WORST_CASE_ROUNDS, &mut Vec::new())
+    probable_prime(n, &mut Vec::new())
 }
 
-/// Trial division by the primes below 1000, then `rounds` rounds after
-/// the base-2 filter; `ws` is the filter's scratch (see [`miller_rabin`]).
-fn probable_prime(n: &Ubig, rounds: usize, ws: &mut Vec<u64>) -> bool {
+/// Trial division by the primes below 1000, then Baillie–PSW; `ws` is
+/// its scratch at widths other than 4 limbs.
+fn probable_prime(n: &Ubig, ws: &mut Vec<u64>) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }
@@ -123,107 +73,18 @@ fn probable_prime(n: &Ubig, rounds: usize, ws: &mut Vec<u64>) -> bool {
         }
         primes = &primes[taken..];
     }
-    miller_rabin(n, rounds, ws)
+    baillie_psw(n, ws)
 }
 
-/// Miller–Rabin on the first `rounds` [`Witnesses`] of `n`, behind the
-/// uncounted base-2 filter (module doc), whose scratch at widths other
-/// than 4 limbs is `ws`. Every base lies in `[2, n-2]`, so every counted
-/// round tests.
+/// The Miller–Rabin round to base 2, then, for the few numbers that pass
+/// it, the strong Lucas test; `ws` is their scratch at widths other than
+/// 4 limbs.
 ///
 /// # Panics
-/// If `n` is even or below 5. `probable_prime` hands over only numbers
+/// If `n` is even or below 3. `probable_prime` hands over only numbers
 /// without a prime factor below 1000.
-fn miller_rabin(n: &Ubig, rounds: usize, ws: &mut Vec<u64>) -> bool {
-    assert!(!n.is_even(), "Miller–Rabin needs an odd n, got {n}");
-    if !is_base_two_strong_probable_prime(n.limbs(), ws) {
-        return false;
-    }
-    let witnesses = Witnesses::new(n);
-    let n_minus_1 = n - &Ubig::one();
-    let s = n_minus_1.trailing_zeros();
-    let d = n_minus_1 >> s;
-    let ctx = MontgomeryCtx::new(n);
-    let mut ws = ctx.workspace();
-    witnesses
-        .take(rounds)
-        .all(|a| ctx.is_strong_probable_prime(&mut ws, &a, &d, s))
-}
-
-/// The Miller–Rabin bases of `n`: an endless sequence, uniform in
-/// `[2, n-2]`, that [`random_below`] draws from SHA-256 in counter mode
-/// over `n` — block `i` is `SHA-256(n ‖ i)`, `n` as minimal big-endian
-/// bytes and `i` as eight, read as four big-endian words.
-pub struct Witnesses {
-    /// `n - 3`; a base is `2 + random_below(span)`, so no draw is discarded.
-    span: Ubig,
-    stream: HashStream,
-}
-
-impl Witnesses {
-    /// # Panics
-    /// If `n < 5`: `[2, n-2]` holds no base worth a round.
-    pub fn new(n: &Ubig) -> Self {
-        let below_five = n.to_u64().is_some_and(|small| small < 5);
-        assert!(!below_five, "no Miller–Rabin base for n = {n}");
-        let mut absorbed = Sha256::new();
-        absorbed.update(&n.to_be_bytes());
-        Witnesses {
-            span: n - &Ubig::from(3u64),
-            stream: HashStream {
-                absorbed,
-                block: 0,
-                words: [0; 4],
-                unread: 0,
-            },
-        }
-    }
-}
-
-impl Iterator for Witnesses {
-    type Item = Ubig;
-
-    fn next(&mut self) -> Option<Ubig> {
-        Some(random_below(&self.span, &mut self.stream) + Ubig::from(2u64))
-    }
-}
-
-/// SHA-256 in counter mode as a generator of 64-bit words.
-struct HashStream {
-    /// A hasher that has absorbed the seed bytes; each block clones it.
-    absorbed: Sha256,
-    block: u64,
-    words: [u64; 4],
-    /// How many words of the current block are still to be handed out.
-    unread: usize,
-}
-
-impl RngCore for HashStream {
-    fn next_u64(&mut self) -> u64 {
-        if self.unread == 0 {
-            let mut hasher = self.absorbed.clone();
-            hasher.update(&self.block.to_be_bytes());
-            let digest = hasher.finalize();
-            for (word, bytes) in self.words.iter_mut().zip(digest.chunks_exact(8)) {
-                *word = bytes.iter().fold(0, |w, &b| w << 8 | u64::from(b));
-            }
-            self.block += 1;
-            self.unread = self.words.len();
-        }
-        self.unread -= 1;
-        self.words[self.words.len() - 1 - self.unread]
-    }
-
-    fn next_u32(&mut self) -> u32 {
-        self.next_u64() as u32
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_be_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
+fn baillie_psw(n: &Ubig, ws: &mut Vec<u64>) -> bool {
+    is_base_two_strong_probable_prime(n.limbs(), ws) && is_strong_lucas_probable_prime(n, ws)
 }
 
 /// Uniform random value in `[0, bound)`.
@@ -262,17 +123,15 @@ fn draw_bits<R: Rng>(limbs: &mut Vec<u64>, bits: u32, rng: &mut R) {
 /// moduli built from two such primes have exactly `2*bits` bits).
 ///
 /// Candidates are independent uniform draws — not `candidate += 2`, which
-/// would favour primes after long gaps — each tested with
-/// [`rounds_for_random`]`(bits)` rounds; `rng` is consumed by the draws
-/// alone. One limb buffer serves every candidate, and one scratch buffer
-/// every base-2 round.
+/// would favour primes after long gaps — each tested by Baillie–PSW; `rng`
+/// is consumed by the draws alone. One limb buffer serves every candidate,
+/// and one scratch buffer every test.
 ///
 /// # Panics
 /// Panics if `bits < 16`: such tiny primes make no sense for the RSA layer
 /// and break the "top two bits" construction.
 pub fn gen_prime<R: Rng>(bits: u32, rng: &mut R) -> Ubig {
     assert!(bits >= 16, "prime size too small: {bits} bits");
-    let rounds = rounds_for_random(bits);
     let mut limbs = Vec::new();
     let mut ws = Vec::new();
     loop {
@@ -281,7 +140,7 @@ pub fn gen_prime<R: Rng>(bits: u32, rng: &mut R) -> Ubig {
         candidate.set_bit(bits - 1);
         candidate.set_bit(bits - 2);
         candidate.set_bit(0);
-        if probable_prime(&candidate, rounds, &mut ws) {
+        if probable_prime(&candidate, &mut ws) {
             return candidate;
         }
         limbs = candidate.into_limbs();
@@ -356,34 +215,24 @@ mod tests {
         }
     }
 
-    /// Every counted round tests: the smallest numbers Miller–Rabin
-    /// accepts have bases left to draw (for 5 the only one, 2; 3 for 7),
-    /// and none is ever 0, 1 or n - 1.
+    /// Past the sieve, below 1009² only primes reach Baillie–PSW; above
+    /// it, the products of two primes from 1009 up reach it too.
     #[test]
-    fn witnesses_stay_inside_two_to_n_minus_two() {
-        for n in [5u64, 7, 9, 1009, u64::MAX] {
-            let big = Ubig::from(n);
-            for a in Witnesses::new(&big).take(200) {
-                let a = a.to_u64().expect("below n");
-                assert!((2..=n - 2).contains(&a), "base {a} for n = {n}");
-            }
+    fn agrees_with_trial_division_on_every_odd_number_below_two_to_the_twenty() {
+        for n in (1u64..1 << 20).step_by(2) {
+            let expect = n > 1
+                && (3..n)
+                    .step_by(2)
+                    .take_while(|d| d * d <= n)
+                    .all(|d| n % d != 0);
+            assert_eq!(is_prime(&Ubig::from(n)), expect, "n={n}");
         }
-        // Tiny odd numbers get past the sieve only in this test.
-        assert!(miller_rabin(&Ubig::from(5u64), 40, &mut Vec::new()));
-        assert!(miller_rabin(&Ubig::from(7u64), 40, &mut Vec::new()));
-        assert!(!miller_rabin(&Ubig::from(9u64), 40, &mut Vec::new()));
     }
 
     #[test]
     #[should_panic(expected = "odd n")]
     fn miller_rabin_refuses_an_even_number_in_release_too() {
-        miller_rabin(&Ubig::from(1000u64), 1, &mut Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "no Miller–Rabin base")]
-    fn miller_rabin_refuses_three() {
-        miller_rabin(&Ubig::from(3u64), 1, &mut Vec::new());
+        baillie_psw(&Ubig::from(1000u64), &mut Vec::new());
     }
 
     #[test]

@@ -87,13 +87,18 @@ impl Sha256 {
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.len.wrapping_mul(8);
-        // Append 0x80, pad with zeros to 56 mod 64, then 64-bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit
+        // length, all in the buffer: padding is not message, so it goes
+        // around `update` and its count. A buffer with no room left for
+        // the length is compressed first, and a zero block takes it.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0; 64];
         }
-        // The length bytes must not be counted again; write directly.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
 
@@ -226,6 +231,22 @@ mod tests {
         assert_eq!(
             hex(&sha256(&data)),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
+    }
+
+    /// Every padding case, from an empty block to one whose length no
+    /// longer fits: the digests of `abc…` cut to 0..=130 bytes, hashed
+    /// in turn (known answer from an independent implementation).
+    #[test]
+    fn padding_at_every_length_known_answer() {
+        let alphabet: Vec<u8> = (0..130).map(|i| b'a' + i % 26).collect();
+        let mut chain = Sha256::new();
+        for len in 0..=alphabet.len() {
+            chain.update(&sha256(&alphabet[..len]));
+        }
+        assert_eq!(
+            hex(&chain.finalize()),
+            "5156a9485b3b117e82f805d61682130bc74836138f91229e4d96a0e9c57046aa"
         );
     }
 

@@ -3,7 +3,7 @@
 //! which a protocol callback interacts with the world.
 //!
 //! Everything a protocol can do during a callback is buffered in a
-//! [`CtxOut`] and applied by the engine when the callback returns, so
+//! `CtxOut` and applied by the engine when the callback returns, so
 //! protocol code can never observe (or corrupt) engine internals
 //! mid-event.
 

@@ -84,7 +84,7 @@
 //! ## Event store
 //!
 //! Every queue the engine pops — each shard's and the barrier's — is a
-//! [`crate::wheel::TimerWheel`]; the only binary heap is a shard's
+//! `crate::wheel::TimerWheel`; the only binary heap is a shard's
 //! in-window store, which is also the reference the wheel is tested
 //! against.
 

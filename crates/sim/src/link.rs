@@ -3,7 +3,7 @@
 //! Broadcast delivery, [`Engine::neighbors`], and
 //! [`Engine::connected_component`] all reduce to one primitive — "which
 //! nodes could possibly hear a transmission from this position?" — and
-//! the uniform spatial grid ([`crate::grid`]) answers it: the 3×3 cell
+//! the uniform spatial grid (`crate::grid`) answers it: the 3×3 cell
 //! neighborhood of the sender, O(density) per transmission. Candidates
 //! come back in ascending [`NodeId`] order and the liveness/range
 //! filters run before any RNG draw, so a grid with a single cell (every
@@ -11,8 +11,8 @@
 //! bit-identical under the same seed; that one-cell grid is the
 //! engine's test oracle (`engine/tests.rs`).
 //!
-//! Transmission itself ([`transmit_into`]) is a free function over a
-//! borrowed [`LinkEnv`] rather than an `Engine` method: the sharded
+//! Transmission itself (`transmit_into`) is a free function over a
+//! borrowed `LinkEnv` rather than an `Engine` method: the sharded
 //! executor runs it concurrently from worker threads (each with its own
 //! RNG, metrics, and output buffer) against the same shared read-only
 //! world, and the single-threaded path calls the identical code — one

@@ -11,8 +11,8 @@
 //!
 //! The secure stack gets a second ratchet: allocations per RSA key
 //! generation, signature and verification, so bignum temporaries cannot
-//! creep back into the Montgomery kernel unnoticed (a composite that
-//! fails the base-2 round is held at zero), and a third one
+//! creep back into the Montgomery kernel unnoticed (the primality test of
+//! a 256-bit composite or prime is held at zero), and a third one
 //! covers a relay answering an RREQ from its hop-signature memo. The
 //! flood path is held at zero: a duplicate RREQ or AREQ copy, a relay's
 //! prefetch of an RREQ it does not answer, the encode of a relayed RREQ
@@ -65,18 +65,14 @@ fn metered() -> MutexGuard<'static, ()> {
 const MAX_ALLOCS_PER_DELIVERY: u64 = 55;
 
 /// Ceilings per RSA-512 operation over what the in-place kernel
-/// measures: 178 per key (× 1.3 — the Montgomery context and witness
-/// stream of the one candidate per prime that passes the base-2 round,
-/// and the key's own integers and contexts; a composite the base-2 round
-/// rejects allocates nothing), 27 per signature (6 of them the
-/// debug-build fault check's verify) and 6 per verification (× 2). Key
-/// generation made 1,473 on these keys while `q_inv` came from the
-/// extended Euclid (662 of them) and every sieve survivor built a
-/// context, workspace and witness stream (732 for the two prime
-/// searches). With `Ubig` temporaries per Montgomery step the
-/// same operations made ≈150k / ≈2.7k / ≈70 allocations; one stray `Vec`
-/// per multiply lands an order of magnitude over these.
-const MAX_ALLOCS_PER_KEYGEN: u64 = 231;
+/// measures: 86 per key (× 1.3 — the key's own integers and contexts;
+/// the primality test allocates nothing at 256 bits, on a composite or a
+/// prime), 27 per signature (6 of them the debug-build fault check's
+/// verify) and 6 per verification (× 2). With `Ubig` temporaries per
+/// Montgomery step the same operations made ≈150k / ≈2.7k / ≈70
+/// allocations; one stray `Vec` per multiply lands an order of magnitude
+/// over these.
+const MAX_ALLOCS_PER_KEYGEN: u64 = 112;
 const MAX_ALLOCS_PER_SIGN: u64 = 54;
 const MAX_ALLOCS_PER_VERIFY: u64 = 12;
 
@@ -193,7 +189,8 @@ fn secure_stack_allocs_per_operation_bound() {
 }
 
 /// Nearly every candidate a prime search tests is a composite that fails
-/// the base-2 round, which runs on the stack at 256 bits.
+/// the base-2 round, and a prime passes the Lucas test too: at 256 bits
+/// both run on the stack.
 #[test]
 fn composite_rejected_at_base_two_allocates_nothing() {
     let _metered = metered();
@@ -201,6 +198,7 @@ fn composite_rejected_at_base_two_allocates_nothing() {
     let p = gen_prime(128, &mut rng);
     let pq = &p * &gen_prime(128, &mut rng);
     assert_eq!(pq.bit_len(), 256);
+    let prime = gen_prime(256, &mut rng);
 
     let before = alloc_snapshot();
     let verdict = is_prime(&pq);
@@ -208,7 +206,13 @@ fn composite_rejected_at_base_two_allocates_nothing() {
     assert!(!verdict, "p·q taken for a prime");
     assert_eq!(allocs, 0, "is_prime(p·q) allocated {allocs} times");
 
-    // A prime gets past base 2 and builds its context: the meter works.
+    let before = alloc_snapshot();
+    let verdict = is_prime(&prime);
+    let allocs = alloc_since(&before).count;
+    assert!(verdict, "a 256-bit prime refused");
+    assert_eq!(allocs, 0, "is_prime(prime) allocated {allocs} times");
+
+    // A 128-bit prime tests in a buffer of its own: the meter works.
     let before = alloc_snapshot();
     assert!(is_prime(&p));
     assert!(
